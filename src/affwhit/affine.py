@@ -28,7 +28,8 @@ import re
 from fractions import Fraction
 from typing import Dict, Mapping, Tuple, Union
 
-from .rootdata import RootDatum, root_neg, root_str
+from .linalg import add_term
+from .rootdata import RootDatum
 
 Gen = Union[Tuple, str]  # ("X", root, m) | ("H", i, m) | "c" | "d"
 
@@ -107,11 +108,7 @@ class AffineElement:
     def __add__(self, other):
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
-            s = out.get(g, Fraction(0)) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
+            add_term(out, g, c)
         return AffineElement(out)
 
     def __neg__(self):
@@ -231,11 +228,7 @@ class AffineAlgebra:
             if kap:
                 factor = Fraction(m) if self.cocycle == "standard" else Fraction(1)
                 if factor:
-                    c_val = out.get("c", Fraction(0)) + factor * kap
-                    if c_val:
-                        out["c"] = c_val
-                    else:
-                        out.pop("c", None)
+                    out["c"] = factor * kap
         return out
 
     def bracket(self, x: AffineElement, y: AffineElement) -> AffineElement:
@@ -243,11 +236,7 @@ class AffineAlgebra:
         for ga, ca in x.coeffs.items():
             for gb, cb in y.coeffs.items():
                 for g, c in self.bracket_gens(ga, gb).items():
-                    s = out.get(g, Fraction(0)) + ca * cb * c
-                    if s:
-                        out[g] = s
-                    else:
-                        out.pop(g, None)
+                    add_term(out, g, ca * cb * c)
         return AffineElement(out)
 
 
@@ -262,17 +251,6 @@ def bracket(
     return AffineAlgebra(datum, cocycle, loop_only).bracket(x, y)
 
 
-def is_in_Ln(datum: RootDatum, g: Gen) -> bool:
-    return isinstance(g, tuple) and g[0] == "X" and g[1] in datum.phi_n
-
-
-def gen_weight(g: Gen, datum: RootDatum):
-    """Root-space weight of a generator (the zero root for H, c, d)."""
-    if isinstance(g, tuple) and g[0] == "X":
-        return g[1]
-    return datum.zero
-
-
 __all__ = [
     "AffineAlgebra",
     "AffineElement",
@@ -283,7 +261,5 @@ __all__ = [
     "bracket",
     "gen_str",
     "gen_sort_key",
-    "gen_weight",
-    "is_in_Ln",
     "parse_gen",
 ]

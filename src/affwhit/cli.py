@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import presets as presets_mod
-from .affine import gen_str, parse_gen
+from .affine import AffineAlgebra, AffineElement, gen_str, parse_gen
 from .engine import (
     TensorModule,
     Truncation,
@@ -43,6 +43,7 @@ from .engine import (
 )
 from .rootdata import build_datum, root_str
 from .seqspace import (
+    as_scalar,
     is_generic,
     is_strongly_generic_set,
     minimal_annihilator,
@@ -80,10 +81,16 @@ def parse_root_label(label: str, rank: int) -> tuple:
     return tuple(coeffs)
 
 
+def require_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return require_object(json.load(fh), "config")
     if getattr(args, "preset", None):
         return presets_mod.get_preset(args.preset)
     raise ConfigError("one of --preset or --config is required")
@@ -98,6 +105,7 @@ def resolve_mode(value: Optional[str]) -> Optional[str]:
 
 
 def build_algebra(alg_cfg: dict):
+    require_object(alg_cfg, "algebra")
     if alg_cfg.get("type") != "A":
         raise ConfigError(f"unsupported algebra type {alg_cfg.get('type')!r}")
     rank = int(alg_cfg.get("rank", 0))
@@ -108,12 +116,16 @@ def build_algebra(alg_cfg: dict):
 
 
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
+    require_object(cfg, "module config")
     datum = build_algebra(cfg.get("algebra", {}))
     lam = {}
-    for label, literal in cfg.get("lam", {}).items():
+    for label, literal in require_object(cfg.get("lam", {}), "lam").items():
         root = parse_root_label(label, datum.rank)
         lam[root] = sequence_from_literal(literal)
-    theta = Fraction(str(cfg.get("theta", "0")))
+    try:
+        theta = as_scalar(cfg.get("theta", "0"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"theta: {exc}") from None
     mode = resolve_mode(mode_override) or cfg.get("mode", "affine")
     cocycle = cocycle_override or cfg.get("cocycle", "standard")
     return WhittakerSpec(datum, lam, theta=theta, mode=mode, cocycle=cocycle)
@@ -161,10 +173,12 @@ def verdict_json(v) -> dict:
 def cmd_describe(args) -> int:
     cfg = load_config(args)
     if "algebra" not in cfg and "left" in cfg:
-        cfg = cfg["left"]
+        cfg = require_object(cfg["left"], "left")
     datum = build_algebra(cfg.get("algebra", {}))
     mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
     E = args.E if args.E is not None else int(cfg.get("truncation", {}).get("E", 1))
+    if E < 0:
+        raise ConfigError(f"E must be nonnegative, got {E}")
     gens = ordered_generators(datum, E, loop_only=(mode == "loop_only"))
 
     def by_height(roots):
@@ -337,19 +351,16 @@ def cmd_tensor(args) -> int:
 def cmd_bracket(args) -> int:
     cfg = load_config(args)
     if "algebra" not in cfg and "left" in cfg:
-        cfg = cfg["left"]
+        cfg = require_object(cfg["left"], "left")
     datum = build_algebra(cfg.get("algebra", {}))
     mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
     cocycle = args.cocycle or cfg.get("cocycle", "standard")
-    from .affine import AffineAlgebra
-
     alg = AffineAlgebra(datum, cocycle=cocycle, loop_only=(mode == "loop_only"))
     g1 = parse_gen(args.gen1, datum)
     g2 = parse_gen(args.gen2, datum)
-    result = alg.bracket_gens(g1, g2)
-    from .affine import AffineElement
-
-    elt = AffineElement(result)
+    alg.validate_gen(g1)
+    alg.validate_gen(g2)
+    elt = AffineElement(alg.bracket_gens(g1, g2))
     text = repr(elt)
     report = {
         "command": "bracket",

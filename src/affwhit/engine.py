@@ -39,6 +39,20 @@ vectors.  Dimension 1 certifies uniqueness inside the span; a larger
 dimension at small J is not a refutation, since enlarging J never
 increases the dimension.
 
+Both solvers share one assembler, :func:`solve_conditions`, which
+straightens every (condition, basis column) pair -- so ``row_count``
+covers the full system -- but never keeps the full row list.  Each
+condition's rows stream through the singleton pass of
+:class:`linalg.SingletonPruner` as soon as they are built: a row with
+one live column forces that column to zero in every solution, and
+those deaths propagate through the kept rows.  Most rows only say that
+one column vanishes, so what survives is a small core of rows with two
+or more live columns.  ``linalg.nullspace`` gets that core plus one
+unit row per dead column.  This is exact: each dead column's unit
+vector lies in the row space of the full system, so both systems have
+the same row space, the same kernel and the same normalized kernel
+basis (x_f = 1 on free columns); vectors and dimensions do not change.
+
 Tensor products act diagonally (Leibniz); on a pair of modules c acts
 by theta + theta' and the Whittaker eigenvalues add entrywise.
 """
@@ -46,10 +60,10 @@ by theta + theta' and the Whittaker eigenvalues add entrywise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import combinations_with_replacement, product
+from typing import Dict, List, Mapping, Tuple
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -228,6 +242,65 @@ class SolveResult:
         return self.dimension == 1
 
 
+def solve_conditions(action, basis, roots, eigenvalue, trunc) -> SolveResult:
+    """Exact nullspace of the Whittaker conditions on span(basis).
+
+    One condition per root and j in [-J, J]: g . v = eigenvalue(root, j) v
+    for g = X_root (x) t^j.
+
+    ``action(g, b)`` is the image of basis element b under g as a sparse
+    dict; it may be a shared memo entry and is never mutated.  Each
+    condition gives one row per output monomial over the basis columns,
+    in order of first appearance.  A condition's rows stream through a
+    singleton pass as soon as they are built, so only the rows with two
+    or more live columns outlive their condition; the system handed to
+    ``linalg.nullspace`` is that core plus one unit row per dead column,
+    whose kernel equals the full system's.  ``row_count`` still counts
+    every row of the full system.
+    """
+    pruner = linalg.SingletonPruner()
+    n_conditions = n_rows = 0
+    for root, j in product(roots, range(-trunc.J, trunc.J + 1)):
+        n_conditions += 1
+        g = ("X", root, j)
+        target = eigenvalue(root, j)
+        by_out: Dict[object, Dict[int, Fraction]] = {}
+        for col, item in enumerate(basis):
+            img = action(g, item)
+            for m, c in img.items():
+                row = by_out.get(m)
+                if row is None:
+                    by_out[m] = {col: c}
+                else:
+                    row[col] = c
+            if target:
+                s = img.get(item)
+                s = -target if s is None else s - target
+                row = by_out.get(item)
+                if s:
+                    if row is None:
+                        by_out[item] = {col: s}
+                    else:
+                        row[col] = s
+                else:
+                    del row[col]
+                    if not row:
+                        del by_out[item]
+        n_rows += len(by_out)
+        for row in by_out.values():
+            pruner.add(row)
+    kernel = linalg.nullspace(pruner.system(), len(basis))
+    vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
+    return SolveResult(
+        dimension=len(vectors),
+        vectors=vectors,
+        basis=basis,
+        truncation=trunc,
+        condition_count=n_conditions,
+        row_count=n_rows,
+    )
+
+
 class WhittakerModule:
     """Straightening engine for one induced module."""
 
@@ -297,28 +370,35 @@ class WhittakerModule:
                 return out
         rest: Monomial = ((head, mult - 1),) + mono[1:] if mult > 1 else mono[1:]
         acc: ModuleElement = {}
+        # linalg.add_term inlined in the two hot loops below
         for m2, c2 in self.lmul(g, rest).items():
             for m3, c3 in self.lmul(head, m2).items():
-                s = acc.get(m3, Fraction(0)) + c2 * c3
-                if s:
-                    acc[m3] = s
+                x = c2 * c3
+                s = acc.get(m3)
+                if s is None:
+                    acc[m3] = x
                 else:
-                    acc.pop(m3, None)
+                    s += x
+                    if s:
+                        acc[m3] = s
+                    else:
+                        del acc[m3]
         for h, ch in self.alg.bracket_gens(g, head).items():
             if h == "c":
                 if theta:
-                    s = acc.get(rest, Fraction(0)) + ch * theta
-                    if s:
-                        acc[rest] = s
-                    else:
-                        acc.pop(rest, None)
+                    linalg.add_term(acc, rest, ch * theta)
                 continue
             for m4, c4 in self.lmul(h, rest).items():
-                s = acc.get(m4, Fraction(0)) + ch * c4
-                if s:
-                    acc[m4] = s
+                x = ch * c4
+                s = acc.get(m4)
+                if s is None:
+                    acc[m4] = x
                 else:
-                    acc.pop(m4, None)
+                    s += x
+                    if s:
+                        acc[m4] = s
+                    else:
+                        del acc[m4]
         self._cache[(g, mono)] = acc
         return acc
 
@@ -326,11 +406,7 @@ class WhittakerModule:
         out: ModuleElement = {}
         for mono, coeff in elt.items():
             for m, c in self.lmul(g, mono).items():
-                s = out.get(m, Fraction(0)) + coeff * c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                linalg.add_term(out, m, coeff * c)
         return out
 
     def act(self, x: AffineElement, elt: ModuleElement) -> ModuleElement:
@@ -338,18 +414,10 @@ class WhittakerModule:
         out: ModuleElement = {}
         for g, cg in x.coeffs.items():
             for m, c in self.act_gen(g, elt).items():
-                s = out.get(m, Fraction(0)) + cg * c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                linalg.add_term(out, m, cg * c)
         return out
 
     # -- monomial order, basis ---------------------------------------------------
-
-    def mono_key(self, mono: Monomial) -> tuple:
-        """Structural sort key (degree-compatible, deterministic)."""
-        return tuple((self.gen_key(g), m) for g, m in mono)
 
     def lt_key(self, mono: Monomial) -> tuple:
         """Key whose minimum realizes the leading term: lexicographic on
@@ -393,41 +461,12 @@ class WhittakerModule:
         return sorted(datum.phi_n0) + sorted(datum.phi_n1)
 
     def solve(self, trunc: Truncation) -> SolveResult:
-        basis = self.basis(trunc)
-        col_of = {m: i for i, m in enumerate(basis)}
-        rows: List[Dict[int, Fraction]] = []
-        n_conditions = 0
-        for root in self.condition_roots():
-            in_phi0 = root in self.spec.datum.phi_n0
-            seq = self.spec.lam.get(root)
-            for j in range(-trunc.J, trunc.J + 1):
-                n_conditions += 1
-                target = seq.entry(j) if in_phi0 else Fraction(0)
-                g = ("X", root, j)
-                by_out: Dict[Monomial, Dict[int, Fraction]] = {}
-                for col, mono in enumerate(basis):
-                    img = dict(self.lmul(g, mono))
-                    if target:
-                        s = img.get(mono, Fraction(0)) - target
-                        if s:
-                            img[mono] = s
-                        else:
-                            img.pop(mono, None)
-                    for m, c in img.items():
-                        by_out.setdefault(m, {})[col] = c
-                for m in sorted(by_out, key=self.mono_key):
-                    rows.append(by_out[m])
-        kernel = linalg.nullspace(rows, len(basis))
-        vectors = [
-            {basis[col]: c for col, c in sorted(vec.items())} for vec in kernel
-        ]
-        return SolveResult(
-            dimension=len(vectors),
-            vectors=vectors,
-            basis=basis,
-            truncation=trunc,
-            condition_count=n_conditions,
-            row_count=len(rows),
+        return solve_conditions(
+            self.lmul,
+            self.basis(trunc),
+            self.condition_roots(),
+            self.spec.vacuum_scalar,
+            trunc,
         )
 
 
@@ -472,31 +511,36 @@ class TensorModule:
     def act_gen(self, g: Gen, elt: TensorElement) -> TensorElement:
         out: TensorElement = {}
         for (ma, mb), coeff in elt.items():
+            # linalg.add_term inlined: this loop is the tensor solver's action
             for m, c in self.left.lmul(g, ma).items():
-                key = (m, mb)
-                s = out.get(key, Fraction(0)) + coeff * c
-                if s:
-                    out[key] = s
+                key, x = (m, mb), coeff * c
+                s = out.get(key)
+                if s is None:
+                    out[key] = x
                 else:
-                    out.pop(key, None)
+                    s += x
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
             for m, c in self.right.lmul(g, mb).items():
-                key = (ma, m)
-                s = out.get(key, Fraction(0)) + coeff * c
-                if s:
-                    out[key] = s
+                key, x = (ma, m), coeff * c
+                s = out.get(key)
+                if s is None:
+                    out[key] = x
                 else:
-                    out.pop(key, None)
+                    s += x
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
         return out
 
     def act(self, x: AffineElement, elt: TensorElement) -> TensorElement:
         out: TensorElement = {}
         for g, cg in x.coeffs.items():
             for m, c in self.act_gen(g, elt).items():
-                s = out.get(m, Fraction(0)) + cg * c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                linalg.add_term(out, m, cg * c)
         return out
 
     def lam_sum(self, root: tuple, j: int) -> Fraction:
@@ -504,46 +548,17 @@ class TensorModule:
             root, j
         )
 
-    def pair_key(self, pair: PairMonomial) -> tuple:
-        return (self.left.mono_key(pair[0]), self.right.mono_key(pair[1]))
-
     def solve(self, trunc: Truncation) -> SolveResult:
         basis_a = self.left.basis(trunc)
         basis_b = self.right.basis(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        rows: List[Dict[int, Fraction]] = []
-        n_conditions = 0
-        datum = self.left.spec.datum
-        for root in self.left.condition_roots():
-            in_phi0 = root in datum.phi_n0
-            for j in range(-trunc.J, trunc.J + 1):
-                n_conditions += 1
-                target = self.lam_sum(root, j) if in_phi0 else Fraction(0)
-                g = ("X", root, j)
-                by_out: Dict[PairMonomial, Dict[int, Fraction]] = {}
-                for col, pair in enumerate(basis):
-                    img = dict(self.act_gen(g, {pair: Fraction(1)}))
-                    if target:
-                        s = img.get(pair, Fraction(0)) - target
-                        if s:
-                            img[pair] = s
-                        else:
-                            img.pop(pair, None)
-                    for m, c in img.items():
-                        by_out.setdefault(m, {})[col] = c
-                for m in sorted(by_out, key=self.pair_key):
-                    rows.append(by_out[m])
-        kernel = linalg.nullspace(rows, len(basis))
-        vectors = [
-            {basis[col]: c for col, c in sorted(vec.items())} for vec in kernel
-        ]
-        return SolveResult(
-            dimension=len(vectors),
-            vectors=vectors,
-            basis=basis,
-            truncation=trunc,
-            condition_count=n_conditions,
-            row_count=len(rows),
+        one = Fraction(1)
+        return solve_conditions(
+            lambda g, pair: self.act_gen(g, {pair: one}),
+            basis,
+            self.left.condition_roots(),
+            self.lam_sum,
+            trunc,
         )
 
 

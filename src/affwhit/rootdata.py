@@ -29,6 +29,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
+from .linalg import add_term
+
 Root = Tuple[int, ...]
 BasisKey = Tuple[str, Union[Root, int]]  # ("X", root) or ("H", i)
 
@@ -298,11 +300,7 @@ class ChevalleyElement:
     def __add__(self, other: "ChevalleyElement") -> "ChevalleyElement":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            add_term(out, k, c)
         return ChevalleyElement(self.datum, out)
 
     def __neg__(self):
@@ -361,11 +359,7 @@ def bracket_fin(x: ChevalleyElement, y: ChevalleyElement) -> ChevalleyElement:
     for ka, ca in x.coeffs.items():
         for kb, cb in y.coeffs.items():
             for k, c in datum.bracket_basis(ka, kb).items():
-                s = out.get(k, Fraction(0)) + ca * cb * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+                add_term(out, k, ca * cb * c)
     return ChevalleyElement(datum, out)
 
 

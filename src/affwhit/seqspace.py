@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import linalg
@@ -131,11 +132,7 @@ class FinVector:
     def __add__(self, other: "FinVector") -> "FinVector":
         out = dict(self.coeffs)
         for i, c in other.coeffs.items():
-            s = out.get(i, Fraction(0)) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            linalg.add_term(out, i, c)
         return FinVector(out)
 
     def __neg__(self) -> "FinVector":
@@ -892,20 +889,14 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
         coeffs = {k: vec.get(k, Fraction(0)) for k in range(m + 1)}
         den_lcm = 1
         for c in coeffs.values():
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
         ints = {k: int(c * den_lcm) for k, c in coeffs.items() if c}
         g = 0
         for c in ints.values():
-            g = _gcd(g, abs(c))
+            g = gcd(g, abs(c))
         sign = 1 if ints[0] > 0 else -1
         return FinVector({k: sign * c // g for k, c in ints.items()})
     raise AssertionError("defining annihilator bounds the search; unreachable")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def size(s: BiSequence) -> int:

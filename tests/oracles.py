@@ -81,6 +81,18 @@ def sympy_nullity(rows, ncols) -> int:
     return ncols - sympy_rank(rows, ncols)
 
 
+def sympy_nullspace(rows, ncols) -> list:
+    """sympy's kernel basis as sparse Fraction dicts.
+
+    sympy sets one free variable to 1 and the others to 0 per basis
+    vector, ordered by free column: the normalization of the package.
+    """
+    out = []
+    for v in sympy_matrix(rows, ncols).nullspace():
+        out.append({j: Fraction(x.p, x.q) for j, x in enumerate(v) if x})
+    return out
+
+
 def sympy_dense_rank(dense_rows) -> int:
     if not dense_rows:
         return 0

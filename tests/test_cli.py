@@ -333,3 +333,71 @@ def test_preset_names_cover_module_and_tensor():
         assert name in names
     for name in ("tensor-sl2", "tensor-sl2-neg", "geo-family"):
         assert name in names
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 1 with a one-line error, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def assert_one_line_error(code, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_non_object_config_is_an_error(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for command in ("whittaker", "tensor", "describe", "check-seq"):
+        code, _, err = run(capsys, command, "--config", str(path))
+        assert_one_line_error(code, err)
+        assert "JSON object" in err
+
+
+def test_non_object_module_config_is_an_error(tmp_path, capsys):
+    cfg = presets.get_preset("tensor-sl2")
+    cfg["left"] = [1, 2]
+    path = tmp_path / "left.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "tensor", "--config", str(path))
+    assert_one_line_error(code, err)
+    assert "JSON object" in err
+
+
+def test_decimal_theta_is_rejected(tmp_path, capsys):
+    for theta in ("0.5", 0.5):
+        cfg = presets.get_preset("sl2")
+        cfg["theta"] = theta
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "whittaker", "--config", str(path))
+        assert_one_line_error(code, err)
+        assert "theta" in err
+
+
+def test_fractional_theta_string_is_accepted(tmp_path, capsys):
+    cfg = presets.get_preset("sl2")
+    cfg["theta"] = "1/2"
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run(capsys, "whittaker", "--config", str(path), "-D", "1", "-E", "1")
+    assert code in (0, 2)
+    assert "dimension:" in out
+
+
+def test_bracket_loop_only_rejects_c_and_d(capsys):
+    for pair in (("c", "d"), ("X[1]@t^1", "d"), ("c", "X[1]@t^1")):
+        code, out, err = run(
+            capsys, "bracket", *pair, "--preset", "sl2", "--mode", "loop-only"
+        )
+        assert_one_line_error(code, err)
+        assert "loop-only" in err
+        assert out == ""
+
+
+def test_describe_negative_E_is_an_error(capsys):
+    code, out, err = run(capsys, "describe", "--preset", "sl2", "-E", "-1")
+    assert_one_line_error(code, err)
+    assert "E must be nonnegative" in err
+    assert out == ""

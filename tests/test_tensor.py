@@ -116,6 +116,15 @@ def test_tensor_plateau_vectors_are_genuine():
             assert got == want, (j, v)
 
 
+def test_tensor_solve_row_bookkeeping():
+    t = quiet_tensor(specs)
+    res = t.solve(Truncation(1, 1, 3))
+    assert res.basis_size == 64  # 8 monomials per factor
+    assert res.condition_count == 7
+    assert res.row_count == 376
+    assert res.dimension == 5
+
+
 def test_tensor_negative_scaled_scan():
     t = quiet_tensor(neg_specs)
     assert t.theta == 0
