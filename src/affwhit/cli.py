@@ -87,6 +87,23 @@ def require_object(value, what: str) -> dict:
     return value
 
 
+def require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
+def config_int(value, what: str) -> int:
+    """An integer field: a JSON integer or a string of one, never a bool or
+    a float (``int`` would truncate 2.5 to 2 and read true as 1)."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -108,10 +125,11 @@ def build_algebra(alg_cfg: dict):
     require_object(alg_cfg, "algebra")
     if alg_cfg.get("type") != "A":
         raise ConfigError(f"unsupported algebra type {alg_cfg.get('type')!r}")
-    rank = int(alg_cfg.get("rank", 0))
+    rank = config_int(alg_cfg.get("rank", 0), "rank")
     if rank < 1:
         raise ConfigError("rank must be a positive integer")
-    levi = {int(i) for i in alg_cfg.get("levi", [])}
+    levi_cfg = require_list(alg_cfg.get("levi", []), "levi")
+    levi = {config_int(i, "levi entry") for i in levi_cfg}
     return build_datum(rank + 1, levi)
 
 
@@ -131,12 +149,17 @@ def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> Whittake
     return WhittakerSpec(datum, lam, theta=theta, mode=mode, cocycle=cocycle)
 
 
+def truncation_field(cfg: dict, args, name: str) -> int:
+    """-D/-E/-J from the command line, else the config's truncation entry."""
+    value = getattr(args, name, None)
+    if value is not None:
+        return value
+    t = require_object(cfg.get("truncation", {}), "truncation")
+    return config_int(t.get(name, 1), f"truncation {name}")
+
+
 def resolve_truncation(cfg: dict, args) -> Truncation:
-    t = dict(cfg.get("truncation", {}))
-    D = args.D if getattr(args, "D", None) is not None else t.get("D", 1)
-    E = args.E if getattr(args, "E", None) is not None else t.get("E", 1)
-    J = args.J if getattr(args, "J", None) is not None else t.get("J", 1)
-    return Truncation(int(D), int(E), int(J))
+    return Truncation(*(truncation_field(cfg, args, name) for name in "DEJ"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +199,7 @@ def cmd_describe(args) -> int:
         cfg = require_object(cfg["left"], "left")
     datum = build_algebra(cfg.get("algebra", {}))
     mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
-    E = args.E if args.E is not None else int(cfg.get("truncation", {}).get("E", 1))
+    E = truncation_field(cfg, args, "E")
     if E < 0:
         raise ConfigError(f"E must be nonnegative, got {E}")
     gens = ordered_generators(datum, E, loop_only=(mode == "loop_only"))
@@ -217,11 +240,13 @@ def cmd_describe(args) -> int:
 
 def cmd_check_seq(args) -> int:
     cfg = load_config(args)
-    literals = cfg.get("sequences", [])
+    literals = require_list(cfg.get("sequences", []), "sequences")
     seqs = [sequence_from_literal(lit) for lit in literals]
-    S = int(cfg.get("S", 6))
-    W = int(cfg.get("W", 20))
-    include_weighted = bool(cfg.get("weighted", True))
+    S = config_int(cfg.get("S", 6), "S")
+    W = config_int(cfg.get("W", 20), "W")
+    include_weighted = cfg.get("weighted", True)
+    if not isinstance(include_weighted, bool):
+        raise ConfigError(f"weighted must be true or false, got {include_weighted!r}")
     per_seq = []
     lines = [f"sequences: {len(seqs)}   shift bound S={S}, window W={W}, "
              f"weighted rows {'on' if include_weighted else 'off'}"]

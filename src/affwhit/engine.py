@@ -53,17 +53,36 @@ vector lies in the row space of the full system, so both systems have
 the same row space, the same kernel and the same normalized kernel
 basis (x_f = 1 on free columns); vectors and dimensions do not change.
 
+Coefficients are exact: an ``int`` when the value is integral, else a
+``Fraction``.  Values enter straightening in that form -- the unit
+coefficient of a prepend, theta, the vacuum scalars and the brackets,
+memoized per module -- and a product or sum of two ``int`` values stays
+an ``int``.  A product or sum involving a ``Fraction`` is a ``Fraction``
+even when integral, so each new memo entry is normalized once, after
+its loops.  Most products are integral (unit prepends, integer
+structure constants), and an ``int`` product costs no gcd and no
+``Fraction`` object.  ``int`` and integral ``Fraction`` values compare,
+hash and print alike, and the kernel vectors from ``linalg.nullspace``
+are ``Fraction`` throughout, so no answer or report changes.
+
+:func:`solve_conditions` pauses the cyclic garbage collector while it
+runs and restores the caller's setting afterwards.  Straightening and
+elimination allocate millions of dicts, tuples and ``Fraction`` objects
+but no reference cycles, so reference counting frees all of it; the
+collector would only rescan the growing memo again and again.
+
 Tensor products act diagonally (Leibniz); on a pair of modules c acts
 by theta + theta' and the Whittaker eigenvalues add entrywise.
 """
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple, Union
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -76,11 +95,17 @@ from .seqspace import (
 )
 
 Monomial = Tuple[Tuple[Gen, int], ...]  # ((gen, multiplicity), ...) ascending
-ModuleElement = Dict[Monomial, Fraction]
+Scalar = Union[int, Fraction]  # int when integral, else Fraction
+ModuleElement = Dict[Monomial, Scalar]
 
 VACUUM: Monomial = ()
 
 MODES = ("affine", "loop_only")
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class ZeroElement(ValueError):
@@ -257,39 +282,49 @@ def solve_conditions(action, basis, roots, eigenvalue, trunc) -> SolveResult:
     ``linalg.nullspace`` is that core plus one unit row per dead column,
     whose kernel equals the full system's.  ``row_count`` still counts
     every row of the full system.
+
+    The cyclic garbage collector is paused for the whole solve (see the
+    module docstring) and restored to the caller's setting afterwards,
+    also when ``action`` raises.
     """
-    pruner = linalg.SingletonPruner()
-    n_conditions = n_rows = 0
-    for root, j in product(roots, range(-trunc.J, trunc.J + 1)):
-        n_conditions += 1
-        g = ("X", root, j)
-        target = eigenvalue(root, j)
-        by_out: Dict[object, Dict[int, Fraction]] = {}
-        for col, item in enumerate(basis):
-            img = action(g, item)
-            for m, c in img.items():
-                row = by_out.get(m)
-                if row is None:
-                    by_out[m] = {col: c}
-                else:
-                    row[col] = c
-            if target:
-                s = img.get(item)
-                s = -target if s is None else s - target
-                row = by_out.get(item)
-                if s:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pruner = linalg.SingletonPruner()
+        n_conditions = n_rows = 0
+        for root, j in product(roots, range(-trunc.J, trunc.J + 1)):
+            n_conditions += 1
+            g = ("X", root, j)
+            target = _exact(eigenvalue(root, j))
+            by_out: Dict[object, Dict[int, Scalar]] = {}
+            for col, item in enumerate(basis):
+                img = action(g, item)
+                for m, c in img.items():
+                    row = by_out.get(m)
                     if row is None:
-                        by_out[item] = {col: s}
+                        by_out[m] = {col: c}
                     else:
-                        row[col] = s
-                else:
-                    del row[col]
-                    if not row:
-                        del by_out[item]
-        n_rows += len(by_out)
-        for row in by_out.values():
-            pruner.add(row)
-    kernel = linalg.nullspace(pruner.system(), len(basis))
+                        row[col] = c
+                if target:
+                    s = img.get(item)
+                    s = -target if s is None else s - target
+                    row = by_out.get(item)
+                    if s:
+                        if row is None:
+                            by_out[item] = {col: s}
+                        else:
+                            row[col] = s
+                    else:
+                        del row[col]
+                        if not row:
+                            del by_out[item]
+            n_rows += len(by_out)
+            for row in by_out.values():
+                pruner.add(row)
+        kernel = linalg.nullspace(pruner.system(), len(basis))
+    finally:
+        if enabled:
+            gc.enable()
     vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
     return SolveResult(
         dimension=len(vectors),
@@ -309,7 +344,9 @@ class WhittakerModule:
         self.alg = AffineAlgebra(
             spec.datum, cocycle=spec.cocycle, loop_only=spec.loop_only
         )
+        self._theta = _exact(spec.theta)
         self._cache: Dict[Tuple[Gen, Monomial], ModuleElement] = {}
+        self._brackets: Dict[Tuple[Gen, Gen], Dict[Gen, Scalar]] = {}
         self._key_cache: Dict[Gen, tuple] = {}
 
     # -- generator order ------------------------------------------------------
@@ -337,11 +374,16 @@ class WhittakerModule:
 
     def lmul(self, g: Gen, mono: Monomial) -> ModuleElement:
         """g . (mono . 1) in standard form.  The result dict is shared
-        through the memo cache and must not be mutated by callers."""
+        through the memo cache and must not be mutated by callers.
+
+        Coefficients are ``int`` when integral, else ``Fraction``: the unit
+        coefficient of a prepend is ``1``, theta, the vacuum scalars and
+        the brackets (memoized per module) enter already in that form, and
+        an integral ``Fraction`` in a new memo entry is stored as ``int``."""
         cached = self._cache.get((g, mono))
         if cached is not None:
             return cached
-        theta = self.spec.theta
+        theta = self._theta
         if g == "c":
             if self.spec.loop_only:
                 raise ValueError("c does not exist in loop-only mode")
@@ -351,21 +393,21 @@ class WhittakerModule:
         in_ln = self.alg.in_Ln(g)
         if not mono:
             if in_ln:
-                s = self.spec.vacuum_scalar(g[1], g[2])
+                s = _exact(self.spec.vacuum_scalar(g[1], g[2]))
                 out = {VACUUM: s} if s else {}
             else:
-                out = {((g, 1),): Fraction(1)}
+                out = {((g, 1),): 1}
             self._cache[(g, mono)] = out
             return out
         head, mult = mono[0]
         if not in_ln:
             gk, hk = self.gen_key(g), self.gen_key(head)
             if gk < hk:
-                out = {((g, 1),) + mono: Fraction(1)}
+                out = {((g, 1),) + mono: 1}
                 self._cache[(g, mono)] = out
                 return out
             if gk == hk:
-                out = {((head, mult + 1),) + mono[1:]: Fraction(1)}
+                out = {((head, mult + 1),) + mono[1:]: 1}
                 self._cache[(g, mono)] = out
                 return out
         rest: Monomial = ((head, mult - 1),) + mono[1:] if mult > 1 else mono[1:]
@@ -383,7 +425,13 @@ class WhittakerModule:
                         acc[m3] = s
                     else:
                         del acc[m3]
-        for h, ch in self.alg.bracket_gens(g, head).items():
+        bracket = self._brackets.get((g, head))
+        if bracket is None:
+            bracket = {
+                h: _exact(c) for h, c in self.alg.bracket_gens(g, head).items()
+            }
+            self._brackets[(g, head)] = bracket
+        for h, ch in bracket.items():
             if h == "c":
                 if theta:
                     linalg.add_term(acc, rest, ch * theta)
@@ -399,6 +447,10 @@ class WhittakerModule:
                         acc[m4] = s
                     else:
                         del acc[m4]
+        # sums and products of Fractions can be integral; store those as int
+        for m, c in acc.items():
+            if type(c) is Fraction and c.denominator == 1:
+                acc[m] = c.numerator
         self._cache[(g, mono)] = acc
         return acc
 
@@ -475,7 +527,7 @@ class WhittakerModule:
 # ---------------------------------------------------------------------------
 
 PairMonomial = Tuple[Monomial, Monomial]
-TensorElement = Dict[PairMonomial, Fraction]
+TensorElement = Dict[PairMonomial, Scalar]
 
 
 class TensorModule:
@@ -552,9 +604,8 @@ class TensorModule:
         basis_a = self.left.basis(trunc)
         basis_b = self.right.basis(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        one = Fraction(1)
         return solve_conditions(
-            lambda g, pair: self.act_gen(g, {pair: one}),
+            lambda g, pair: self.act_gen(g, {pair: 1}),
             basis,
             self.left.condition_roots(),
             self.lam_sum,
@@ -582,21 +633,8 @@ def leading_term(spec: WhittakerSpec, elt: ModuleElement) -> Monomial:
     return WhittakerModule(spec).leading_term(elt)
 
 
-def basis_enumeration(spec: WhittakerSpec, trunc: Truncation) -> List[Monomial]:
-    return WhittakerModule(spec).basis(trunc)
-
-
 def whittaker_solve(spec: WhittakerSpec, trunc: Truncation) -> SolveResult:
     return WhittakerModule(spec).solve(trunc)
-
-
-def tensor_act(
-    spec_a: WhittakerSpec, spec_b: WhittakerSpec, x, elt: TensorElement
-) -> TensorElement:
-    module = TensorModule(spec_a, spec_b)
-    if not isinstance(x, AffineElement):
-        return module.act_gen(x, elt)
-    return module.act(x, elt)
 
 
 def tensor_whittaker_solve(

@@ -136,11 +136,12 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
     than its own.  An incoming row is therefore fully reduced by one
     pass over the pivot columns in its support (reduction only ever
     introduces non-pivot columns), after which its minimum remaining
-    column is a fresh pivot.
+    column is a fresh pivot.  Zero entries of an incoming row are
+    dropped, so a leading value is never zero.
     """
     pivots: Dict[int, SparseRow] = {}
     for row in rows:
-        r = dict(row)
+        r = {c: v for c, v in row.items() if v}
         for pc in list(r):
             if pc in pivots and pc in r:
                 _axpy(r, -r[pc], pivots[pc])

@@ -70,10 +70,6 @@ def as_scalar(x: ScalarLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def scalar_str(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # finitely supported vectors
 # ---------------------------------------------------------------------------
@@ -935,35 +931,59 @@ def reconstruct(v: FinVector, initial: Sequence[ScalarLike]) -> Recurrence:
 # ---------------------------------------------------------------------------
 
 
+def _literal_field(obj: dict, key: str, kind: type):
+    value = obj.get(key, kind())
+    if not isinstance(value, kind):
+        raise ValueError(
+            f"sequence literal field {key!r} must be a JSON "
+            f"{'object' if kind is dict else 'array'}: {value!r}"
+        )
+    return value
+
+
+def _literal_scalar(x) -> Fraction:
+    try:
+        return as_scalar(x)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
 def sequence_from_literal(obj) -> BiSequence:
     """Parse {'kind': 'finite'|'geometric'|'recurrence', ...} into a sequence.
 
     An optional 'scale' key wraps the result in a nonzero scalar
     multiple.  All rationals are decimal-free strings or integers.
+    Malformed literals, wrong JSON types included, raise ValueError.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"sequence literal must be an object with 'kind': {obj!r}")
     kind = obj["kind"]
     known = {"finite", "geometric", "recurrence"}
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ValueError(f"unknown sequence kind {kind!r}; expected one of {sorted(known)}")
     extra = set(obj) - {"kind", "scale", "entries", "j", "v", "initial"}
     if extra:
         raise ValueError(f"unexpected keys in sequence literal: {sorted(extra)}")
     if kind == "finite":
-        entries = obj.get("entries", {})
-        seq: BiSequence = FiniteSupport({int(i): as_scalar(c) for i, c in entries.items()})
+        entries = _literal_field(obj, "entries", dict)
+        seq: BiSequence = FiniteSupport(
+            {int(i): _literal_scalar(c) for i, c in entries.items()}
+        )
     elif kind == "geometric":
         if "j" not in obj:
             raise ValueError("geometric literal needs a ratio 'j'")
-        seq = Geometric(as_scalar(obj["j"]))
+        seq = Geometric(_literal_scalar(obj["j"]))
     else:
         if "v" not in obj or "initial" not in obj:
             raise ValueError("recurrence literal needs 'v' and 'initial'")
-        v = FinVector({int(i): as_scalar(c) for i, c in obj["v"].items()})
-        seq = Recurrence(v, [as_scalar(x) for x in obj["initial"]])
+        v = _literal_field(obj, "v", dict)
+        initial = _literal_field(obj, "initial", list)
+        seq = Recurrence(
+            FinVector({int(i): _literal_scalar(c) for i, c in v.items()}),
+            [_literal_scalar(x) for x in initial],
+        )
     if "scale" in obj:
-        factor = as_scalar(obj["scale"])
+        factor = _literal_scalar(obj["scale"])
         if factor != 1:
             seq = Scaled(seq, factor)
     return seq
@@ -976,19 +996,19 @@ def sequence_to_literal(s: BiSequence) -> dict:
         scale = s.factor
         s = s.base
     if isinstance(s, FiniteSupport):
-        out = {"kind": "finite", "entries": {str(i): scalar_str(c) for i, c in s.items()}}
+        out = {"kind": "finite", "entries": {str(i): str(c) for i, c in s.items()}}
     elif isinstance(s, Geometric):
-        out = {"kind": "geometric", "j": scalar_str(s.j)}
+        out = {"kind": "geometric", "j": str(s.j)}
     elif isinstance(s, Recurrence):
         out = {
             "kind": "recurrence",
-            "v": {str(i): scalar_str(c) for i, c in s.v.items()},
-            "initial": [scalar_str(x) for x in s.initial],
+            "v": {str(i): str(c) for i, c in s.v.items()},
+            "initial": [str(x) for x in s.initial],
         }
     else:
         raise ValueError(f"{type(s).__name__} has no literal form")
     if scale is not None:
-        out["scale"] = scalar_str(scale)
+        out["scale"] = str(scale)
     return out
 
 

@@ -51,14 +51,6 @@ def matrix_killing(datum, A: sympy.Matrix, B: sympy.Matrix) -> Fraction:
     return Fraction(val.p, val.q)
 
 
-def matrix_of_element_dict(datum, coeffs) -> sympy.Matrix:
-    """Same as element_matrix but from a raw {basis key: Fraction} dict."""
-    M = sympy.zeros(datum.n, datum.n)
-    for key, c in coeffs.items():
-        M += sympy.Rational(c.numerator, c.denominator) * basis_matrix(datum, key)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # sympy linear algebra
 # ---------------------------------------------------------------------------

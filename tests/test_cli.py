@@ -401,3 +401,80 @@ def test_describe_negative_E_is_an_error(capsys):
     assert_one_line_error(code, err)
     assert "E must be nonnegative" in err
     assert out == ""
+
+
+def run_config(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return run(capsys, command, "--config", str(path))
+
+
+def test_non_list_levi_is_an_error(tmp_path, capsys):
+    cfg = presets.get_preset("sl2")
+    cfg["algebra"]["levi"] = 3
+    for command in ("whittaker", "describe"):
+        code, out, err = run_config(tmp_path, capsys, command, cfg)
+        assert_one_line_error(code, err)
+        assert "levi must be a JSON array" in err
+        assert out == ""
+
+
+def test_non_object_truncation_is_an_error(tmp_path, capsys):
+    cfg = presets.get_preset("sl2")
+    cfg["truncation"] = [1]
+    for command in ("whittaker", "describe"):
+        code, out, err = run_config(tmp_path, capsys, command, cfg)
+        assert_one_line_error(code, err)
+        assert "truncation must be a JSON object" in err
+        assert out == ""
+
+
+def test_non_list_sequences_is_an_error(tmp_path, capsys):
+    cfg = presets.get_preset("geo-family")
+    cfg["sequences"] = 5
+    code, out, err = run_config(tmp_path, capsys, "check-seq", cfg)
+    assert_one_line_error(code, err)
+    assert "sequences must be a JSON array" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("algebra", "rank"), [1]),
+        (("algebra", "levi"), [[1]]),
+        (("truncation", "D"), None),
+        (("truncation", "D"), 1.7),
+        (("algebra", "rank"), True),
+        (("lam", "a1"), {"kind": "geometric", "j": [2]}),
+        (("lam", "a1"), {"kind": "finite", "entries": [1]}),
+        (("lam", "a1"), {"kind": "recurrence", "v": [1], "initial": ["1"]}),
+        (("lam", "a1"), {"kind": "recurrence", "v": {"0": "1"}, "initial": 5}),
+        (("lam", "a1"), {"kind": ["geometric"], "j": "2"}),
+        (("lam", "a1"), {"kind": "geometric", "j": "2", "scale": [1]}),
+    ],
+)
+def test_wrong_nested_types_are_errors(tmp_path, capsys, path, value):
+    cfg = presets.get_preset("sl2")
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, out, err = run_config(tmp_path, capsys, "whittaker", cfg)
+    assert_one_line_error(code, err)
+    assert out == ""
+
+
+def test_wrong_window_types_are_errors(tmp_path, capsys):
+    for key, value, message in (
+        ("S", [5], "S must be an integer"),
+        ("W", None, "W must be an integer"),
+        ("W", 20.5, "W must be an integer"),
+        ("weighted", "no", "weighted must be true or false"),
+    ):
+        cfg = presets.get_preset("geo-family")
+        cfg[key] = value
+        code, out, err = run_config(tmp_path, capsys, "check-seq", cfg)
+        assert_one_line_error(code, err)
+        assert message in err
+        assert out == ""

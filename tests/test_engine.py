@@ -1,5 +1,6 @@
 """Straightening engine and exact Whittaker solvers."""
 
+import gc
 import random
 import warnings
 from fractions import Fraction
@@ -24,6 +25,7 @@ from affwhit import (
     build_datum,
     whittaker_solve,
 )
+from affwhit.engine import solve_conditions
 
 F = Fraction
 
@@ -452,3 +454,63 @@ def test_genericity_warnings_fire():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sl2_spec()  # single geometric: no warning
+
+
+# ---------------------------------------------------------------------------
+# coefficient types and the collector pause
+# ---------------------------------------------------------------------------
+
+
+def memo_coefficients(module):
+    return [c for out in module._cache.values() for c in out.values()]
+
+
+def assert_exact_coefficients(coeffs):
+    """int when integral, else a Fraction with denominator != 1; never float."""
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+def test_memo_coefficients_are_int_when_integral():
+    fractional = WhittakerSpec(
+        build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(1, 2)
+    )
+    for spec in (sl2_spec(), fractional):
+        module = WhittakerModule(spec)
+        res = module.solve(Truncation(2, 2, 3))
+        coeffs = memo_coefficients(module)
+        assert_exact_coefficients(coeffs)
+        assert any(type(c) is int for c in coeffs)
+        assert all(type(c) is Fraction for v in res.vectors for c in v.values())
+    assert any(type(c) is Fraction for c in coeffs)
+
+
+def test_solve_pauses_and_restores_the_collector():
+    module = WhittakerModule(sl2_spec())
+    eigenvalue = module.spec.vacuum_scalar
+    trunc = Truncation(1, 1, 1)
+    seen = []
+
+    def action(g, item):
+        seen.append(gc.isenabled())
+        return module.lmul(g, item)
+
+    def failing(g, item):
+        raise RuntimeError("action failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            assert module.solve(trunc).dimension == 3
+            assert gc.isenabled() is enabled
+            basis = module.basis(trunc)
+            res = solve_conditions(action, basis, [A1], eigenvalue, trunc)
+            assert res.dimension == 3
+            assert seen and not any(seen)
+            assert gc.isenabled() is enabled
+            with pytest.raises(RuntimeError, match="action failed"):
+                solve_conditions(failing, basis, [A1], eigenvalue, trunc)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -193,6 +193,28 @@ def test_pruner_ignores_zero_entries():
     assert linalg.nullspace([{0: F(0), 1: F(3)}], 2) == [{0: F(1)}]
 
 
+def test_rref_pivots_skips_explicit_zero_entries():
+    """A zero at a row's minimum column must not become its leading value."""
+    rows = [{0: F(0), 1: F(1)}, {0: F(0)}, {1: F(2), 2: F(0), 3: F(4)}]
+    assert linalg.rref_pivots(rows) == {1: {1: F(1)}, 3: {3: F(1)}}
+    clean = [{c: v for c, v in row.items() if v} for row in rows]
+    assert linalg.rref_pivots(clean) == linalg.rref_pivots(rows)
+    assert linalg.nullspace(rows, 4) == linalg.nullspace(clean, 4) == [
+        {0: F(1)},
+        {2: F(1)},
+    ]
+
+
+def test_nullspace_of_int_rows_returns_fractions():
+    """Rows may mix int and Fraction entries; kernel vectors are Fraction."""
+    rows = [{0: 1, 1: -2, 2: F(1, 3)}, {1: 3, 2: 6}]
+    basis = linalg.nullspace(rows, 3)
+    assert basis == linalg.nullspace(
+        [{c: F(v) for c, v in row.items()} for row in rows], 3
+    )
+    assert basis and all(type(v) is Fraction for vec in basis for v in vec.values())
+
+
 def test_nullspace_generator_and_list_agree():
     rng = random.Random(7)
     for _ in range(100):

@@ -163,3 +163,24 @@ def test_tensor_wrapper():
         a, b = specs()
         res = tensor_whittaker_solve(a, b, Truncation(1, 1, 2))
     assert res.dimension == 7
+
+
+def test_tensor_memo_coefficients_are_int_when_integral():
+    d = build_datum(2)
+    left = WhittakerSpec(d, {A1: Geometric(F(5, 2))}, theta=F(1, 2))
+    right = WhittakerSpec(d, {A1: Geometric(3)}, theta=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        t = TensorModule(left, right)
+    res = t.solve(Truncation(1, 1, 2))
+    coeffs = [
+        c
+        for module in (t.left, t.right)
+        for out in module._cache.values()
+        for c in out.values()
+    ]
+    assert any(type(c) is Fraction for c in coeffs)
+    for c in coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    assert res.vectors
+    assert all(type(c) is Fraction for v in res.vectors for c in v.values())
