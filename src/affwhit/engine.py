@@ -47,11 +47,22 @@ condition's rows stream through the singleton pass of
 one live column forces that column to zero in every solution, and
 those deaths propagate through the kept rows.  Most rows only say that
 one column vanishes, so what survives is a small core of rows with two
-or more live columns.  ``linalg.nullspace`` gets that core plus one
-unit row per dead column.  This is exact: each dead column's unit
-vector lies in the row space of the full system, so both systems have
-the same row space, the same kernel and the same normalized kernel
-basis (x_f = 1 on free columns); vectors and dimensions do not change.
+or more live columns.  The pruner's dead set and core then go straight
+to elimination (``SingletonPruner.nullspace``, the path
+``linalg.nullspace`` also takes), with no second singleton pass.  This
+is exact: each dead column's unit vector lies in the row space of the
+full system, so the core plus one unit row per dead column has the
+same row space, the same kernel and the same normalized kernel basis
+(x_f = 1 on free columns); vectors and dimensions do not change.
+
+Elimination of the core is multimodular (``linalg.rref_pivots``): the
+fully reduced Gauss-Jordan runs in ``int`` arithmetic modulo primes,
+the images are combined by CRT and lifted by rational reconstruction,
+and the lift is returned only after every core row has been checked to
+reduce to zero against it in exact integer arithmetic.  That check
+proves the lift is the reduced echelon form over Q, so the kernel
+vectors are the exact ones, not probable ones; no ``Fraction``
+elimination runs.
 
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Values enter straightening in that form -- the unit
@@ -62,7 +73,7 @@ even when integral, so each new memo entry is normalized once, after
 its loops.  Most products are integral (unit prepends, integer
 structure constants), and an ``int`` product costs no gcd and no
 ``Fraction`` object.  ``int`` and integral ``Fraction`` values compare,
-hash and print alike, and the kernel vectors from ``linalg.nullspace``
+hash and print alike, and the kernel vectors from the elimination
 are ``Fraction`` throughout, so no answer or report changes.
 
 :func:`solve_conditions` pauses the cyclic garbage collector while it
@@ -82,7 +93,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Dict, List, Mapping, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -278,10 +289,9 @@ def solve_conditions(action, basis, roots, eigenvalue, trunc) -> SolveResult:
     condition gives one row per output monomial over the basis columns,
     in order of first appearance.  A condition's rows stream through a
     singleton pass as soon as they are built, so only the rows with two
-    or more live columns outlive their condition; the system handed to
-    ``linalg.nullspace`` is that core plus one unit row per dead column,
-    whose kernel equals the full system's.  ``row_count`` still counts
-    every row of the full system.
+    or more live columns outlive their condition; the kernel is then
+    taken from the pruner's dead set and core, and equals the full
+    system's.  ``row_count`` still counts every row of the full system.
 
     The cyclic garbage collector is paused for the whole solve (see the
     module docstring) and restored to the caller's setting afterwards,
@@ -321,7 +331,7 @@ def solve_conditions(action, basis, roots, eigenvalue, trunc) -> SolveResult:
             n_rows += len(by_out)
             for row in by_out.values():
                 pruner.add(row)
-        kernel = linalg.nullspace(pruner.system(), len(basis))
+        kernel = pruner.nullspace(len(basis))
     finally:
         if enabled:
             gc.enable()
@@ -348,6 +358,8 @@ class WhittakerModule:
         self._cache: Dict[Tuple[Gen, Monomial], ModuleElement] = {}
         self._brackets: Dict[Tuple[Gen, Gen], Dict[Gen, Scalar]] = {}
         self._key_cache: Dict[Gen, tuple] = {}
+        # g -> (g in L(n), gen_key(g) or None); read on every memo miss of lmul
+        self._gen_info: Dict[Gen, Tuple[bool, Optional[tuple]]] = {}
 
     # -- generator order ------------------------------------------------------
 
@@ -362,6 +374,12 @@ class WhittakerModule:
     def gen_order(self, g1: Gen, g2: Gen) -> int:
         k1, k2 = self.gen_key(g1), self.gen_key(g2)
         return -1 if k1 < k2 else (1 if k1 > k2 else 0)
+
+    def _new_gen_info(self, g: Gen) -> Tuple[bool, Optional[tuple]]:
+        """Cache (g in L(n), its order key); ValueError for d in loop-only mode."""
+        in_ln = self.alg.in_Ln(g)
+        info = self._gen_info[g] = (in_ln, None if in_ln else self.gen_key(g))
+        return info
 
     def is_module_gen(self, g: Gen) -> bool:
         if g == "c":
@@ -390,7 +408,8 @@ class WhittakerModule:
             out = {mono: theta} if theta else {}
             self._cache[(g, mono)] = out
             return out
-        in_ln = self.alg.in_Ln(g)
+        infos = self._gen_info
+        in_ln, gk = infos.get(g) or self._new_gen_info(g)
         if not mono:
             if in_ln:
                 s = _exact(self.spec.vacuum_scalar(g[1], g[2]))
@@ -401,7 +420,7 @@ class WhittakerModule:
             return out
         head, mult = mono[0]
         if not in_ln:
-            gk, hk = self.gen_key(g), self.gen_key(head)
+            hk = (infos.get(head) or self._new_gen_info(head))[1]
             if gk < hk:
                 out = {((g, 1),) + mono: 1}
                 self._cache[(g, mono)] = out

@@ -2,10 +2,10 @@
 
 Everything here recomputes results through a *different* route than the
 package: matrix units and literal commutators for the finite algebra,
-sympy for linear algebra, and brute-force window searches for sequence
-annihilators.  Tests freeze oracle outputs or compare against them
-directly; the package code under test is never used to produce its own
-expected values.
+sympy and Fraction Gauss-Jordan for linear algebra, and brute-force
+window searches for sequence annihilators.  Tests freeze oracle outputs
+or compare against them directly; the package code under test is never
+used to produce its own expected values.
 """
 
 from fractions import Fraction
@@ -83,6 +83,51 @@ def sympy_nullspace(rows, ncols) -> list:
     for v in sympy_matrix(rows, ncols).nullspace():
         out.append({j: Fraction(x.p, x.q) for j, x in enumerate(v) if x})
     return out
+
+
+def _axpy(dst, coeff, src):
+    """dst += coeff * src, dropping zeros (coeff and src entries nonzero)."""
+    for c, v in src.items():
+        x = coeff * v
+        s = dst.get(c)
+        if s is None:
+            dst[c] = x
+        else:
+            s += x
+            if s:
+                dst[c] = s
+            else:
+                del dst[c]
+
+
+def fraction_rref(rows) -> dict:
+    """Fully reduced echelon rows keyed by pivot column, by Fraction Gauss-Jordan.
+
+    The package's former elimination, kept as a reference for
+    ``linalg.rref_pivots``, which now eliminates modulo primes.
+    Invariant: every stored pivot row contains no pivot column other
+    than its own.  An incoming row is therefore fully reduced by one
+    pass over the pivot columns in its support (reduction only ever
+    introduces non-pivot columns), after which its minimum remaining
+    column is a fresh pivot.  Zero entries of an incoming row are
+    dropped, so a leading value is never zero.
+    """
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for pc in list(r):
+            if pc in pivots and pc in r:
+                _axpy(r, -r[pc], pivots[pc])
+        if not r:
+            continue
+        lead = min(r)
+        inv = Fraction(1) / r[lead]
+        r = {c: v * inv for c, v in r.items()}
+        for pr in pivots.values():
+            if lead in pr:
+                _axpy(pr, -pr[lead], r)
+        pivots[lead] = r
+    return pivots
 
 
 def sympy_dense_rank(dense_rows) -> int:

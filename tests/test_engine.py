@@ -179,6 +179,16 @@ def test_act_d_counts_exponents():
     assert got == {m + (("d", 1),): F(1), m: F(-1)}
 
 
+def test_d_does_not_act_in_loop_only_mode():
+    """d is rejected on every monomial, the cyclic vector included."""
+    module = WhittakerModule(quiet(loop_spec))
+    for m in (VACUUM, mono(H(1, 0))):
+        with pytest.raises(ValueError):
+            module.act_gen(D, {m: F(1)})
+    with pytest.raises(ValueError):
+        module.act_gen(C, {VACUUM: F(1)})
+
+
 def test_act_outputs_are_standard():
     rng = random.Random(314)
     for factory in (sl2_spec, sl3_abelian_spec):

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: rank, RREF, nullspace."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -250,3 +251,229 @@ def test_nullity_agrees_with_nullspace():
             rng, rng.randint(0, 9), nc
         )
         assert linalg.nullity(rows, nc) == len(linalg.nullspace(rows, nc))
+
+
+# ---------------------------------------------------------------------------
+# modular elimination: rref_pivots against the Fraction reference
+# ---------------------------------------------------------------------------
+
+M127 = 2**127 - 1
+
+
+class PrimeLog:
+    """Records the primes rref_pivots draws."""
+
+    def __init__(self, monkeypatch):
+        self.primes = []
+        primes = linalg._primes
+
+        def logged_primes():
+            for p in primes():
+                self.primes.append(p)
+                yield p
+
+        monkeypatch.setattr(linalg, "_primes", logged_primes)
+
+
+def first_image_pivots(rows):
+    """Pivot columns of the image modulo the first prime, 2^127 - 1."""
+    return sorted(linalg._rref_mod([linalg._integer_row(r) for r in rows], M127))
+
+
+def big_rows(rng, nr, nc, bits=100):
+    rows = []
+    for _ in range(nr):
+        row = {}
+        for j in rng.sample(range(nc), rng.randint(1, nc)):
+            num = rng.randint(-(2**bits), 2**bits)
+            if num:
+                row[j] = F(num, rng.randint(2**bits, 2 ** (bits + 8)))
+        rows.append(row)
+    return rows
+
+
+def test_rref_matches_fraction_reference_on_random_families():
+    rng = random.Random(5150)
+    for _ in range(200):
+        nc = rng.randint(1, 9)
+        for rows in (
+            random_sparse_rows(rng, rng.randint(0, 9), nc),
+            pruning_system(rng, nc),
+        ):
+            got = linalg.rref_pivots(rows)
+            assert got == oracles.fraction_rref(rows)
+            assert all(type(v) is Fraction for r in got.values() for v in r.values())
+
+
+def test_rref_with_100_bit_entries_needs_several_primes_and_a_restart(monkeypatch):
+    rng = random.Random(2718)
+    log = PrimeLog(monkeypatch)
+    tall = 0
+    for _ in range(12):
+        nc = rng.randint(2, 6)
+        rows = big_rows(rng, rng.randint(1, 5), nc)
+        log.primes.clear()
+        want = oracles.fraction_rref(rows)
+        assert linalg.rref_pivots(rows) == want
+        height = max(
+            max(abs(v.numerator), v.denominator)
+            for r in want.values()
+            for v in r.values()
+        )
+        if height > 2**100:  # one 127-bit prime reconstructs heights below 2^63
+            assert len(log.primes) > 2
+            tall += 1
+    assert tall > 5
+    # a multiple of the first prime at a leading position hides column 0
+    # from the first image, so the next prime's better pivot set restarts
+    rows = [
+        {0: F(M127 * 3, 7), 1: F(2**101 + 1, 3**70)},
+        {1: F(2**103 - 3, 11**30), 2: F(-(5**50), 2**100 + 7), 3: F(3**66, 13)},
+    ]
+    log.primes.clear()
+    got = linalg.rref_pivots(rows)
+    assert got == oracles.fraction_rref(rows)
+    assert first_image_pivots(rows) == [1, 2] and sorted(got) == [0, 1]
+    assert len(log.primes) > 3
+
+
+def test_unlucky_first_prime_still_gives_the_exact_form(monkeypatch):
+    log = PrimeLog(monkeypatch)
+    rows = [{0: M127, 1: 1}]
+    # modulo 2^127 - 1 the row is {1: 1}: rank 1 but pivot column 1, not 0
+    assert linalg._rref_mod([{0: M127, 1: 1}], M127) == {1: {1: 1}}
+    assert linalg.rref_pivots(rows) == {0: {0: F(1), 1: F(1, M127)}}
+    assert linalg.rref_pivots(rows) == oracles.fraction_rref(rows)
+    assert log.primes[0] == M127 and len(log.primes) > 2
+
+
+def test_denominator_divisible_by_a_prime():
+    rows = [{0: F(1, M127), 1: F(1)}, {1: F(3, M127), 2: F(M127, 5)}]
+    assert linalg.rref_pivots(rows) == oracles.fraction_rref(rows)
+    rows = [{0: F(1, M127), 1: F(1)}]
+    assert linalg.rref_pivots(rows) == {0: {0: F(1), 1: F(M127)}}
+
+
+def test_certificate_rejects_a_perturbed_candidate():
+    rng = random.Random(8128)
+    checked = 0
+    for _ in range(150):
+        nc = rng.randint(2, 8)
+        rows = random_sparse_rows(rng, rng.randint(1, 8), nc)
+        int_rows = [r for r in map(linalg._integer_row, rows) if r]
+        cand = {
+            pc: {f: (v.numerator, v.denominator) for f, v in row.items() if f != pc}
+            for pc, row in oracles.fraction_rref(rows).items()
+        }
+        assert linalg._certify(int_rows, cand)
+        entries = [(pc, f) for pc, row in cand.items() for f in row]
+        if not entries:
+            continue
+        pc, f = rng.choice(entries)
+        a, b = cand[pc][f]
+        for wrong in ((a + 1, b), (a, b + 1), None):
+            bad = {k: dict(row) for k, row in cand.items()}
+            if wrong is None:
+                del bad[pc][f]
+            else:
+                bad[pc][f] = wrong
+            assert not linalg._certify(int_rows, bad)
+        checked += 1
+    assert checked > 50
+
+
+def test_generated_primes_are_prime():
+    sympy = pytest.importorskip("sympy")
+    primes = list(itertools.islice(linalg._primes(), 20))
+    assert primes[0] == M127
+    assert all(p < 2**61 for p in primes[1:])
+    assert primes[1:] == sorted(set(primes[1:]), reverse=True)
+    assert all(sympy.isprime(p) for p in primes)
+
+
+def test_miller_rabin_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1009)
+    samples = list(range(3000)) + [rng.randrange(2**61) for _ in range(300)]
+    # strong pseudoprimes to many small bases, and Carmichael numbers
+    samples += [3215031751, 2152302898747, 3474749660383, 341550071728321,
+                3825123056546413051, 561, 41041, 825265]
+    for n in samples:
+        assert linalg._is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(ValueError):
+        linalg._is_prime(318665857834031151167461)
+
+
+def test_one_entry_rows_in_the_pruner():
+    pruner = linalg.SingletonPruner()
+    pruner.add({0: F(1), 1: F(2), 2: F(3)})
+    pruner.add({3: F(0)})  # a zero entry says nothing
+    assert pruner.dead == set()
+    pruner.add({1: F(5)})
+    pruner.add({1: 2})  # already dead
+    pruner.add({2: F(-1)})  # kills 2, then the first row kills 0
+    assert pruner.dead == {0, 1, 2}
+    assert pruner.core() == []
+    assert pruner.nullspace(4) == [{3: F(1)}]
+
+
+def test_pruner_nullspace_equals_nullspace_of_its_system():
+    rng = random.Random(606)
+    for _ in range(150):
+        nc = rng.randint(1, 9)
+        rows = pruning_system(rng, nc)
+        pruner = linalg.SingletonPruner()
+        for row in rows:
+            pruner.add(row)
+        basis = pruner.nullspace(nc)
+        assert basis == linalg.nullspace(pruner.system(), nc)
+        assert basis == oracles.sympy_nullspace(rows, nc)
+    pruner = linalg.SingletonPruner()
+    pruner.add({0: F(1), 5: F(1)})  # column 5 stays live in the core
+    with pytest.raises(ValueError):
+        pruner.nullspace(3)
+
+
+# ---------------------------------------------------------------------------
+# solver cross-check: modular vs Fraction elimination of the same core
+# ---------------------------------------------------------------------------
+
+
+def _module(preset):
+    from affwhit import cli, presets
+    from affwhit.engine import TensorModule, WhittakerModule
+
+    cfg = presets.get_preset(preset)
+    if "left" in cfg:
+        return TensorModule(cli.build_spec(cfg["left"]), cli.build_spec(cfg["right"]))
+    return WhittakerModule(cli.build_spec(cfg))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize(
+    "preset, D, E, Jmax",
+    [("sl2", 3, 2, 4), ("sl3-abelian", 2, 1, 3), ("tensor-sl2", 1, 1, 4)],
+)
+def test_solver_matches_fraction_elimination_of_its_core(
+    monkeypatch, preset, D, E, Jmax
+):
+    from affwhit.engine import Truncation
+
+    modular = linalg.rref_pivots
+    cores = []
+
+    def fraction_elimination(rows):
+        rows = list(rows)
+        cores.append(rows)
+        return oracles.fraction_rref(rows)
+
+    for J in range(1, Jmax + 1):
+        trunc = Truncation(D, E, J)
+        got = _module(preset).solve(trunc)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rref_pivots", fraction_elimination)
+            want = _module(preset).solve(trunc)
+        assert got.vectors == want.vectors
+        assert got.dimension == want.dimension and got.row_count == want.row_count
+        assert modular(cores[-1]) == oracles.fraction_rref(cores[-1])
+    assert any(len(core) > 20 for core in cores)
