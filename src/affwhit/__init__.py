@@ -74,10 +74,7 @@ from .engine import (
     WhittakerModule,
     WhittakerSpec,
     ZeroElement,
-    act,
     element_str,
-    gen_order,
-    leading_term,
     mono_str,
     pair_str,
     tensor_whittaker_solve,
@@ -118,19 +115,16 @@ __all__ = [
     "WindowRank",
     "X",
     "ZeroElement",
-    "act",
     "annihilator_basis_window",
     "bracket",
     "bracket_fin",
     "build_datum",
     "element_str",
     "entry",
-    "gen_order",
     "gen_str",
     "is_generic",
     "is_strongly_generic_set",
     "killing",
-    "leading_term",
     "member_strong_genericity",
     "minimal_annihilator",
     "mono_str",

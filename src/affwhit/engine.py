@@ -637,21 +637,6 @@ class TensorModule:
 # ---------------------------------------------------------------------------
 
 
-def gen_order(spec: WhittakerSpec, g1: Gen, g2: Gen) -> int:
-    return WhittakerModule(spec).gen_order(g1, g2)
-
-
-def act(spec: WhittakerSpec, x, elt: ModuleElement) -> ModuleElement:
-    module = WhittakerModule(spec)
-    if not isinstance(x, AffineElement):
-        return module.act_gen(x, elt)
-    return module.act(x, elt)
-
-
-def leading_term(spec: WhittakerSpec, elt: ModuleElement) -> Monomial:
-    return WhittakerModule(spec).leading_term(elt)
-
-
 def whittaker_solve(spec: WhittakerSpec, trunc: Truncation) -> SolveResult:
     return WhittakerModule(spec).solve(trunc)
 

@@ -2,10 +2,14 @@
 
 Two entry points cover everything the package needs:
 
-* :func:`rank` -- fraction-free (Bareiss) elimination on an integer
-  matrix obtained by clearing denominators row by row; row scaling by
-  nonzero rationals preserves rank, and the Bareiss pivot formula
-  divides exactly, so all intermediate values stay integers.
+* :func:`rank` -- the number of pivots of the certified reduced
+  echelon form (:func:`rref_pivots`) of the transpose; row rank equals
+  column rank.  The transpose is eliminated, not the rows: its reduced
+  form holds the linear relations among the rows, and for the translate
+  windows of :mod:`seqspace` those have small coefficients, while the
+  rows' reduced form would hold every free column in terms of the
+  pivot columns.  Smaller entries need fewer primes before the lift is
+  certified.
 
 * :func:`nullspace` -- kernel of a sparse system of {column: value}
   rows, in two stages.  First a singleton pass (:class:`SingletonPruner`,
@@ -90,59 +94,7 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 from itertools import chain
-from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    out = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        out.append([int(x * lcm) for x in row])
-    return out
-
-
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a dense rational matrix via Bareiss elimination."""
-    m = _integer_rows(rows)
-    nr = len(m)
-    if nr == 0:
-        return 0
-    nc = len(m[0])
-    if any(len(r) != nc for r in m):
-        raise ValueError("ragged matrix")
-    r = 0
-    prev = 1
-    for col in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if m[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        p = m[r][col]
-        # the update must run even when m[i][col] == 0: every entry below
-        # the pivot carries the accumulated minor factor, and skipping the
-        # scaling breaks the exactness of the later divisions by prev
-        for i in range(r + 1, nr):
-            mic = m[i][col]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(col + 1, nc):
-                row_i[j] = (row_i[j] * p - mic * row_r[j]) // prev
-            row_i[col] = 0
-        prev = p
-        r += 1
-        if r == nr:
-            break
-    return r
 
 
 SparseRow = Dict[int, Fraction]
@@ -384,6 +336,22 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
                 pc: {pc: one, **{f: Fraction(a, b) for f, (a, b) in row.items()}}
                 for pc, row in cand.items()
             }
+
+
+def rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Exact rank over Q of a dense matrix given as a list of rows.
+
+    Entries may be ``int`` or ``Fraction``, as for :func:`rref_pivots`.
+    The rank is the pivot count of the certified reduced echelon form of
+    the transpose: each column becomes one sparse {row: value} row.
+    """
+    if not rows:
+        return 0
+    nc = len(rows[0])
+    if any(len(r) != nc for r in rows):
+        raise ValueError("ragged matrix")
+    columns = ({i: x for i, x in enumerate(col) if x} for col in zip(*rows))
+    return len(rref_pivots(columns))
 
 
 class SingletonPruner:

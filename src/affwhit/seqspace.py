@@ -813,19 +813,22 @@ def window_rank_check(
 
     Rows are the entries over coordinates [-W, W] of every translate
     x^(s), s in [-S, S], of every member (plus the weighted rows when
-    flagged).  Rank is computed exactly over Q by fraction-free
-    elimination.  full_rank (rank == row count) certifies linear
-    independence of the tested finite subfamily; a deficient rank on a
-    window proves nothing either way.
+    flagged).  Each member's entries on [-W-S, W+S] are computed once
+    and the translate rows are slices of them.  Rank is computed exactly
+    over Q by :func:`linalg.rank`.  full_rank (rank == row count)
+    certifies linear independence of the tested finite subfamily; a
+    deficient rank on a window proves nothing either way.
     """
     S = int(S)
     W = int(W)
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
+    width = 2 * W + 1
     rows = []
     for x in seqs:
-        for s in range(-S, S + 1):
-            rows.append([x.entry(i + s) for i in range(-W, W + 1)])
+        # the row of translate s starts at entry s - W, index s + S of vals
+        vals = x.window(-W - S, W + S)
+        rows.extend(vals[k : k + width] for k in range(2 * S + 1))
         if include_weighted:
             w = weighted(x)
             rows.append([w.entry(i) for i in range(-W, W + 1)])

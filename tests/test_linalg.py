@@ -31,19 +31,20 @@ def dense(rows, nc):
 
 def test_rank_small_cases():
     assert linalg.rank([]) == 0
+    assert linalg.rank([[]]) == 0
+    assert linalg.rank([[], []]) == 0
     assert linalg.rank([[F(0), F(0)]]) == 0
     assert linalg.rank([[F(1), F(2)], [F(2), F(4)]]) == 1
     assert linalg.rank([[F(1, 2), F(0)], [F(0), F(7, 3)]]) == 2
+    assert linalg.rank([[1, 2], [3, F(9, 2)]]) == 2
     with pytest.raises(ValueError):
         linalg.rank([[F(1)], [F(1), F(2)]])
+    with pytest.raises(ValueError):
+        linalg.rank([[F(1), F(2)], [F(1)]])
 
 
 def test_rank_zero_pivot_column_regression():
-    """Rows with a zero in the first pivot column must still be rescaled.
-
-    Without the rescaling the later exact divisions floor-truncate and
-    the computed rank drops below the true one.
-    """
+    """Rows with a zero in the first pivot column keep their full rank."""
     rows = [
         [F(2), F(3), F(5), F(7)],
         [F(0), F(3), F(1), F(4)],
@@ -53,12 +54,38 @@ def test_rank_zero_pivot_column_regression():
     assert linalg.rank(rows) == oracles.sympy_dense_rank(rows) == 4
 
 
-def test_rank_matches_sympy_random():
+def test_rank_matches_sympy_random(monkeypatch):
     rng = random.Random(777)
     for _ in range(150):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         rows = dense(random_sparse_rows(rng, nr, nc), nc)
         assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+    # tall and wide shapes; about half get one row a combination of two others
+    for _ in range(40):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 20)
+        if rng.random() < 0.5:
+            nr, nc = nc, nr
+        rows = dense(random_sparse_rows(rng, nr, nc), nc)
+        if nr > 2 and rng.random() < 0.5:
+            a, b, c = rng.sample(range(nr), 3)
+            rows[c] = [x + F(3, 2) * y for x, y in zip(rows[a], rows[b])]
+        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+        assert linalg.rank(rows) == linalg.rank([list(c) for c in zip(*rows)])
+    # entries with denominator 1 or 2^127 - 1 and 100-bit numerators, and
+    # a row relation with 100-bit coefficients: the lift needs more primes
+    log = PrimeLog(monkeypatch)
+    for _ in range(10):
+        nr, nc = rng.randint(3, 6), rng.randint(2, 6)
+        rows = [
+            [F(rng.getrandbits(100) - 2**99, rng.choice((1, M127))) for _ in range(nc)]
+            for _ in range(nr - 1)
+        ]
+        a, b = (F(rng.getrandbits(100) | 1, rng.getrandbits(100) | 1) for _ in range(2))
+        rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        log.primes.clear()
+        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+        assert len(log.primes) > 1
+        assert linalg.rank(rows) == linalg.rank([list(c) for c in zip(*rows)])
 
 
 def test_rref_pivot_rows_are_fully_reduced():

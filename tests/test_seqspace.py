@@ -19,6 +19,7 @@ from affwhit import (
     annihilator_basis_window,
     is_generic,
     is_strongly_generic_set,
+    linalg,
     member_strong_genericity,
     minimal_annihilator,
     pairing,
@@ -386,8 +387,11 @@ def test_window_rank_geometric_family_deficient():
     )
 
 
-def test_window_rank_matches_sympy():
+def test_window_rank_matches_sympy(monkeypatch):
     seqs = [Geometric(2), FiniteSupport({0: 1, 2: -1}), FIB]
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
     info = window_rank_check(seqs, 3, 8, True)
     rows = []
     for s in seqs:
@@ -395,6 +399,7 @@ def test_window_rank_matches_sympy():
             rows.append([s.entry(i + off) for i in range(-8, 9)])
         w = weighted(s)
         rows.append([w.entry(i) for i in range(-8, 9)])
+    assert seen == [rows]
     assert info.rank == oracles.sympy_dense_rank(rows)
     assert info.count == len(rows)
 
