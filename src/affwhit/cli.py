@@ -135,7 +135,12 @@ def build_algebra(alg_cfg: dict):
 
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
     require_object(cfg, "module config")
-    datum = build_algebra(cfg.get("algebra", {}))
+    if "algebra" not in cfg:
+        hint = ""
+        if "left" in cfg and "right" in cfg:
+            hint = "; this is a tensor config, run it with 'affwhit tensor'"
+        raise ConfigError(f"module config needs 'algebra'{hint}")
+    datum = build_algebra(cfg["algebra"])
     lam = {}
     for label, literal in require_object(cfg.get("lam", {}), "lam").items():
         root = parse_root_label(label, datum.rank)
@@ -457,7 +462,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

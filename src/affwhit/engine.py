@@ -39,21 +39,45 @@ vectors.  Dimension 1 certifies uniqueness inside the span; a larger
 dimension at small J is not a refutation, since enlarging J never
 increases the dimension.
 
-Both solvers share one assembler, :func:`solve_conditions`, which
-straightens every (condition, basis column) pair -- so ``row_count``
-covers the full system -- but never keeps the full row list.  Each
-condition's rows stream through the singleton pass of
-:class:`linalg.SingletonPruner` as soon as they are built: a row with
-one live column forces that column to zero in every solution, and
-those deaths propagate through the kept rows.  Most rows only say that
-one column vanishes, so what survives is a small core of rows with two
-or more live columns.  The pruner's dead set and core then go straight
-to elimination (``SingletonPruner.nullspace``, the path
-``linalg.nullspace`` also takes), with no second singleton pass.  This
-is exact: each dead column's unit vector lies in the row space of the
-full system, so the core plus one unit row per dead column has the
-same row space, the same kernel and the same normalized kernel basis
-(x_f = 1 on free columns); vectors and dimensions do not change.
+Both solvers share one assembler, :func:`solve_conditions`, and differ
+only in the row builder they feed it: for one condition (root, j) the
+builder returns that condition's rows ``{out: {col: coeff}}``.  The
+module builder straightens every basis column with the memoized
+``lmul``.  The tensor builder is a Kronecker sum: X (x) t^j acts on a
+pair as g.ma (x) mb + ma (x) g.mb, so it reads the two factor images,
+one per factor basis element and condition, and writes their
+off-diagonal terms to (m, mb) and (ma, m'); the one key both share,
+(ma, mb), gets s_a + s_b - (Lam + Lam')_j once.  No tensor element is
+built.
+
+Rows are never kept as a full list.  Each condition's rows stream
+through the singleton pass of :class:`linalg.SingletonPruner` as soon
+as they are built: a row with one live column forces that column to
+zero in every solution, and those deaths propagate through the kept
+rows.  Most rows only say that one column vanishes, so what survives
+is a small core of rows with two or more live columns.  The pruner's
+dead set and core then go straight to elimination
+(``SingletonPruner.nullspace``, the path ``linalg.nullspace`` also
+takes), with no second singleton pass.  This is exact: each dead
+column's unit vector lies in the row space of the full system, so the
+core plus one unit row per dead column has the same row space, the
+same kernel and the same normalized kernel basis (x_f = 1 on free
+columns); vectors and dimensions do not change.
+
+The system at J is the system at a smaller J plus the conditions with
+larger |j|, on the same basis, since the basis depends only on (D, E).
+So each module keeps the :class:`ConditionSystem` of its last solve:
+(D, E, J), the basis, the pruner and the condition and row counts.  A
+solve with the same (D, E) and a J' >= J only builds and feeds the
+conditions with J < |j| <= J' (none when J' = J); any other request
+rebuilds the system from scratch.  The system is kept only after a
+solve succeeds; if a row builder raises, it is dropped.  The answer is
+the same as a fresh solve's: the same multiset of rows reaches the
+pruner, whose dead set does not depend on row order;
+``SingletonPruner.nullspace`` does not change the pruner; the reduced
+echelon form and the normalized kernel basis are unique.
+``row_count`` and ``condition_count`` are sums over the conditions fed,
+so they still count the full system at J.
 
 Elimination of the core is multimodular (``linalg.rref_pivots``): the
 fully reduced Gauss-Jordan runs in ``int`` arithmetic modulo primes,
@@ -92,8 +116,9 @@ import gc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement, product
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -278,72 +303,93 @@ class SolveResult:
         return self.dimension == 1
 
 
-def solve_conditions(action, basis, roots, eigenvalue, trunc) -> SolveResult:
-    """Exact nullspace of the Whittaker conditions on span(basis).
+RowsOf = Callable[[tuple, int], Dict[object, Dict[int, Scalar]]]
 
-    One condition per root and j in [-J, J]: g . v = eigenvalue(root, j) v
-    for g = X_root (x) t^j.
 
-    ``action(g, b)`` is the image of basis element b under g as a sparse
-    dict; it may be a shared memo entry and is never mutated.  Each
-    condition gives one row per output monomial over the basis columns,
-    in order of first appearance.  A condition's rows stream through a
-    singleton pass as soon as they are built, so only the rows with two
-    or more live columns outlive their condition; the kernel is then
-    taken from the pruner's dead set and core, and equals the full
-    system's.  ``row_count`` still counts every row of the full system.
+class ConditionSystem:
+    """The Whittaker conditions with |j| <= J on span(basis), as fed so far.
+
+    ``basis`` is the basis of the truncation (D, E).  ``rows_of(root, j)``
+    builds the rows ``{out: {col: coeff}}`` of the condition
+    X_root (x) t^j . v = eigenvalue(root, j) v over its columns; every
+    row is a fresh dict, since the pruner keeps it.  ``J`` is -1 while
+    no condition has been fed.  The counts cover every condition and row
+    fed, so they are those of the full system at ``J``.
+    """
+
+    __slots__ = (
+        "D", "E", "J", "basis", "rows_of", "pruner", "condition_count", "row_count"
+    )
+
+    def __init__(self, trunc: Truncation, basis: list, rows_of: RowsOf):
+        self.D, self.E, self.J = trunc.D, trunc.E, -1
+        self.basis = basis
+        self.rows_of = rows_of
+        self.pruner = linalg.SingletonPruner()
+        self.condition_count = self.row_count = 0
+
+    def extends_to(self, trunc: Truncation) -> bool:
+        """Whether the system at ``trunc`` is this one plus larger |j|."""
+        return self.D == trunc.D and self.E == trunc.E and self.J <= trunc.J
+
+
+def solve_conditions(
+    held: Optional[ConditionSystem],
+    roots: List[tuple],
+    trunc: Truncation,
+    new_system: Callable[[Truncation], ConditionSystem],
+) -> Tuple[SolveResult, ConditionSystem]:
+    """Exact nullspace of the Whittaker conditions at ``trunc``.
+
+    One condition per root and j in [-J, J].  ``held`` is the system of
+    an earlier solve, or None.  When it :meth:`~ConditionSystem.extends_to`
+    ``trunc``, only the conditions with held.J < |j| <= J are built and
+    fed to it; otherwise ``new_system(trunc)`` starts an empty one.  Each
+    condition's rows stream through the system's singleton pass as soon
+    as they are built, so only the rows with two or more live columns
+    outlive their condition; the kernel is then taken from the pruner's
+    dead set and core, and equals the full system's.  ``row_count``
+    counts every row of the full system at J.
+
+    Returns the result and the system, extended to J, for the caller to
+    pass back as ``held``.  If this raises, a ``held`` system may have
+    been fed part of a condition range and must be dropped.
 
     The cyclic garbage collector is paused for the whole solve (see the
     module docstring) and restored to the caller's setting afterwards,
-    also when ``action`` raises.
+    also when a row builder raises.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        pruner = linalg.SingletonPruner()
+        system = held if held is not None and held.extends_to(trunc) else new_system(trunc)
+        pruner, rows_of = system.pruner, system.rows_of
+        js = [j for j in range(-trunc.J, trunc.J + 1) if abs(j) > system.J]
         n_conditions = n_rows = 0
-        for root, j in product(roots, range(-trunc.J, trunc.J + 1)):
+        for root, j in product(roots, js):
+            rows = rows_of(root, j)
             n_conditions += 1
-            g = ("X", root, j)
-            target = _exact(eigenvalue(root, j))
-            by_out: Dict[object, Dict[int, Scalar]] = {}
-            for col, item in enumerate(basis):
-                img = action(g, item)
-                for m, c in img.items():
-                    row = by_out.get(m)
-                    if row is None:
-                        by_out[m] = {col: c}
-                    else:
-                        row[col] = c
-                if target:
-                    s = img.get(item)
-                    s = -target if s is None else s - target
-                    row = by_out.get(item)
-                    if s:
-                        if row is None:
-                            by_out[item] = {col: s}
-                        else:
-                            row[col] = s
-                    else:
-                        del row[col]
-                        if not row:
-                            del by_out[item]
-            n_rows += len(by_out)
-            for row in by_out.values():
+            n_rows += len(rows)
+            for row in rows.values():
                 pruner.add(row)
+        basis = system.basis
         kernel = pruner.nullspace(len(basis))
     finally:
         if enabled:
             gc.enable()
+    system.J = trunc.J
+    system.condition_count += n_conditions
+    system.row_count += n_rows
     vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
-    return SolveResult(
+    result = SolveResult(
         dimension=len(vectors),
         vectors=vectors,
         basis=basis,
         truncation=trunc,
-        condition_count=n_conditions,
-        row_count=n_rows,
+        condition_count=system.condition_count,
+        row_count=system.row_count,
     )
+    return result, system
 
 
 class WhittakerModule:
@@ -360,6 +406,7 @@ class WhittakerModule:
         self._key_cache: Dict[Gen, tuple] = {}
         # g -> (g in L(n), gen_key(g) or None); read on every memo miss of lmul
         self._gen_info: Dict[Gen, Tuple[bool, Optional[tuple]]] = {}
+        self._held: Optional[ConditionSystem] = None  # system of the last solve
 
     # -- generator order ------------------------------------------------------
 
@@ -531,14 +578,49 @@ class WhittakerModule:
         datum = self.spec.datum
         return sorted(datum.phi_n0) + sorted(datum.phi_n1)
 
+    def condition_rows(
+        self, basis: List[Monomial], root: tuple, j: int
+    ) -> Dict[Monomial, Dict[int, Scalar]]:
+        """Rows of X_root (x) t^j . v = Lam(root)_j v over span(basis), keyed
+        by output monomial, columns in order of first appearance."""
+        g = ("X", root, j)
+        target = _exact(self.spec.vacuum_scalar(root, j))
+        lmul = self.lmul
+        by_out: Dict[Monomial, Dict[int, Scalar]] = {}
+        for col, item in enumerate(basis):
+            img = lmul(g, item)
+            for m, c in img.items():
+                row = by_out.get(m)
+                if row is None:
+                    by_out[m] = {col: c}
+                else:
+                    row[col] = c
+            if target:
+                s = img.get(item)
+                s = -target if s is None else s - target
+                row = by_out.get(item)
+                if s:
+                    if row is None:
+                        by_out[item] = {col: s}
+                    else:
+                        row[col] = s
+                else:
+                    del row[col]
+                    if not row:
+                        del by_out[item]
+        return by_out
+
+    def condition_system(self, trunc: Truncation) -> ConditionSystem:
+        """An empty system on the basis of (trunc.D, trunc.E)."""
+        basis = self.basis(trunc)
+        return ConditionSystem(trunc, basis, partial(self.condition_rows, basis))
+
     def solve(self, trunc: Truncation) -> SolveResult:
-        return solve_conditions(
-            self.lmul,
-            self.basis(trunc),
-            self.condition_roots(),
-            self.spec.vacuum_scalar,
-            trunc,
+        held, self._held = self._held, None  # kept only if this solve succeeds
+        result, self._held = solve_conditions(
+            held, self.condition_roots(), trunc, self.condition_system
         )
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +629,13 @@ class WhittakerModule:
 
 PairMonomial = Tuple[Monomial, Monomial]
 TensorElement = Dict[PairMonomial, Scalar]
+
+
+def _split_diagonal(
+    img: ModuleElement, mono: Monomial
+) -> Tuple[List[Tuple[Monomial, Scalar]], Scalar]:
+    """(the terms of img off mono as a list, the coefficient of mono)."""
+    return [(m, c) for m, c in img.items() if m != mono], img.get(mono, 0)
 
 
 class TensorModule:
@@ -563,6 +652,7 @@ class TensorModule:
             raise ValueError("tensor factors must share mode and cocycle")
         self.left = WhittakerModule(spec_a)
         self.right = WhittakerModule(spec_b)
+        self._held: Optional[ConditionSystem] = None  # system of the last solve
         union = [spec_a.lam[r] for r in sorted(spec_a.lam)]
         union += [spec_b.lam[r] for r in sorted(spec_b.lam)]
         self.union_genericity = is_strongly_generic_set(union)
@@ -582,29 +672,10 @@ class TensorModule:
     def act_gen(self, g: Gen, elt: TensorElement) -> TensorElement:
         out: TensorElement = {}
         for (ma, mb), coeff in elt.items():
-            # linalg.add_term inlined: this loop is the tensor solver's action
             for m, c in self.left.lmul(g, ma).items():
-                key, x = (m, mb), coeff * c
-                s = out.get(key)
-                if s is None:
-                    out[key] = x
-                else:
-                    s += x
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                linalg.add_term(out, (m, mb), coeff * c)
             for m, c in self.right.lmul(g, mb).items():
-                key, x = (ma, m), coeff * c
-                s = out.get(key)
-                if s is None:
-                    out[key] = x
-                else:
-                    s += x
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
+                linalg.add_term(out, (ma, m), coeff * c)
         return out
 
     def act(self, x: AffineElement, elt: TensorElement) -> TensorElement:
@@ -619,17 +690,69 @@ class TensorModule:
             root, j
         )
 
-    def solve(self, trunc: Truncation) -> SolveResult:
+    def condition_rows(
+        self, basis_a: List[Monomial], basis_b: List[Monomial], root: tuple, j: int
+    ) -> Dict[PairMonomial, Dict[int, Scalar]]:
+        """Rows of X_root (x) t^j . v = (Lam + Lam')(root)_j v over the pairs
+        of the factor bases (column ia * len(basis_b) + ib is the pair
+        (basis_a[ia], basis_b[ib])), keyed by output pair.
+
+        The rows form a Kronecker sum: g acts on (ma, mb) by
+        g.ma (x) mb + ma (x) g.mb, so every factor image is read once per
+        condition.  Off-diagonal terms land on (m, mb) and (ma, m'), which
+        never coincide; the one shared key (ma, mb) gets
+        s_a + s_b - (Lam + Lam')_j once, where s_a and s_b are the
+        diagonal coefficients of the two images.
+        """
+        g = ("X", root, j)
+        target = _exact(self.lam_sum(root, j))
+        right = [_split_diagonal(self.right.lmul(g, mb), mb) for mb in basis_b]
+        by_out: Dict[PairMonomial, Dict[int, Scalar]] = {}
+        col = 0
+        for ma in basis_a:
+            off_a, s_a = _split_diagonal(self.left.lmul(g, ma), ma)
+            s_a -= target
+            for mb, (off_b, s_b) in zip(basis_b, right):
+                for m, c in off_a:
+                    key = (m, mb)
+                    row = by_out.get(key)
+                    if row is None:
+                        by_out[key] = {col: c}
+                    else:
+                        row[col] = c
+                for m, c in off_b:
+                    key = (ma, m)
+                    row = by_out.get(key)
+                    if row is None:
+                        by_out[key] = {col: c}
+                    else:
+                        row[col] = c
+                s = s_a + s_b
+                if s:
+                    key = (ma, mb)
+                    row = by_out.get(key)
+                    if row is None:
+                        by_out[key] = {col: s}
+                    else:
+                        row[col] = s
+                col += 1
+        return by_out
+
+    def condition_system(self, trunc: Truncation) -> ConditionSystem:
+        """An empty system on the pairs of the factor bases at (D, E)."""
         basis_a = self.left.basis(trunc)
         basis_b = self.right.basis(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        return solve_conditions(
-            lambda g, pair: self.act_gen(g, {pair: 1}),
-            basis,
-            self.left.condition_roots(),
-            self.lam_sum,
-            trunc,
+        return ConditionSystem(
+            trunc, basis, partial(self.condition_rows, basis_a, basis_b)
         )
+
+    def solve(self, trunc: Truncation) -> SolveResult:
+        held, self._held = self._held, None  # kept only if this solve succeeds
+        result, self._held = solve_conditions(
+            held, self.left.condition_roots(), trunc, self.condition_system
+        )
+        return result
 
 
 # ---------------------------------------------------------------------------

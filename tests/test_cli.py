@@ -307,6 +307,25 @@ def test_unknown_preset(capsys):
     assert "available" in err
 
 
+def test_unknown_preset_message_is_plain(capsys):
+    code, _, err = run(capsys, "whittaker", "--preset", "nope")
+    assert_one_line_error(code, err)
+    assert err.startswith("error: unknown preset 'nope'; available: ")
+
+
+def test_module_config_without_algebra(tmp_path, capsys):
+    code, _, err = run(capsys, "whittaker", "--preset", "tensor-sl2")
+    assert_one_line_error(code, err)
+    assert "module config needs 'algebra'" in err
+    assert "tensor config" in err and "affwhit tensor" in err
+    cfg = presets.get_preset("sl2")
+    del cfg["algebra"]
+    code, _, err = run_config(tmp_path, capsys, "whittaker", cfg)
+    assert_one_line_error(code, err)
+    assert "module config needs 'algebra'" in err
+    assert "tensor" not in err
+
+
 def test_bad_root_label(tmp_path, capsys):
     cfg = presets.get_preset("sl2")
     cfg["lam"] = {"b1": cfg["lam"].pop("a1")}

@@ -25,7 +25,7 @@ from affwhit import (
     build_datum,
     whittaker_solve,
 )
-from affwhit.engine import solve_conditions
+from affwhit.engine import ConditionSystem, solve_conditions
 
 F = Fraction
 
@@ -497,16 +497,19 @@ def test_memo_coefficients_are_int_when_integral():
 
 def test_solve_pauses_and_restores_the_collector():
     module = WhittakerModule(sl2_spec())
-    eigenvalue = module.spec.vacuum_scalar
     trunc = Truncation(1, 1, 1)
+    basis = module.basis(trunc)
     seen = []
 
-    def action(g, item):
+    def rows_of(root, j):
         seen.append(gc.isenabled())
-        return module.lmul(g, item)
+        return module.condition_rows(basis, root, j)
 
-    def failing(g, item):
-        raise RuntimeError("action failed")
+    def failing(root, j):
+        raise RuntimeError("row builder failed")
+
+    def system(builder):
+        return lambda t: ConditionSystem(t, basis, builder)
 
     was_enabled = gc.isenabled()
     try:
@@ -514,13 +517,49 @@ def test_solve_pauses_and_restores_the_collector():
             gc.enable() if enabled else gc.disable()
             assert module.solve(trunc).dimension == 3
             assert gc.isenabled() is enabled
-            basis = module.basis(trunc)
-            res = solve_conditions(action, basis, [A1], eigenvalue, trunc)
+            res, _ = solve_conditions(None, [A1], trunc, system(rows_of))
             assert res.dimension == 3
             assert seen and not any(seen)
             assert gc.isenabled() is enabled
-            with pytest.raises(RuntimeError, match="action failed"):
-                solve_conditions(failing, basis, [A1], eigenvalue, trunc)
+            with pytest.raises(RuntimeError, match="row builder failed"):
+                solve_conditions(None, [A1], trunc, system(failing))
             assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def test_failed_extension_drops_the_held_system():
+    """A builder raising partway through a J extension leaves the module
+    to rebuild: nothing fed before the raise is counted twice."""
+    wide = Truncation(1, 1, 3)
+    fresh = WhittakerModule(sl2_spec()).solve(wide)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            module = WhittakerModule(sl2_spec())
+            module.solve(Truncation(1, 1, 1))
+            held = module._held
+            build, fed = held.rows_of, []
+
+            def flaky(root, j):
+                if fed:  # the first new condition is fed, the second raises
+                    raise RuntimeError("row builder failed")
+                fed.append(j)
+                return build(root, j)
+
+            held.rows_of = flaky
+            with pytest.raises(RuntimeError, match="row builder failed"):
+                module.solve(wide)
+            assert fed == [-3]
+            assert gc.isenabled() is enabled
+            assert module._held is None
+            res = module.solve(wide)
+            assert (res.condition_count, res.row_count) == (
+                fresh.condition_count,
+                fresh.row_count,
+            )
+            assert res.vectors == fresh.vectors
+            assert module._held is not None and module._held.J == 3
     finally:
         gc.enable() if was_enabled else gc.disable()

@@ -17,6 +17,7 @@ from affwhit import (
     WhittakerSpec,
     X,
     build_datum,
+    linalg,
     tensor_whittaker_solve,
 )
 
@@ -184,3 +185,65 @@ def test_tensor_memo_coefficients_are_int_when_integral():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
     assert res.vectors
     assert all(type(c) is Fraction for v in res.vectors for c in v.values())
+
+
+# ---------------------------------------------------------------------------
+# the Kronecker-sum row builder
+# ---------------------------------------------------------------------------
+
+
+def sl3_borel_pair():
+    d = build_datum(3)
+    return (
+        WhittakerSpec(d, {(1, 0): Geometric(2), (0, 1): Geometric(3)}, theta=1),
+        WhittakerSpec(d, {(1, 0): Geometric(5), (0, 1): Geometric(7)}, theta=2),
+    )
+
+
+def act_gen_rows(t, basis, root, j):
+    """Rows of one condition from act_gen(g, {pair: 1}) minus the target."""
+    target = t.lam_sum(root, j)
+    rows = {}
+    for col, pair in enumerate(basis):
+        img = t.act_gen(X(root, j), {pair: 1})
+        linalg.add_term(img, pair, -target)
+        for out, c in img.items():
+            rows.setdefault(out, {})[col] = c
+    return rows
+
+
+@pytest.mark.parametrize(
+    "make, trunc",
+    [
+        (specs, Truncation(1, 1, 4)),
+        (specs, Truncation(2, 1, 3)),
+        (sl3_borel_pair, Truncation(1, 1, 2)),
+    ],
+)
+def test_kronecker_rows_equal_act_gen_rows(make, trunc):
+    t = quiet_tensor(make)
+    basis_a, basis_b = t.left.basis(trunc), t.right.basis(trunc)
+    basis = [(ma, mb) for ma in basis_a for mb in basis_b]
+    cancelled = 0
+    for root in t.left.condition_roots():
+        for j in range(-trunc.J, trunc.J + 1):
+            rows = t.condition_rows(basis_a, basis_b, root, j)
+            assert rows == act_gen_rows(t, basis, root, j), (root, j)
+            # pairs whose diagonal s_a + s_b meets the target get no entry
+            g, target = X(root, j), t.lam_sum(root, j)
+            for col, (ma, mb) in enumerate(basis):
+                s = t.left.lmul(g, ma).get(ma, 0) + t.right.lmul(g, mb).get(mb, 0)
+                if s == target:
+                    cancelled += 1
+                    assert col not in rows.get((ma, mb), {})
+    assert cancelled
+
+
+def test_tensor_solve_does_not_call_act_gen():
+    t = quiet_tensor(specs)
+
+    def refuse(*args):
+        raise AssertionError("act_gen called by the solver")
+
+    t.act_gen = refuse
+    assert t.solve(Truncation(1, 1, 3)).row_count == 376
