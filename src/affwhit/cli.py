@@ -133,14 +133,19 @@ def build_algebra(alg_cfg: dict):
     return build_datum(rank + 1, levi)
 
 
-def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
+def module_datum(cfg: dict):
+    """The root datum of a module config's ``algebra`` field."""
     require_object(cfg, "module config")
     if "algebra" not in cfg:
         hint = ""
         if "left" in cfg and "right" in cfg:
             hint = "; this is a tensor config, run it with 'affwhit tensor'"
         raise ConfigError(f"module config needs 'algebra'{hint}")
-    datum = build_algebra(cfg["algebra"])
+    return build_algebra(cfg["algebra"])
+
+
+def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
+    datum = module_datum(cfg)
     lam = {}
     for label, literal in require_object(cfg.get("lam", {}), "lam").items():
         root = parse_root_label(label, datum.rank)
@@ -202,7 +207,7 @@ def cmd_describe(args) -> int:
     cfg = load_config(args)
     if "algebra" not in cfg and "left" in cfg:
         cfg = require_object(cfg["left"], "left")
-    datum = build_algebra(cfg.get("algebra", {}))
+    datum = module_datum(cfg)
     mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
     E = truncation_field(cfg, args, "E")
     if E < 0:
@@ -245,7 +250,9 @@ def cmd_describe(args) -> int:
 
 def cmd_check_seq(args) -> int:
     cfg = load_config(args)
-    literals = require_list(cfg.get("sequences", []), "sequences")
+    if "sequences" not in cfg:
+        raise ConfigError("check-seq config needs 'sequences'")
+    literals = require_list(cfg["sequences"], "sequences")
     seqs = [sequence_from_literal(lit) for lit in literals]
     S = config_int(cfg.get("S", 6), "S")
     W = config_int(cfg.get("W", 20), "W")
@@ -382,7 +389,7 @@ def cmd_bracket(args) -> int:
     cfg = load_config(args)
     if "algebra" not in cfg and "left" in cfg:
         cfg = require_object(cfg["left"], "left")
-    datum = build_algebra(cfg.get("algebra", {}))
+    datum = module_datum(cfg)
     mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
     cocycle = args.cocycle or cfg.get("cocycle", "standard")
     alg = AffineAlgebra(datum, cocycle=cocycle, loop_only=(mode == "loop_only"))

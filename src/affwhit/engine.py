@@ -29,6 +29,27 @@ the cyclic vector.  Results are memoized per module; straightening
 only ever recurses into strictly smaller degrees, except for the
 immediate prepend which does not recurse.
 
+Monomials and generators are hash-consed.  Each module numbers the
+generators (gid; c is 0) and the monomials (mid; the cyclic vector is
+0) it has seen, and keeps for every mid its split: the head gid, its
+multiplicity and the mid of the monomial with one head factor removed,
+which is what the recursion above reads.  A monomial is interned once:
+when a prepend or a merge of equal heads first creates it, or when it
+is first looked up as a basis element or an argument of the public
+``lmul``.  Straightening, its memo
+(keyed by (gid, mid), holding {mid: coeff}), the bracket memo (keyed
+by gid pairs) and both row builders work on these small ``int`` ids,
+whose hashes are free, instead of hashing nested tuples on every memo
+probe and sum.  Tuples appear only at the public boundary: ``lmul``
+interns its arguments and translates a fresh copy of the result back.
+This is exact.  The ids are a bijection on the monomials seen, the
+straightener runs the same recursion in the same order, so every
+condition yields the same rows with the same coefficients, first
+appearances in the same order, under renamed keys.  The pruner's dead
+set does not depend on row order, and the reduced echelon form and the
+normalized kernel basis are unique; so the vectors, ``row_count`` and
+every report are unchanged.
+
 whittaker_solve assembles, for a finite truncation (D = max monomial
 degree, E = max |t-exponent| per factor, J = condition window), the
 exact linear system expressing that v in the truncated span satisfies
@@ -41,9 +62,10 @@ increases the dimension.
 
 Both solvers share one assembler, :func:`solve_conditions`, and differ
 only in the row builder they feed it: for one condition (root, j) the
-builder returns that condition's rows ``{out: {col: coeff}}``.  The
-module builder straightens every basis column with the memoized
-``lmul``.  The tensor builder is a Kronecker sum: X (x) t^j acts on a
+builder returns that condition's rows ``{out: {col: coeff}}``, keyed
+by output mid (a pair of mids for the tensor builder).  The module
+builder straightens every basis column with the memoized straightener.
+The tensor builder is a Kronecker sum: X (x) t^j acts on a
 pair as g.ma (x) mb + ma (x) g.mb, so it reads the two factor images,
 one per factor basis element and condition, and writes their
 off-diagonal terms to (m, mb) and (ma, m'); the one key both share,
@@ -133,6 +155,7 @@ from .seqspace import (
 Monomial = Tuple[Tuple[Gen, int], ...]  # ((gen, multiplicity), ...) ascending
 Scalar = Union[int, Fraction]  # int when integral, else Fraction
 ModuleElement = Dict[Monomial, Scalar]
+IdElement = Dict[int, Scalar]  # a ModuleElement keyed by monomial id
 
 VACUUM: Monomial = ()
 
@@ -393,7 +416,11 @@ def solve_conditions(
 
 
 class WhittakerModule:
-    """Straightening engine for one induced module."""
+    """Straightening engine for one induced module.
+
+    Monomials and generators are hash-consed (see the module docstring):
+    the straightener, its memo and the row builders work on small ``int``
+    ids, and the public methods translate at the boundary."""
 
     def __init__(self, spec: WhittakerSpec):
         self.spec = spec
@@ -401,11 +428,19 @@ class WhittakerModule:
             spec.datum, cocycle=spec.cocycle, loop_only=spec.loop_only
         )
         self._theta = _exact(spec.theta)
-        self._cache: Dict[Tuple[Gen, Monomial], ModuleElement] = {}
-        self._brackets: Dict[Tuple[Gen, Gen], Dict[Gen, Scalar]] = {}
         self._key_cache: Dict[Gen, tuple] = {}
-        # g -> (g in L(n), gen_key(g) or None); read on every memo miss of lmul
-        self._gen_info: Dict[Gen, Tuple[bool, Optional[tuple]]] = {}
+        # generator tables, by gid; c is gid 0
+        self._gens: List[Gen] = ["c"]
+        self._gen_ids: Dict[Gen, int] = {"c": 0}
+        # gid -> (g in L(n), gen_key(g) or None); read on every memo miss
+        self._gen_info: List[Tuple[bool, Optional[tuple]]] = [(False, None)]
+        # monomial tables, by mid; the cyclic vector is mid 0
+        self._monos: List[Monomial] = [VACUUM]
+        self._mono_ids: Dict[Monomial, int] = {VACUUM: 0}
+        # mid -> (head gid, its multiplicity, mid of mono with one head removed)
+        self._split: List[Optional[Tuple[int, int, int]]] = [None]
+        self._cache: Dict[Tuple[int, int], IdElement] = {}  # (gid, mid) -> image
+        self._brackets: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = {}
         self._held: Optional[ConditionSystem] = None  # system of the last solve
 
     # -- generator order ------------------------------------------------------
@@ -422,12 +457,6 @@ class WhittakerModule:
         k1, k2 = self.gen_key(g1), self.gen_key(g2)
         return -1 if k1 < k2 else (1 if k1 > k2 else 0)
 
-    def _new_gen_info(self, g: Gen) -> Tuple[bool, Optional[tuple]]:
-        """Cache (g in L(n), its order key); ValueError for d in loop-only mode."""
-        in_ln = self.alg.in_Ln(g)
-        info = self._gen_info[g] = (in_ln, None if in_ln else self.gen_key(g))
-        return info
-
     def is_module_gen(self, g: Gen) -> bool:
         if g == "c":
             return False
@@ -435,52 +464,92 @@ class WhittakerModule:
             return not self.spec.loop_only
         return not self.alg.in_Ln(g)
 
+    # -- hash-consing ------------------------------------------------------------
+
+    def _gid(self, g: Gen) -> int:
+        """Id of a generator; ValueError for d in loop-only mode."""
+        gid = self._gen_ids.get(g)
+        if gid is None:
+            in_ln = self.alg.in_Ln(g)
+            info = (in_ln, None if in_ln else self.gen_key(g))
+            gid = self._gen_ids[g] = len(self._gens)
+            self._gens.append(g)
+            self._gen_info.append(info)
+        return gid
+
+    def _mid(self, mono: Monomial) -> int:
+        """Id of a monomial, interning it and its tails on first sight."""
+        mid = self._mono_ids.get(mono)
+        if mid is None:
+            head, mult = mono[0]
+            rest = ((head, mult - 1),) + mono[1:] if mult > 1 else mono[1:]
+            mid = self._prepend(self._gid(head), mult, self._mid(rest))
+        return mid
+
+    def _prepend(self, g: int, mult: int, rest: int) -> int:
+        """Id of the monomial whose split is (g, mult, rest): g prepended to
+        the monomial ``rest``, which starts with (g, mult - 1) when
+        mult > 1 and with a factor above g when mult == 1."""
+        tail = self._monos[rest]
+        mono = ((self._gens[g], mult),) + (tail[1:] if mult > 1 else tail)
+        mid = self._mono_ids.get(mono)
+        if mid is None:
+            mid = self._mono_ids[mono] = len(self._monos)
+            self._monos.append(mono)
+            self._split.append((g, mult, rest))
+        return mid
+
     # -- straightening ----------------------------------------------------------
 
     def lmul(self, g: Gen, mono: Monomial) -> ModuleElement:
-        """g . (mono . 1) in standard form.  The result dict is shared
-        through the memo cache and must not be mutated by callers.
+        """g . (mono . 1) in standard form, as a fresh dict that the caller
+        may mutate.
 
         Coefficients are ``int`` when integral, else ``Fraction``: the unit
         coefficient of a prepend is ``1``, theta, the vacuum scalars and
         the brackets (memoized per module) enter already in that form, and
         an integral ``Fraction`` in a new memo entry is stored as ``int``."""
-        cached = self._cache.get((g, mono))
-        if cached is not None:
-            return cached
+        monos = self._monos
+        img = self._lmul(self._gid(g), self._mid(mono))
+        return {monos[m]: c for m, c in img.items()}
+
+    def _lmul(self, g: int, m: int) -> IdElement:
+        """:meth:`lmul` on ids, memoized.  The result is shared through the
+        memo and must not be mutated by callers."""
+        cache = self._cache
+        out = cache.get((g, m))
+        if out is not None:
+            return out
         theta = self._theta
-        if g == "c":
+        if not g:  # c
             if self.spec.loop_only:
                 raise ValueError("c does not exist in loop-only mode")
-            out = {mono: theta} if theta else {}
-            self._cache[(g, mono)] = out
+            out = cache[(g, m)] = {m: theta} if theta else {}
             return out
-        infos = self._gen_info
-        in_ln, gk = infos.get(g) or self._new_gen_info(g)
-        if not mono:
+        in_ln, gk = self._gen_info[g]
+        if not m:
             if in_ln:
-                s = _exact(self.spec.vacuum_scalar(g[1], g[2]))
-                out = {VACUUM: s} if s else {}
+                gen = self._gens[g]
+                s = _exact(self.spec.vacuum_scalar(gen[1], gen[2]))
+                out = {0: s} if s else {}
             else:
-                out = {((g, 1),): 1}
-            self._cache[(g, mono)] = out
+                out = {self._prepend(g, 1, 0): 1}
+            cache[(g, m)] = out
             return out
-        head, mult = mono[0]
+        head, mult, rest = self._split[m]
         if not in_ln:
-            hk = (infos.get(head) or self._new_gen_info(head))[1]
+            hk = self._gen_info[head][1]
             if gk < hk:
-                out = {((g, 1),) + mono: 1}
-                self._cache[(g, mono)] = out
+                out = cache[(g, m)] = {self._prepend(g, 1, m): 1}
                 return out
             if gk == hk:
-                out = {((head, mult + 1),) + mono[1:]: 1}
-                self._cache[(g, mono)] = out
+                out = cache[(g, m)] = {self._prepend(g, mult + 1, m): 1}
                 return out
-        rest: Monomial = ((head, mult - 1),) + mono[1:] if mult > 1 else mono[1:]
-        acc: ModuleElement = {}
+        lmul = self._lmul
+        acc: IdElement = {}
         # linalg.add_term inlined in the two hot loops below
-        for m2, c2 in self.lmul(g, rest).items():
-            for m3, c3 in self.lmul(head, m2).items():
+        for m2, c2 in lmul(g, rest).items():
+            for m3, c3 in lmul(head, m2).items():
                 x = c2 * c3
                 s = acc.get(m3)
                 if s is None:
@@ -493,16 +562,17 @@ class WhittakerModule:
                         del acc[m3]
         bracket = self._brackets.get((g, head))
         if bracket is None:
-            bracket = {
-                h: _exact(c) for h, c in self.alg.bracket_gens(g, head).items()
-            }
-            self._brackets[(g, head)] = bracket
-        for h, ch in bracket.items():
-            if h == "c":
+            gens = self._gens
+            bracket = self._brackets[(g, head)] = [
+                (self._gid(h), _exact(c))
+                for h, c in self.alg.bracket_gens(gens[g], gens[head]).items()
+            ]
+        for h, ch in bracket:
+            if not h:  # c acts by theta
                 if theta:
                     linalg.add_term(acc, rest, ch * theta)
                 continue
-            for m4, c4 in self.lmul(h, rest).items():
+            for m4, c4 in lmul(h, rest).items():
                 x = ch * c4
                 s = acc.get(m4)
                 if s is None:
@@ -514,10 +584,10 @@ class WhittakerModule:
                     else:
                         del acc[m4]
         # sums and products of Fractions can be integral; store those as int
-        for m, c in acc.items():
+        for k, c in acc.items():
             if type(c) is Fraction and c.denominator == 1:
-                acc[m] = c.numerator
-        self._cache[(g, mono)] = acc
+                acc[k] = c.numerator
+        cache[(g, m)] = acc
         return acc
 
     def act_gen(self, g: Gen, elt: ModuleElement) -> ModuleElement:
@@ -579,14 +649,15 @@ class WhittakerModule:
         return sorted(datum.phi_n0) + sorted(datum.phi_n1)
 
     def condition_rows(
-        self, basis: List[Monomial], root: tuple, j: int
-    ) -> Dict[Monomial, Dict[int, Scalar]]:
-        """Rows of X_root (x) t^j . v = Lam(root)_j v over span(basis), keyed
-        by output monomial, columns in order of first appearance."""
-        g = ("X", root, j)
+        self, basis: List[int], root: tuple, j: int
+    ) -> Dict[int, Dict[int, Scalar]]:
+        """Rows of X_root (x) t^j . v = Lam(root)_j v over the span of the
+        monomials with ids ``basis``, keyed by output monomial id, columns
+        in order of first appearance."""
+        g = self._gid(("X", root, j))
         target = _exact(self.spec.vacuum_scalar(root, j))
-        lmul = self.lmul
-        by_out: Dict[Monomial, Dict[int, Scalar]] = {}
+        lmul = self._lmul
+        by_out: Dict[int, Dict[int, Scalar]] = {}
         for col, item in enumerate(basis):
             img = lmul(g, item)
             for m, c in img.items():
@@ -613,7 +684,8 @@ class WhittakerModule:
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the basis of (trunc.D, trunc.E)."""
         basis = self.basis(trunc)
-        return ConditionSystem(trunc, basis, partial(self.condition_rows, basis))
+        ids = [self._mid(m) for m in basis]
+        return ConditionSystem(trunc, basis, partial(self.condition_rows, ids))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         held, self._held = self._held, None  # kept only if this solve succeeds
@@ -632,8 +704,8 @@ TensorElement = Dict[PairMonomial, Scalar]
 
 
 def _split_diagonal(
-    img: ModuleElement, mono: Monomial
-) -> Tuple[List[Tuple[Monomial, Scalar]], Scalar]:
+    img: IdElement, mono: int
+) -> Tuple[List[Tuple[int, Scalar]], Scalar]:
     """(the terms of img off mono as a list, the coefficient of mono)."""
     return [(m, c) for m, c in img.items() if m != mono], img.get(mono, 0)
 
@@ -691,11 +763,12 @@ class TensorModule:
         )
 
     def condition_rows(
-        self, basis_a: List[Monomial], basis_b: List[Monomial], root: tuple, j: int
-    ) -> Dict[PairMonomial, Dict[int, Scalar]]:
+        self, basis_a: List[int], basis_b: List[int], root: tuple, j: int
+    ) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
         """Rows of X_root (x) t^j . v = (Lam + Lam')(root)_j v over the pairs
-        of the factor bases (column ia * len(basis_b) + ib is the pair
-        (basis_a[ia], basis_b[ib])), keyed by output pair.
+        of the factor bases, given as monomial ids of the two factors
+        (column ia * len(basis_b) + ib is the pair (basis_a[ia],
+        basis_b[ib])), keyed by output pair of ids.
 
         The rows form a Kronecker sum: g acts on (ma, mb) by
         g.ma (x) mb + ma (x) g.mb, so every factor image is read once per
@@ -706,11 +779,13 @@ class TensorModule:
         """
         g = ("X", root, j)
         target = _exact(self.lam_sum(root, j))
-        right = [_split_diagonal(self.right.lmul(g, mb), mb) for mb in basis_b]
-        by_out: Dict[PairMonomial, Dict[int, Scalar]] = {}
+        lmul_a, ga = self.left._lmul, self.left._gid(g)
+        lmul_b, gb = self.right._lmul, self.right._gid(g)
+        right = [_split_diagonal(lmul_b(gb, mb), mb) for mb in basis_b]
+        by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         col = 0
         for ma in basis_a:
-            off_a, s_a = _split_diagonal(self.left.lmul(g, ma), ma)
+            off_a, s_a = _split_diagonal(lmul_a(ga, ma), ma)
             s_a -= target
             for mb, (off_b, s_b) in zip(basis_b, right):
                 for m, c in off_a:
@@ -740,12 +815,12 @@ class TensorModule:
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the pairs of the factor bases at (D, E)."""
-        basis_a = self.left.basis(trunc)
-        basis_b = self.right.basis(trunc)
+        left, right = self.left, self.right
+        basis_a, basis_b = left.basis(trunc), right.basis(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        return ConditionSystem(
-            trunc, basis, partial(self.condition_rows, basis_a, basis_b)
-        )
+        ids_a = [left._mid(m) for m in basis_a]
+        ids_b = [right._mid(m) for m in basis_b]
+        return ConditionSystem(trunc, basis, partial(self.condition_rows, ids_a, ids_b))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         held, self._held = self._held, None  # kept only if this solve succeeds

@@ -2,15 +2,18 @@
 
 Everything here recomputes results through a *different* route than the
 package: matrix units and literal commutators for the finite algebra,
-sympy and Fraction Gauss-Jordan for linear algebra, and brute-force
-window searches for sequence annihilators.  Tests freeze oracle outputs
-or compare against them directly; the package code under test is never
-used to produce its own expected values.
+sympy and Fraction Gauss-Jordan for linear algebra, a tuple-keyed PBW
+straightener built on the (separately checked) generator brackets, and
+brute-force window searches for sequence annihilators.  Tests freeze
+oracle outputs or compare against them directly; the package code under
+test is never used to produce its own expected values.
 """
 
 from fractions import Fraction
 
 import sympy
+
+from affwhit.engine import generator_key
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +152,57 @@ def in_rowspace_kernel(rows, vec, ncols) -> bool:
         if s:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# tuple-keyed straightening
+# ---------------------------------------------------------------------------
+
+
+def tuple_lmul(alg, spec, g, mono, memo) -> dict:
+    """g . (mono . 1) in standard form, on monomials as nested tuples.
+
+    The PBW recursion g u_1 ... u_m . 1 = u_1 (g u_2 ... u_m . 1)
+    + [g, u_1] u_2 ... u_m . 1, stopping where g prepends in order or
+    meets the cyclic vector, with ``Fraction`` coefficients and one memo
+    keyed by (generator, monomial tuple).  A reference for the engine's
+    hash-consed straightener: of the package it reads only
+    ``alg.bracket_gens``, ``generator_key``, ``spec.vacuum_scalar`` and
+    the spec's data (root sets, theta, mode).
+    """
+    key = (g, mono)
+    if key in memo:
+        return memo[key]
+    datum = spec.datum
+    in_ln = g != "c" and g != "d" and g[0] == "X" and g[1] in datum.phi_n
+    if g == "c":
+        out = {mono: spec.theta} if spec.theta else {}
+    elif not mono:
+        if in_ln:
+            s = spec.vacuum_scalar(g[1], g[2])
+            out = {(): s} if s else {}
+        else:
+            out = {((g, 1),): Fraction(1)}
+    else:
+        (head, mult), tail = mono[0], mono[1:]
+        order = None
+        if not in_ln:
+            gk = generator_key(datum, g, spec.loop_only)
+            hk = generator_key(datum, head, spec.loop_only)
+            order = (gk > hk) - (gk < hk)
+        if order == -1:
+            out = {((g, 1),) + mono: Fraction(1)}
+        elif order == 0:
+            out = {((head, mult + 1),) + tail: Fraction(1)}
+        else:
+            rest = ((head, mult - 1),) + tail if mult > 1 else tail
+            out = {}
+            for m2, c2 in tuple_lmul(alg, spec, g, rest, memo).items():
+                _axpy(out, c2, tuple_lmul(alg, spec, head, m2, memo))
+            for h, ch in alg.bracket_gens(g, head).items():
+                _axpy(out, ch, tuple_lmul(alg, spec, h, rest, memo))
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

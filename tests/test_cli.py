@@ -180,6 +180,17 @@ def test_check_seq_empty_family(tmp_path, capsys):
     assert "window rank: 0 of 0 rows" in out
 
 
+@pytest.mark.parametrize("config", [{"preset": "sl2"}, {"S": 2, "W": 10}])
+def test_check_seq_config_without_sequences_is_an_error(tmp_path, capsys, config):
+    if "preset" in config:
+        code, out, err = run(capsys, "check-seq", "--preset", config["preset"])
+    else:
+        code, out, err = run_config(tmp_path, capsys, "check-seq", config)
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: check-seq config needs 'sequences'"
+    assert out == ""
+
+
 def test_check_seq_reports_annihilator(tmp_path, capsys):
     cfg = {
         "sequences": [
@@ -324,6 +335,18 @@ def test_module_config_without_algebra(tmp_path, capsys):
     assert_one_line_error(code, err)
     assert "module config needs 'algebra'" in err
     assert "tensor" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["whittaker"], ["describe"], ["bracket", "X[-1]@t^1", "H[1]@t^0"]]
+)
+def test_config_without_algebra_names_the_field(tmp_path, capsys, argv):
+    path = tmp_path / "lam.json"
+    path.write_text(json.dumps({"lam": {}}))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert_one_line_error(code, err)
+    assert err.strip() == "error: module config needs 'algebra'"
+    assert out == ""
 
 
 def test_bad_root_label(tmp_path, capsys):

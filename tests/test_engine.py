@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from affwhit import (
     C,
     D,
@@ -499,11 +500,13 @@ def test_solve_pauses_and_restores_the_collector():
     module = WhittakerModule(sl2_spec())
     trunc = Truncation(1, 1, 1)
     basis = module.basis(trunc)
+    ids = [module._mid(m) for m in basis]
     seen = []
 
     def rows_of(root, j):
         seen.append(gc.isenabled())
-        return module.condition_rows(basis, root, j)
+        rows = module.condition_rows(ids, root, j)
+        return {module._monos[m]: row for m, row in rows.items()}
 
     def failing(root, j):
         raise RuntimeError("row builder failed")
@@ -563,3 +566,73 @@ def test_failed_extension_drops_the_held_system():
             assert module._held is not None and module._held.J == 3
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: the id tables and the public lmul against a tuple oracle
+# ---------------------------------------------------------------------------
+
+
+def sl2_fractional_spec():
+    return WhittakerSpec(build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(3, 2))
+
+
+# module, truncation (D, E, J) whose condition generators and basis are checked
+INTERNED = {
+    "sl2": (sl2_fractional_spec, Truncation(4, 2, 4)),
+    "sl2-loop": (loop_spec, Truncation(4, 2, 4)),
+    "sl3-borel": (sl3_borel_spec, Truncation(3, 1, 3)),
+    "sl3-abelian": (sl3_abelian_spec, Truncation(2, 1, 3)),
+}
+
+
+def assert_tables_consistent(module):
+    """Ids are a bijection, and every split rebuilds its monomial."""
+    monos, gens = module._monos, module._gens
+    assert monos[0] == VACUUM and module._split[0] is None
+    assert len(module._mono_ids) == len(monos) == len(module._split)
+    assert all(module._mono_ids[m] == mid for mid, m in enumerate(monos))
+    assert all(module._gen_ids[g] == gid for gid, g in enumerate(gens))
+    for mid in range(1, len(monos)):
+        head, mult, rest = module._split[mid]
+        tail = monos[rest]
+        if mult > 1:
+            assert tail[0] == (gens[head], mult - 1)
+            tail = tail[1:]
+        assert monos[mid] == ((gens[head], mult),) + tail
+
+
+@pytest.mark.parametrize("name", sorted(INTERNED))
+def test_lmul_equals_tuple_straightening(name):
+    factory, trunc = INTERNED[name]
+    module = WhittakerModule(quiet(factory))
+    basis = module.basis(trunc)
+    assert [module._monos[module._mid(m)] for m in basis] == basis
+    memo = {}
+    for root in module.condition_roots():
+        for j in range(-trunc.J, trunc.J + 1):
+            g = X(root, j)
+            for m in basis:
+                got = module.lmul(g, m)
+                assert got == oracles.tuple_lmul(module.alg, module.spec, g, m, memo)
+                assert all(c for c in got.values())
+    assert_tables_consistent(module)
+
+
+def test_lmul_returns_a_fresh_dict():
+    module = WhittakerModule(sl2_spec())
+    m = mono(X((-1,), 0), H(1, 1))
+    first = module.lmul(X(A1, 1), m)
+    want = dict(first)
+    first.clear()
+    first[VACUUM] = F(7)
+    assert module.lmul(X(A1, 1), m) == want
+
+
+def test_rejected_generator_is_not_interned():
+    module = WhittakerModule(quiet(loop_spec))
+    for m in (VACUUM, mono(H(1, 0))):
+        with pytest.raises(ValueError):
+            module.lmul(D, m)
+    assert D not in module._gen_ids
+    assert_tables_consistent(module)

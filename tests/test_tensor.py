@@ -224,10 +224,16 @@ def test_kronecker_rows_equal_act_gen_rows(make, trunc):
     t = quiet_tensor(make)
     basis_a, basis_b = t.left.basis(trunc), t.right.basis(trunc)
     basis = [(ma, mb) for ma in basis_a for mb in basis_b]
+    ids_a = [t.left._mid(m) for m in basis_a]
+    ids_b = [t.right._mid(m) for m in basis_b]
+    monos_a, monos_b = t.left._monos, t.right._monos
     cancelled = 0
     for root in t.left.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
-            rows = t.condition_rows(basis_a, basis_b, root, j)
+            rows = {
+                (monos_a[a], monos_b[b]): row
+                for (a, b), row in t.condition_rows(ids_a, ids_b, root, j).items()
+            }
             assert rows == act_gen_rows(t, basis, root, j), (root, j)
             # pairs whose diagonal s_a + s_b meets the target get no entry
             g, target = X(root, j), t.lam_sum(root, j)
