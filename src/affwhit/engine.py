@@ -36,19 +36,23 @@ multiplicity and the mid of the monomial with one head factor removed,
 which is what the recursion above reads.  A monomial is interned once:
 when a prepend or a merge of equal heads first creates it, or when it
 is first looked up as a basis element or an argument of the public
-``lmul``.  Straightening, its memo
-(keyed by (gid, mid), holding {mid: coeff}), the bracket memo (keyed
-by gid pairs) and both row builders work on these small ``int`` ids,
-whose hashes are free, instead of hashing nested tuples on every memo
-probe and sum.  Tuples appear only at the public boundary: ``lmul``
-interns its arguments and translates a fresh copy of the result back.
-This is exact.  The ids are a bijection on the monomials seen, the
-straightener runs the same recursion in the same order, so every
-condition yields the same rows with the same coefficients, first
-appearances in the same order, under renamed keys.  The pruner's dead
-set does not depend on row order, and the reduced echelon form and the
-normalized kernel basis are unique; so the vectors, ``row_count`` and
-every report are unchanged.
+``lmul``; a tuple from outside is checked to be standard before any
+part of it is interned.  Straightening, its memo, the bracket memo and
+both row builders work on these small ``int`` ids, whose hashes are
+free, instead of hashing nested tuples on every memo probe and sum.
+Both memos are per-generator tables, lists indexed by gid that grow
+with the generator table: ``_memo[gid]`` maps a mid to the image
+{mid: coeff} of that generator on that monomial, and
+``_brackets[gid]`` maps a head gid to the bracket as (gid, coeff)
+pairs, so no probe builds or hashes a key tuple.  Tuples appear only
+at the public boundary: ``lmul`` interns its arguments and translates
+a fresh copy of the result back.  This is exact.  The ids are a
+bijection on the monomials seen, the straightener runs the same
+recursion in the same order, so every condition yields the same rows
+with the same coefficients, first appearances in the same order, under
+renamed keys.  The pruner's dead set does not depend on row order, and
+the reduced echelon form and the normalized kernel basis are unique;
+so the vectors, ``row_count`` and every report are unchanged.
 
 whittaker_solve assembles, for a finite truncation (D = max monomial
 degree, E = max |t-exponent| per factor, J = condition window), the
@@ -73,8 +77,9 @@ off-diagonal terms to (m, mb) and (ma, m'); the one key both share,
 built.
 
 Rows are never kept as a full list.  Each condition's rows stream
-through the singleton pass of :class:`linalg.SingletonPruner` as soon
-as they are built: a row with one live column forces that column to
+through the singleton pass of :class:`linalg.SingletonPruner`, fed in
+one :meth:`~linalg.SingletonPruner.extend` call as soon as they are
+built: a row with one live column forces that column to
 zero in every solution, and those deaths propagate through the kept
 rows.  Most rows only say that one column vanishes, so what survives
 is a small core of rows with two or more live columns.  The pruner's
@@ -118,7 +123,11 @@ an ``int``.  A product or sum involving a ``Fraction`` is a ``Fraction``
 even when integral, so each new memo entry is normalized once, after
 its loops.  Most products are integral (unit prepends, integer
 structure constants), and an ``int`` product costs no gcd and no
-``Fraction`` object.  ``int`` and integral ``Fraction`` values compare,
+``Fraction`` object.  A product whose memoized or bracket factor is 1
+is not formed at all: the other factor is taken as it is, which has
+the product's value, and since memo entries are normalized that
+factor is the ``int`` 1, so the product would also have had the other
+factor's type.  ``int`` and integral ``Fraction`` values compare,
 hash and print alike, and the kernel vectors from the elimination
 are ``Fraction`` throughout, so no answer or report changes.
 
@@ -393,8 +402,7 @@ def solve_conditions(
             rows = rows_of(root, j)
             n_conditions += 1
             n_rows += len(rows)
-            for row in rows.values():
-                pruner.add(row)
+            pruner.extend(rows.values())
         basis = system.basis
         kernel = pruner.nullspace(len(basis))
     finally:
@@ -439,8 +447,10 @@ class WhittakerModule:
         self._mono_ids: Dict[Monomial, int] = {VACUUM: 0}
         # mid -> (head gid, its multiplicity, mid of mono with one head removed)
         self._split: List[Optional[Tuple[int, int, int]]] = [None]
-        self._cache: Dict[Tuple[int, int], IdElement] = {}  # (gid, mid) -> image
-        self._brackets: Dict[Tuple[int, int], List[Tuple[int, Scalar]]] = {}
+        # per-generator tables, by gid, grown in _gid: mid -> image of
+        # (gid, mid), and head gid -> [(gid, coeff)] of [gid, head]
+        self._memo: List[Dict[int, IdElement]] = [{}]
+        self._brackets: List[Dict[int, List[Tuple[int, Scalar]]]] = [{}]
         self._held: Optional[ConditionSystem] = None  # system of the last solve
 
     # -- generator order ------------------------------------------------------
@@ -467,23 +477,51 @@ class WhittakerModule:
     # -- hash-consing ------------------------------------------------------------
 
     def _gid(self, g: Gen) -> int:
-        """Id of a generator; ValueError for d in loop-only mode."""
+        """Id of a generator; ValueError for d in loop-only mode and for
+        anything that is no generator of the algebra."""
         gid = self._gen_ids.get(g)
         if gid is None:
+            self.alg.validate_gen(g)
             in_ln = self.alg.in_Ln(g)
             info = (in_ln, None if in_ln else self.gen_key(g))
             gid = self._gen_ids[g] = len(self._gens)
             self._gens.append(g)
             self._gen_info.append(info)
+            self._memo.append({})
+            self._brackets.append({})
         return gid
 
     def _mid(self, mono: Monomial) -> int:
-        """Id of a monomial, interning it and its tails on first sight."""
+        """Id of a monomial given as a tuple, interning it and its tails on
+        first sight.
+
+        A monomial not seen yet is checked whole before any part of it is
+        interned: ValueError unless it is a tuple of (module generator,
+        positive ``int`` multiplicity) pairs, strictly ascending in the
+        generator order.  Monomials the straightener makes are interned
+        by :meth:`_prepend` and never pass through here."""
+        if type(mono) is not tuple:
+            raise ValueError(f"monomial must be a tuple, got {mono!r}")
         mid = self._mono_ids.get(mono)
-        if mid is None:
-            head, mult = mono[0]
-            rest = ((head, mult - 1),) + mono[1:] if mult > 1 else mono[1:]
-            mid = self._prepend(self._gid(head), mult, self._mid(rest))
+        if mid is not None:
+            return mid
+        prev = None
+        for factor in mono:
+            if type(factor) is not tuple or len(factor) != 2:
+                raise ValueError(f"not a (generator, multiplicity) pair: {factor!r}")
+            g, mult = factor
+            self.alg.validate_gen(g)
+            key = self.gen_key(g)  # ValueError unless a module generator
+            if type(mult) is not int or mult < 1:
+                raise ValueError(f"{gen_str(g)} has multiplicity {mult!r}, not int >= 1")
+            if prev is not None and not prev < key:
+                raise ValueError(f"factors not strictly ascending: {mono_str(mono)}")
+            prev = key
+        mid = 0
+        for g, mult in reversed(mono):
+            gid = self._gid(g)
+            for k in range(1, mult + 1):
+                mid = self._prepend(gid, k, mid)
         return mid
 
     def _prepend(self, g: int, mult: int, rest: int) -> int:
@@ -503,7 +541,8 @@ class WhittakerModule:
 
     def lmul(self, g: Gen, mono: Monomial) -> ModuleElement:
         """g . (mono . 1) in standard form, as a fresh dict that the caller
-        may mutate.
+        may mutate.  ValueError when ``mono`` is not a standard monomial
+        (see :meth:`_mid`).
 
         Coefficients are ``int`` when integral, else ``Fraction``: the unit
         coefficient of a prepend is ``1``, theta, the vacuum scalars and
@@ -514,17 +553,26 @@ class WhittakerModule:
         return {monos[m]: c for m, c in img.items()}
 
     def _lmul(self, g: int, m: int) -> IdElement:
-        """:meth:`lmul` on ids, memoized.  The result is shared through the
-        memo and must not be mutated by callers."""
-        cache = self._cache
-        out = cache.get((g, m))
+        """:meth:`lmul` on ids, memoized in ``_memo[g][m]``.  The result is
+        shared through the memo and must not be mutated by callers.
+
+        The two recursive steps, g on the tail and then the head on each of
+        its terms, and the bracket terms on the tail, probe the memo
+        tables ``_memo[gid]`` inline and call ``_lmul`` only on a miss.  A
+        hit has no side effect, so the misses, and with them the monomials
+        interned, come in the same order as with one call per step.  A
+        product with a factor 1 (the coefficient of every prepend, most
+        structure constants) is not formed: ``c * 1`` equals ``c`` and,
+        with memo entries normalized to ``int``, has its type."""
+        memo = self._memo[g]
+        out = memo.get(m)
         if out is not None:
             return out
         theta = self._theta
         if not g:  # c
             if self.spec.loop_only:
                 raise ValueError("c does not exist in loop-only mode")
-            out = cache[(g, m)] = {m: theta} if theta else {}
+            out = memo[m] = {m: theta} if theta else {}
             return out
         in_ln, gk = self._gen_info[g]
         if not m:
@@ -534,23 +582,31 @@ class WhittakerModule:
                 out = {0: s} if s else {}
             else:
                 out = {self._prepend(g, 1, 0): 1}
-            cache[(g, m)] = out
+            memo[m] = out
             return out
         head, mult, rest = self._split[m]
         if not in_ln:
             hk = self._gen_info[head][1]
             if gk < hk:
-                out = cache[(g, m)] = {self._prepend(g, 1, m): 1}
+                out = memo[m] = {self._prepend(g, 1, m): 1}
                 return out
             if gk == hk:
-                out = cache[(g, m)] = {self._prepend(g, mult + 1, m): 1}
+                out = memo[m] = {self._prepend(g, mult + 1, m): 1}
                 return out
         lmul = self._lmul
+        memos = self._memo
+        head_memo = memos[head]
         acc: IdElement = {}
         # linalg.add_term inlined in the two hot loops below
-        for m2, c2 in lmul(g, rest).items():
-            for m3, c3 in lmul(head, m2).items():
-                x = c2 * c3
+        outer = memo.get(rest)
+        if outer is None:
+            outer = lmul(g, rest)
+        for m2, c2 in outer.items():
+            img = head_memo.get(m2)
+            if img is None:
+                img = lmul(head, m2)
+            for m3, c3 in img.items():
+                x = c2 if c3 == 1 else c2 * c3
                 s = acc.get(m3)
                 if s is None:
                     acc[m3] = x
@@ -560,10 +616,11 @@ class WhittakerModule:
                         acc[m3] = s
                     else:
                         del acc[m3]
-        bracket = self._brackets.get((g, head))
+        brackets = self._brackets[g]
+        bracket = brackets.get(head)
         if bracket is None:
             gens = self._gens
-            bracket = self._brackets[(g, head)] = [
+            bracket = brackets[head] = [
                 (self._gid(h), _exact(c))
                 for h, c in self.alg.bracket_gens(gens[g], gens[head]).items()
             ]
@@ -572,8 +629,11 @@ class WhittakerModule:
                 if theta:
                     linalg.add_term(acc, rest, ch * theta)
                 continue
-            for m4, c4 in lmul(h, rest).items():
-                x = ch * c4
+            img = memos[h].get(rest)
+            if img is None:
+                img = lmul(h, rest)
+            for m4, c4 in img.items():
+                x = c4 if ch == 1 else ch * c4
                 s = acc.get(m4)
                 if s is None:
                     acc[m4] = x
@@ -587,7 +647,7 @@ class WhittakerModule:
         for k, c in acc.items():
             if type(c) is Fraction and c.denominator == 1:
                 acc[k] = c.numerator
-        cache[(g, m)] = acc
+        memo[m] = acc
         return acc
 
     def act_gen(self, g: Gen, elt: ModuleElement) -> ModuleElement:

@@ -357,13 +357,14 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 class SingletonPruner:
     """Streaming singleton propagation over sparse rows.
 
-    Rows are fed one at a time with :meth:`add`.  A row with one live
-    column kills it; a row with two or more is kept and indexed by its
-    live columns.  When a column dies, each kept row containing it loses
-    one live column, and a row left with a single live column is
-    consumed and kills that column.  Zero entries are ignored; empty
-    rows and rows whose columns are all dead say nothing and are
-    dropped.  The dead set does not depend on the order of the rows.
+    Rows are fed one at a time with :meth:`add` or in batches with
+    :meth:`extend`.  A row with one live column kills it; a row with two
+    or more is kept and indexed by its live columns.  When a column
+    dies, each kept row containing it loses one live column, and a row
+    left with a single live column is consumed and kills that column.
+    Zero entries are ignored; empty rows and rows whose columns are all
+    dead say nothing and are dropped.  The dead set does not depend on
+    the order of the rows.
     """
 
     __slots__ = ("dead", "_kept", "_by_col")
@@ -375,25 +376,32 @@ class SingletonPruner:
         self._by_col: Dict[int, List[list]] = {}
 
     def add(self, row: SparseRow) -> None:
+        self.extend((row,))
+
+    def extend(self, rows: Iterable[SparseRow]) -> None:
+        """:meth:`add` each row in turn."""
         dead = self.dead
-        if len(row) == 1:
-            for c, v in row.items():
-                if v and c not in dead:
-                    self._kill(c)
-            return
-        live = [c for c, v in row.items() if v and c not in dead]
-        if len(live) > 1:
-            entry = [len(live), row, live]
-            self._kept.append(entry)
-            by_col = self._by_col
-            for c in live:
-                bucket = by_col.get(c)
-                if bucket is None:
-                    by_col[c] = [entry]
-                else:
-                    bucket.append(entry)
-        elif live:
-            self._kill(live[0])
+        kept = self._kept
+        by_col = self._by_col
+        kill = self._kill
+        for row in rows:
+            if len(row) == 1:
+                for c, v in row.items():
+                    if v and c not in dead:
+                        kill(c)
+                continue
+            live = [c for c, v in row.items() if v and c not in dead]
+            if len(live) > 1:
+                entry = [len(live), row, live]
+                kept.append(entry)
+                for c in live:
+                    bucket = by_col.get(c)
+                    if bucket is None:
+                        by_col[c] = [entry]
+                    else:
+                        bucket.append(entry)
+            elif live:
+                kill(live[0])
 
     def _kill(self, col: int) -> None:
         dead = self.dead
@@ -464,8 +472,7 @@ class SingletonPruner:
 
 def _pruned(rows: Iterable[SparseRow]) -> SingletonPruner:
     pruner = SingletonPruner()
-    for row in rows:
-        pruner.add(row)
+    pruner.extend(rows)
     return pruner
 
 

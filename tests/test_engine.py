@@ -473,7 +473,7 @@ def test_genericity_warnings_fire():
 
 
 def memo_coefficients(module):
-    return [c for out in module._cache.values() for c in out.values()]
+    return [c for memo in module._memo for out in memo.values() for c in out.values()]
 
 
 def assert_exact_coefficients(coeffs):
@@ -577,11 +577,19 @@ def sl2_fractional_spec():
     return WhittakerSpec(build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(3, 2))
 
 
+def sl3_borel_fractional_spec():
+    """theta and both geometric ratios non-integral, so straightening
+    multiplies Fraction coefficients by the unit coefficient of a prepend."""
+    lam = {(1, 0): Geometric(F(3, 2)), (0, 1): Geometric(F(7, 3))}
+    return WhittakerSpec(build_datum(3), lam, theta=F(7, 4))
+
+
 # module, truncation (D, E, J) whose condition generators and basis are checked
 INTERNED = {
     "sl2": (sl2_fractional_spec, Truncation(4, 2, 4)),
     "sl2-loop": (loop_spec, Truncation(4, 2, 4)),
     "sl3-borel": (sl3_borel_spec, Truncation(3, 1, 3)),
+    "sl3-borel-fractional": (sl3_borel_fractional_spec, Truncation(3, 1, 3)),
     "sl3-abelian": (sl3_abelian_spec, Truncation(2, 1, 3)),
 }
 
@@ -600,6 +608,16 @@ def assert_tables_consistent(module):
             assert tail[0] == (gens[head], mult - 1)
             tail = tail[1:]
         assert monos[mid] == ((gens[head], mult),) + tail
+    # one memo and one bracket table per generator, on known ids only
+    assert len(module._memo) == len(module._brackets) == len(gens)
+    for memo in module._memo:
+        for mid, out in memo.items():
+            assert 0 <= mid < len(monos)
+            assert all(0 <= m < len(monos) for m in out)
+    for brackets in module._brackets:
+        for head, terms in brackets.items():
+            assert 0 <= head < len(gens)
+            assert all(0 <= h < len(gens) for h, _ in terms)
 
 
 @pytest.mark.parametrize("name", sorted(INTERNED))
@@ -635,4 +653,52 @@ def test_rejected_generator_is_not_interned():
         with pytest.raises(ValueError):
             module.lmul(D, m)
     assert D not in module._gen_ids
+    assert_tables_consistent(module)
+
+
+# monomials from outside that are not standard; lmul must refuse them whole
+NONSTANDARD = {
+    "factor-in-Ln": (H(1, 0), ((X(A1, 0), 1),)),
+    "multiplicity-0": (D, ((H(1, 0), 0),)),
+    "out-of-order": (H(1, 0), ((H(1, 0), 1), (X((-1,), 0), 1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NONSTANDARD))
+def test_lmul_rejects_a_nonstandard_monomial(name):
+    g, bad = NONSTANDARD[name]
+    module = WhittakerModule(sl2_spec())
+    good = mono(X((-1,), 0), H(1, 1))
+    want = module.lmul(g, good)
+    n_monos = len(module._monos)
+    with pytest.raises(ValueError):
+        module.lmul(g, bad)
+    assert len(module._monos) == n_monos  # no tail of it was interned
+    assert bad not in module._mono_ids
+    assert_tables_consistent(module)
+    assert module.lmul(g, good) == want
+
+
+def test_lmul_rejects_what_is_no_generator():
+    module = WhittakerModule(sl2_spec())
+    for g in (("Z", 1, 0), H(7, 0), X((3,), 0)):
+        with pytest.raises(ValueError):
+            module.lmul(g, VACUUM)
+    assert module._gens == [C]
+    assert_tables_consistent(module)
+
+
+def test_mid_rejects_malformed_factors():
+    module = WhittakerModule(sl2_spec())
+    for bad in (
+        [(H(1, 0), 1)],  # a list, not a tuple
+        ((H(1, 0), 1, 0),),  # not a pair
+        ((H(1, 0), True),),  # bool is not an int multiplicity
+        ((H(1, 0), 2), (H(1, 0), 1)),  # a repeated factor
+        ((C, 1),),  # c is not a module generator
+        ((("H", 5, 0), 1),),  # Cartan index out of range
+    ):
+        with pytest.raises(ValueError):
+            module._mid(bad)
+    assert len(module._monos) == 1 and len(module._gens) == 1
     assert_tables_consistent(module)

@@ -461,6 +461,46 @@ def test_pruner_nullspace_equals_nullspace_of_its_system():
         pruner.nullspace(3)
 
 
+def test_pruner_extend_equals_an_add_loop():
+    rng = random.Random(707)
+    for _ in range(150):
+        nc = rng.randint(1, 9)
+        rows = pruning_system(rng, nc)
+        one_by_one = linalg.SingletonPruner()
+        for row in rows:
+            one_by_one.add(row)
+        batched = linalg.SingletonPruner()
+        batched.extend(rows)
+        cut = rng.randint(0, len(rows))
+        split = linalg.SingletonPruner()
+        split.extend(iter(rows[:cut]))  # any iterable, read once
+        split.extend(row for row in rows[cut:])
+        want = oracles.sympy_nullspace(rows, nc)
+        for pruner in (batched, split):
+            assert pruner.dead == one_by_one.dead
+            assert pruner.core() == one_by_one.core()
+            assert pruner.nullspace(nc) == one_by_one.nullspace(nc) == want
+
+
+def test_pruner_extend_edge_cases():
+    pruner = linalg.SingletonPruner()
+    pruner.extend([{0: F(1), 1: F(2), 2: F(3)}, {0: F(0), 3: F(3)}, {4: 0}])
+    assert pruner.dead == {3}  # the zero entries at 0 and 4 say nothing
+    assert pruner.core() == [{0: F(1), 1: F(2), 2: F(3)}]
+    for empty in ([], (), iter(())):
+        pruner.extend(empty)
+        assert pruner.dead == {3}
+        assert pruner.core() == [{0: F(1), 1: F(2), 2: F(3)}]
+    # a singleton chain whose start arrives in a later call still resolves
+    chain = linalg.SingletonPruner()
+    chain.extend([{3: F(1), 4: F(2)}, {2: F(5), 3: F(-1)}, {1: F(1), 2: F(1)}])
+    assert chain.dead == set() and len(chain.core()) == 3
+    chain.extend([{0: F(1), 1: F(3)}, {0: F(7)}])
+    assert chain.dead == {0, 1, 2, 3, 4}
+    assert chain.core() == []
+    assert chain.nullspace(6) == [{5: F(1)}]
+
+
 # ---------------------------------------------------------------------------
 # solver cross-check: modular vs Fraction elimination of the same core
 # ---------------------------------------------------------------------------

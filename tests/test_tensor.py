@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from affwhit import (
     C,
     Geometric,
@@ -177,7 +178,8 @@ def test_tensor_memo_coefficients_are_int_when_integral():
     coeffs = [
         c
         for module in (t.left, t.right)
-        for out in module._cache.values()
+        for memo in module._memo
+        for out in memo.values()
         for c in out.values()
     ]
     assert any(type(c) is Fraction for c in coeffs)
@@ -200,6 +202,16 @@ def sl3_borel_pair():
     )
 
 
+def fractional_pair():
+    """Non-integral theta and ratios on both factors: Fraction coefficients
+    meet the unit coefficients of prepends in both straighteners."""
+    d = build_datum(2)
+    return (
+        WhittakerSpec(d, {A1: Geometric(F(5, 2))}, theta=F(1, 3)),
+        WhittakerSpec(d, {A1: Geometric(F(7, 3))}, theta=F(-5, 4)),
+    )
+
+
 def act_gen_rows(t, basis, root, j):
     """Rows of one condition from act_gen(g, {pair: 1}) minus the target."""
     target = t.lam_sum(root, j)
@@ -218,6 +230,7 @@ def act_gen_rows(t, basis, root, j):
         (specs, Truncation(1, 1, 4)),
         (specs, Truncation(2, 1, 3)),
         (sl3_borel_pair, Truncation(1, 1, 2)),
+        (fractional_pair, Truncation(2, 1, 3)),
     ],
 )
 def test_kronecker_rows_equal_act_gen_rows(make, trunc):
@@ -243,6 +256,20 @@ def test_kronecker_rows_equal_act_gen_rows(make, trunc):
                     cancelled += 1
                     assert col not in rows.get((ma, mb), {})
     assert cancelled
+
+
+def test_fractional_factor_images_equal_tuple_straightening():
+    t = quiet_tensor(fractional_pair)
+    trunc = Truncation(2, 1, 3)
+    assert t.solve(trunc).vectors  # the memos fill through the row builder
+    for module in (t.left, t.right):
+        memo = {}
+        for root in module.condition_roots():
+            for j in range(-trunc.J, trunc.J + 1):
+                g = X(root, j)
+                for m in module.basis(trunc):
+                    want = oracles.tuple_lmul(module.alg, module.spec, g, m, memo)
+                    assert module.lmul(g, m) == want
 
 
 def test_tensor_solve_does_not_call_act_gen():
