@@ -190,12 +190,15 @@ class AffineAlgebra:
             return
         if not isinstance(g, tuple) or len(g) != 3:
             raise ValueError(f"malformed generator {g!r}")
+        # exact type checks: a bool is an int subclass but no index or exponent
+        if type(g[2]) is not int:
+            raise ValueError(f"t-exponent of {g!r} is not an int")
         if g[0] == "X":
             if g[1] not in self.datum.phi:
                 raise ValueError(f"not a root: {g[1]}")
         elif g[0] == "H":
-            if not 1 <= g[1] <= self.datum.rank:
-                raise ValueError(f"Cartan index out of range: {g[1]}")
+            if type(g[1]) is not int or not 1 <= g[1] <= self.datum.rank:
+                raise ValueError(f"Cartan index out of range: {g[1]!r}")
         else:
             raise ValueError(f"malformed generator {g!r}")
 

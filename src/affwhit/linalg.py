@@ -344,6 +344,10 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     Entries may be ``int`` or ``Fraction``, as for :func:`rref_pivots`.
     The rank is the pivot count of the certified reduced echelon form of
     the transpose: each column becomes one sparse {row: value} row.
+    Row order never changes the rank.  It does set that form, which
+    writes each dependent row in terms of the first independent rows in
+    the given order, hence its height and how many primes are drawn
+    before the lift is certified.
     """
     if not rows:
         return 0

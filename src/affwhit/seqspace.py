@@ -299,13 +299,15 @@ class Recurrence(BiSequence):
         return self.v.width()
 
     def entry(self, i: int) -> Fraction:
+        memo = self._memo
+        x = memo.get(i)
+        if x is not None:
+            return x
         om = self.omega
         if om == 0:
             return Fraction(0)
-        memo = self._memo
-        if i in memo:
-            return memo[i]
-        c = self.v
+        v = self.v
+        c = [v[k] for k in range(om + 1)]
         c0 = c[0]
         cw = c[om]
         # forward: a_{i} from the om entries below it
@@ -818,17 +820,28 @@ def window_rank_check(
     over Q by :func:`linalg.rank`.  full_rank (rank == row count)
     certifies linear independence of the tested finite subfamily; a
     deficient rank on a window proves nothing either way.
+
+    Each member's translates are passed centre-out, s = 0, 1, -1, ...,
+    S, -S, then its weighted row.  Row order never changes the rank, but
+    it sets the height of the transposed reduced form that
+    :func:`linalg.rank` lifts, and so how many primes it draws: that
+    form writes each dependent translate in terms of the first
+    independent ones, and centre-out keeps every translate within S
+    steps of those, where ascending order would reach 2S steps.
     """
     S = int(S)
     W = int(W)
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
     width = 2 * W + 1
+    # the row of translate s starts at entry s - W, index s + S of vals
+    starts = [S]
+    for o in range(1, S + 1):
+        starts += (S + o, S - o)
     rows = []
     for x in seqs:
-        # the row of translate s starts at entry s - W, index s + S of vals
         vals = x.window(-W - S, W + S)
-        rows.extend(vals[k : k + width] for k in range(2 * S + 1))
+        rows.extend(vals[k : k + width] for k in starts)
         if include_weighted:
             w = weighted(x)
             rows.append([w.entry(i) for i in range(-W, W + 1)])

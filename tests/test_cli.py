@@ -377,6 +377,23 @@ def test_preset_names_cover_module_and_tensor():
         assert name in names
 
 
+def _preset_commands(name):
+    if name in presets.MODULE_PRESETS:
+        return ["whittaker", "describe"]
+    if name in presets.TENSOR_PRESETS:
+        return ["tensor"]
+    return ["check-seq"]
+
+
+@pytest.mark.parametrize("name", presets.preset_names())
+def test_every_preset_is_accepted(capsys, name):
+    # generator validation must not reject what the presets build
+    for command in _preset_commands(name):
+        code, out, err = run(capsys, command, "--preset", name)
+        assert code in (0, 2), (command, err)
+        assert out and "error:" not in err
+
+
 # ---------------------------------------------------------------------------
 # malformed input: exit 1 with a one-line error, never a traceback
 # ---------------------------------------------------------------------------

@@ -688,6 +688,20 @@ def test_lmul_rejects_what_is_no_generator():
     assert_tables_consistent(module)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [("H", 1, "x"), ("H", 1, True), ("X", (-1,), 1.5), ("X", (1,), 1.5), ("H", True, 0)],
+)
+def test_lmul_rejects_a_generator_with_a_non_int_index_or_exponent(g):
+    # each used to give a one-factor monomial, or an AttributeError for
+    # X_a t^1.5, which lies in L(n) and so acts by a Lam entry
+    module = WhittakerModule(sl2_spec())
+    with pytest.raises(ValueError):
+        module.lmul(g, VACUUM)
+    assert module._gens == [C]
+    assert_tables_consistent(module)
+
+
 def test_mid_rejects_malformed_factors():
     module = WhittakerModule(sl2_spec())
     for bad in (

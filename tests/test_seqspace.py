@@ -395,13 +395,79 @@ def test_window_rank_matches_sympy(monkeypatch):
     info = window_rank_check(seqs, 3, 8, True)
     rows = []
     for s in seqs:
-        for off in range(-3, 4):
+        for off in (0, 1, -1, 2, -2, 3, -3):  # translates centre-out
             rows.append([s.entry(i + off) for i in range(-8, 9)])
         w = weighted(s)
         rows.append([w.entry(i) for i in range(-8, 9)])
     assert seen == [rows]
     assert info.rank == oracles.sympy_dense_rank(rows)
     assert info.count == len(rows)
+
+
+def window_rows_ascending(seqs, S, W):
+    """Each member's translates s = -S..S, then its weighted row."""
+    rows = []
+    for s in seqs:
+        for off in range(-S, S + 1):
+            rows.append([s.entry(i + off) for i in range(-W, W + 1)])
+        w = weighted(s)
+        rows.append([w.entry(i) for i in range(-W, W + 1)])
+    return rows
+
+
+def count_prime_draws(monkeypatch):
+    """Patch linalg._primes; entry k of the list counts the primes drawn
+    by the k-th elimination from then on."""
+    draws = []
+    primes = linalg._primes
+
+    def counted():
+        k = len(draws)
+        draws.append(0)
+        for p in primes():
+            draws[k] += 1
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes", counted)
+    return draws
+
+
+# the seed-0 seq-window family int+int+geo+rec#0 of the benchmark
+ONE_PRIME_FAMILY = [
+    Geometric(17),
+    Geometric(19),
+    Geometric(F(7, 3)),
+    Recurrence(FinVector({0: 1, 2: 1}), [2, F(-3, 2)]),
+]
+
+
+def test_centre_out_window_rank_certifies_with_one_prime(monkeypatch):
+    # In ascending order the transposed reduced form writes dependent
+    # translates in terms of pivots at s = -S, 2S steps away; its entries
+    # outgrow what 2^127 - 1 alone reconstructs and a second prime is
+    # drawn.  Centre-out keeps them within S steps of a pivot.
+    draws = count_prime_draws(monkeypatch)
+    assert linalg.rank(window_rows_ascending(ONE_PRIME_FAMILY, 8, 32)) == 25
+    assert draws == [2]
+    draws.clear()
+    info = window_rank_check(ONE_PRIME_FAMILY, 8, 32, True)
+    assert (info.rank, info.count) == (25, 72)
+    assert draws == [1]
+
+
+@pytest.mark.parametrize(
+    "seqs, S, W",
+    [
+        ([Geometric(2), FiniteSupport({0: 1, 2: -1}), FIB], 3, 8),
+        (ONE_PRIME_FAMILY, 3, 10),
+    ],
+)
+def test_window_rank_does_not_depend_on_row_order(seqs, S, W):
+    rows = window_rows_ascending(seqs, S, W)
+    rng = random.Random(S * 1000 + W)
+    for _ in range(4):
+        rng.shuffle(rows)
+        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
 
 
 def test_window_rank_empty_and_validation():
