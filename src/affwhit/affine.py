@@ -194,8 +194,13 @@ class AffineAlgebra:
         if type(g[2]) is not int:
             raise ValueError(f"t-exponent of {g!r} is not an int")
         if g[0] == "X":
-            if g[1] not in self.datum.phi:
-                raise ValueError(f"not a root: {g[1]}")
+            root = g[1]
+            if (
+                type(root) is not tuple
+                or any(type(x) is not int for x in root)
+                or root not in self.datum.phi
+            ):
+                raise ValueError(f"not a root: {root}")
         elif g[0] == "H":
             if type(g[1]) is not int or not 1 <= g[1] <= self.datum.rank:
                 raise ValueError(f"Cartan index out of range: {g[1]!r}")

@@ -100,9 +100,14 @@ conditions with J < |j| <= J' (none when J' = J); any other request
 rebuilds the system from scratch.  The system is kept only after a
 solve succeeds; if a row builder raises, it is dropped.  The answer is
 the same as a fresh solve's: the same multiset of rows reaches the
-pruner, whose dead set does not depend on row order;
-``SingletonPruner.nullspace`` does not change the pruner; the reduced
-echelon form and the normalized kernel basis are unique.
+pruner, whose dead set does not depend on row order.  The pruner also
+holds the reduced echelon form of the core it certified last, and the
+next solve extends that form by the new core rows and newly dead
+columns instead of eliminating the whole core again (the argument is
+in the ``linalg`` docstring).  The extension is returned only after
+every current core row is checked against it, and otherwise the whole
+core is eliminated; the reduced echelon form and the normalized kernel
+basis are unique, so either way the answer is a fresh solve's.
 ``row_count`` and ``condition_count`` are sums over the conditions fed,
 so they still count the full system at J.
 
@@ -133,9 +138,12 @@ are ``Fraction`` throughout, so no answer or report changes.
 
 :func:`solve_conditions` pauses the cyclic garbage collector while it
 runs and restores the caller's setting afterwards.  Straightening and
-elimination allocate millions of dicts, tuples and ``Fraction`` objects
-but no reference cycles, so reference counting frees all of it; the
-collector would only rescan the growing memo again and again.
+elimination allocate millions of dicts, tuples and ``Fraction`` objects;
+the collector would only rescan the growing memo again and again.  One
+reference cycle forms: a module holds its last system, whose row
+builder is a partial of the module's bound ``condition_rows``.  So a
+module that is dropped after a solve, with its memo and held system, is
+freed by the cyclic collector, not by reference counting.
 
 Tensor products act diagonally (Leibniz); on a pair of modules c acts
 by theta + theta' and the Whittaker eigenvalues add entrywise.
@@ -477,11 +485,14 @@ class WhittakerModule:
     # -- hash-consing ------------------------------------------------------------
 
     def _gid(self, g: Gen) -> int:
-        """Id of a generator; ValueError for d in loop-only mode and for
-        anything that is no generator of the algebra."""
+        """Id of a generator of the algebra, interning it on first sight.
+
+        Nothing is validated here: the public entry points validate what
+        comes from outside first (:meth:`lmul`, :meth:`_mid`), and the
+        straightener only passes generators of the algebra.  An
+        equality lookup alone would take ``True`` for ``1``."""
         gid = self._gen_ids.get(g)
         if gid is None:
-            self.alg.validate_gen(g)
             in_ln = self.alg.in_Ln(g)
             info = (in_ln, None if in_ln else self.gen_key(g))
             gid = self._gen_ids[g] = len(self._gens)
@@ -547,7 +558,10 @@ class WhittakerModule:
         Coefficients are ``int`` when integral, else ``Fraction``: the unit
         coefficient of a prepend is ``1``, theta, the vacuum scalars and
         the brackets (memoized per module) enter already in that form, and
-        an integral ``Fraction`` in a new memo entry is stored as ``int``."""
+        an integral ``Fraction`` in a new memo entry is stored as ``int``.
+        ValueError when ``g`` is no generator of the algebra, checked on
+        every call."""
+        self.alg.validate_gen(g)
         monos = self._monos
         img = self._lmul(self._gid(g), self._mid(mono))
         return {monos[m]: c for m, c in img.items()}

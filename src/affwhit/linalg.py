@@ -34,7 +34,10 @@ on the kernel, hence not on the pruning nor on the row order.
 :class:`SingletonPruner` also runs as a stream: a caller that builds a
 large system can feed rows as they are made, keep only the live core,
 and ask the pruner itself for the kernel (:meth:`SingletonPruner.nullspace`),
-which skips a second singleton pass.
+which skips a second singleton pass.  The pruner holds the reduced form
+it certified last, so a caller that feeds more rows and asks again pays
+for the new rows, not for the whole core (see "Extending a certified
+form" below).
 
 Certified multimodular elimination
 ----------------------------------
@@ -85,6 +88,45 @@ costs about as much as one at 61 bits), and continues lazily with the
 primes below 2^61 in descending order, each proven by Miller-Rabin with
 the first 12 primes as bases, which is deterministic below 3.18 * 10^23.
 Nothing is computed at import time.
+
+Extending a certified form
+--------------------------
+A :class:`SingletonPruner` holds the pivot rows R it returned last, with
+the number of rows it had kept and its dead set at that time.  The first
+call eliminates the core with :func:`rref_pivots`.  A later call, once
+more rows have come and more columns died (the set N), extends R
+instead.  Let p = 2^127 - 1, let A be the current core cleared of
+denominators, and let B be R cleared of denominators, the integer rows
+kept since and still live, and one unit row e_d per d in N.
+
+* Row space.  An old core row restricted to the columns live now is a
+  current core row, or zero when the row was consumed (all its columns
+  are dead).  So the old core, hence R, lies in rowspace(A) + span(e_d :
+  d in N), and the columns of R off N are columns of A.  Each current
+  core row is an old one minus its entries on N, or a row kept since.
+  Thus rowspace_Q(B) = rowspace_Q(A) (+) span(e_d : d in N), a direct
+  sum since A has no entry on a dead column, and
+  rank_Q(B) = rank_Q(A) + |N|.
+* Seeding.  If p divides no denominator of R, then R mod p (a/b read
+  as a * b^-1) is the reduced echelon form mod p of R cleared of
+  denominators: each cleared row is a unit multiple of its row mod p,
+  and R is fully reduced with leading value 1.  Its rank mod p is
+  therefore |R|, the rank over Q.  So the loop of :func:`_rref_mod` may
+  start from R mod p and feed only the other rows of B, which gives the
+  reduced echelon form of B mod p.
+* Rank bound.  That form holds each e_d, d in N, so d is a pivot and
+  its row is e_d; the other rows are zero on N.  Dropping the rows of N
+  leaves |P| = rank_p(B) - |N| <= rank_Q(B) - |N| = rank_Q(A) pivots,
+  all rows supported in C.
+
+These are the facts the proof above uses about a candidate: pivots at
+most rank_Q(A), rows starting at their pivot, support in C.  So once it
+is lifted and every row of A reduces to zero against it, the candidate
+is the reduced echelon form of A over Q, as before.  If a denominator
+of R is a multiple of p, the lift fails or the check fails, the whole
+core goes to :func:`rref_pivots`, which ends as shown above.  The answer
+never depends on which path ran, since the reduced echelon form is
+unique.
 
 No floating point is used anywhere.
 """
@@ -169,8 +211,13 @@ def _integer_row(row: SparseRow) -> IntRow:
     return {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
 
 
-def _rref_mod(rows: List[IntRow], p: int) -> IntPivots:
-    """Fully reduced echelon rows of the integer rows mod p, leading value 1.
+def _rref_mod(rows: Iterable[IntRow], p: int) -> IntPivots:
+    """Fully reduced echelon rows of the integer rows mod p, leading value 1."""
+    return _extend_mod({}, rows, p)
+
+
+def _extend_mod(pivots: IntPivots, rows: Iterable[IntRow], p: int) -> IntPivots:
+    """pivots, a fully reduced echelon form mod p, extended by the rows.
 
     Invariant: every stored pivot row contains no pivot column other
     than its own.  An incoming row is therefore fully reduced by one
@@ -178,7 +225,6 @@ def _rref_mod(rows: List[IntRow], p: int) -> IntPivots:
     introduces non-pivot columns), after which its minimum remaining
     column is a fresh pivot.  Each pivot row's columns are >= its pivot.
     """
-    pivots: IntPivots = {}
     for row in rows:
         r = {}
         for c, v in row.items():
@@ -331,11 +377,16 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
             continue
         cand = _lift(acc, m)
         if cand is not None and _certify(int_rows, cand):
-            one = Fraction(1)
-            return {
-                pc: {pc: one, **{f: Fraction(a, b) for f, (a, b) in row.items()}}
-                for pc, row in cand.items()
-            }
+            return _fractions(cand)
+
+
+def _fractions(cand: Dict[int, Dict[int, Tuple[int, int]]]) -> Dict[int, SparseRow]:
+    """A certified candidate as pivot rows of ``Fraction`` entries."""
+    one = Fraction(1)
+    return {
+        pc: {pc: one, **{f: Fraction(a, b) for f, (a, b) in row.items()}}
+        for pc, row in cand.items()
+    }
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -371,13 +422,18 @@ class SingletonPruner:
     the order of the rows.
     """
 
-    __slots__ = ("dead", "_kept", "_by_col")
+    __slots__ = ("dead", "_kept", "_by_col", "_held", "_held_kept", "_held_dead")
 
     def __init__(self):
         self.dead: Set[int] = set()
         # [live count, row, its nonzero columns live on arrival]; count 0 = consumed
         self._kept: List[list] = []
         self._by_col: Dict[int, List[list]] = {}
+        # the certified pivot rows of the last _pivots call, with len(_kept)
+        # and the dead set as they were then
+        self._held: Optional[Dict[int, SparseRow]] = None
+        self._held_kept = 0
+        self._held_dead: Set[int] = set()
 
     def add(self, row: SparseRow) -> None:
         self.extend((row,))
@@ -432,9 +488,10 @@ class SingletonPruner:
         """Kept rows restricted to their live columns, in arrival order."""
         return list(self._core())
 
-    def _core(self) -> Iterator[SparseRow]:
+    def _core(self, start: int = 0, stop: Optional[int] = None) -> Iterator[SparseRow]:
+        """:meth:`core`, or the part of it from kept rows start..stop-1."""
         dead = self.dead
-        for count, row, live in self._kept:
+        for count, row, live in self._kept[start:stop]:
             if count:
                 yield {c: row[c] for c in live if c not in dead}
 
@@ -447,12 +504,51 @@ class SingletonPruner:
         """The core's pivot rows, after range-checking every column seen.
 
         Every nonzero column fed is dead or live in a kept row, and the
-        live ones are exactly the keys of ``_by_col``.  The core streams
-        into :func:`rref_pivots`, so no list of it is kept.
+        live ones are exactly the keys of ``_by_col``.  The first call
+        streams the core into :func:`rref_pivots`, so no list of it is
+        kept; a later one extends the pivot rows it certified
+        (:meth:`_extend_held`), and falls back to :func:`rref_pivots`
+        when that fails.  The result is held for the next call.
         """
         if any(c < 0 or c >= ncols for c in chain(self.dead, self._by_col)):
             raise ValueError("row has a column outside range(ncols)")
-        return rref_pivots(self._core())
+        pivots = None if self._held is None else self._extend_held()
+        if pivots is None:
+            pivots = rref_pivots(self._core())
+        self._held, self._held_kept, self._held_dead = pivots, len(self._kept), set(self.dead)
+        return pivots
+
+    def _extend_held(self) -> Optional[Dict[int, SparseRow]]:
+        """The core's pivot rows, extended from the held ones, or None.
+
+        The held rows modulo 2^127 - 1, the integer rows kept since and
+        still live, and one unit row per column dead since are reduced
+        mod p; the pivots of those dead columns are dropped, and the
+        rest is lifted and returned only if every core row reduces to
+        zero against it.  None when a held denominator is a multiple of
+        p, the lift fails or the check fails (see the module docstring).
+        """
+        start, new_dead = self._held_kept, self.dead - self._held_dead
+        p = _FIRST_PRIME
+        image: IntPivots = {}
+        for pc, row in self._held.items():
+            r = {}
+            for c, v in row.items():
+                if not v.denominator % p:
+                    return None
+                x = v.numerator * pow(v.denominator, -1, p) % p
+                if x:
+                    r[c] = x
+            image[pc] = r
+        new = [_integer_row(r) for r in self._core(start)]
+        _extend_mod(image, chain(({d: 1} for d in new_dead), new), p)
+        for d in new_dead:
+            image.pop(d, None)
+        cand = _lift(image, p)
+        if cand is None:
+            return None
+        old = [_integer_row(r) for r in self._core(0, start)]
+        return _fractions(cand) if _certify(old + new, cand) else None
 
     def nullspace(self, ncols: int) -> List[SparseRow]:
         """:func:`nullspace` of the rows fed so far, without a second pass."""

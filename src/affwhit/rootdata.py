@@ -159,9 +159,6 @@ class RootDatum:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_root(self, root: Root) -> bool:
-        return root in self.phi
-
     def pos_of_root(self, root: Root) -> Tuple[int, int]:
         return self._pos_of_root[root]
 

@@ -167,9 +167,10 @@ def test_validate_gen():
         a.validate_gen(H(2, 0))  # Cartan index out of range for sl(2)
     with pytest.raises(ValueError):
         a.validate_gen(("Y", A, 0))
-    # index and t-exponent must be of type int; a bool is not one
+    # index, root entries and t-exponent must be of type int; a bool is not one
     for g in (("H", 1, "x"), ("H", 1, True), ("H", True, 0), ("H", "1", 0),
-              ("X", A, 1.5), ("X", A, F(1)), ("X", A, None)):
+              ("X", A, 1.5), ("X", A, F(1)), ("X", A, None),
+              ("X", (True,), 0), ("X", [1], 0), ("X", (F(1),), 0)):
         with pytest.raises(ValueError):
             a.validate_gen(g)
 

@@ -702,6 +702,37 @@ def test_lmul_rejects_a_generator_with_a_non_int_index_or_exponent(g):
     assert_tables_consistent(module)
 
 
+def test_lmul_refuses_a_root_given_as_a_list():
+    # a list is unhashable: the generator table lookup used to raise TypeError
+    module = WhittakerModule(sl2_spec())
+    with pytest.raises(ValueError):
+        module.lmul(("X", [1], 0), VACUUM)
+    assert module._gens == [C]
+    assert_tables_consistent(module)
+
+
+def test_lmul_refuses_a_root_with_a_bool_entry():
+    # (True,) == (1,), so a membership test alone took it for the root (1,)
+    module = WhittakerModule(sl2_spec())
+    with pytest.raises(ValueError):
+        module.lmul(("X", (True,), 0), VACUUM)
+    module.lmul(X(A1, 0), VACUUM)
+    with pytest.raises(ValueError):
+        module.lmul(("X", (True,), 0), VACUUM)
+    assert all(type(x) is int for g in module._gens[1:] for x in g[1])
+    assert_tables_consistent(module)
+
+
+def test_lmul_refuses_a_bool_exponent_once_its_int_twin_is_interned():
+    # ("H", 1, True) == ("H", 1, 1): a table hit used to skip validation
+    module = WhittakerModule(sl2_spec())
+    want = module.lmul(H(1, 1), VACUUM)
+    with pytest.raises(ValueError):
+        module.lmul(("H", 1, True), VACUUM)
+    assert module.lmul(H(1, 1), VACUUM) == want
+    assert_tables_consistent(module)
+
+
 def test_mid_rejects_malformed_factors():
     module = WhittakerModule(sl2_spec())
     for bad in (

@@ -1,9 +1,13 @@
 """Solving at a larger J extends the held condition system in place."""
 
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 
+import oracles
+from affwhit import linalg
 from affwhit import (
     Geometric,
     TensorModule,
@@ -111,3 +115,106 @@ def test_descending_or_changed_truncation_rebuilds(name):
         assert_same(module.solve(trunc), want)
         assert sum(fed) == want.row_count
         assert len(fed) == want.condition_count
+
+
+def count_eliminations(monkeypatch):
+    """A list that gets one entry per call of ``linalg.rref_pivots``."""
+    calls = []
+    rref = linalg.rref_pivots
+
+    def counted(rows):
+        calls.append(None)
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "rref_pivots", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_only_the_first_J_eliminates_the_whole_core(name, monkeypatch):
+    # later Js extend the certified form held from the last solve; a silent
+    # fall back to full elimination (say, without the unit rows of columns
+    # that died since) would call rref_pivots again
+    make, D, E, Js = SCANS[name]
+    module = make()
+    calls = count_eliminations(monkeypatch)
+    for J in Js:
+        module.solve(Truncation(D, E, J))
+        assert len(calls) == 1
+
+
+def batch(rng, nc, pivots):
+    """Random rows with two to four entries, and a singleton row killing
+    one of ``pivots`` (the pivot columns of the core so far) when any."""
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        cols = rng.sample(range(nc), rng.randint(2, 4))
+        rows.append({c: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+                     for c in cols})
+    if pivots:
+        rows.append({rng.choice(sorted(pivots)): Fraction(rng.randint(1, 4))})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_pruner_extends_its_certified_form_batch_by_batch(monkeypatch):
+    rng = random.Random(1109)
+    held_pivot_died = 0
+    for _ in range(40):
+        nc = rng.randint(6, 12)
+        pruner = linalg.SingletonPruner()
+        rows, pivots = [], set()
+        calls = count_eliminations(monkeypatch)
+        for k in range(4):
+            new = batch(rng, nc, pivots)
+            pruner.extend(new)
+            rows += new
+            held_pivot_died += bool(pivots & pruner.dead)
+            got = pruner.nullspace(nc)
+            # only the first solve eliminates the whole core
+            assert len(calls) == (k == 0)
+            calls.clear()
+            assert got == linalg.nullspace(rows, nc)
+            assert got == oracles.sympy_nullspace(rows, nc)
+            calls.clear()
+            pivots = set(oracles.fraction_rref(pruner.core()))
+        monkeypatch.undo()
+    assert held_pivot_died > 10
+
+
+M127 = 2**127 - 1
+
+
+def tall_rows(rng, nc, n):
+    """n rows with 100-bit entries on every column: their reduced form is
+    far taller than the 2^63 one prime reconstructs."""
+    return [
+        {c: Fraction(rng.getrandbits(100) | 1, rng.getrandbits(100) | 1) for c in range(nc)}
+        for _ in range(n)
+    ]
+
+
+def test_held_path_falls_back_when_one_prime_is_not_enough(monkeypatch):
+    rng = random.Random(6364)
+    cases = [
+        # small held form, then rows of 100-bit entries: the lift fails
+        ([{0: 1, 1: 2, 2: 3}, {2: 1, 3: -1}], tall_rows(rng, 8, 3)),
+        # the new reduced form holds -2^126, which is -1/2 modulo 2^127 - 1:
+        # the lift succeeds and only the check against the core rejects it
+        ([{2: 1, 3: 1}], [{0: 1, 1: -(2**126)}]),
+        # a held denominator that is a multiple of 2^127 - 1
+        ([{0: M127, 1: 1}], [{1: 1, 2: 3}]),
+    ]
+    for first, second in cases:
+        nc = 8
+        pruner = linalg.SingletonPruner()
+        pruner.extend(first)
+        calls = count_eliminations(monkeypatch)
+        assert pruner.nullspace(nc) == oracles.sympy_nullspace(first, nc)
+        pruner.extend(second)
+        got = pruner.nullspace(nc)
+        assert len(calls) == 2  # the first solve, then the fallback
+        rows = first + second
+        assert got == linalg.nullspace(rows, nc)
+        assert got == oracles.sympy_nullspace(rows, nc)
+        monkeypatch.undo()
