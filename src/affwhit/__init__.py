@@ -73,7 +73,6 @@ from .engine import (
     VACUUM,
     WhittakerModule,
     WhittakerSpec,
-    ZeroElement,
     element_str,
     mono_str,
     pair_str,
@@ -114,7 +113,6 @@ __all__ = [
     "WhittakerSpec",
     "WindowRank",
     "X",
-    "ZeroElement",
     "annihilator_basis_window",
     "bracket",
     "bracket_fin",

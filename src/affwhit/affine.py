@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Tuple, Union
 
-from .linalg import add_term
+from .linalg import LinearCombination, add_term, signed_sum
 from .rootdata import RootDatum
 
 Gen = Union[Tuple, str]  # ("X", root, m) | ("H", i, m) | "c" | "d"
@@ -85,66 +85,16 @@ def parse_gen(text: str, datum: RootDatum) -> Gen:
     return ("X", root, exp)
 
 
-class AffineElement:
+class AffineElement(LinearCombination):
     """Sparse linear combination of affine generators."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[Gen, object] = ()):
-        data = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for g, c in items:
-            c = Fraction(c)
-            if c:
-                data[g] = c
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    __slots__ = ()
 
     def items(self):
         return sorted(self.coeffs.items(), key=gen_sort_key_pair)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            add_term(out, g, c)
-        return AffineElement(out)
-
-    def __neg__(self):
-        return AffineElement({g: -c for g, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, s):
-        s = Fraction(s)
-        return AffineElement({g: c * s for g, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, AffineElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for g, c in self.items():
-            label = gen_str(g)
-            if c == 1:
-                parts.append(f"+ {label}")
-            elif c == -1:
-                parts.append(f"- {label}")
-            elif c > 0:
-                parts.append(f"+ {c}*{label}")
-            else:
-                parts.append(f"- {-c}*{label}")
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else s
+        return signed_sum(((gen_str(g), c) for g, c in self.items()), " ")
 
 
 def gen_sort_key_pair(item):

@@ -94,8 +94,12 @@ columns); vectors and dimensions do not change.
 The system at J is the system at a smaller J plus the conditions with
 larger |j|, on the same basis, since the basis depends only on (D, E).
 So each module keeps the :class:`ConditionSystem` of its last solve:
-(D, E, J), the basis, the pruner and the condition and row counts.  A
-solve with the same (D, E) and a J' >= J only builds and feeds the
+(D, E, J), the basis with its interned ids, the pruner and the
+condition and row counts.  The system holds no reference to its
+module: each solve passes the module's row builder to
+:func:`solve_conditions`, which calls it on the held ids, so a dropped
+module, with its memo and held system, is freed by reference counting.
+A solve with the same (D, E) and a J' >= J only builds and feeds the
 conditions with J < |j| <= J' (none when J' = J); any other request
 rebuilds the system from scratch.  The system is kept only after a
 solve succeeds; if a row builder raises, it is dropped.  The answer is
@@ -139,11 +143,7 @@ are ``Fraction`` throughout, so no answer or report changes.
 :func:`solve_conditions` pauses the cyclic garbage collector while it
 runs and restores the caller's setting afterwards.  Straightening and
 elimination allocate millions of dicts, tuples and ``Fraction`` objects;
-the collector would only rescan the growing memo again and again.  One
-reference cycle forms: a module holds its last system, whose row
-builder is a partial of the module's bound ``condition_rows``.  So a
-module that is dropped after a solve, with its memo and held system, is
-freed by the cyclic collector, not by reference counting.
+the collector would only rescan the growing memo again and again.
 
 Tensor products act diagonally (Leibniz); on a pair of modules c acts
 by theta + theta' and the Whittaker eigenvalues add entrywise.
@@ -155,7 +155,6 @@ import gc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement, product
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -182,10 +181,6 @@ MODES = ("affine", "loop_only")
 def _exact(x: Scalar) -> Scalar:
     """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
     return x.numerator if x.denominator == 1 else x
-
-
-class ZeroElement(ValueError):
-    """Raised when a leading term of the zero element is requested."""
 
 
 @dataclass(frozen=True)
@@ -282,11 +277,6 @@ class WhittakerSpec:
         )
 
 
-# sentinel larger than every generator key; makes a proper prefix compare
-# greater, so the cyclic vector is the maximum in the monomial order
-_TOP = ((1 << 62,), 0, 0, 0)
-
-
 def generator_key(datum: RootDatum, g: Gen, loop_only: bool = False) -> tuple:
     """Total order key on module generators.
 
@@ -343,28 +333,28 @@ class SolveResult:
         return self.dimension == 1
 
 
-RowsOf = Callable[[tuple, int], Dict[object, Dict[int, Scalar]]]
+# rows_of(*ids, root, j): the rows {out: {col: coeff}} of one condition
+RowsOf = Callable[..., Dict[object, Dict[int, Scalar]]]
 
 
 class ConditionSystem:
     """The Whittaker conditions with |j| <= J on span(basis), as fed so far.
 
-    ``basis`` is the basis of the truncation (D, E).  ``rows_of(root, j)``
-    builds the rows ``{out: {col: coeff}}`` of the condition
-    X_root (x) t^j . v = eigenvalue(root, j) v over its columns; every
-    row is a fresh dict, since the pruner keeps it.  ``J`` is -1 while
-    no condition has been fed.  The counts cover every condition and row
-    fed, so they are those of the full system at ``J``.
+    ``basis`` is the basis of the truncation (D, E) and ``ids`` its
+    interned monomial ids, one list per tensor factor (a 1-tuple for a
+    module).  ``J`` is -1 while no condition has been fed.  The counts
+    cover every condition and row fed, so they are those of the full
+    system at ``J``.
     """
 
     __slots__ = (
-        "D", "E", "J", "basis", "rows_of", "pruner", "condition_count", "row_count"
+        "D", "E", "J", "basis", "ids", "pruner", "condition_count", "row_count"
     )
 
-    def __init__(self, trunc: Truncation, basis: list, rows_of: RowsOf):
+    def __init__(self, trunc: Truncation, basis: list, ids: tuple):
         self.D, self.E, self.J = trunc.D, trunc.E, -1
         self.basis = basis
-        self.rows_of = rows_of
+        self.ids = ids
         self.pruner = linalg.SingletonPruner()
         self.condition_count = self.row_count = 0
 
@@ -378,18 +368,22 @@ def solve_conditions(
     roots: List[tuple],
     trunc: Truncation,
     new_system: Callable[[Truncation], ConditionSystem],
+    rows_of: RowsOf,
 ) -> Tuple[SolveResult, ConditionSystem]:
     """Exact nullspace of the Whittaker conditions at ``trunc``.
 
     One condition per root and j in [-J, J].  ``held`` is the system of
     an earlier solve, or None.  When it :meth:`~ConditionSystem.extends_to`
     ``trunc``, only the conditions with held.J < |j| <= J are built and
-    fed to it; otherwise ``new_system(trunc)`` starts an empty one.  Each
-    condition's rows stream through the system's singleton pass as soon
-    as they are built, so only the rows with two or more live columns
-    outlive their condition; the kernel is then taken from the pruner's
-    dead set and core, and equals the full system's.  ``row_count``
-    counts every row of the full system at J.
+    fed to it; otherwise ``new_system(trunc)`` starts an empty one.
+    ``rows_of(*system.ids, root, j)`` builds the rows ``{out: {col:
+    coeff}}`` of the condition X_root (x) t^j . v = eigenvalue(root, j) v,
+    each a fresh dict, since the pruner keeps it.  Each condition's rows
+    stream through the system's singleton pass as soon as they are
+    built, so only the rows with two or more live columns outlive their
+    condition; the kernel is then taken from the pruner's dead set and
+    core, and equals the full system's.  ``row_count`` counts every row
+    of the full system at J.
 
     Returns the result and the system, extended to J, for the caller to
     pass back as ``held``.  If this raises, a ``held`` system may have
@@ -403,11 +397,11 @@ def solve_conditions(
     gc.disable()
     try:
         system = held if held is not None and held.extends_to(trunc) else new_system(trunc)
-        pruner, rows_of = system.pruner, system.rows_of
+        pruner, ids = system.pruner, system.ids
         js = [j for j in range(-trunc.J, trunc.J + 1) if abs(j) > system.J]
         n_conditions = n_rows = 0
         for root, j in product(roots, js):
-            rows = rows_of(root, j)
+            rows = rows_of(*ids, root, j)
             n_conditions += 1
             n_rows += len(rows)
             pruner.extend(rows.values())
@@ -470,17 +464,6 @@ class WhittakerModule:
             key = generator_key(self.spec.datum, g, self.spec.loop_only)
             self._key_cache[g] = key
         return key
-
-    def gen_order(self, g1: Gen, g2: Gen) -> int:
-        k1, k2 = self.gen_key(g1), self.gen_key(g2)
-        return -1 if k1 < k2 else (1 if k1 > k2 else 0)
-
-    def is_module_gen(self, g: Gen) -> bool:
-        if g == "c":
-            return False
-        if g == "d":
-            return not self.spec.loop_only
-        return not self.alg.in_Ln(g)
 
     # -- hash-consing ------------------------------------------------------------
 
@@ -672,7 +655,8 @@ class WhittakerModule:
         return out
 
     def act(self, x: AffineElement, elt: ModuleElement) -> ModuleElement:
-        """Action of a general affine element (c acts by theta)."""
+        """Action of a general affine element through :meth:`act_gen` (c
+        acts by theta); the tensor module shares this definition."""
         out: ModuleElement = {}
         for g, cg in x.coeffs.items():
             for m, c in self.act_gen(g, elt).items():
@@ -680,21 +664,6 @@ class WhittakerModule:
         return out
 
     # -- monomial order, basis ---------------------------------------------------
-
-    def lt_key(self, mono: Monomial) -> tuple:
-        """Key whose minimum realizes the leading term: lexicographic on
-        factor lists, a proper prefix comparing greater (vacuum maximal)."""
-        flat = []
-        for g, m in mono:
-            flat.extend([self.gen_key(g)] * m)
-        flat.append(_TOP)
-        return tuple(flat)
-
-    def leading_term(self, elt: ModuleElement) -> Monomial:
-        support = [m for m, c in elt.items() if c]
-        if not support:
-            raise ZeroElement("the zero element has no leading term")
-        return min(support, key=self.lt_key)
 
     def generators(self, E: int) -> List[Gen]:
         """Module generators with |exponent| <= E, ascending in gen order."""
@@ -758,13 +727,13 @@ class WhittakerModule:
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the basis of (trunc.D, trunc.E)."""
         basis = self.basis(trunc)
-        ids = [self._mid(m) for m in basis]
-        return ConditionSystem(trunc, basis, partial(self.condition_rows, ids))
+        return ConditionSystem(trunc, basis, ([self._mid(m) for m in basis],))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         held, self._held = self._held, None  # kept only if this solve succeeds
         result, self._held = solve_conditions(
-            held, self.condition_roots(), trunc, self.condition_system
+            held, self.condition_roots(), trunc, self.condition_system,
+            self.condition_rows,
         )
         return result
 
@@ -824,12 +793,7 @@ class TensorModule:
                 linalg.add_term(out, (ma, m), coeff * c)
         return out
 
-    def act(self, x: AffineElement, elt: TensorElement) -> TensorElement:
-        out: TensorElement = {}
-        for g, cg in x.coeffs.items():
-            for m, c in self.act_gen(g, elt).items():
-                linalg.add_term(out, m, cg * c)
-        return out
+    act = WhittakerModule.act
 
     def lam_sum(self, root: tuple, j: int) -> Fraction:
         return self.left.spec.vacuum_scalar(root, j) + self.right.spec.vacuum_scalar(
@@ -894,12 +858,13 @@ class TensorModule:
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
         ids_a = [left._mid(m) for m in basis_a]
         ids_b = [right._mid(m) for m in basis_b]
-        return ConditionSystem(trunc, basis, partial(self.condition_rows, ids_a, ids_b))
+        return ConditionSystem(trunc, basis, (ids_a, ids_b))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         held, self._held = self._held, None  # kept only if this solve succeeds
         result, self._held = solve_conditions(
-            held, self.left.condition_roots(), trunc, self.condition_system
+            held, self.left.condition_roots(), trunc, self.condition_system,
+            self.condition_rows,
         )
         return result
 
@@ -936,18 +901,5 @@ def pair_str(pair: PairMonomial) -> str:
 
 
 def element_str(elt: ModuleElement, render=mono_str) -> str:
-    if not elt:
-        return "0"
-    parts = []
-    for mono, c in sorted(elt.items(), key=lambda kv: (len(kv[0]), repr(kv[0]))):
-        label = render(mono)
-        if c == 1:
-            parts.append(f"+ {label}")
-        elif c == -1:
-            parts.append(f"- {label}")
-        elif c > 0:
-            parts.append(f"+ {c}*{label}")
-        else:
-            parts.append(f"- {-c}*{label}")
-    s = " ".join(parts)
-    return s[2:] if s.startswith("+ ") else s
+    items = sorted(elt.items(), key=lambda kv: (len(kv[0]), repr(kv[0])))
+    return linalg.signed_sum(((render(mono), c) for mono, c in items), " ")

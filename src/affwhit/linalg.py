@@ -1,6 +1,15 @@
 """Exact linear algebra over Q.
 
-Two entry points cover everything the package needs:
+Sparse linear combinations {key: nonzero coefficient} share one base,
+:class:`LinearCombination`: sum, difference, negation, scalar multiples,
+equality and hash.  ``FinVector``, ``ChevalleyElement`` and
+``AffineElement`` subclass it and keep their own coefficient coercion,
+key normalization, term order and ``repr``; :func:`add_term` is its
+accumulation step, and :func:`signed_sum` the sign rendering that
+``AffineElement``, ``ChevalleyElement`` and ``engine.element_str``
+print with.
+
+Two entry points cover everything the linear systems need:
 
 * :func:`rank` -- the number of pivots of the certified reduced
   echelon form (:func:`rref_pivots`) of the transpose; row rank equals
@@ -136,7 +145,9 @@ from __future__ import annotations
 from fractions import Fraction
 import math
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 
 SparseRow = Dict[int, Fraction]
@@ -154,6 +165,88 @@ def add_term(acc: dict, key, x) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
+
+
+class LinearCombination:
+    """Sparse linear combination sum_k c_k k with nonzero coefficients.
+
+    ``_scalar`` coerces a coefficient or raises (``Fraction`` unless a
+    subclass sets another), ``_key`` normalizes a key (unchanged unless
+    a subclass sets it), and ``_new`` builds a result of the same class.
+    Coefficients that are zero after coercion are not stored.  ``==``
+    holds only within one class; the hash depends on the coefficients
+    alone.
+    """
+
+    __slots__ = ("coeffs",)
+
+    _scalar = Fraction
+
+    @staticmethod
+    def _key(k):
+        return k
+
+    def __init__(self, coeffs: Mapping = ()):
+        data = {}
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        for k, c in items:
+            c = self._scalar(c)
+            if c:
+                data[self._key(k)] = c
+        self.coeffs = data
+
+    def _new(self, coeffs: dict):
+        return type(self)(coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            add_term(out, k, c)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, s):
+        s = self._scalar(s)
+        return self._new({k: c * s for k, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self.coeffs.items()))
+
+
+def signed_sum(terms: Iterable[Tuple[str, object]], sep: str) -> str:
+    """'a - 2/3*b + c' from (label, coefficient) pairs, or '0' for none.
+
+    A coefficient of 1 or -1 is not printed, ``sep`` goes between each
+    sign and its term (" " gives "a + b", "" gives "a +b"), and the sign
+    of a positive first term is dropped.
+    """
+    parts = []
+    for label, c in terms:
+        if c == 1:
+            parts.append(f"+{sep}{label}")
+        elif c == -1:
+            parts.append(f"-{sep}{label}")
+        elif c > 0:
+            parts.append(f"+{sep}{c}*{label}")
+        else:
+            parts.append(f"-{sep}{-c}*{label}")
+    if not parts:
+        return "0"
+    s = " ".join(parts)
+    return s[1 + len(sep):] if s[0] == "+" else s
 
 
 IntRow = Dict[int, int]
@@ -570,12 +663,6 @@ class SingletonPruner:
         ]
 
 
-def _pruned(rows: Iterable[SparseRow]) -> SingletonPruner:
-    pruner = SingletonPruner()
-    pruner.extend(rows)
-    return pruner
-
-
 def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
     """Basis of {x : Ax = 0} for sparse rows over columns 0..ncols-1.
 
@@ -584,9 +671,6 @@ def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
     ``Fraction``.  Rows go through the singleton pass first; only the
     live core reaches :func:`rref_pivots`.
     """
-    return _pruned(rows).nullspace(ncols)
-
-
-def nullity(rows: Iterable[SparseRow], ncols: int) -> int:
-    pruner = _pruned(rows)
-    return ncols - len(pruner.dead) - len(pruner._pivots(ncols))
+    pruner = SingletonPruner()
+    pruner.extend(rows)
+    return pruner.nullspace(ncols)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .linalg import add_term
+from .linalg import LinearCombination, add_term, signed_sum
 
 Root = Tuple[int, ...]
 BasisKey = Tuple[str, Union[Root, int]]  # ("X", root) or ("H", i)
@@ -259,11 +259,6 @@ class RootDatum:
             group = self.k - i
         return (group, root_height(root), root)
 
-    def root_order(self, a: Root, b: Root) -> int:
-        """-1, 0, +1 comparison under order_key."""
-        ka, kb = self.order_key(a), self.order_key(b)
-        return -1 if ka < kb else (1 if ka > kb else 0)
-
     def __repr__(self):
         return f"RootDatum(n={self.n}, levi={sorted(self.levi)})"
 
@@ -273,71 +268,32 @@ def build_datum(n: int, levi: Iterable[int] = ()) -> RootDatum:
     return RootDatum(n, levi)
 
 
-class ChevalleyElement:
+class ChevalleyElement(LinearCombination):
     """Sparse element of sl(n) over the Chevalley basis {X_root} u {H_i}."""
 
-    __slots__ = ("datum", "coeffs")
+    __slots__ = ("datum",)
 
     def __init__(self, datum: RootDatum, coeffs: Mapping[BasisKey, object] = ()):
         self.datum = datum
-        data = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for k, c in items:
-            c = Fraction(c)
-            if c:
-                data[k] = c
-        self.coeffs = data
+        super().__init__(coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _new(self, coeffs):
+        return ChevalleyElement(self.datum, coeffs)
 
     def items(self):
         return sorted(self.coeffs.items(), key=_basis_sort_key)
 
-    def __add__(self, other: "ChevalleyElement") -> "ChevalleyElement":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            add_term(out, k, c)
-        return ChevalleyElement(self.datum, out)
-
-    def __neg__(self):
-        return ChevalleyElement(self.datum, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, s):
-        s = Fraction(s)
-        return ChevalleyElement(self.datum, {k: c * s for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        return (
-            isinstance(other, ChevalleyElement)
-            and self.datum is other.datum
-            and self.coeffs == other.coeffs
-        )
+        return super().__eq__(other) and self.datum is other.datum
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+    __hash__ = LinearCombination.__hash__
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in self.items():
-            label = f"X[{root_str(k[1])}]" if k[0] == "X" else f"H{k[1]}"
-            if c == 1:
-                parts.append(f"+{label}")
-            elif c == -1:
-                parts.append(f"-{label}")
-            elif c > 0:
-                parts.append(f"+{c}*{label}")
-            else:
-                parts.append(f"-{-c}*{label}")
-        s = " ".join(parts)
-        return s[1:] if s.startswith("+") else s
+        terms = (
+            (f"X[{root_str(k[1])}]" if k[0] == "X" else f"H{k[1]}", c)
+            for k, c in self.items()
+        )
+        return signed_sum(terms, "")
 
 
 def _basis_sort_key(item):

@@ -75,27 +75,19 @@ def as_scalar(x: ScalarLike) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class FinVector:
+class FinVector(linalg.LinearCombination):
     """Finitely supported vector sum_i c_i v_i with rational coefficients.
 
     The support bounds are l(v) = min support and r(v) = max support;
     the width is omega(v) = r(v) - l(v).  Annihilator vectors are kept
-    normalized with l(v) = 0 by the callers that need it.
+    normalized with l(v) = 0 by the callers that need it.  Indices are
+    stored as ``int`` and coefficients coerced by :func:`as_scalar`.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, ScalarLike] = ()):
-        data = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        for i, c in items:
-            c = as_scalar(c)
-            if c:
-                data[int(i)] = c
-        self.coeffs = data
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    _scalar = staticmethod(as_scalar)
+    _key = int
 
     @property
     def support(self):
@@ -124,30 +116,6 @@ class FinVector:
         if n == 0:
             return self
         return FinVector({i + n: c for i, c in self.coeffs.items()})
-
-    def __add__(self, other: "FinVector") -> "FinVector":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            linalg.add_term(out, i, c)
-        return FinVector(out)
-
-    def __neg__(self) -> "FinVector":
-        return FinVector({i: -c for i, c in self.coeffs.items()})
-
-    def __sub__(self, other: "FinVector") -> "FinVector":
-        return self + (-other)
-
-    def __mul__(self, s: ScalarLike) -> "FinVector":
-        s = as_scalar(s)
-        return FinVector({i: c * s for i, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FinVector) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
 
     def proportional(self, other: "FinVector") -> bool:
         """True when the two vectors span the same line."""

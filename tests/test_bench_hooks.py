@@ -1,0 +1,75 @@
+"""The names the benchmark in ``perfbench/`` imports and patches.
+
+The benchmark records spans and counts by replacing package attributes
+with wrappers (``tracing.SpanTracer``, ``tracing.Counter``) and imports
+package names in ``gate`` and ``ops``.  Importing those modules and
+installing and uninstalling both recorders here makes a removed or
+renamed hook fail the test suite, not only a traced benchmark run.
+"""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+from affwhit import cli, engine, linalg
+from affwhit.engine import Truncation, WhittakerModule
+from affwhit.presets import PRESETS
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, BENCH)
+    try:
+        yield {name: importlib.import_module(name) for name in ("tracing", "gate", "ops")}
+    finally:
+        sys.path.remove(BENCH)
+
+
+def _bound(owner, attr):
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_span_sites_install_and_restore(bench):
+    tracing = bench["tracing"]
+    sites = [site for sites in tracing.SPAN_SITES.values() for site in sites]
+    before = [_bound(owner, attr) for owner, attr in sites]
+    tracer = tracing.SpanTracer()
+    tracer.install()
+    try:
+        assert all(_bound(o, a) is not f for (o, a), f in zip(sites, before))
+        module = bench["ops"].build_module(PRESETS["sl2"], False)
+        traced = tracer.run_op("probe", module.solve, Truncation(1, 1, 1))
+    finally:
+        tracer.uninstall()
+    assert all(_bound(o, a) is f for (o, a), f in zip(sites, before))
+    assert any(span[0] == "engine.solve" for span in tracer.spans)
+    plain = bench["ops"].build_module(PRESETS["sl2"], False).solve(Truncation(1, 1, 1))
+    assert traced.vectors == plain.vectors
+
+
+def test_counter_install_and_restore(bench):
+    tracing = bench["tracing"]
+    names = [(WhittakerModule, "lmul"), (engine.TensorModule, "act_gen"),
+             (linalg, "nullspace"), (linalg, "rref_pivots")]
+    before = [_bound(owner, attr) for owner, attr in names]
+    counter = tracing.Counter()
+    counter.install()
+    try:
+        module = WhittakerModule(cli.build_spec(PRESETS["sl2"]))
+        counter.run_op("probe", module.solve, Truncation(1, 1, 1))
+    finally:
+        counter.uninstall()
+    assert all(_bound(o, a) is f for (o, a), f in zip(names, before))
+    assert counter.counts["engine.rows"] > 0
+    assert counter.counts["engine.basis_cols"] > 0
+
+
+def test_gate_and_ops_names(bench):
+    gate, ops = bench["gate"], bench["ops"]
+    assert gate.element_str is engine.element_str
+    assert gate.mono_str is engine.mono_str and gate.pair_str is engine.pair_str
+    assert ops.WhittakerModule is WhittakerModule and ops.Truncation is Truncation

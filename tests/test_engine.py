@@ -22,11 +22,10 @@ from affwhit import (
     WhittakerSpec,
     X,
     H,
-    ZeroElement,
     build_datum,
     whittaker_solve,
 )
-from affwhit.engine import ConditionSystem, solve_conditions
+from affwhit.engine import ConditionSystem, generator_key, solve_conditions
 
 F = Fraction
 
@@ -74,13 +73,23 @@ def mono(*factors):
     return tuple(out)
 
 
+def is_module_gen(module, g):
+    """Whether generator_key places g in the order (c never, d only in
+    affine mode) and g lies outside L(n)."""
+    try:
+        generator_key(module.spec.datum, g, module.spec.loop_only)
+    except ValueError:
+        return False
+    return not module.alg.in_Ln(g)
+
+
 def is_standard(module, m):
     keys = [module.gen_key(g) for g, _ in m]
     return (
         all(mult >= 1 for _, mult in m)
         and keys == sorted(keys)
         and len(set(keys)) == len(keys)
-        and all(module.is_module_gen(g) for g, _ in m)
+        and all(is_module_gen(module, g) for g, _ in m)
     )
 
 
@@ -92,19 +101,26 @@ def is_standard(module, m):
 def test_gen_order_anchors():
     module = WhittakerModule(quiet(sl3_abelian_spec))
     a2, na2, nb = (0, 1), (0, -1), (-1, -1)
+
+    def below(g1, g2):
+        k1, k2 = module.gen_key(g1), module.gen_key(g2)
+        datum = module.spec.datum
+        assert (k1, k2) == (generator_key(datum, g1), generator_key(datum, g2))
+        return k1 < k2
+
     # strata group: -(a1+a2) block below -a1 is empty here (abelian radical);
     # negative nilradical roots sit below everything Levi-or-zero
-    assert module.gen_order(X(nb, 5), X(na2, -5)) == -1
+    assert below(X(nb, 5), X(na2, -5))
     # inside a weight, t-exponent decides
-    assert module.gen_order(X(nb, -1), X(nb, 0)) == -1
+    assert below(X(nb, -1), X(nb, 0))
     # Cartan loops order by exponent then index
-    assert module.gen_order(H(1, 0), H(2, 0)) == -1
-    assert module.gen_order(H(2, -1), H(1, 0)) == -1
+    assert below(H(1, 0), H(2, 0))
+    assert below(H(2, -1), H(1, 0))
     # d sits above every weight-zero loop generator ...
-    assert module.gen_order(H(1, 99), "d") == -1
+    assert below(H(1, 99), "d")
     # ... and below the positive Levi-root generators
-    assert module.gen_order("d", X(a2, -99)) == -1
-    assert module.gen_order(X(na2, 99), H(1, -99)) == -1
+    assert below("d", X(a2, -99))
+    assert below(X(na2, 99), H(1, -99))
 
 
 def test_gen_order_rejects_nilradical_and_c():
@@ -113,9 +129,11 @@ def test_gen_order_rejects_nilradical_and_c():
         module.gen_key(X(A1, -2))  # in L(n) for the Borel
     with pytest.raises(ValueError):
         module.gen_key(C)
-    assert module.is_module_gen(X((-1,), 7))
-    assert not module.is_module_gen(X(A1, 7))
-    assert not module.is_module_gen(C)
+    assert is_module_gen(module, X((-1,), 7))
+    assert module.alg.in_Ln(X(A1, 7)) and not is_module_gen(module, X(A1, 7))
+    assert not is_module_gen(module, C)
+    assert is_module_gen(module, D)
+    assert not is_module_gen(WhittakerModule(loop_spec()), D)
 
 
 def test_generators_enumeration():
@@ -250,32 +268,8 @@ def test_action_compatibility_property():
 
 
 # ---------------------------------------------------------------------------
-# leading terms and bases
+# bases
 # ---------------------------------------------------------------------------
-
-
-def test_leading_term_rules():
-    module = WhittakerModule(sl2_spec())
-    f0 = X((-1,), 0)
-    fm1 = X((-1,), -1)
-    # vacuum is maximal
-    assert module.leading_term({VACUUM: F(1), mono(f0): F(1)}) == mono(f0)
-    # smaller generator leads
-    assert module.leading_term({mono(f0): F(1), mono(fm1): F(2)}) == mono(fm1)
-    # a proper extension is smaller than its prefix
-    assert (
-        module.leading_term({mono(fm1): F(1), mono(fm1, f0): F(1)})
-        == mono(fm1, f0)
-    )
-    # higher multiplicity of the least generator leads
-    assert (
-        module.leading_term({mono(fm1, fm1): F(1), mono(fm1, f0): F(1)})
-        == mono(fm1, fm1)
-    )
-    # zero coefficients are ignored; all-zero raises
-    assert module.leading_term({VACUUM: F(0), mono(f0): F(1)}) == mono(f0)
-    with pytest.raises(ZeroElement):
-        module.leading_term({mono(f0): F(0)})
 
 
 def test_basis_counts():
@@ -503,16 +497,16 @@ def test_solve_pauses_and_restores_the_collector():
     ids = [module._mid(m) for m in basis]
     seen = []
 
-    def rows_of(root, j):
+    def rows_of(ids, root, j):
         seen.append(gc.isenabled())
         rows = module.condition_rows(ids, root, j)
         return {module._monos[m]: row for m, row in rows.items()}
 
-    def failing(root, j):
+    def failing(ids, root, j):
         raise RuntimeError("row builder failed")
 
-    def system(builder):
-        return lambda t: ConditionSystem(t, basis, builder)
+    def system(t):
+        return ConditionSystem(t, basis, (ids,))
 
     was_enabled = gc.isenabled()
     try:
@@ -520,12 +514,12 @@ def test_solve_pauses_and_restores_the_collector():
             gc.enable() if enabled else gc.disable()
             assert module.solve(trunc).dimension == 3
             assert gc.isenabled() is enabled
-            res, _ = solve_conditions(None, [A1], trunc, system(rows_of))
+            res, _ = solve_conditions(None, [A1], trunc, system, rows_of)
             assert res.dimension == 3
             assert seen and not any(seen)
             assert gc.isenabled() is enabled
             with pytest.raises(RuntimeError, match="row builder failed"):
-                solve_conditions(None, [A1], trunc, system(failing))
+                solve_conditions(None, [A1], trunc, system, failing)
             assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
@@ -542,18 +536,18 @@ def test_failed_extension_drops_the_held_system():
             gc.enable() if enabled else gc.disable()
             module = WhittakerModule(sl2_spec())
             module.solve(Truncation(1, 1, 1))
-            held = module._held
-            build, fed = held.rows_of, []
+            build, fed = module.condition_rows, []
 
-            def flaky(root, j):
+            def flaky(ids, root, j):
                 if fed:  # the first new condition is fed, the second raises
                     raise RuntimeError("row builder failed")
                 fed.append(j)
-                return build(root, j)
+                return build(ids, root, j)
 
-            held.rows_of = flaky
+            module.condition_rows = flaky  # shadows the method
             with pytest.raises(RuntimeError, match="row builder failed"):
                 module.solve(wide)
+            del module.condition_rows
             assert fed == [-3]
             assert gc.isenabled() is enabled
             assert module._held is None

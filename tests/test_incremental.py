@@ -1,7 +1,9 @@
 """Solving at a larger J extends the held condition system in place."""
 
+import gc
 import random
 import warnings
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -218,3 +220,22 @@ def test_held_path_falls_back_when_one_prime_is_not_enough(monkeypatch):
         assert got == linalg.nullspace(rows, nc)
         assert got == oracles.sympy_nullspace(rows, nc)
         monkeypatch.undo()
+
+
+def test_dropped_solved_modules_are_freed_without_the_collector():
+    """A held system keeps the basis ids, not the module's row builder,
+    so a solved module is freed by reference counting alone."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (sl2, tensor_sl2):
+            module = make()
+            module.solve(Truncation(2, 1, 2))
+            module.solve(Truncation(2, 1, 3))  # extends the held system
+            assert module._held is not None
+            ref = weakref.ref(module)
+            del module
+            assert ref() is None, make.__name__
+    finally:
+        if was_enabled:
+            gc.enable()

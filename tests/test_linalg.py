@@ -134,8 +134,8 @@ def test_nullspace_column_range_validation():
 
 
 def test_nullity():
-    assert linalg.nullity([], 4) == 4
-    assert linalg.nullity([{0: F(1)}, {0: F(2)}], 2) == 1
+    assert len(linalg.nullspace([], 4)) == 4
+    assert len(linalg.nullspace([{0: F(1)}, {0: F(2)}], 2)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_nullspace_generator_and_list_agree():
         from_list = linalg.nullspace(rows, nc)
         from_gen = linalg.nullspace((dict(r) for r in rows), nc)
         assert from_gen == from_list
-        assert linalg.nullity(iter(rows), nc) == linalg.nullity(rows, nc)
+        assert len(linalg.nullspace(iter(rows), nc)) == len(from_list)
 
 
 def test_nullspace_range_check_covers_pruned_columns():
@@ -267,17 +267,7 @@ def test_nullspace_range_check_covers_pruned_columns():
     with pytest.raises(ValueError):
         linalg.nullspace([{0: F(1), 4: F(1)}], 3)
     with pytest.raises(ValueError):
-        linalg.nullity([{5: F(1)}], 3)
-
-
-def test_nullity_agrees_with_nullspace():
-    rng = random.Random(1234)
-    for _ in range(150):
-        nc = rng.randint(1, 9)
-        rows = pruning_system(rng, nc) if rng.random() < 0.5 else random_sparse_rows(
-            rng, rng.randint(0, 9), nc
-        )
-        assert linalg.nullity(rows, nc) == len(linalg.nullspace(rows, nc))
+        len(linalg.nullspace([{5: F(1)}], 3))
 
 
 # ---------------------------------------------------------------------------
