@@ -85,22 +85,6 @@ def parse_gen(text: str, datum: RootDatum) -> Gen:
     return ("X", root, exp)
 
 
-class AffineElement(LinearCombination):
-    """Sparse linear combination of affine generators."""
-
-    __slots__ = ()
-
-    def items(self):
-        return sorted(self.coeffs.items(), key=gen_sort_key_pair)
-
-    def __repr__(self):
-        return signed_sum(((gen_str(g), c) for g, c in self.items()), " ")
-
-
-def gen_sort_key_pair(item):
-    return gen_sort_key(item[0])
-
-
 def gen_sort_key(g: Gen):
     """Structural sort key (deterministic, not the module generator order)."""
     if g == "c":
@@ -110,6 +94,17 @@ def gen_sort_key(g: Gen):
     if g[0] == "H":
         return (2, (), g[2], g[1])
     return (3, g[1], g[2], 0)
+
+
+class AffineElement(LinearCombination):
+    """Sparse linear combination of affine generators."""
+
+    __slots__ = ()
+
+    _order = staticmethod(gen_sort_key)
+
+    def __repr__(self):
+        return signed_sum(((gen_str(g), c) for g, c in self.items()), " ")
 
 
 class AffineAlgebra:

@@ -1,13 +1,16 @@
 """Exact linear algebra over Q.
 
 Sparse linear combinations {key: nonzero coefficient} share one base,
-:class:`LinearCombination`: sum, difference, negation, scalar multiples,
-equality and hash.  ``FinVector``, ``ChevalleyElement`` and
-``AffineElement`` subclass it and keep their own coefficient coercion,
-key normalization, term order and ``repr``; :func:`add_term` is its
-accumulation step, and :func:`signed_sum` the sign rendering that
-``AffineElement``, ``ChevalleyElement`` and ``engine.element_str``
-print with.
+:class:`LinearCombination`: coefficients coerced by :func:`as_scalar`
+(``int``, ``Fraction`` or a decimal-free string; a float is refused),
+sum, difference, negation, scalar multiples, equality, hash, and the
+sorted ``support`` and ``items``.  Four classes subclass it:
+``seqspace.FinVector`` and ``seqspace.FiniteSupport`` (``int`` keys),
+``rootdata.ChevalleyElement`` and ``affine.AffineElement``; each keeps
+its own key normalization, term order and ``repr``.  :func:`add_term`
+is the base's accumulation step, and :func:`signed_sum` the sign
+rendering that ``AffineElement``, ``ChevalleyElement`` and
+``engine.element_str`` print with.
 
 Two entry points cover everything the linear systems need:
 
@@ -146,11 +149,27 @@ from fractions import Fraction
 import math
 from itertools import chain
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 )
 
 
 SparseRow = Dict[int, Fraction]
+
+ScalarLike = Union[Fraction, int, str]
+
+
+def as_scalar(x: ScalarLike) -> Fraction:
+    """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        s = x.strip()
+        if "." in s or "e" in s.lower():
+            raise ValueError(f"rational literal must be decimal-free: {x!r}")
+        return Fraction(s)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def add_term(acc: dict, key, x) -> None:
@@ -170,17 +189,19 @@ def add_term(acc: dict, key, x) -> None:
 class LinearCombination:
     """Sparse linear combination sum_k c_k k with nonzero coefficients.
 
-    ``_scalar`` coerces a coefficient or raises (``Fraction`` unless a
-    subclass sets another), ``_key`` normalizes a key (unchanged unless
-    a subclass sets it), and ``_new`` builds a result of the same class.
-    Coefficients that are zero after coercion are not stored.  ``==``
-    holds only within one class; the hash depends on the coefficients
-    alone.
+    ``_scalar`` coerces a coefficient or raises (:func:`as_scalar`),
+    ``_key`` normalizes a key (unchanged unless a subclass sets it),
+    ``_order`` is the sort key of a key for ``support`` and ``items``
+    (None sorts the keys themselves), and ``_new`` builds a result of
+    the same class.  Coefficients that are zero after coercion are not
+    stored.  ``==`` holds only within one class; the hash depends on
+    the coefficients alone.
     """
 
     __slots__ = ("coeffs",)
 
-    _scalar = Fraction
+    _scalar = staticmethod(as_scalar)
+    _order = None
 
     @staticmethod
     def _key(k):
@@ -200,6 +221,15 @@ class LinearCombination:
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    @property
+    def support(self) -> list:
+        return sorted(self.coeffs, key=self._order)
+
+    def items(self) -> list:
+        """(key, coefficient) pairs in the order of ``support``."""
+        coeffs = self.coeffs
+        return [(k, coeffs[k]) for k in self.support]
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -505,9 +535,9 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 class SingletonPruner:
     """Streaming singleton propagation over sparse rows.
 
-    Rows are fed one at a time with :meth:`add` or in batches with
-    :meth:`extend`.  A row with one live column kills it; a row with two
-    or more is kept and indexed by its live columns.  When a column
+    Rows are fed in batches with :meth:`extend`.  A row with one live
+    column kills it; a row with two or more is kept and indexed by its
+    live columns.  When a column
     dies, each kept row containing it loses one live column, and a row
     left with a single live column is consumed and kills that column.
     Zero entries are ignored; empty rows and rows whose columns are all
@@ -528,11 +558,8 @@ class SingletonPruner:
         self._held_kept = 0
         self._held_dead: Set[int] = set()
 
-    def add(self, row: SparseRow) -> None:
-        self.extend((row,))
-
     def extend(self, rows: Iterable[SparseRow]) -> None:
-        """:meth:`add` each row in turn."""
+        """Feed the rows in turn."""
         dead = self.dead
         kept = self._kept
         by_col = self._by_col
@@ -587,11 +614,6 @@ class SingletonPruner:
         for count, row, live in self._kept[start:stop]:
             if count:
                 yield {c: row[c] for c in live if c not in dead}
-
-    def system(self) -> List[SparseRow]:
-        """An equivalent system: one unit row per dead column, then the core."""
-        one = Fraction(1)
-        return [{d: one} for d in sorted(self.dead)] + self.core()
 
     def _pivots(self, ncols: int) -> Dict[int, SparseRow]:
         """The core's pivot rows, after range-checking every column seen.

@@ -268,10 +268,28 @@ def build_datum(n: int, levi: Iterable[int] = ()) -> RootDatum:
     return RootDatum(n, levi)
 
 
+def _basis_sort_key(key: BasisKey):
+    if key[0] == "H":
+        return (0, (key[1],))
+    return (1, key[1])
+
+
+def _common_datum(x: ChevalleyElement, y: ChevalleyElement) -> RootDatum:
+    if x.datum is not y.datum:
+        raise ValueError("elements live over different root data")
+    return x.datum
+
+
 class ChevalleyElement(LinearCombination):
-    """Sparse element of sl(n) over the Chevalley basis {X_root} u {H_i}."""
+    """Sparse element of sl(n) over the Chevalley basis {X_root} u {H_i}.
+
+    Sums and differences, like brackets, need both elements over the
+    same root datum.
+    """
 
     __slots__ = ("datum",)
+
+    _order = staticmethod(_basis_sort_key)
 
     def __init__(self, datum: RootDatum, coeffs: Mapping[BasisKey, object] = ()):
         self.datum = datum
@@ -280,8 +298,9 @@ class ChevalleyElement(LinearCombination):
     def _new(self, coeffs):
         return ChevalleyElement(self.datum, coeffs)
 
-    def items(self):
-        return sorted(self.coeffs.items(), key=_basis_sort_key)
+    def __add__(self, other):
+        _common_datum(self, other)
+        return super().__add__(other)
 
     def __eq__(self, other):
         return super().__eq__(other) and self.datum is other.datum
@@ -296,18 +315,9 @@ class ChevalleyElement(LinearCombination):
         return signed_sum(terms, "")
 
 
-def _basis_sort_key(item):
-    key = item[0]
-    if key[0] == "H":
-        return (0, (key[1],))
-    return (1, key[1])
-
-
 def bracket_fin(x: ChevalleyElement, y: ChevalleyElement) -> ChevalleyElement:
     """Lie bracket in sl(n), bilinear over the basis rules."""
-    if x.datum is not y.datum:
-        raise ValueError("elements live over different root data")
-    datum = x.datum
+    datum = _common_datum(x, y)
     out: Dict[BasisKey, Fraction] = {}
     for ka, ca in x.coeffs.items():
         for kb, cb in y.coeffs.items():
@@ -318,9 +328,7 @@ def bracket_fin(x: ChevalleyElement, y: ChevalleyElement) -> ChevalleyElement:
 
 def killing(x: ChevalleyElement, y: ChevalleyElement) -> Fraction:
     """Killing form of sl(n): kappa(x, y) = 2n * trace(xy)."""
-    if x.datum is not y.datum:
-        raise ValueError("elements live over different root data")
-    datum = x.datum
+    datum = _common_datum(x, y)
     total = Fraction(0)
     for ka, ca in x.coeffs.items():
         for kb, cb in y.coeffs.items():

@@ -16,15 +16,22 @@ Three closed classes of sequences are supported exactly:
 * :class:`FiniteSupport` -- finitely many nonzero entries (always
   generic unless zero);
 * :class:`Geometric` -- one-sided geometric j^i for i > 0, zero
-  otherwise, with rational ratio j > 1 (generic; distinct ratios give
-  strongly generic families);
+  otherwise, with rational ratio j > 1 (generic, and strongly generic
+  alone; no two geometric sequences form a strongly generic family);
 * :class:`Recurrence` -- two-sided linear recurrence sequences, pinned
   down by a defining annihilator vector and an initial window (never
   generic; the defining vector is a witness).
 
+``FinVector`` and ``FiniteSupport`` are both sparse {index: value} maps
+on :class:`linalg.LinearCombination`, so both have ``+``, ``-``, scalar
+``*``, ``==``, ``hash``, ``support`` and sorted ``items()``; they never
+compare equal to each other.
+
 Lazy wrappers (:class:`Shifted`, :class:`Weighted`, :class:`Scaled`)
 keep the classes closed under translation, weighting and scalar
-multiples without widening the exact representations.
+multiples without widening the exact representations.  The decision
+procedures see through Shifted and Scaled by one fold (``_unwrap``) to
+the base, its total offset and its total factor.
 
 All arithmetic is exact over Q via :class:`fractions.Fraction`; no
 floating point is used anywhere.
@@ -32,16 +39,13 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
-
-Scalar = Fraction
-
-ScalarLike = Union[Fraction, int, str]
+from .linalg import ScalarLike, as_scalar
 
 
 class BothInfiniteSupport(ValueError):
@@ -54,20 +58,6 @@ class GenericInput(ValueError):
 
 class DegenerateAnnihilator(ValueError):
     """Raised when an initial window is supplied for a width-0 annihilator."""
-
-
-def as_scalar(x: ScalarLike) -> Fraction:
-    """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        s = x.strip()
-        if "." in s or "e" in s.lower():
-            raise ValueError(f"rational literal must be decimal-free: {x!r}")
-        return Fraction(s)
-    raise TypeError(f"not an exact rational: {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +76,7 @@ class FinVector(linalg.LinearCombination):
 
     __slots__ = ()
 
-    _scalar = staticmethod(as_scalar)
     _key = int
-
-    @property
-    def support(self):
-        return sorted(self.coeffs)
 
     def l(self) -> int:
         if not self.coeffs:
@@ -108,9 +93,6 @@ class FinVector(linalg.LinearCombination):
 
     def __getitem__(self, i: int) -> Fraction:
         return self.coeffs.get(i, Fraction(0))
-
-    def items(self):
-        return sorted(self.coeffs.items())
 
     def translate(self, n: int) -> "FinVector":
         if n == 0:
@@ -157,38 +139,19 @@ class BiSequence:
         return [self.entry(i) for i in range(lo, hi + 1)]
 
 
-class FiniteSupport(BiSequence):
-    """Sequence with finitely many nonzero entries."""
+class FiniteSupport(linalg.LinearCombination, BiSequence):
+    """Sequence with finitely many nonzero entries.
 
-    __slots__ = ("entries_",)
+    Entry i is ``coeffs[i]``, or 0 off the support; sums, differences
+    and scalar multiples come from the shared sparse base.
+    """
 
-    def __init__(self, entries: Mapping[int, ScalarLike] = ()):
-        data = {}
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        for i, c in items:
-            c = as_scalar(c)
-            if c:
-                data[int(i)] = c
-        self.entries_ = data
+    __slots__ = ()
+
+    _key = int
 
     def entry(self, i: int) -> Fraction:
-        return self.entries_.get(i, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.entries_
-
-    @property
-    def support(self):
-        return sorted(self.entries_)
-
-    def items(self):
-        return sorted(self.entries_.items())
-
-    def __eq__(self, other):
-        return isinstance(other, FiniteSupport) and self.entries_ == other.entries_
-
-    def __hash__(self):
-        return hash(frozenset(self.entries_.items()))
+        return self.coeffs.get(i, Fraction(0))
 
     def __repr__(self):
         return f"FiniteSupport({dict(self.items())})"
@@ -402,14 +365,20 @@ def entry(s, i: int) -> Fraction:
 
 
 def translate(x, n: int):
-    """Translate by n: result(i) = x(i + n).  Exact classes stay exact."""
+    """Translate by n.  Exact classes stay exact.
+
+    A sequence moves left, result(i) = x(i + n); a vector moves its
+    support right, v_i to v_{i+n}, so ``translate(FinVector({0: 1}), 2)``
+    is v_2.  The two are adjoint: <translate(v, n), a> =
+    <v, translate(a, n)>.
+    """
     n = int(n)
     if n == 0:
         return x
     if isinstance(x, FinVector):
         return x.translate(n)
     if isinstance(x, FiniteSupport):
-        return FiniteSupport({i - n: c for i, c in x.entries_.items()})
+        return FiniteSupport({i - n: c for i, c in x.coeffs.items()})
     if isinstance(x, Recurrence):
         if x.omega == 0:
             return x
@@ -427,33 +396,22 @@ def translate(x, n: int):
 def weighted(s: BiSequence) -> BiSequence:
     """The sequence i |-> i * s(i)."""
     if isinstance(s, FiniteSupport):
-        return FiniteSupport({i: i * c for i, c in s.entries_.items()})
+        return FiniteSupport({i: i * c for i, c in s.coeffs.items()})
     return Weighted(s)
-
-
-def _finite_items(x):
-    """Sorted (index, value) pairs when x has finite support, else None."""
-    if isinstance(x, FinVector):
-        return x.items()
-    if isinstance(x, FiniteSupport):
-        return x.items()
-    return None
 
 
 def pairing(x, y) -> Fraction:
     """<x, y> = sum_i x_i y_i; at least one side must have finite support."""
-    items = _finite_items(x)
-    other = y
-    if items is None:
-        items = _finite_items(y)
-        other = x
-    if items is None:
-        raise BothInfiniteSupport(
-            "pairing needs at least one finitely supported argument"
-        )
+    finite = (FinVector, FiniteSupport)
+    if not isinstance(x, finite):
+        if not isinstance(y, finite):
+            raise BothInfiniteSupport(
+                "pairing needs at least one finitely supported argument"
+            )
+        x, y = y, x
     total = Fraction(0)
-    for i, c in items:
-        total += c * entry(other, i)
+    for i, c in x.items():
+        total += c * entry(y, i)
     return total
 
 
@@ -497,23 +455,35 @@ GENERIC = SeqVerdict("generic")
 
 def is_zero_sequence(s: BiSequence):
     """True/False when decidable for the exact classes, None otherwise."""
-    if isinstance(s, FiniteSupport):
-        return s.is_zero()
-    if isinstance(s, Geometric):
+    fin = _finite_core(s)
+    if fin is not None:
+        return fin.is_zero()
+    base = _unwrap(s)[0]
+    if isinstance(base, Geometric):
         return False
-    if isinstance(s, Recurrence):
-        return s.is_zero()
-    if isinstance(s, (Shifted, Scaled)):
-        return is_zero_sequence(s.base)
-    if isinstance(s, Weighted):
-        z = is_zero_sequence(s.base)
-        if z:
-            return True
-        if isinstance(s.base, (Geometric, Recurrence, Shifted, Scaled)):
-            # infinite support off index 0 survives the weighting
-            return False if z is False else None
-        return None
+    if isinstance(base, Recurrence):
+        return base.is_zero()
+    if isinstance(base, Weighted):
+        # base.base has no finite core, so when nonzero its support is
+        # infinite, and the weighting only clears index 0
+        return is_zero_sequence(base.base)
     return None
+
+
+def _unwrap(s: BiSequence):
+    """(base, offset, factor) with s(i) = factor * base(i + offset).
+
+    Peels every Shifted and Scaled wrapper; base is the first sequence
+    that is neither.
+    """
+    offset, factor = 0, Fraction(1)
+    while isinstance(s, (Shifted, Scaled)):
+        if isinstance(s, Shifted):
+            offset += s.offset
+        else:
+            factor *= s.factor
+        s = s.base
+    return s, offset, factor
 
 
 def _finite_core(s: BiSequence) -> Optional[FiniteSupport]:
@@ -522,43 +492,21 @@ def _finite_core(s: BiSequence) -> Optional[FiniteSupport]:
     Shifted/Scaled/Weighted wrappers over a finite base are folded into
     explicit entries; anything with infinite support returns None.
     """
-    if isinstance(s, FiniteSupport):
-        return s
-    if isinstance(s, Shifted):
-        base = _finite_core(s.base)
+    base, offset, factor = _unwrap(s)
+    if isinstance(base, Weighted):
+        base = _finite_core(base.base)
         if base is None:
             return None
-        return FiniteSupport({i - s.offset: c for i, c in base.entries_.items()})
-    if isinstance(s, Scaled):
-        base = _finite_core(s.base)
-        if base is None:
-            return None
-        return FiniteSupport({i: s.factor * c for i, c in base.entries_.items()})
-    if isinstance(s, Weighted):
-        base = _finite_core(s.base)
-        if base is None:
-            return None
-        return FiniteSupport({i: i * c for i, c in base.entries_.items()})
-    return None
+        base = weighted(base)
+    if not isinstance(base, FiniteSupport):
+        return None
+    return translate(base, offset) * factor
 
 
-def _geometric_core(s: BiSequence):
-    """(ratio, offset, scale) with s(i) = scale * a(ratio)_{i+offset}, or None."""
-    if isinstance(s, Geometric):
-        return (s.j, 0, Fraction(1))
-    if isinstance(s, Shifted):
-        core = _geometric_core(s.base)
-        if core is None:
-            return None
-        j, o, c = core
-        return (j, o + s.offset, c)
-    if isinstance(s, Scaled):
-        core = _geometric_core(s.base)
-        if core is None:
-            return None
-        j, o, c = core
-        return (j, o, c * s.factor)
-    return None
+def _geometric_core(s: BiSequence) -> Optional[Geometric]:
+    """The Geometric under s's Shifted/Scaled wrappers, or None."""
+    base = _unwrap(s)[0]
+    return base if isinstance(base, Geometric) else None
 
 
 def is_generic(s: BiSequence) -> SeqVerdict:
@@ -689,7 +637,7 @@ def _dependence_of_pair(sa: BiSequence, sb: BiSequence):
     ga, gb = _geometric_core(sa), _geometric_core(sb)
     fa, fb = _finite_core(sa), _finite_core(sb)
     if ga is not None and gb is not None:
-        ja, jb = ga[0], gb[0]
+        ja, jb = ga.j, gb.j
         if ja == jb:
             return (
                 f"proportional translates: both are scaled shifts of the "
@@ -707,7 +655,7 @@ def _dependence_of_pair(sa: BiSequence, sb: BiSequence):
             "vanishing cross combination"
         )
     if (ga is not None and fb is not None) or (gb is not None and fa is not None):
-        j = (ga or gb)[0]
+        j = (ga or gb).j
         return (
             "every delta_k equals the translate combination "
             f"-(1/{j})*({j}*a^(-k) - a^(1-k)) of the geometric member, so "
@@ -822,13 +770,10 @@ def window_rank_check(
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_core(s: BiSequence):
-    """Strip Shifted/Scaled wrappers down to a Recurrence, if that is the base."""
-    if isinstance(s, Recurrence):
-        return s
-    if isinstance(s, (Shifted, Scaled)):
-        return _recurrence_core(s.base)
-    return None
+def _recurrence_core(s: BiSequence) -> Optional[Recurrence]:
+    """The Recurrence under s's Shifted/Scaled wrappers, or None."""
+    base = _unwrap(s)[0]
+    return base if isinstance(base, Recurrence) else None
 
 
 def minimal_annihilator(s: BiSequence) -> FinVector:
@@ -866,14 +811,9 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
         assert len(kernel) == 1, "minimal width must pin the annihilator line"
         vec = kernel[0]
         assert vec.get(0) and vec.get(m), "minimal annihilator has nonzero endpoints"
-        coeffs = {k: vec.get(k, Fraction(0)) for k in range(m + 1)}
-        den_lcm = 1
-        for c in coeffs.values():
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = {k: int(c * den_lcm) for k, c in coeffs.items() if c}
-        g = 0
-        for c in ints.values():
-            g = gcd(g, abs(c))
+        den_lcm = math.lcm(*(c.denominator for c in vec.values()))
+        ints = {k: int(c * den_lcm) for k, c in sorted(vec.items())}
+        g = math.gcd(*ints.values())
         sign = 1 if ints[0] > 0 else -1
         return FinVector({k: sign * c // g for k, c in ints.items()})
     raise AssertionError("defining annihilator bounds the search; unreachable")

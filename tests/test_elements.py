@@ -1,15 +1,24 @@
-"""The three sparse element classes: repr bytes, arithmetic, equality, hash.
+"""The four sparse element classes: repr bytes, arithmetic, equality, hash.
 
-``FinVector``, ``AffineElement`` and ``ChevalleyElement`` share their
-linear-combination arithmetic; these tests pin what each one shows and
-how each compares, so that sharing the code changes neither.
+``FinVector``, ``FiniteSupport``, ``AffineElement`` and
+``ChevalleyElement`` share their linear-combination arithmetic and
+coefficient coercion; these tests pin what each one shows and how each
+compares, so that sharing the code changes neither.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from affwhit import AffineElement, ChevalleyElement, FinVector, H, X, build_datum
+from affwhit import (
+    AffineElement,
+    ChevalleyElement,
+    FiniteSupport,
+    FinVector,
+    H,
+    X,
+    build_datum,
+)
 from affwhit.engine import VACUUM, element_str, mono_str, pair_str
 
 SL3 = build_datum(3)
@@ -104,6 +113,7 @@ def test_element_str_bytes():
         (FinVector, FIN_TERMS),
         (AffineElement, AFF_TERMS),
         (chev, CHEV_TERMS),
+        (FiniteSupport, FIN_TERMS),
     ],
 )
 def test_linear_combination_arithmetic(make, terms):
@@ -133,13 +143,16 @@ def test_linear_combination_arithmetic(make, terms):
 def test_equality_and_hash_across_classes():
     fin, aff = FinVector({0: 1}), AffineElement({0: 1})
     ch = ChevalleyElement(SL3, {0: 1})
-    assert fin.coeffs == aff.coeffs == ch.coeffs
+    seq = FiniteSupport({0: 1})
+    assert fin.coeffs == aff.coeffs == ch.coeffs == seq.coeffs
     assert fin != aff and aff != fin
     assert fin != ch and ch != fin and aff != ch and ch != aff
+    assert seq != fin and fin != seq and seq != aff and seq != ch
     # hashes follow the coefficients only; equality keeps them apart
-    assert hash(fin) == hash(aff) == hash(ch)
-    assert len({fin, aff, ch}) == 3
+    assert hash(fin) == hash(aff) == hash(ch) == hash(seq)
+    assert len({fin, aff, ch, seq}) == 4
     assert FinVector({}) != AffineElement({}) and AffineElement({}) != SL3.zero_element()
+    assert FiniteSupport({}) != FinVector({})
 
 
 def test_chevalley_equality_needs_the_same_datum():
@@ -152,6 +165,16 @@ def test_chevalley_equality_needs_the_same_datum():
     assert (a + a).datum is SL3 and (-a).datum is SL3 and (3 * a).datum is SL3
     assert (a - SL3.X((1, 0), 2)).datum is SL3
     assert len({a, b, SL3.X((1, 0), 2)}) == 2
+
+
+def test_chevalley_sums_need_the_same_datum():
+    other = build_datum(3)
+    a, b = SL3.X((1, 0)), other.X((0, 1))
+    for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+        with pytest.raises(ValueError, match="elements live over different root data"):
+            op()
+    assert repr(a + SL3.X((0, 1))) == "X[a2] +X[a1]"
+    assert repr(b - other.X((0, 1))) == "0"
 
 
 def test_finvector_keys_and_exact_coefficients():
@@ -178,3 +201,28 @@ def test_fraction_coefficients_for_affine_and_chevalley():
     assert (AffineElement({"c": 1}) * "1/2").coeffs == {"c": F(1, 2)}
     assert SL3.H(1, "2/5").coeffs == {("H", 1): F(2, 5)}
     assert (SL3.H(1) * "1/3").coeffs == {("H", 1): F(1, 3)}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: FinVector({0: c}),
+        lambda c: FiniteSupport({0: c}),
+        lambda c: AffineElement({"c": c}),
+        lambda c: SL3.H(1, c),
+        lambda c: SL3.X((1, 1), c),
+    ],
+    ids=["FinVector", "FiniteSupport", "AffineElement", "H", "X"],
+)
+def test_floats_are_refused_and_exact_scalars_accepted(make):
+    for x in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            make(x)
+    elt = make(3)
+    with pytest.raises(TypeError):
+        elt * 0.5
+    with pytest.raises(TypeError):
+        0.5 * elt
+    for c, want in ((3, F(3)), (F(-2, 7), F(-2, 7)), ("2/3", F(2, 3))):
+        assert list(make(c).coeffs.values()) == [want]
+        assert list((elt * c).coeffs.values()) == [3 * want]

@@ -1,13 +1,20 @@
-"""Byte-identity of every preset's reports against recorded golden files.
+"""Byte-identity of the CLI reports and demo output against golden files.
 
-``tests/golden/<preset>.stdout`` holds what ``affwhit <command> --preset
-<preset>`` prints, and ``tests/golden/<preset>.json`` its ``--out`` JSON
-report without the ``timing`` field, written with the CLI's own JSON
-settings.  A change to either file is a change to the program's output
-and has to be deliberate.
+``tests/golden/<name>.stdout`` holds what one ``affwhit`` call prints,
+and ``tests/golden/<name>.json`` its ``--out`` JSON report without the
+``timing`` field, written with the CLI's own JSON settings.  The solver
+goldens are named after their preset (``sl2``, ``tensor-sl2``, ...); the
+others after their command (``describe-sl2``, ``check-seq-geo-family``,
+``bracket-sl3-borel``).  ``check-seq-mixed-family`` runs the config
+``tests/golden/check-seq-mixed.json``, whose members cover finite,
+scaled finite, scaled geometric, recurrence, scaled recurrence and
+empty finite sequences.  ``tests/golden/demo-<script>.stdout`` holds
+what ``demos/<script>.py`` prints.  A change to any of these files is a
+change to the program's output and has to be deliberate.
 """
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -17,19 +24,61 @@ from affwhit import cli, presets
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = [("whittaker", name) for name in presets.MODULE_PRESETS] + [
     ("tensor", name) for name in presets.TENSOR_PRESETS
 ]
 
+COMMAND_CASES = [
+    (f"describe-{name}", ["describe", "--preset", name])
+    for name in presets.MODULE_PRESETS
+] + [
+    ("check-seq-geo-family", ["check-seq", "--preset", "geo-family"]),
+    (
+        "check-seq-mixed-family",
+        ["check-seq", "--config", str(GOLDEN / "check-seq-mixed.json")],
+    ),
+    (
+        "bracket-sl3-borel",
+        ["bracket", "X[1,1]@t^2", "X[-1,-1]@t^-2", "--preset", "sl3-borel"],
+    ),
+]
+
+DEMO_SCRIPTS = [
+    "affine_brackets",
+    "sequence_genericity",
+    "tensor_products",
+    "whittaker_certificates",
+]
+
+
+def check_against_golden(tmp_path, capsys, argv, name):
+    out_path = tmp_path / "report.json"
+    cli.main(argv + ["--out", str(out_path)])
+    stdout = capsys.readouterr().out
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    if argv[0] in ("whittaker", "tensor"):
+        del report["timing"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert stdout.encode("utf-8") == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert text.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+
 
 @pytest.mark.parametrize("command, preset", CASES)
 def test_preset_reports_match_golden(tmp_path, capsys, command, preset):
-    out_path = tmp_path / "report.json"
-    cli.main([command, "--preset", preset, "--out", str(out_path)])
+    check_against_golden(tmp_path, capsys, [command, "--preset", preset], preset)
+
+
+@pytest.mark.parametrize(
+    "name, argv", COMMAND_CASES, ids=[name for name, _ in COMMAND_CASES]
+)
+def test_command_reports_match_golden(tmp_path, capsys, name, argv):
+    check_against_golden(tmp_path, capsys, argv, name)
+
+
+@pytest.mark.parametrize("script", DEMO_SCRIPTS)
+def test_demo_stdout_matches_golden(capsys, script):
+    runpy.run_path(str(DEMOS / f"{script}.py"), run_name="__main__")
     stdout = capsys.readouterr().out
-    report = json.loads(out_path.read_text(encoding="utf-8"))
-    del report["timing"]
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    assert stdout.encode("utf-8") == (GOLDEN / f"{preset}.stdout").read_bytes()
-    assert text.encode("utf-8") == (GOLDEN / f"{preset}.json").read_bytes()
+    assert stdout.encode("utf-8") == (GOLDEN / f"demo-{script}.stdout").read_bytes()

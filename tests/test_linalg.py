@@ -25,6 +25,11 @@ def random_sparse_rows(rng, nr, nc, density=0.5):
     return rows
 
 
+def pruned_system(pruner):
+    """An equivalent system: one unit row per dead column, then the core."""
+    return [{d: F(1)} for d in sorted(pruner.dead)] + pruner.core()
+
+
 def dense(rows, nc):
     return [[row.get(j, F(0)) for j in range(nc)] for row in rows]
 
@@ -187,7 +192,7 @@ def test_singleton_chain_kills_every_column():
             {0: F(1), 1: F(3)}]
     pruner = linalg.SingletonPruner()
     for row in rows:
-        pruner.add(row)
+        pruner.extend((row,))
     assert pruner.dead == {0, 1, 2, 3, 4}
     assert pruner.core() == []
     assert linalg.nullspace(rows, 5) == []
@@ -204,19 +209,20 @@ def test_pruner_dead_set_and_core_ignore_row_order():
             rng.shuffle(rows)
             pruner = linalg.SingletonPruner()
             for row in rows:
-                pruner.add(row)
+                pruner.extend((row,))
             core = sorted(sorted(r.items()) for r in pruner.core())
             results.append((pruner.dead, core))
             for row in pruner.core():
                 assert len(row) >= 2 and not set(row) & pruner.dead
             # the pruned system has the same kernel basis as the full one
-            assert linalg.nullspace(pruner.system(), nc) == linalg.nullspace(rows, nc)
+            want = linalg.nullspace(rows, nc)
+            assert linalg.nullspace(pruned_system(pruner), nc) == want
         assert results[0] == results[1] == results[2]
 
 
 def test_pruner_ignores_zero_entries():
     pruner = linalg.SingletonPruner()
-    pruner.add({0: F(0), 1: F(3)})
+    pruner.extend(({0: F(0), 1: F(3)},))
     assert pruner.dead == {1}
     assert linalg.nullspace([{0: F(0), 1: F(3)}], 2) == [{0: F(1)}]
 
@@ -423,12 +429,12 @@ def test_miller_rabin_matches_sympy():
 
 def test_one_entry_rows_in_the_pruner():
     pruner = linalg.SingletonPruner()
-    pruner.add({0: F(1), 1: F(2), 2: F(3)})
-    pruner.add({3: F(0)})  # a zero entry says nothing
+    pruner.extend(({0: F(1), 1: F(2), 2: F(3)},))
+    pruner.extend(({3: F(0)},))  # a zero entry says nothing
     assert pruner.dead == set()
-    pruner.add({1: F(5)})
-    pruner.add({1: 2})  # already dead
-    pruner.add({2: F(-1)})  # kills 2, then the first row kills 0
+    pruner.extend(({1: F(5)},))
+    pruner.extend(({1: 2},))  # already dead
+    pruner.extend(({2: F(-1)},))  # kills 2, then the first row kills 0
     assert pruner.dead == {0, 1, 2}
     assert pruner.core() == []
     assert pruner.nullspace(4) == [{3: F(1)}]
@@ -441,12 +447,12 @@ def test_pruner_nullspace_equals_nullspace_of_its_system():
         rows = pruning_system(rng, nc)
         pruner = linalg.SingletonPruner()
         for row in rows:
-            pruner.add(row)
+            pruner.extend((row,))
         basis = pruner.nullspace(nc)
-        assert basis == linalg.nullspace(pruner.system(), nc)
+        assert basis == linalg.nullspace(pruned_system(pruner), nc)
         assert basis == oracles.sympy_nullspace(rows, nc)
     pruner = linalg.SingletonPruner()
-    pruner.add({0: F(1), 5: F(1)})  # column 5 stays live in the core
+    pruner.extend(({0: F(1), 5: F(1)},))  # column 5 stays live in the core
     with pytest.raises(ValueError):
         pruner.nullspace(3)
 
@@ -458,7 +464,7 @@ def test_pruner_extend_equals_an_add_loop():
         rows = pruning_system(rng, nc)
         one_by_one = linalg.SingletonPruner()
         for row in rows:
-            one_by_one.add(row)
+            one_by_one.extend((row,))
         batched = linalg.SingletonPruner()
         batched.extend(rows)
         cut = rng.randint(0, len(rows))

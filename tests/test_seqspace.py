@@ -31,6 +31,7 @@ from affwhit import (
     weighted,
     window_rank_check,
 )
+from affwhit import seqspace
 
 F = Fraction
 
@@ -88,6 +89,69 @@ def test_wrappers_and_translate():
     t = translate(fin, 1)
     assert t.entry(-1) == 1 and t.entry(2) == -2
     assert weighted(fin).entry(3) == -6
+
+
+def test_translate_moves_vectors_and_sequences_oppositely():
+    # a vector's support moves by +n, a sequence's by -n
+    assert translate(FinVector({0: 1}), 2) == FinVector({2: 1})
+    assert translate(FiniteSupport({0: 1}), 2) == FiniteSupport({-2: 1})
+    v, a = FinVector({0: 1, 1: -3}), FIB
+    for n in range(-3, 4):
+        assert pairing(translate(v, n), a) == pairing(v, translate(a, n))
+        assert translate(a, n).entry(0) == a.entry(n)
+
+
+def test_finite_support_arithmetic():
+    f, g = FiniteSupport({0: 1, 2: "1/2"}), FiniteSupport({2: F(-1, 2), 3: 4})
+    assert f + g == FiniteSupport({0: 1, 3: 4})
+    assert f - f == FiniteSupport({}) and (f - f).is_zero()
+    assert 2 * f == f * 2 == FiniteSupport({0: 2, 2: 1})
+    assert (f + g).support == [0, 3] and f.items() == [(0, F(1)), (2, F(1, 2))]
+    for i in range(-2, 5):
+        assert (f - 3 * g).entry(i) == f.entry(i) - 3 * g.entry(i)
+    with pytest.raises(TypeError):
+        f * 0.5
+
+
+WRAPPED = [
+    Scaled(Shifted(Scaled(FiniteSupport({-1: 2, 3: "1/3"}), -2), 2), F(3, 4)),
+    Shifted(Weighted(Shifted(FiniteSupport({0: 1, 4: -1}), -3)), 1),
+    Scaled(Weighted(Scaled(Weighted(FiniteSupport({-2: 1, 1: 5})), 2)), -1),
+    Shifted(Shifted(FiniteSupport({2: 7}), 5), -4),
+]
+
+
+@pytest.mark.parametrize("s", WRAPPED, ids=range(len(WRAPPED)))
+def test_finite_core_folds_every_wrapper(s):
+    fin = seqspace._finite_core(s)
+    assert type(fin) is FiniteSupport
+    assert all(fin.entry(i) == s.entry(i) for i in range(-12, 13))
+    assert all(-12 <= i <= 12 for i in fin.support)
+
+
+def test_geometric_and_recurrence_cores_see_through_shifts_and_scales():
+    geo = Scaled(Shifted(Scaled(Geometric(3), 2), -4), F(1, 5))
+    assert seqspace._geometric_core(geo) == Geometric(3)
+    assert seqspace._geometric_core(Weighted(Geometric(3))) is None
+    rec = Shifted(Scaled(Shifted(FIB, 2), -1), 3)
+    assert seqspace._recurrence_core(rec) is FIB
+    assert seqspace._recurrence_core(geo) is None
+    assert seqspace._unwrap(rec) == (FIB, 5, F(-1))
+    assert all(geo.entry(i) == F(2, 5) * Geometric(3).entry(i - 4) for i in range(-2, 9))
+    assert minimal_annihilator(rec) == FinVector({0: 1, 1: 1, 2: -1})
+
+
+def test_weighting_can_clear_a_shifted_finite_sequence():
+    # the shift puts the only entry at index 0, where the weight is 0
+    s = Weighted(Shifted(FiniteSupport({1: 1}), 1))
+    assert all(s.entry(i) == 0 for i in range(-5, 6))
+    assert seqspace.is_zero_sequence(s) is True
+    assert size(s) == 0 and minimal_annihilator(s) == FinVector({0: 1})
+    assert member_strong_genericity(s).kind == "not_strongly_generic"
+    assert seqspace.is_zero_sequence(Weighted(Shifted(FiniteSupport({1: 1}), 2))) is False
+    assert seqspace.is_zero_sequence(Weighted(Weighted(Geometric(2)))) is False
+    assert seqspace.is_zero_sequence(Weighted(Scaled(FIB, 2))) is False
+    assert seqspace.is_zero_sequence(Weighted(FiniteSupport({}))) is True
 
 
 def test_pairing_conventions():
