@@ -32,6 +32,7 @@ from typing import Optional
 from . import presets as presets_mod
 from .affine import AffineAlgebra, AffineElement, gen_str, parse_gen
 from .engine import (
+    MODES,
     TensorModule,
     Truncation,
     WhittakerModule,
@@ -144,6 +145,20 @@ def module_datum(cfg: dict):
     return build_algebra(cfg["algebra"])
 
 
+def algebra_config(cfg: dict, mode_override=None):
+    """(module config, root datum, mode) for ``describe`` and ``bracket``.
+
+    A tensor config stands for its left factor; the mode is checked as
+    :class:`WhittakerSpec` checks it."""
+    if "algebra" not in cfg and "left" in cfg:
+        cfg = require_object(cfg["left"], "left")
+    datum = module_datum(cfg)
+    mode = resolve_mode(mode_override) or cfg.get("mode", "affine")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return cfg, datum, mode
+
+
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
     datum = module_datum(cfg)
     lam = {}
@@ -204,11 +219,7 @@ def verdict_json(v) -> dict:
 
 
 def cmd_describe(args) -> int:
-    cfg = load_config(args)
-    if "algebra" not in cfg and "left" in cfg:
-        cfg = require_object(cfg["left"], "left")
-    datum = module_datum(cfg)
-    mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
+    cfg, datum, mode = algebra_config(load_config(args), args.mode)
     E = truncation_field(cfg, args, "E")
     if E < 0:
         raise ConfigError(f"E must be nonnegative, got {E}")
@@ -386,11 +397,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    cfg = load_config(args)
-    if "algebra" not in cfg and "left" in cfg:
-        cfg = require_object(cfg["left"], "left")
-    datum = module_datum(cfg)
-    mode = resolve_mode(args.mode) or cfg.get("mode", "affine")
+    cfg, datum, mode = algebra_config(load_config(args), args.mode)
     cocycle = args.cocycle or cfg.get("cocycle", "standard")
     alg = AffineAlgebra(datum, cocycle=cocycle, loop_only=(mode == "loop_only"))
     g1 = parse_gen(args.gen1, datum)

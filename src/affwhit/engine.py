@@ -64,10 +64,12 @@ vectors.  Dimension 1 certifies uniqueness inside the span; a larger
 dimension at small J is not a refutation, since enlarging J never
 increases the dimension.
 
-Both solvers share one assembler, :func:`solve_conditions`, and differ
-only in the row builder they feed it: for one condition (root, j) the
-builder returns that condition's rows ``{out: {col: coeff}}``, keyed
-by output mid (a pair of mids for the tensor builder).  The module
+Both solvers share one assembler, :meth:`WhittakerModule.solve`, which
+the tensor module binds as its own ``solve``; they differ only in the
+roots, the empty system and the row builder that ``solve`` reads from
+them: for one condition (root, j) the builder ``condition_rows``
+returns that condition's rows ``{out: {col: coeff}}``, keyed by output
+mid (a pair of mids for the tensor builder).  The module
 builder straightens every basis column with the memoized straightener.
 The tensor builder is a Kronecker sum: X (x) t^j acts on a
 pair as g.ma (x) mb + ma (x) g.mb, so it reads the two factor images,
@@ -96,9 +98,9 @@ larger |j|, on the same basis, since the basis depends only on (D, E).
 So each module keeps the :class:`ConditionSystem` of its last solve:
 (D, E, J), the basis with its interned ids, the pruner and the
 condition and row counts.  The system holds no reference to its
-module: each solve passes the module's row builder to
-:func:`solve_conditions`, which calls it on the held ids, so a dropped
-module, with its memo and held system, is freed by reference counting.
+module: each solve calls the module's row builder on the held ids, so
+a dropped module, with its memo and held system, is freed by reference
+counting.
 A solve with the same (D, E) and a J' >= J only builds and feeds the
 conditions with J < |j| <= J' (none when J' = J); any other request
 rebuilds the system from scratch.  The system is kept only after a
@@ -140,8 +142,8 @@ factor's type.  ``int`` and integral ``Fraction`` values compare,
 hash and print alike, and the kernel vectors from the elimination
 are ``Fraction`` throughout, so no answer or report changes.
 
-:func:`solve_conditions` pauses the cyclic garbage collector while it
-runs and restores the caller's setting afterwards.  Straightening and
+``solve`` pauses the cyclic garbage collector while it runs and
+restores the caller's setting afterwards.  Straightening and
 elimination allocate millions of dicts, tuples and ``Fraction`` objects;
 the collector would only rescan the growing memo again and again.
 
@@ -156,7 +158,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -192,6 +194,8 @@ class Truncation:
     J: int
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.D, self.E, self.J)):
+            raise ValueError(f"truncation bounds must be int: {self}")
         if self.D < 0 or self.E < 0 or self.J < 0:
             raise ValueError(f"truncation bounds must be nonnegative: {self}")
 
@@ -226,7 +230,7 @@ class WhittakerSpec:
             )
         self.datum = datum
         self.lam = lam
-        self.theta = Fraction(theta)
+        self.theta = linalg.as_scalar(theta)
         self.mode = mode
         self.cocycle = cocycle
         self.genericity = self._check_genericity()
@@ -333,10 +337,6 @@ class SolveResult:
         return self.dimension == 1
 
 
-# rows_of(*ids, root, j): the rows {out: {col: coeff}} of one condition
-RowsOf = Callable[..., Dict[object, Dict[int, Scalar]]]
-
-
 class ConditionSystem:
     """The Whittaker conditions with |j| <= J on span(basis), as fed so far.
 
@@ -361,68 +361,6 @@ class ConditionSystem:
     def extends_to(self, trunc: Truncation) -> bool:
         """Whether the system at ``trunc`` is this one plus larger |j|."""
         return self.D == trunc.D and self.E == trunc.E and self.J <= trunc.J
-
-
-def solve_conditions(
-    held: Optional[ConditionSystem],
-    roots: List[tuple],
-    trunc: Truncation,
-    new_system: Callable[[Truncation], ConditionSystem],
-    rows_of: RowsOf,
-) -> Tuple[SolveResult, ConditionSystem]:
-    """Exact nullspace of the Whittaker conditions at ``trunc``.
-
-    One condition per root and j in [-J, J].  ``held`` is the system of
-    an earlier solve, or None.  When it :meth:`~ConditionSystem.extends_to`
-    ``trunc``, only the conditions with held.J < |j| <= J are built and
-    fed to it; otherwise ``new_system(trunc)`` starts an empty one.
-    ``rows_of(*system.ids, root, j)`` builds the rows ``{out: {col:
-    coeff}}`` of the condition X_root (x) t^j . v = eigenvalue(root, j) v,
-    each a fresh dict, since the pruner keeps it.  Each condition's rows
-    stream through the system's singleton pass as soon as they are
-    built, so only the rows with two or more live columns outlive their
-    condition; the kernel is then taken from the pruner's dead set and
-    core, and equals the full system's.  ``row_count`` counts every row
-    of the full system at J.
-
-    Returns the result and the system, extended to J, for the caller to
-    pass back as ``held``.  If this raises, a ``held`` system may have
-    been fed part of a condition range and must be dropped.
-
-    The cyclic garbage collector is paused for the whole solve (see the
-    module docstring) and restored to the caller's setting afterwards,
-    also when a row builder raises.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        system = held if held is not None and held.extends_to(trunc) else new_system(trunc)
-        pruner, ids = system.pruner, system.ids
-        js = [j for j in range(-trunc.J, trunc.J + 1) if abs(j) > system.J]
-        n_conditions = n_rows = 0
-        for root, j in product(roots, js):
-            rows = rows_of(*ids, root, j)
-            n_conditions += 1
-            n_rows += len(rows)
-            pruner.extend(rows.values())
-        basis = system.basis
-        kernel = pruner.nullspace(len(basis))
-    finally:
-        if enabled:
-            gc.enable()
-    system.J = trunc.J
-    system.condition_count += n_conditions
-    system.row_count += n_rows
-    vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
-    result = SolveResult(
-        dimension=len(vectors),
-        vectors=vectors,
-        basis=basis,
-        truncation=trunc,
-        condition_count=system.condition_count,
-        row_count=system.row_count,
-    )
-    return result, system
 
 
 class WhittakerModule:
@@ -730,12 +668,64 @@ class WhittakerModule:
         return ConditionSystem(trunc, basis, ([self._mid(m) for m in basis],))
 
     def solve(self, trunc: Truncation) -> SolveResult:
-        held, self._held = self._held, None  # kept only if this solve succeeds
-        result, self._held = solve_conditions(
-            held, self.condition_roots(), trunc, self.condition_system,
-            self.condition_rows,
+        """Exact nullspace of the Whittaker conditions at ``trunc``; the
+        tensor module shares this definition.
+
+        One condition per root of :meth:`condition_roots` and j in [-J, J].
+        When the system held from the last solve
+        :meth:`~ConditionSystem.extends_to` ``trunc``, only the conditions
+        with held.J < |j| <= J are built and fed to it; otherwise
+        :meth:`condition_system` starts an empty one.
+        ``condition_rows(*system.ids, root, j)`` builds the rows ``{out:
+        {col: coeff}}`` of the condition X_root (x) t^j . v =
+        eigenvalue(root, j) v, each a fresh dict, since the pruner keeps it.
+        Each condition's rows stream through the system's singleton pass as
+        soon as they are built, so only the rows with two or more live
+        columns outlive their condition; the kernel is then taken from the
+        pruner's dead set and core, and equals the full system's.
+        ``row_count`` counts every row of the full system at J.
+
+        The system is held for the next solve only once this one returns:
+        if a row builder raises, the held system may have been fed part of
+        a condition range, so it is dropped.  The cyclic garbage collector
+        is paused for the whole solve (see the module docstring) and
+        restored to the caller's setting afterwards, also when a row
+        builder raises.
+        """
+        held, self._held = self._held, None
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if held is not None and held.extends_to(trunc):
+                system = held
+            else:
+                system = self.condition_system(trunc)
+            pruner, ids, rows_of = system.pruner, system.ids, self.condition_rows
+            js = [j for j in range(-trunc.J, trunc.J + 1) if abs(j) > system.J]
+            n_conditions = n_rows = 0
+            for root, j in product(self.condition_roots(), js):
+                rows = rows_of(*ids, root, j)
+                n_conditions += 1
+                n_rows += len(rows)
+                pruner.extend(rows.values())
+            basis = system.basis
+            kernel = pruner.nullspace(len(basis))
+        finally:
+            if enabled:
+                gc.enable()
+        system.J = trunc.J
+        system.condition_count += n_conditions
+        system.row_count += n_rows
+        self._held = system
+        vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
+        return SolveResult(
+            dimension=len(vectors),
+            vectors=vectors,
+            basis=basis,
+            truncation=trunc,
+            condition_count=system.condition_count,
+            row_count=system.row_count,
         )
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +784,9 @@ class TensorModule:
         return out
 
     act = WhittakerModule.act
+
+    def condition_roots(self) -> List[tuple]:
+        return self.left.condition_roots()
 
     def lam_sum(self, root: tuple, j: int) -> Fraction:
         return self.left.spec.vacuum_scalar(root, j) + self.right.spec.vacuum_scalar(
@@ -860,13 +853,7 @@ class TensorModule:
         ids_b = [right._mid(m) for m in basis_b]
         return ConditionSystem(trunc, basis, (ids_a, ids_b))
 
-    def solve(self, trunc: Truncation) -> SolveResult:
-        held, self._held = self._held, None  # kept only if this solve succeeds
-        result, self._held = solve_conditions(
-            held, self.left.condition_roots(), trunc, self.condition_system,
-            self.condition_rows,
-        )
-        return result
+    solve = WhittakerModule.solve
 
 
 # ---------------------------------------------------------------------------

@@ -159,10 +159,12 @@ ScalarLike = Union[Fraction, int, str]
 
 
 def as_scalar(x: ScalarLike) -> Fraction:
-    """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction."""
+    """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction.
+
+    TypeError for anything else, a float or a bool included."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         s = x.strip()
@@ -604,12 +606,9 @@ class SingletonPruner:
                             break
                     entry[1] = entry[2] = None
 
-    def core(self) -> List[SparseRow]:
-        """Kept rows restricted to their live columns, in arrival order."""
-        return list(self._core())
-
-    def _core(self, start: int = 0, stop: Optional[int] = None) -> Iterator[SparseRow]:
-        """:meth:`core`, or the part of it from kept rows start..stop-1."""
+    def core(self, start: int = 0, stop: Optional[int] = None) -> Iterator[SparseRow]:
+        """Kept rows start..stop-1 (all by default) restricted to their live
+        columns, in arrival order."""
         dead = self.dead
         for count, row, live in self._kept[start:stop]:
             if count:
@@ -629,7 +628,7 @@ class SingletonPruner:
             raise ValueError("row has a column outside range(ncols)")
         pivots = None if self._held is None else self._extend_held()
         if pivots is None:
-            pivots = rref_pivots(self._core())
+            pivots = rref_pivots(self.core())
         self._held, self._held_kept, self._held_dead = pivots, len(self._kept), set(self.dead)
         return pivots
 
@@ -655,14 +654,14 @@ class SingletonPruner:
                 if x:
                     r[c] = x
             image[pc] = r
-        new = [_integer_row(r) for r in self._core(start)]
+        new = [_integer_row(r) for r in self.core(start)]
         _extend_mod(image, chain(({d: 1} for d in new_dead), new), p)
         for d in new_dead:
             image.pop(d, None)
         cand = _lift(image, p)
         if cand is None:
             return None
-        old = [_integer_row(r) for r in self._core(0, start)]
+        old = [_integer_row(r) for r in self.core(0, start)]
         return _fractions(cand) if _certify(old + new, cand) else None
 
     def nullspace(self, ncols: int) -> List[SparseRow]:

@@ -162,9 +162,6 @@ class RootDatum:
     def pos_of_root(self, root: Root) -> Tuple[int, int]:
         return self._pos_of_root[root]
 
-    def root_of_pos(self, p: int, q: int) -> Root:
-        return self._root_of_pos[(p, q)]
-
     def pairing(self, root: Root, i: int) -> int:
         """root(H_i) for the Cartan basis element H_i."""
         p, q = self._pos_of_root[root]

@@ -425,14 +425,14 @@ def test_non_object_module_config_is_an_error(tmp_path, capsys):
 
 
 def test_decimal_theta_is_rejected(tmp_path, capsys):
-    for theta in ("0.5", 0.5):
+    for theta in ("0.5", 0.5, True):
         cfg = presets.get_preset("sl2")
         cfg["theta"] = theta
         path = tmp_path / "theta.json"
         path.write_text(json.dumps(cfg))
         code, _, err = run(capsys, "whittaker", "--config", str(path))
         assert_one_line_error(code, err)
-        assert "theta" in err
+        assert err.startswith("error: theta:")
 
 
 def test_fractional_theta_string_is_accepted(tmp_path, capsys):
@@ -511,6 +511,7 @@ def test_non_list_sequences_is_an_error(tmp_path, capsys):
         (("lam", "a1"), {"kind": "recurrence", "v": {"0": "1"}, "initial": 5}),
         (("lam", "a1"), {"kind": ["geometric"], "j": "2"}),
         (("lam", "a1"), {"kind": "geometric", "j": "2", "scale": [1]}),
+        (("lam", "a1"), {"kind": "finite", "entries": {"0": True}}),
     ],
 )
 def test_wrong_nested_types_are_errors(tmp_path, capsys, path, value):
@@ -537,3 +538,19 @@ def test_wrong_window_types_are_errors(tmp_path, capsys):
         assert_one_line_error(code, err)
         assert message in err
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("describe",), ("bracket", "X[1]@t^1", "X[-1]@t^-1"), ("whittaker",)],
+    ids=["describe", "bracket", "whittaker"],
+)
+def test_unknown_mode_in_config_is_an_error(tmp_path, capsys, argv):
+    cfg = presets.get_preset("sl2")
+    cfg["mode"] = "bogus"
+    path = tmp_path / "mode.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert_one_line_error(code, err)
+    assert "mode must be one of ('affine', 'loop_only'), got 'bogus'" in err
+    assert out == ""

@@ -25,7 +25,7 @@ from affwhit import (
     build_datum,
     whittaker_solve,
 )
-from affwhit.engine import ConditionSystem, generator_key, solve_conditions
+from affwhit.engine import TensorModule, generator_key
 
 F = Fraction
 
@@ -449,6 +449,15 @@ def test_spec_validation():
         )
     with pytest.raises(ValueError):
         Truncation(-1, 0, 0)
+    for theta in (0.1, 0.5, True):
+        with pytest.raises(TypeError):
+            WhittakerSpec(build_datum(2), {A1: Geometric(2)}, theta=theta)
+    for theta, want in ((1, F(1)), (F(1, 10), F(1, 10)), ("-2/3", F(-2, 3))):
+        spec = WhittakerSpec(build_datum(2), {A1: Geometric(2)}, theta=theta)
+        assert spec.theta == want and type(spec.theta) is Fraction
+    for bounds in ((True, 1, 1), (1, 1.5, 1), (1, 1, 2.0), (1, "1", 1)):
+        with pytest.raises(ValueError, match="must be int"):
+            Truncation(*bounds)
 
 
 def test_genericity_warnings_fire():
@@ -490,37 +499,44 @@ def test_memo_coefficients_are_int_when_integral():
     assert any(type(c) is Fraction for c in coeffs)
 
 
+def sl2_tensor():
+    spec_b = WhittakerSpec(build_datum(2), {A1: Geometric(3)}, theta=2)
+    return quiet(lambda: TensorModule(sl2_spec(), spec_b))
+
+
+# the shared solve on a module and on a tensor product, with the dimension
+# each has at D = E = J = 1
+SOLVERS = ((lambda: WhittakerModule(sl2_spec()), 3), (sl2_tensor, 11))
+
+
 def test_solve_pauses_and_restores_the_collector():
-    module = WhittakerModule(sl2_spec())
     trunc = Truncation(1, 1, 1)
-    basis = module.basis(trunc)
-    ids = [module._mid(m) for m in basis]
-    seen = []
-
-    def rows_of(ids, root, j):
-        seen.append(gc.isenabled())
-        rows = module.condition_rows(ids, root, j)
-        return {module._monos[m]: row for m, row in rows.items()}
-
-    def failing(ids, root, j):
-        raise RuntimeError("row builder failed")
-
-    def system(t):
-        return ConditionSystem(t, basis, (ids,))
-
     was_enabled = gc.isenabled()
     try:
-        for enabled in (True, False):
-            gc.enable() if enabled else gc.disable()
-            assert module.solve(trunc).dimension == 3
-            assert gc.isenabled() is enabled
-            res, _ = solve_conditions(None, [A1], trunc, system, rows_of)
-            assert res.dimension == 3
-            assert seen and not any(seen)
-            assert gc.isenabled() is enabled
-            with pytest.raises(RuntimeError, match="row builder failed"):
-                solve_conditions(None, [A1], trunc, system, failing)
-            assert gc.isenabled() is enabled
+        for make, dimension in SOLVERS:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                assert make().solve(trunc).dimension == dimension
+                assert gc.isenabled() is enabled
+                module, seen = make(), []
+                build = module.condition_rows
+
+                def recording(*args):
+                    seen.append(gc.isenabled())
+                    return build(*args)
+
+                def failing(*args):
+                    raise RuntimeError("row builder failed")
+
+                module.condition_rows = recording  # shadows the method
+                assert module.solve(trunc).dimension == dimension
+                assert seen and not any(seen)
+                assert gc.isenabled() is enabled
+                module = make()
+                module.condition_rows = failing
+                with pytest.raises(RuntimeError, match="row builder failed"):
+                    module.solve(trunc)
+                assert gc.isenabled() is enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
 
@@ -529,35 +545,36 @@ def test_failed_extension_drops_the_held_system():
     """A builder raising partway through a J extension leaves the module
     to rebuild: nothing fed before the raise is counted twice."""
     wide = Truncation(1, 1, 3)
-    fresh = WhittakerModule(sl2_spec()).solve(wide)
     was_enabled = gc.isenabled()
     try:
-        for enabled in (True, False):
-            gc.enable() if enabled else gc.disable()
-            module = WhittakerModule(sl2_spec())
-            module.solve(Truncation(1, 1, 1))
-            build, fed = module.condition_rows, []
+        for make, _ in SOLVERS:
+            fresh = make().solve(wide)
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                module = make()
+                module.solve(Truncation(1, 1, 1))
+                build, fed = module.condition_rows, []
 
-            def flaky(ids, root, j):
-                if fed:  # the first new condition is fed, the second raises
-                    raise RuntimeError("row builder failed")
-                fed.append(j)
-                return build(ids, root, j)
+                def flaky(*args):
+                    if fed:  # the first new condition is fed, the second raises
+                        raise RuntimeError("row builder failed")
+                    fed.append(args[-1])
+                    return build(*args)
 
-            module.condition_rows = flaky  # shadows the method
-            with pytest.raises(RuntimeError, match="row builder failed"):
-                module.solve(wide)
-            del module.condition_rows
-            assert fed == [-3]
-            assert gc.isenabled() is enabled
-            assert module._held is None
-            res = module.solve(wide)
-            assert (res.condition_count, res.row_count) == (
-                fresh.condition_count,
-                fresh.row_count,
-            )
-            assert res.vectors == fresh.vectors
-            assert module._held is not None and module._held.J == 3
+                module.condition_rows = flaky  # shadows the method
+                with pytest.raises(RuntimeError, match="row builder failed"):
+                    module.solve(wide)
+                del module.condition_rows
+                assert fed == [-3]
+                assert gc.isenabled() is enabled
+                assert module._held is None
+                res = module.solve(wide)
+                assert (res.condition_count, res.row_count) == (
+                    fresh.condition_count,
+                    fresh.row_count,
+                )
+                assert res.vectors == fresh.vectors
+                assert module._held is not None and module._held.J == 3
     finally:
         gc.enable() if was_enabled else gc.disable()
 

@@ -179,7 +179,7 @@ def test_pruner_extends_its_certified_form_batch_by_batch(monkeypatch):
             assert got == linalg.nullspace(rows, nc)
             assert got == oracles.sympy_nullspace(rows, nc)
             calls.clear()
-            pivots = set(oracles.fraction_rref(pruner.core()))
+            pivots = set(oracles.fraction_rref(list(pruner.core())))
         monkeypatch.undo()
     assert held_pivot_died > 10
 

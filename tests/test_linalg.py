@@ -27,11 +27,22 @@ def random_sparse_rows(rng, nr, nc, density=0.5):
 
 def pruned_system(pruner):
     """An equivalent system: one unit row per dead column, then the core."""
-    return [{d: F(1)} for d in sorted(pruner.dead)] + pruner.core()
+    return [{d: F(1)} for d in sorted(pruner.dead)] + list(pruner.core())
 
 
 def dense(rows, nc):
     return [[row.get(j, F(0)) for j in range(nc)] for row in rows]
+
+
+def test_as_scalar_takes_exact_values_only():
+    for x, want in ((3, F(3)), (F(-2, 7), F(-2, 7)), (" -2/3 ", F(-2, 3))):
+        assert linalg.as_scalar(x) == want and type(linalg.as_scalar(x)) is F
+    for x in (True, False, 0.5, 2.0, None, [1]):
+        with pytest.raises(TypeError):
+            linalg.as_scalar(x)
+    for x in ("0.5", "1e3"):
+        with pytest.raises(ValueError):
+            linalg.as_scalar(x)
 
 
 def test_rank_small_cases():
@@ -194,7 +205,7 @@ def test_singleton_chain_kills_every_column():
     for row in rows:
         pruner.extend((row,))
     assert pruner.dead == {0, 1, 2, 3, 4}
-    assert pruner.core() == []
+    assert list(pruner.core()) == []
     assert linalg.nullspace(rows, 5) == []
     assert linalg.nullspace(rows, 6) == [{5: F(1)}]
 
@@ -436,7 +447,7 @@ def test_one_entry_rows_in_the_pruner():
     pruner.extend(({1: 2},))  # already dead
     pruner.extend(({2: F(-1)},))  # kills 2, then the first row kills 0
     assert pruner.dead == {0, 1, 2}
-    assert pruner.core() == []
+    assert list(pruner.core()) == []
     assert pruner.nullspace(4) == [{3: F(1)}]
 
 
@@ -474,7 +485,7 @@ def test_pruner_extend_equals_an_add_loop():
         want = oracles.sympy_nullspace(rows, nc)
         for pruner in (batched, split):
             assert pruner.dead == one_by_one.dead
-            assert pruner.core() == one_by_one.core()
+            assert list(pruner.core()) == list(one_by_one.core())
             assert pruner.nullspace(nc) == one_by_one.nullspace(nc) == want
 
 
@@ -482,18 +493,18 @@ def test_pruner_extend_edge_cases():
     pruner = linalg.SingletonPruner()
     pruner.extend([{0: F(1), 1: F(2), 2: F(3)}, {0: F(0), 3: F(3)}, {4: 0}])
     assert pruner.dead == {3}  # the zero entries at 0 and 4 say nothing
-    assert pruner.core() == [{0: F(1), 1: F(2), 2: F(3)}]
+    assert list(pruner.core()) == [{0: F(1), 1: F(2), 2: F(3)}]
     for empty in ([], (), iter(())):
         pruner.extend(empty)
         assert pruner.dead == {3}
-        assert pruner.core() == [{0: F(1), 1: F(2), 2: F(3)}]
+        assert list(pruner.core()) == [{0: F(1), 1: F(2), 2: F(3)}]
     # a singleton chain whose start arrives in a later call still resolves
     chain = linalg.SingletonPruner()
     chain.extend([{3: F(1), 4: F(2)}, {2: F(5), 3: F(-1)}, {1: F(1), 2: F(1)}])
-    assert chain.dead == set() and len(chain.core()) == 3
+    assert chain.dead == set() and len(list(chain.core())) == 3
     chain.extend([{0: F(1), 1: F(3)}, {0: F(7)}])
     assert chain.dead == {0, 1, 2, 3, 4}
-    assert chain.core() == []
+    assert list(chain.core()) == []
     assert chain.nullspace(6) == [{5: F(1)}]
 
 
