@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import presets as presets_mod
-from .affine import AffineAlgebra, AffineElement, gen_str, parse_gen
+from .affine import COCYCLE_MODES, AffineAlgebra, AffineElement, gen_str, parse_gen
 from .engine import (
     MODES,
     TensorModule,
@@ -145,18 +145,23 @@ def module_datum(cfg: dict):
     return build_algebra(cfg["algebra"])
 
 
-def algebra_config(cfg: dict, mode_override=None):
-    """(module config, root datum, mode) for ``describe`` and ``bracket``.
+def algebra_config(cfg: dict, mode_override=None, cocycle_override=None):
+    """(module config, root datum, mode, cocycle) for ``describe`` and
+    ``bracket``.
 
     A tensor config stands for its left factor; the mode is checked as
-    :class:`WhittakerSpec` checks it."""
+    :class:`WhittakerSpec` checks it, the cocycle as
+    :class:`AffineAlgebra` checks it."""
     if "algebra" not in cfg and "left" in cfg:
         cfg = require_object(cfg["left"], "left")
     datum = module_datum(cfg)
     mode = resolve_mode(mode_override) or cfg.get("mode", "affine")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return cfg, datum, mode
+    cocycle = cocycle_override or cfg.get("cocycle", "standard")
+    if cocycle not in COCYCLE_MODES:
+        raise ConfigError(f"cocycle must be one of {COCYCLE_MODES}, got {cocycle!r}")
+    return cfg, datum, mode, cocycle
 
 
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
@@ -219,7 +224,7 @@ def verdict_json(v) -> dict:
 
 
 def cmd_describe(args) -> int:
-    cfg, datum, mode = algebra_config(load_config(args), args.mode)
+    cfg, datum, mode, _ = algebra_config(load_config(args), args.mode, args.cocycle)
     E = truncation_field(cfg, args, "E")
     if E < 0:
         raise ConfigError(f"E must be nonnegative, got {E}")
@@ -397,8 +402,9 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_bracket(args) -> int:
-    cfg, datum, mode = algebra_config(load_config(args), args.mode)
-    cocycle = args.cocycle or cfg.get("cocycle", "standard")
+    cfg, datum, mode, cocycle = algebra_config(
+        load_config(args), args.mode, args.cocycle
+    )
     alg = AffineAlgebra(datum, cocycle=cocycle, loop_only=(mode == "loop_only"))
     g1 = parse_gen(args.gen1, datum)
     g2 = parse_gen(args.gen2, datum)

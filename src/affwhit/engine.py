@@ -19,15 +19,24 @@ total generator order:
 * Cartan index last, with d strictly above every weight-zero loop
   generator.
 
-Acting with a generator straightens by the recursion
+The cyclic vector spans a one-dimensional module of L(n) + Cc with
+character lambda: lambda(X_alpha (x) t^j) = Lam(alpha)_j (0 on
+Phi^1_n) and lambda(c) = theta; set lambda = 0 on module generators.
+A Whittaker vector is a common kernel vector of the shifted operators
+g - lambda(g), g in L(n), and those are what the engine straightens.
+Since lambda(g) is a scalar, it commutes with u_1, and
 
-    g . (u_1 ... u_m . 1) = u_1 . (g . (u_2 ... u_m . 1))
-                            + [g, u_1] . (u_2 ... u_m . 1)
+    (g - lambda(g)) . (u_1 ... u_m . 1)
+        = u_1 . ((g - lambda(g)) . (u_2 ... u_m . 1))
+          + sum_h [g, u_1]_h (lambda(h) + (h - lambda(h))) . (u_2 ... u_m . 1)
 
-until g either prepends in order (g <= u_1, g not in L(n)) or reaches
-the cyclic vector.  Results are memoized per module; straightening
+with [g, u_1] = sum_h [g, u_1]_h h over generators h.  The recursion
+stops where g prepends in order (g <= u_1, g not in L(n)), and at the
+cyclic vector, where g - lambda(g) gives 0 for g in L(n); c - theta is
+0 on the whole module.  Results are memoized per module; straightening
 only ever recurses into strictly smaller degrees, except for the
-immediate prepend which does not recurse.
+immediate prepend which does not recurse.  The public ``lmul`` adds
+lambda(g) back on the monomial it was given, so it returns g . m.
 
 Monomials and generators are hash-consed.  Each module numbers the
 generators (gid; c is 0) and the monomials (mid; the cyclic vector is
@@ -42,17 +51,20 @@ both row builders work on these small ``int`` ids, whose hashes are
 free, instead of hashing nested tuples on every memo probe and sum.
 Both memos are per-generator tables, lists indexed by gid that grow
 with the generator table: ``_memo[gid]`` maps a mid to the image
-{mid: coeff} of that generator on that monomial, and
+{mid: coeff} of (g - lambda(g)) on that monomial, and
 ``_brackets[gid]`` maps a head gid to the bracket as (gid, coeff)
 pairs, so no probe builds or hashes a key tuple.  Tuples appear only
 at the public boundary: ``lmul`` interns its arguments and translates
 a fresh copy of the result back.  This is exact.  The ids are a
-bijection on the monomials seen, the straightener runs the same
-recursion in the same order, so every condition yields the same rows
-with the same coefficients, first appearances in the same order, under
-renamed keys.  The pruner's dead set does not depend on row order, and
-the reduced echelon form and the normalized kernel basis are unique;
-so the vectors, ``row_count`` and every report are unchanged.
+bijection on the monomials seen, and every row entry is the
+coefficient of its output monomial in (X - Lam_j) . m, as straightening
+g and subtracting Lam_j on the diagonal would give, with zero entries
+absent.  So every condition yields the same rows with the same
+coefficients under renamed keys; only the order in which columns and
+rows first appear can differ.  The pruner's dead set does not depend on
+row order, and the reduced echelon form and the normalized kernel basis
+are unique; so the vectors, ``row_count`` and every report are
+unchanged.
 
 whittaker_solve assembles, for a finite truncation (D = max monomial
 degree, E = max |t-exponent| per factor, J = condition window), the
@@ -70,13 +82,13 @@ roots, the empty system and the row builder that ``solve`` reads from
 them: for one condition (root, j) the builder ``condition_rows``
 returns that condition's rows ``{out: {col: coeff}}``, keyed by output
 mid (a pair of mids for the tensor builder).  The module
-builder straightens every basis column with the memoized straightener.
-The tensor builder is a Kronecker sum: X (x) t^j acts on a
-pair as g.ma (x) mb + ma (x) g.mb, so it reads the two factor images,
-one per factor basis element and condition, and writes their
-off-diagonal terms to (m, mb) and (ma, m'); the one key both share,
-(ma, mb), gets s_a + s_b - (Lam + Lam')_j once.  No tensor element is
-built.
+builder's rows are the memoized shifted images (X - Lam_j) . m of the
+basis columns, as they are.  The tensor builder is a Kronecker sum:
+X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
+ma (x) (X - Lam'_j).mb, so it reads the two shifted factor images, one
+per factor basis element and condition, and writes their off-diagonal
+terms to (m, mb) and (ma, m'); the one key both share, (ma, mb), gets
+s_a + s_b once.  No tensor element is built.
 
 Rows are never kept as a full list.  Each condition's rows stream
 through the singleton pass of :class:`linalg.SingletonPruner`, fed in
@@ -128,19 +140,20 @@ elimination runs.
 
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Values enter straightening in that form -- the unit
-coefficient of a prepend, theta, the vacuum scalars and the brackets,
-memoized per module -- and a product or sum of two ``int`` values stays
-an ``int``.  A product or sum involving a ``Fraction`` is a ``Fraction``
-even when integral, so each new memo entry is normalized once, after
-its loops.  Most products are integral (unit prepends, integer
-structure constants), and an ``int`` product costs no gcd and no
-``Fraction`` object.  A product whose memoized or bracket factor is 1
-is not formed at all: the other factor is taken as it is, which has
-the product's value, and since memo entries are normalized that
-factor is the ``int`` 1, so the product would also have had the other
-factor's type.  ``int`` and integral ``Fraction`` values compare,
-hash and print alike, and the kernel vectors from the elimination
-are ``Fraction`` throughout, so no answer or report changes.
+coefficient of a prepend, the shifts lambda(g) (theta and the vacuum
+scalars) and the brackets, memoized per module -- and a product or sum
+of two ``int`` values stays an ``int``.  A product or sum involving a
+``Fraction`` is a ``Fraction`` even when integral, so each new memo
+entry is normalized once, after its loops.  Most products are integral
+(unit prepends, integer structure constants), and an ``int`` product
+costs no gcd and no ``Fraction`` object.  A product whose memoized or
+bracket factor is 1 is not formed at all: the other factor is taken as
+it is, which has the product's value, and since memo entries are
+normalized that factor is the ``int`` 1, so the product would also
+have had the other factor's type.  ``int`` and integral ``Fraction``
+values compare, hash and print alike, and the kernel vectors from the
+elimination are ``Fraction`` throughout, so no answer or report
+changes.
 
 ``solve`` pauses the cyclic garbage collector while it runs and
 restores the caller's setting afterwards.  Straightening and
@@ -375,13 +388,14 @@ class WhittakerModule:
         self.alg = AffineAlgebra(
             spec.datum, cocycle=spec.cocycle, loop_only=spec.loop_only
         )
-        self._theta = _exact(spec.theta)
         self._key_cache: Dict[Gen, tuple] = {}
         # generator tables, by gid; c is gid 0
         self._gens: List[Gen] = ["c"]
         self._gen_ids: Dict[Gen, int] = {"c": 0}
         # gid -> (g in L(n), gen_key(g) or None); read on every memo miss
         self._gen_info: List[Tuple[bool, Optional[tuple]]] = [(False, None)]
+        # gid -> lambda(g): Lam(alpha)_j on L(n), theta on c, else 0
+        self._shift: List[Scalar] = [_exact(spec.theta)]
         # monomial tables, by mid; the cyclic vector is mid 0
         self._monos: List[Monomial] = [VACUUM]
         self._mono_ids: Dict[Monomial, int] = {VACUUM: 0}
@@ -416,9 +430,11 @@ class WhittakerModule:
         if gid is None:
             in_ln = self.alg.in_Ln(g)
             info = (in_ln, None if in_ln else self.gen_key(g))
+            shift = _exact(self.spec.vacuum_scalar(g[1], g[2])) if in_ln else 0
             gid = self._gen_ids[g] = len(self._gens)
             self._gens.append(g)
             self._gen_info.append(info)
+            self._shift.append(shift)
             self._memo.append({})
             self._brackets.append({})
         return gid
@@ -476,48 +492,49 @@ class WhittakerModule:
         may mutate.  ValueError when ``mono`` is not a standard monomial
         (see :meth:`_mid`).
 
-        Coefficients are ``int`` when integral, else ``Fraction``: the unit
-        coefficient of a prepend is ``1``, theta, the vacuum scalars and
-        the brackets (memoized per module) enter already in that form, and
-        an integral ``Fraction`` in a new memo entry is stored as ``int``.
-        ValueError when ``g`` is no generator of the algebra, checked on
-        every call."""
+        It is the memoized (g - lambda(g)) . mono with lambda(g) added
+        back on ``mono`` itself (lambda(g) is 0 unless g is in L(n) or is
+        c).  Coefficients are exact: the unit coefficient of a prepend is
+        ``1``, the shifts and the brackets (memoized per module) enter as
+        ``int`` when integral, else ``Fraction``, and an integral
+        ``Fraction`` in a memo entry is stored as ``int``.  ValueError
+        when ``g`` is no generator of the algebra, checked on every
+        call."""
         self.alg.validate_gen(g)
+        gid, mid = self._gid(g), self._mid(mono)
         monos = self._monos
-        img = self._lmul(self._gid(g), self._mid(mono))
-        return {monos[m]: c for m, c in img.items()}
+        out = {monos[m]: c for m, c in self._lmul(gid, mid).items()}
+        linalg.add_term(out, monos[mid], self._shift[gid])
+        return out
 
     def _lmul(self, g: int, m: int) -> IdElement:
-        """:meth:`lmul` on ids, memoized in ``_memo[g][m]``.  The result is
-        shared through the memo and must not be mutated by callers.
+        """(g - lambda(g)) . m on ids, memoized in ``_memo[g][m]``, with
+        lambda(g) = ``_shift[g]`` (see the module docstring).  The result
+        is shared through the memo and must not be mutated by callers.
 
         The two recursive steps, g on the tail and then the head on each of
         its terms, and the bracket terms on the tail, probe the memo
-        tables ``_memo[gid]`` inline and call ``_lmul`` only on a miss.  A
-        hit has no side effect, so the misses, and with them the monomials
-        interned, come in the same order as with one call per step.  A
-        product with a factor 1 (the coefficient of every prepend, most
-        structure constants) is not formed: ``c * 1`` equals ``c`` and,
-        with memo entries normalized to ``int``, has its type."""
+        tables ``_memo[gid]`` inline and call ``_lmul`` only on a miss; a
+        hit has no side effect.  A bracket term ch.h adds ch.lambda(h) on
+        the tail, then ch.(h - lambda(h)) of the tail.  An image here
+        lacks the term lambda(g) m of g . m, so the monomials are interned
+        in another order, under other mids, than straightening g itself
+        would intern them.  No answer depends on the mids (see the module
+        docstring): every row entry keeps its value under renamed keys,
+        and only the order of keys in a row can differ.  A product with a
+        factor 1 (the coefficient of every prepend, most structure
+        constants) is not formed: ``c * 1`` equals ``c`` and, with memo
+        entries normalized to ``int``, has its type."""
         memo = self._memo[g]
         out = memo.get(m)
         if out is not None:
             return out
-        theta = self._theta
-        if not g:  # c
-            if self.spec.loop_only:
-                raise ValueError("c does not exist in loop-only mode")
-            out = memo[m] = {m: theta} if theta else {}
+        if not g:  # c - theta is zero on the whole module
+            out = memo[m] = {}
             return out
         in_ln, gk = self._gen_info[g]
         if not m:
-            if in_ln:
-                gen = self._gens[g]
-                s = _exact(self.spec.vacuum_scalar(gen[1], gen[2]))
-                out = {0: s} if s else {}
-            else:
-                out = {self._prepend(g, 1, 0): 1}
-            memo[m] = out
+            out = memo[m] = {} if in_ln else {self._prepend(g, 1, 0): 1}
             return out
         head, mult, rest = self._split[m]
         if not in_ln:
@@ -559,11 +576,11 @@ class WhittakerModule:
                 (self._gid(h), _exact(c))
                 for h, c in self.alg.bracket_gens(gens[g], gens[head]).items()
             ]
+        shift = self._shift
         for h, ch in bracket:
-            if not h:  # c acts by theta
-                if theta:
-                    linalg.add_term(acc, rest, ch * theta)
-                continue
+            sh = shift[h]  # h = (h - lambda(h)) + lambda(h)
+            if sh:
+                linalg.add_term(acc, rest, ch * sh)
             img = memos[h].get(rest)
             if img is None:
                 img = lmul(h, rest)
@@ -634,32 +651,19 @@ class WhittakerModule:
     ) -> Dict[int, Dict[int, Scalar]]:
         """Rows of X_root (x) t^j . v = Lam(root)_j v over the span of the
         monomials with ids ``basis``, keyed by output monomial id, columns
-        in order of first appearance."""
+        in order of first appearance: column ``col`` holds the shifted
+        image (X_root (x) t^j - Lam(root)_j) . basis[col], whose zero
+        entries, the diagonal included, are absent."""
         g = self._gid(("X", root, j))
-        target = _exact(self.spec.vacuum_scalar(root, j))
         lmul = self._lmul
         by_out: Dict[int, Dict[int, Scalar]] = {}
         for col, item in enumerate(basis):
-            img = lmul(g, item)
-            for m, c in img.items():
+            for m, c in lmul(g, item).items():
                 row = by_out.get(m)
                 if row is None:
                     by_out[m] = {col: c}
                 else:
                     row[col] = c
-            if target:
-                s = img.get(item)
-                s = -target if s is None else s - target
-                row = by_out.get(item)
-                if s:
-                    if row is None:
-                        by_out[item] = {col: s}
-                    else:
-                        row[col] = s
-                else:
-                    del row[col]
-                    if not row:
-                        del by_out[item]
         return by_out
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
@@ -801,15 +805,14 @@ class TensorModule:
         (column ia * len(basis_b) + ib is the pair (basis_a[ia],
         basis_b[ib])), keyed by output pair of ids.
 
-        The rows form a Kronecker sum: g acts on (ma, mb) by
-        g.ma (x) mb + ma (x) g.mb, so every factor image is read once per
-        condition.  Off-diagonal terms land on (m, mb) and (ma, m'), which
-        never coincide; the one shared key (ma, mb) gets
-        s_a + s_b - (Lam + Lam')_j once, where s_a and s_b are the
-        diagonal coefficients of the two images.
+        The rows form a Kronecker sum: g - (Lam + Lam')_j acts on (ma, mb)
+        by (g - Lam_j).ma (x) mb + ma (x) (g - Lam'_j).mb, so every shifted
+        factor image is read once per condition.  Off-diagonal terms land
+        on (m, mb) and (ma, m'), which never coincide; the one shared key
+        (ma, mb) gets s_a + s_b once, where s_a and s_b are the diagonal
+        coefficients of the two shifted images.
         """
         g = ("X", root, j)
-        target = _exact(self.lam_sum(root, j))
         lmul_a, ga = self.left._lmul, self.left._gid(g)
         lmul_b, gb = self.right._lmul, self.right._gid(g)
         right = [_split_diagonal(lmul_b(gb, mb), mb) for mb in basis_b]
@@ -817,7 +820,6 @@ class TensorModule:
         col = 0
         for ma in basis_a:
             off_a, s_a = _split_diagonal(lmul_a(ga, ma), ma)
-            s_a -= target
             for mb, (off_b, s_b) in zip(basis_b, right):
                 for m, c in off_a:
                     key = (m, mb)

@@ -554,3 +554,19 @@ def test_unknown_mode_in_config_is_an_error(tmp_path, capsys, argv):
     assert_one_line_error(code, err)
     assert "mode must be one of ('affine', 'loop_only'), got 'bogus'" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("describe",), ("bracket", "X[1]@t^1", "X[-1]@t^-1"), ("whittaker",)],
+    ids=["describe", "bracket", "whittaker"],
+)
+def test_unknown_cocycle_in_config_is_an_error(tmp_path, capsys, argv):
+    cfg = presets.get_preset("sl2")
+    cfg["cocycle"] = "bogus"
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert_one_line_error(code, err)
+    assert "cocycle must be one of ('standard', 'literal'), got 'bogus'" in err
+    assert out == ""

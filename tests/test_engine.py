@@ -648,6 +648,46 @@ def test_lmul_equals_tuple_straightening(name):
     assert_tables_consistent(module)
 
 
+def tuple_rows(module, basis, root, j, memo):
+    """Rows of one condition from the tuple straightener: Lam(root)_j comes
+    off each column's own monomial, and zero entries are dropped."""
+    g, target = X(root, j), module.spec.vacuum_scalar(root, j)
+    rows = {}
+    for col, m in enumerate(basis):
+        img = dict(oracles.tuple_lmul(module.alg, module.spec, g, m, memo))
+        img[m] = img.get(m, 0) - target
+        for out, c in img.items():
+            if c:
+                rows.setdefault(out, {})[col] = c
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(INTERNED))
+def test_condition_rows_equal_tuple_straightening_rows(name):
+    factory, trunc = INTERNED[name]
+    module = WhittakerModule(quiet(factory))
+    basis = module.basis(trunc)
+    ids = [module._mid(m) for m in basis]
+    monos = module._monos
+    memo = {}
+    cancelled = 0
+    for root in module.condition_roots():
+        for j in range(-trunc.J, trunc.J + 1):
+            rows = {
+                monos[out]: row
+                for out, row in module.condition_rows(ids, root, j).items()
+            }
+            assert rows == tuple_rows(module, basis, root, j, memo), (root, j)
+            # a column whose diagonal meets Lam(root)_j gets no entry there
+            target = module.spec.vacuum_scalar(root, j)
+            for col, m in enumerate(basis):
+                want = oracles.tuple_lmul(module.alg, module.spec, X(root, j), m, memo)
+                if target and want.get(m, 0) == target:
+                    cancelled += 1
+                    assert col not in rows.get(m, {})
+    assert cancelled
+
+
 def test_lmul_returns_a_fresh_dict():
     module = WhittakerModule(sl2_spec())
     m = mono(X((-1,), 0), H(1, 1))
