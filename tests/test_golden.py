@@ -3,8 +3,12 @@
 ``tests/golden/<name>.stdout`` holds what one ``affwhit`` call prints,
 and ``tests/golden/<name>.json`` its ``--out`` JSON report without the
 ``timing`` field, written with the CLI's own JSON settings.  The solver
-goldens are named after their preset (``sl2``, ``tensor-sl2``, ...); the
-others after their command (``describe-sl2``, ``check-seq-geo-family``,
+goldens are named after their preset (``sl2``, ``tensor-sl2``, ...) at
+the preset's own truncation, and ``<preset>@J5``, ``<preset>@D2E2J3``
+and ``<preset>@literal`` after the ladder every module and tensor preset
+is also run at: ``-J 5``, ``-D 2 -E 2 -J 3`` and ``--cocycle literal``.
+Every solver call's exit code is checked too: 0 when the kernel has
+dimension 1, else 2.  The other goldens are named after their command (``describe-sl2``, ``check-seq-geo-family``,
 ``bracket-sl3-borel``).  ``check-seq-mixed-family`` runs the config
 ``tests/golden/check-seq-mixed.json``, whose members cover finite,
 scaled finite, scaled geometric, recurrence, scaled recurrence and
@@ -45,6 +49,27 @@ COMMAND_CASES = [
     ),
 ]
 
+LADDER = {
+    "J5": ["-J", "5"],
+    "D2E2J3": ["-D", "2", "-E", "2", "-J", "3"],
+    "literal": ["--cocycle", "literal"],
+}
+
+LADDER_CASES = [
+    (command, preset, setting) for command, preset in CASES for setting in LADDER
+]
+
+# the solver calls whose kernel has dimension 1; every other one exits 2
+UNIQUE = {
+    ("sl2-loop", None),
+    ("sl2-loop", "J5"),
+    ("sl2-loop", "D2E2J3"),
+    ("sl2-loop", "literal"),
+    ("sl2", "J5"),
+    ("sl3-borel", "J5"),
+    ("sl2-const", "J5"),
+}
+
 DEMO_SCRIPTS = [
     "affine_brackets",
     "sequence_genericity",
@@ -55,7 +80,7 @@ DEMO_SCRIPTS = [
 
 def check_against_golden(tmp_path, capsys, argv, name):
     out_path = tmp_path / "report.json"
-    cli.main(argv + ["--out", str(out_path)])
+    code = cli.main(argv + ["--out", str(out_path)])
     stdout = capsys.readouterr().out
     report = json.loads(out_path.read_text(encoding="utf-8"))
     if argv[0] in ("whittaker", "tensor"):
@@ -63,11 +88,25 @@ def check_against_golden(tmp_path, capsys, argv, name):
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert stdout.encode("utf-8") == (GOLDEN / f"{name}.stdout").read_bytes()
     assert text.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
+    return code
 
 
 @pytest.mark.parametrize("command, preset", CASES)
 def test_preset_reports_match_golden(tmp_path, capsys, command, preset):
-    check_against_golden(tmp_path, capsys, [command, "--preset", preset], preset)
+    argv = [command, "--preset", preset]
+    code = check_against_golden(tmp_path, capsys, argv, preset)
+    assert code == (0 if (preset, None) in UNIQUE else 2)
+
+
+@pytest.mark.parametrize(
+    "command, preset, setting",
+    LADDER_CASES,
+    ids=[f"{preset}@{setting}" for _, preset, setting in LADDER_CASES],
+)
+def test_ladder_reports_match_golden(tmp_path, capsys, command, preset, setting):
+    argv = [command, "--preset", preset] + LADDER[setting]
+    code = check_against_golden(tmp_path, capsys, argv, f"{preset}@{setting}")
+    assert code == (0 if (preset, setting) in UNIQUE else 2)
 
 
 @pytest.mark.parametrize(
