@@ -79,9 +79,10 @@ increases the dimension.
 Both solvers share one assembler, :meth:`WhittakerModule.solve`, which
 the tensor module binds as its own ``solve``; they differ only in the
 roots, the empty system and the row builder that ``solve`` reads from
-them: for one condition (root, j) the builder ``condition_rows``
-returns that condition's rows ``{out: {col: coeff}}``, keyed by output
-mid (a pair of mids for the tensor builder).  The module
+them: for one condition (root, j) and the pruner's dead set, the
+builder ``condition_rows`` returns that condition's rows ``{out: {col:
+coeff}}`` over the live columns, keyed by output mid (a pair of mids
+for the tensor builder), and the row count of the full condition.  The module
 builder's rows are the memoized shifted images (X - Lam_j) . m of the
 basis columns, as they are.  The tensor builder is a Kronecker sum:
 X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
@@ -90,20 +91,33 @@ per factor basis element and condition, and writes their off-diagonal
 terms to (m, mb) and (ma, m'); the one key both share, (ma, mb), gets
 s_a + s_b once.  No tensor element is built.
 
-Rows are never kept as a full list.  Each condition's rows stream
-through the singleton pass of :class:`linalg.SingletonPruner`, fed in
-one :meth:`~linalg.SingletonPruner.extend` call as soon as they are
-built: a row with one live column forces that column to
-zero in every solution, and those deaths propagate through the kept
-rows.  Most rows only say that one column vanishes, so what survives
-is a small core of rows with two or more live columns.  The pruner's
-dead set and core then go straight to elimination
-(``SingletonPruner.nullspace``, the path ``linalg.nullspace`` also
-takes), with no second singleton pass.  This is exact: each dead
-column's unit vector lies in the row space of the full system, so the
-core plus one unit row per dead column has the same row space, the
-same kernel and the same normalized kernel basis (x_f = 1 on free
-columns); vectors and dimensions do not change.
+Rows are never kept as a full list, and the rows of dead columns are
+counted, not built.  Each condition's rows stream through the singleton
+pass of :class:`linalg.SingletonPruner`, fed in one
+:meth:`~linalg.SingletonPruner.extend` call as soon as they are built:
+a row with one live column forces that column to zero in every
+solution, and those deaths propagate through the kept rows.  Most rows
+only say that one column vanishes, so what survives is a small core of
+rows with two or more live columns.  The pruner's dead set and core
+then go straight to elimination (``SingletonPruner.nullspace``, the
+path ``linalg.nullspace`` also takes), with no second singleton pass.
+This is exact: each dead column's unit vector lies in the row space of
+the full system, so the core plus one unit row per dead column has the
+same row space, the same kernel and the same normalized kernel basis
+(x_f = 1 on free columns); vectors and dimensions do not change.
+
+A column dead when its condition starts is still straightened, since
+the row count needs the support of every image, but the builder only
+adds that support to the set of output keys it counts and writes none
+of its entries.  The rows reach the pruner without those entries, and
+a row left with none is not built.  Nothing changes: ``extend`` reads
+each row's live columns as the row arrives and drops the rest, and the
+dead set only grows, so it takes the same live entries from these rows
+as from the full ones and reaches the same dead set; a row with no
+live entry is one it would have dropped.  The core is the same set of
+rows, at most in another order, and its reduced echelon form, hence
+the primes that certify it, does not depend on row order.  The count
+is taken over every column, so ``row_count`` is the full system's.
 
 The system at J is the system at a smaller J plus the conditions with
 larger |j|, on the same basis, since the basis depends only on (D, E).
@@ -117,8 +131,10 @@ A solve with the same (D, E) and a J' >= J only builds and feeds the
 conditions with J < |j| <= J' (none when J' = J); any other request
 rebuilds the system from scratch.  The system is kept only after a
 solve succeeds; if a row builder raises, it is dropped.  The answer is
-the same as a fresh solve's: the same multiset of rows reaches the
-pruner, whose dead set does not depend on row order.  The pruner also
+the same as a fresh solve's: the pruner gets the same live entries of
+the same rows, and its dead set does not depend on row order; the
+dead set it held carries over, so most of a new condition's columns
+are only counted.  The pruner also
 holds the reduced echelon form of the core it certified last, and the
 next solve extends that form by the new core rows and newly dead
 columns instead of eliminating the whole core again (the argument is
@@ -170,8 +186,8 @@ import gc
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from itertools import combinations_with_replacement, product, repeat
+from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from . import linalg
 from .affine import AffineAlgebra, AffineElement, Gen, gen_str
@@ -647,24 +663,38 @@ class WhittakerModule:
         return sorted(datum.phi_n0) + sorted(datum.phi_n1)
 
     def condition_rows(
-        self, basis: List[int], root: tuple, j: int
-    ) -> Dict[int, Dict[int, Scalar]]:
-        """Rows of X_root (x) t^j . v = Lam(root)_j v over the span of the
-        monomials with ids ``basis``, keyed by output monomial id, columns
-        in order of first appearance: column ``col`` holds the shifted
-        image (X_root (x) t^j - Lam(root)_j) . basis[col], whose zero
-        entries, the diagonal included, are absent."""
+        self, basis: List[int], root: tuple, j: int, dead: AbstractSet[int]
+    ) -> Tuple[Dict[int, Dict[int, Scalar]], int]:
+        """(rows, count) of X_root (x) t^j . v = Lam(root)_j v over the span
+        of the monomials with ids ``basis``.
+
+        The rows are keyed by output monomial id, columns in order of first
+        appearance: column ``col`` holds the shifted image (X_root (x) t^j
+        - Lam(root)_j) . basis[col], whose zero entries, the diagonal
+        included, are absent.  A column in ``dead`` is still straightened,
+        but its entries are left out and a row left with none is not
+        built; ``count`` is the number of rows over every column, the rows
+        of the full condition.  The singleton pass drops every entry of a
+        dead column and every row with no live one, so it gets the same
+        live entries from these rows as from the full ones.
+        """
         g = self._gid(("X", root, j))
         lmul = self._lmul
+        seen: Set[int] = set()
         by_out: Dict[int, Dict[int, Scalar]] = {}
         for col, item in enumerate(basis):
-            for m, c in lmul(g, item).items():
+            img = lmul(g, item)
+            if col in dead:
+                seen.update(img)
+                continue
+            for m, c in img.items():
                 row = by_out.get(m)
                 if row is None:
                     by_out[m] = {col: c}
                 else:
                     row[col] = c
-        return by_out
+        seen.update(by_out)
+        return by_out, len(seen)
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the basis of (trunc.D, trunc.E)."""
@@ -680,14 +710,17 @@ class WhittakerModule:
         :meth:`~ConditionSystem.extends_to` ``trunc``, only the conditions
         with held.J < |j| <= J are built and fed to it; otherwise
         :meth:`condition_system` starts an empty one.
-        ``condition_rows(*system.ids, root, j)`` builds the rows ``{out:
-        {col: coeff}}`` of the condition X_root (x) t^j . v =
-        eigenvalue(root, j) v, each a fresh dict, since the pruner keeps it.
-        Each condition's rows stream through the system's singleton pass as
-        soon as they are built, so only the rows with two or more live
-        columns outlive their condition; the kernel is then taken from the
-        pruner's dead set and core, and equals the full system's.
-        ``row_count`` counts every row of the full system at J.
+        ``condition_rows(*system.ids, root, j, pruner.dead)`` builds the
+        rows ``{out: {col: coeff}}`` of the condition X_root (x) t^j . v =
+        eigenvalue(root, j) v over the columns not yet dead, each a fresh
+        dict, since the pruner keeps it, and counts the rows of the full
+        condition.  Each condition's rows stream through the system's
+        singleton pass as soon as they are built, so only the rows with two
+        or more live columns outlive their condition; the kernel is then
+        taken from the pruner's dead set and core, and equals the full
+        system's.  The builder returns before ``extend`` runs, so the dead
+        set does not change while it builds.  ``row_count`` counts every
+        row of the full system at J.
 
         The system is held for the next solve only once this one returns:
         if a row builder raises, the held system may have been fed part of
@@ -708,9 +741,9 @@ class WhittakerModule:
             js = [j for j in range(-trunc.J, trunc.J + 1) if abs(j) > system.J]
             n_conditions = n_rows = 0
             for root, j in product(self.condition_roots(), js):
-                rows = rows_of(*ids, root, j)
+                rows, count = rows_of(*ids, root, j, pruner.dead)
                 n_conditions += 1
-                n_rows += len(rows)
+                n_rows += count
                 pruner.extend(rows.values())
             basis = system.basis
             kernel = pruner.nullspace(len(basis))
@@ -740,11 +773,10 @@ PairMonomial = Tuple[Monomial, Monomial]
 TensorElement = Dict[PairMonomial, Scalar]
 
 
-def _split_diagonal(
-    img: IdElement, mono: int
-) -> Tuple[List[Tuple[int, Scalar]], Scalar]:
-    """(the terms of img off mono as a list, the coefficient of mono)."""
-    return [(m, c) for m, c in img.items() if m != mono], img.get(mono, 0)
+def _split_diagonal(img: IdElement, mono: int) -> Tuple[IdElement, Scalar]:
+    """(a copy of img without mono, the coefficient of mono)."""
+    off = dict(img)
+    return off, off.pop(mono, 0)
 
 
 class TensorModule:
@@ -798,44 +830,54 @@ class TensorModule:
         )
 
     def condition_rows(
-        self, basis_a: List[int], basis_b: List[int], root: tuple, j: int
-    ) -> Dict[Tuple[int, int], Dict[int, Scalar]]:
-        """Rows of X_root (x) t^j . v = (Lam + Lam')(root)_j v over the pairs
-        of the factor bases, given as monomial ids of the two factors
-        (column ia * len(basis_b) + ib is the pair (basis_a[ia],
-        basis_b[ib])), keyed by output pair of ids.
+        self, basis_a: List[int], basis_b: List[int], root: tuple, j: int,
+        dead: AbstractSet[int],
+    ) -> Tuple[Dict[Tuple[int, int], Dict[int, Scalar]], int]:
+        """(rows, count) of X_root (x) t^j . v = (Lam + Lam')(root)_j v over
+        the pairs of the factor bases, given as monomial ids of the two
+        factors (column ia * len(basis_b) + ib is the pair (basis_a[ia],
+        basis_b[ib])), rows keyed by output pair of ids.
 
         The rows form a Kronecker sum: g - (Lam + Lam')_j acts on (ma, mb)
         by (g - Lam_j).ma (x) mb + ma (x) (g - Lam'_j).mb, so every shifted
         factor image is read once per condition.  Off-diagonal terms land
         on (m, mb) and (ma, m'), which never coincide; the one shared key
         (ma, mb) gets s_a + s_b once, where s_a and s_b are the diagonal
-        coefficients of the two shifted images.
+        coefficients of the two shifted images.  As for the module
+        builder, a pair column in ``dead`` only adds its output keys to
+        the count, which is the number of rows over every column.
         """
         g = ("X", root, j)
         lmul_a, ga = self.left._lmul, self.left._gid(g)
         lmul_b, gb = self.right._lmul, self.right._gid(g)
         right = [_split_diagonal(lmul_b(gb, mb), mb) for mb in basis_b]
+        seen: Set[Tuple[int, int]] = set()
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        col = 0
-        for ma in basis_a:
+        nb = len(basis_b)
+        for ia, ma in enumerate(basis_a):
             off_a, s_a = _split_diagonal(lmul_a(ga, ma), ma)
-            for mb, (off_b, s_b) in zip(basis_b, right):
-                for m, c in off_a:
+            for col, (mb, (off_b, s_b)) in enumerate(zip(basis_b, right), ia * nb):
+                s = s_a + s_b
+                if col in dead:
+                    seen.update(zip(off_a, repeat(mb)))
+                    seen.update(zip(repeat(ma), off_b))
+                    if s:
+                        seen.add((ma, mb))
+                    continue
+                for m, c in off_a.items():
                     key = (m, mb)
                     row = by_out.get(key)
                     if row is None:
                         by_out[key] = {col: c}
                     else:
                         row[col] = c
-                for m, c in off_b:
+                for m, c in off_b.items():
                     key = (ma, m)
                     row = by_out.get(key)
                     if row is None:
                         by_out[key] = {col: c}
                     else:
                         row[col] = c
-                s = s_a + s_b
                 if s:
                     key = (ma, mb)
                     row = by_out.get(key)
@@ -843,8 +885,8 @@ class TensorModule:
                         by_out[key] = {col: s}
                     else:
                         row[col] = s
-                col += 1
-        return by_out
+        seen.update(by_out)
+        return by_out, len(seen)
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the pairs of the factor bases at (D, E)."""

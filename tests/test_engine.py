@@ -558,7 +558,7 @@ def test_failed_extension_drops_the_held_system():
                 def flaky(*args):
                     if fed:  # the first new condition is fed, the second raises
                         raise RuntimeError("row builder failed")
-                    fed.append(args[-1])
+                    fed.append(args[-2])  # j; the last argument is the dead set
                     return build(*args)
 
                 module.condition_rows = flaky  # shadows the method
@@ -673,10 +673,9 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
     cancelled = 0
     for root in module.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
-            rows = {
-                monos[out]: row
-                for out, row in module.condition_rows(ids, root, j).items()
-            }
+            built, count = module.condition_rows(ids, root, j, set())
+            assert count == len(built)
+            rows = {monos[out]: row for out, row in built.items()}
             assert rows == tuple_rows(module, basis, root, j, memo), (root, j)
             # a column whose diagonal meets Lam(root)_j gets no entry there
             target = module.spec.vacuum_scalar(root, j)

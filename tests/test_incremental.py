@@ -64,9 +64,9 @@ def count_rows_fed(module):
     build = module.condition_rows
 
     def counted(*args):
-        rows = build(*args)
-        fed.append(len(rows))
-        return rows
+        rows, count = build(*args)
+        fed.append(count)
+        return rows, count
 
     module.condition_rows = counted
     return fed

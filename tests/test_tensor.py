@@ -243,10 +243,9 @@ def test_kronecker_rows_equal_act_gen_rows(make, trunc):
     cancelled = 0
     for root in t.left.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
-            rows = {
-                (monos_a[a], monos_b[b]): row
-                for (a, b), row in t.condition_rows(ids_a, ids_b, root, j).items()
-            }
+            built, count = t.condition_rows(ids_a, ids_b, root, j, set())
+            assert count == len(built)
+            rows = {(monos_a[a], monos_b[b]): row for (a, b), row in built.items()}
             assert rows == act_gen_rows(t, basis, root, j), (root, j)
             # pairs whose diagonal s_a + s_b meets the target get no entry
             g, target = X(root, j), t.lam_sum(root, j)
