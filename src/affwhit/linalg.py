@@ -161,7 +161,9 @@ ScalarLike = Union[Fraction, int, str]
 def as_scalar(x: ScalarLike) -> Fraction:
     """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction.
 
-    TypeError for anything else, a float or a bool included."""
+    ValueError for a string that is not such a literal, a zero
+    denominator included; TypeError for anything else, a float or a bool
+    included."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -170,7 +172,10 @@ def as_scalar(x: ScalarLike) -> Fraction:
         s = x.strip()
         if "." in s or "e" in s.lower():
             raise ValueError(f"rational literal must be decimal-free: {x!r}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"rational literal has a zero denominator: {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 

@@ -435,6 +435,38 @@ def test_decimal_theta_is_rejected(tmp_path, capsys):
         assert err.startswith("error: theta:")
 
 
+# (command, preset, path to one rational field of its config)
+ZERO_DENOMINATOR_FIELDS = [
+    ("whittaker", "sl2", ("theta",)),
+    ("whittaker", "sl2", ("lam", "a1", "j")),
+    ("whittaker", "sl2", ("lam", "a1", "scale")),
+    ("whittaker", "sl2-loop", ("lam", "a1", "entries", "1")),
+    ("whittaker", "sl2-const", ("lam", "a1", "v", "0")),
+    ("whittaker", "sl2-const", ("lam", "a1", "initial", 0)),
+    ("tensor", "tensor-sl2", ("right", "theta")),
+    ("tensor", "tensor-sl2", ("left", "lam", "a1", "j")),
+    ("check-seq", "geo-family", ("sequences", 2, "j")),
+    ("check-seq", "geo-family", ("sequences", 0, "scale")),
+]
+
+
+@pytest.mark.parametrize(
+    "command, preset, field",
+    ZERO_DENOMINATOR_FIELDS,
+    ids=["-".join(map(str, (p,) + f)) for _, p, f in ZERO_DENOMINATOR_FIELDS],
+)
+def test_zero_denominator_is_a_one_line_error(tmp_path, capsys, command, preset, field):
+    cfg = presets.get_preset(preset)
+    node = cfg
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = "1/0"
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert_one_line_error(code, err)
+    assert "zero denominator" in err
+    assert out == ""
+
+
 def test_fractional_theta_string_is_accepted(tmp_path, capsys):
     cfg = presets.get_preset("sl2")
     cfg["theta"] = "1/2"

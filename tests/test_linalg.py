@@ -40,7 +40,7 @@ def test_as_scalar_takes_exact_values_only():
     for x in (True, False, 0.5, 2.0, None, [1]):
         with pytest.raises(TypeError):
             linalg.as_scalar(x)
-    for x in ("0.5", "1e3"):
+    for x in ("0.5", "1e3", "1/0", " -3/0 "):
         with pytest.raises(ValueError):
             linalg.as_scalar(x)
 
