@@ -23,6 +23,7 @@ from affwhit import (
     X,
     H,
     build_datum,
+    linalg,
     whittaker_solve,
 )
 from affwhit.engine import TensorModule, generator_key
@@ -685,6 +686,82 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
                     cancelled += 1
                     assert col not in rows.get(m, {})
     assert cancelled
+
+
+# modules and tensor products whose live-only rows are checked, at a truncation
+LIVE_ONLY = {
+    **{
+        name: ((lambda f=factory: WhittakerModule(f())), trunc)
+        for name, (factory, trunc) in INTERNED.items()
+    },
+    "tensor-sl2": (sl2_tensor, Truncation(2, 1, 3)),
+    "tensor-sl3-borel": (
+        lambda: TensorModule(sl3_borel_spec(), sl3_borel_fractional_spec()),
+        Truncation(1, 1, 2),
+    ),
+}
+
+
+def dead_after_first_condition(module, trunc):
+    """The pruner's dead set when a solve at trunc builds its second condition."""
+    dead_sets = []
+    build = module.condition_rows
+
+    def recording(*args):
+        dead_sets.append(set(args[-1]))
+        return build(*args)
+
+    module.condition_rows = recording  # shadows the method
+    module.solve(trunc)
+    del module.condition_rows
+    return dead_sets[1]
+
+
+def live_part(rows, dead):
+    """rows without the entries of dead columns, rows left empty dropped."""
+    out = {}
+    for key, row in rows.items():
+        live = {c: v for c, v in row.items() if c not in dead}
+        if live:
+            out[key] = live
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_condition_rows_leave_out_dead_columns_and_count_them(name):
+    make, trunc = LIVE_ONLY[name]
+    module = quiet(make)
+    dead = dead_after_first_condition(module, trunc)
+    assert dead
+    ids = module._held.ids
+    dropped = 0
+    for root in module.condition_roots():
+        for j in range(-trunc.J, trunc.J + 1):
+            full, full_count = module.condition_rows(*ids, root, j, set())
+            rows, count = module.condition_rows(*ids, root, j, dead)
+            assert count == full_count == len(full), (root, j)
+            assert rows == live_part(full, dead), (root, j)
+            dropped += len(full) - len(rows)
+    assert dropped
+
+
+def test_no_row_reaches_the_pruner_with_a_column_dead_before_its_condition(
+    monkeypatch,
+):
+    extend = linalg.SingletonPruner.extend
+    fed = []  # per condition: (columns dead at its start, rows touching one)
+
+    def checked(pruner, rows):
+        rows = list(rows)
+        dead = set(pruner.dead)
+        fed.append((len(dead), sum(1 for row in rows if dead & row.keys())))
+        extend(pruner, rows)
+
+    monkeypatch.setattr(linalg.SingletonPruner, "extend", checked)
+    result = WhittakerModule(sl2_spec()).solve(Truncation(4, 2, 4))
+    assert len(fed) == result.condition_count
+    assert all(dead for dead, _ in fed[1:])
+    assert not any(touching for _, touching in fed)
 
 
 def test_lmul_returns_a_fresh_dict():
