@@ -489,10 +489,15 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
     lifted by rational reconstruction and returned only once every
     input row reduces to zero against the lift, which proves the lift
     is the reduced echelon form over Q (see the module docstring).
+    The rows are eliminated in descending order of their leading
+    column, so a new pivot seldom lies left of the entries of the
+    pivot rows before it, and back-reduction finds little to clear; the
+    reduced echelon form does not depend on row order.
     """
     int_rows = [r for r in map(_integer_row, rows) if r]
     if not int_rows:
         return {}
+    int_rows.sort(key=min, reverse=True)
     best = acc = None
     m = 1
     for p in _primes():
