@@ -429,6 +429,66 @@ def test_set_verdicts():
     assert v.kind == "unknown"
 
 
+# the full reason strings that check-seq prints and writes to its report
+PINNED_SET_REASONS = [
+    (
+        [FiniteSupport({0: 1, 1: 1}), FiniteSupport({0: 1, 1: -1})],
+        "members 0 and 1: finite supports: applying each member's polynomial "
+        "to the other's translates gives the same product sequence, a "
+        "vanishing cross combination",
+    ),
+    (
+        [Geometric(2), FiniteSupport({0: 1, 1: 1})],
+        "members 0 and 1: every delta_k equals the translate combination "
+        "-(1/2)*(2*a^(-k) - a^(1-k)) of the geometric member, so the "
+        "finite-support member lies in its translate span",
+    ),
+    (
+        [FiniteSupport({-1: 3, 2: F(1, 2)}), Scaled(Geometric(3), -2)],
+        "members 0 and 1: every delta_k equals the translate combination "
+        "-(1/3)*(3*a^(-k) - a^(1-k)) of the geometric member, so the "
+        "finite-support member lies in its translate span",
+    ),
+    (
+        [Geometric(3), Scaled(Shifted(Geometric(3), 4), F(-1, 3))],
+        "members 0 and 1: proportional translates: both are scaled shifts of "
+        "the geometric sequence with ratio 3",
+    ),
+    (
+        [Geometric(2), Shifted(Geometric(F(7, 3)), -1)],
+        "members 0 and 1: cutoff identity j*a^(-1) - a^(0) = -j*delta_1 for "
+        "ratios 2 and 7/3: the delta_1 residues cancel across the pair, a "
+        "vanishing combination of four translates",
+    ),
+]
+
+
+@pytest.mark.parametrize("seqs, reason", PINNED_SET_REASONS, ids=range(5))
+def test_pinned_pair_reasons(seqs, reason):
+    v = is_strongly_generic_set(seqs)
+    assert (v.kind, v.reason) == ("not_strongly_generic", reason)
+
+
+PINNED_MEMBER_REASONS = [
+    (FiniteSupport({}), "the zero sequence is dependent", "zero sequence",
+     FinVector({0: 1})),
+    (FIB, "not generic (defining annihilator)", "defining annihilator",
+     FinVector({0: -1, 1: -1, 2: 1})),
+    (Recurrence(FinVector({0: 2}), []), "the zero sequence is dependent",
+     "defining annihilator", FinVector({0: 2})),
+]
+
+
+@pytest.mark.parametrize(
+    "s, member, generic, witness", PINNED_MEMBER_REASONS, ids=range(3)
+)
+def test_pinned_member_reasons(s, member, generic, witness):
+    v = member_strong_genericity(s)
+    assert (v.kind, v.reason) == ("not_strongly_generic", member)
+    g = is_generic(s)
+    assert (g.kind, g.reason, g.witness) == ("not_generic", generic, witness)
+
+
 # ---------------------------------------------------------------------------
 # window rank evidence
 # ---------------------------------------------------------------------------
