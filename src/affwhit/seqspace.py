@@ -29,9 +29,31 @@ compare equal to each other.
 
 Lazy wrappers (:class:`Shifted`, :class:`Weighted`, :class:`Scaled`)
 keep the classes closed under translation, weighting and scalar
-multiples without widening the exact representations.  The decision
-procedures see through Shifted and Scaled by one fold (``_unwrap``) to
-the base, its total offset and its total factor.
+multiples without widening the exact representations.
+
+Every verdict, for any nesting of the wrappers over the three classes,
+reads one normal form.  A polynomial P = sum_k P_k S^k in the shift S is
+stored as a FinVector with l(P) = 0; P *holds on* an interval I when
+sum_k P_k s_{i+k} = 0 whenever both i and i + omega(P) lie in I.  Each
+supported sequence is C-finite on each side (Kauers & Paule, *The
+Concrete Tetrahedron*, 2011): ``_tails(s)`` gives (lo, hi, left, right)
+with ``left`` holding on (-inf, lo] and ``right`` on [hi, inf).
+
+* FiniteSupport with support [a, b]: (a - 1, b + 1, 1, 1), and
+  (0, 1, 1, 1) when it is zero;
+* Geometric(j): (0, 1, S - j, S - j), one object on both sides;
+* Recurrence(v, ...): (0, 0, v, v);
+* Shifted(base, o): the base's bounds minus o, the base's polynomials;
+* Scaled(base, c): the base's form;
+* Weighted(base): the base's bounds, left^2 and right^2.
+
+Since P_0 and P_omega are nonzero, each tail unrolls from any omega(P)
+consecutive entries, and where P holds, s_i = sum_r p_r(i) r^i over the
+roots r != 0 of P with deg p_r < mult_r(P).  Weighting raises each
+degree by one, and P^2 still kills that, which is why squaring is
+enough.  ``_tails`` is the only decision code that asks a sequence its
+class; a sequence built on any other class has no form, and its
+verdicts are 'unknown'.
 
 All arithmetic is exact over Q via :class:`fractions.Fraction`; no
 floating point is used anywhere.
@@ -365,7 +387,8 @@ def entry(s, i: int) -> Fraction:
 
 
 def translate(x, n: int):
-    """Translate by n.  Exact classes stay exact.
+    """Translate by n.  Finite vectors and sequences stay finite; any
+    other sequence becomes a :class:`Shifted`.
 
     A sequence moves left, result(i) = x(i + n); a vector moves its
     support right, v_i to v_{i+n}, so ``translate(FinVector({0: 1}), 2)``
@@ -379,11 +402,6 @@ def translate(x, n: int):
         return x.translate(n)
     if isinstance(x, FiniteSupport):
         return FiniteSupport({i - n: c for i, c in x.coeffs.items()})
-    if isinstance(x, Recurrence):
-        if x.omega == 0:
-            return x
-        window = [x.entry(n + k) for k in range(x.omega)]
-        return Recurrence(x.v, window)
     if isinstance(x, Shifted):
         if x.offset + n == 0:
             return x.base
@@ -452,91 +470,120 @@ class SetVerdict:
 
 GENERIC = SeqVerdict("generic")
 
+_ONE = FinVector({0: 1})  # the polynomial 1 in the shift
+
+
+def _polymul(p: FinVector, q: FinVector) -> FinVector:
+    """Product of two polynomials in the shift."""
+    return sum((q.translate(i) * c for i, c in p.items()), FinVector({}))
+
+
+def _tails(s: BiSequence):
+    """The tail normal form (lo, hi, left, right) of s, or None.
+
+    ``left`` holds on (-inf, lo] and ``right`` on [hi, inf), in the sense
+    of the module docstring; None means s is built on a class with no
+    normal form.  This is the only decision code that asks a sequence
+    its class.
+    """
+    if isinstance(s, FiniteSupport):
+        if s.is_zero():
+            return 0, 1, _ONE, _ONE
+        support = s.support
+        return support[0] - 1, support[-1] + 1, _ONE, _ONE
+    if isinstance(s, Geometric):
+        p = FinVector({0: -s.j, 1: 1})
+        return 0, 1, p, p
+    if isinstance(s, Recurrence):
+        return 0, 0, s.v, s.v
+    if not isinstance(s, (Shifted, Scaled, Weighted)):
+        return None
+    tails = _tails(s.base)
+    if tails is None or isinstance(s, Scaled):
+        return tails
+    lo, hi, left, right = tails
+    if isinstance(s, Shifted):
+        return lo - s.offset, hi - s.offset, left, right
+    left2 = _polymul(left, left)
+    return lo, hi, left2, left2 if right == left else _polymul(right, right)
+
+
+def _residue(p: FinVector, s: BiSequence, lo: int, hi: int) -> FiniteSupport:
+    """Entries i of p(S)s, sum_k p_k s_{i+k}, for lo - omega(p) < i < hi.
+
+    When p holds on (-inf, lo] and on [hi, inf), p(S)s vanishes at every
+    other i, so this is all of p(S)s.
+    """
+    start, terms = lo - p.width() + 1, p.items()
+    vals = s.window(start, hi - 1 + p.width())
+    return FiniteSupport({i: sum(c * vals[i - start + k] for k, c in terms)
+                          for i in range(start, hi)})
+
 
 def is_zero_sequence(s: BiSequence):
-    """True/False when decidable for the exact classes, None otherwise."""
-    fin = _finite_core(s)
-    if fin is not None:
-        return fin.is_zero()
-    base = _unwrap(s)[0]
-    if isinstance(base, Geometric):
-        return False
-    if isinstance(base, Recurrence):
-        return base.is_zero()
-    if isinstance(base, Weighted):
-        # base.base has no finite core, so when nonzero its support is
-        # infinite, and the weighting only clears index 0
-        return is_zero_sequence(base.base)
-    return None
+    """True/False when s has a tail normal form, None otherwise.
 
-
-def _unwrap(s: BiSequence):
-    """(base, offset, factor) with s(i) = factor * base(i + offset).
-
-    Peels every Shifted and Scaled wrapper; base is the first sequence
-    that is neither.
+    s is zero exactly when its finite core exists and is zero.
     """
-    offset, factor = 0, Fraction(1)
-    while isinstance(s, (Shifted, Scaled)):
-        if isinstance(s, Shifted):
-            offset += s.offset
-        else:
-            factor *= s.factor
-        s = s.base
-    return s, offset, factor
-
-
-def _finite_core(s: BiSequence) -> Optional[FiniteSupport]:
-    """Evaluate s to a plain FiniteSupport when its support is finite.
-
-    Shifted/Scaled/Weighted wrappers over a finite base are folded into
-    explicit entries; anything with infinite support returns None.
-    """
-    base, offset, factor = _unwrap(s)
-    if isinstance(base, Weighted):
-        base = _finite_core(base.base)
-        if base is None:
-            return None
-        base = weighted(base)
-    if not isinstance(base, FiniteSupport):
+    tails = _tails(s)
+    if tails is None:
         return None
-    return translate(base, offset) * factor
+    fin = _finite_core(s, tails)
+    return fin is not None and fin.is_zero()
 
 
-def _geometric_core(s: BiSequence) -> Optional[Geometric]:
-    """The Geometric under s's Shifted/Scaled wrappers, or None."""
-    base = _unwrap(s)[0]
-    return base if isinstance(base, Geometric) else None
+def _finite_core(s: BiSequence, tails=None) -> Optional[FiniteSupport]:
+    """s as a plain FiniteSupport when its support is finite, else None.
+
+    ``tails`` is ``_tails(s)``, computed when not given; s must have
+    one.  With tails (lo, hi, left, right), s has finite support iff it
+    is 0 on the omega(left) entries that end at lo and on the
+    omega(right) entries that start at hi; the core is then its entries
+    on (lo, hi).  Proof:
+    a tail on which P holds and which has omega(P) consecutive zeros is
+    zero, since P_0 != 0 and P_omega != 0 unroll it both ways from them.
+    A finite support gives such zeros far out on each tail, hence on the
+    whole tail, those next to lo and hi included; conversely zeros there
+    clear both tails, which leaves only the entries on (lo, hi).
+    """
+    lo, hi, left, right = tails or _tails(s)
+    if any(s.window(lo - left.width() + 1, lo) + s.window(hi, hi + right.width() - 1)):
+        return None
+    return FiniteSupport(dict(zip(range(lo + 1, hi), s.window(lo + 1, hi - 1))))
 
 
 def is_generic(s: BiSequence) -> SeqVerdict:
-    """Decide genericity for the exact classes; wrappers inherit from the base.
+    """Decide genericity of every sequence with a tail normal form.
 
-    Translation and nonzero scaling preserve both genericity and
-    annihilator witnesses (the witness annihilates every translate, so
-    the same vector works for a shifted or scaled sequence).
+    With tails (lo, hi, left, right), let T = left when left == right,
+    else left * right.  T holds on both tails, so T(S)s vanishes outside
+    (lo - omega(T), hi).  If it vanishes there too, s is not generic with
+    witness T; otherwise s is generic.
+
+    Proof: s is not generic iff some nonzero Q annihilates it, Q(S)s = 0
+    (a witness annihilates every translate, so its offset is free and
+    Q can be taken with l(Q) = 0).  Then Q annihilates both tails, so Q
+    = h * M for the lcm M of the two minimal tail annihilators, and M
+    divides T as well, T = g * M.  M(S)s has finite support, and a
+    nonzero h applied to a nonzero finite sequence is nonzero, so h(S)
+    M(S)s = 0 forces M(S)s = 0 and hence T(S)s = g(S) M(S)s = 0.  No lcm
+    is ever computed.  A recurrence's witness is its own defining vector
+    v (left and right are v), and a zero finite sequence's is v_0.
     """
-    fin = _finite_core(s)
-    if fin is not None:
-        if fin.is_zero():
-            return SeqVerdict("not_generic", FinVector({0: 1}), "zero sequence")
+    return _genericity(s, _tails(s))
+
+
+def _genericity(s: BiSequence, tails) -> SeqVerdict:
+    """:func:`is_generic` of s, given ``_tails(s)``."""
+    if tails is None:
+        return SeqVerdict("unknown", None, f"no decision procedure for {type(s).__name__}")
+    lo, hi, left, right = tails
+    t = left if left == right else _polymul(left, right)
+    if not _residue(t, s, lo, hi).is_zero():
         return GENERIC
-    if _geometric_core(s) is not None:
-        return GENERIC
-    rec = _recurrence_core(s)
-    if rec is not None:
-        return SeqVerdict("not_generic", rec.v, "defining annihilator")
-    if isinstance(s, Weighted):
-        core = _geometric_core(s.base)
-        if core is not None:
-            # i * j^i is annihilated by no finite recurrence-with-cutoff
-            # combination of its own translates: (shift - j)^2 kills the
-            # two-sided part but leaves cutoff residues at two positions,
-            # and higher powers only widen them.  Its translates are
-            # independent by the same leading-support argument as for
-            # the geometric base.
-            return GENERIC
-    return SeqVerdict("unknown", None, f"no decision procedure for {type(s).__name__}")
+    return SeqVerdict(
+        "not_generic", t, "zero sequence" if t == _ONE else "defining annihilator"
+    )
 
 
 def _laurent_quotient(f: FiniteSupport, w: FiniteSupport):
@@ -575,69 +622,90 @@ def _laurent_quotient(f: FiniteSupport, w: FiniteSupport):
 def member_strong_genericity(s: BiSequence) -> SetVerdict:
     """Strong genericity of the one-element family {s}.
 
-    For a geometric core this holds: finite combinations of translates
-    are scalar-plus-finite corrections of the base, and the weighted
-    sequence (i * s_i) differs from every such combination in
-    infinitely many entries.  For a finite-support core it reduces to
-    Laurent divisibility: the weighted sequence is again finitely
-    supported and lies in the translate span of s exactly when the
-    polynomial of s divides the polynomial of the weighted sequence.
+    A generic s with infinite support is strongly generic.  Proof: its
+    translates are independent, so a dependence would put the weighted
+    sequence in their span, i * s_i = C(S)s for a Laurent polynomial C.
+    Some tail of s is not eventually 0; there s_i = sum_r p_r(i) r^i with
+    some p_r != 0 (module docstring).  C(S)s has the coefficients
+    sum_n C_n r^n p_r(i + n), of degree at most deg p_r, but i * s_i has
+    i * p_r(i), of degree deg p_r + 1, and such a representation is
+    unique.  For finite support it reduces to Laurent divisibility: the
+    weighted sequence is again finitely supported and lies in the
+    translate span of s exactly when the polynomial of s divides the
+    polynomial of the weighted sequence.
     """
-    if is_zero_sequence(s):
+    return _member_verdict(s, _tails(s))
+
+
+def _member_verdict(s: BiSequence, tails) -> SetVerdict:
+    """:func:`member_strong_genericity` of s, given ``_tails(s)``."""
+    fin = None if tails is None else _finite_core(s, tails)
+    if fin is not None and fin.is_zero():
         return SetVerdict("not_strongly_generic", "the zero sequence is dependent")
-    verdict = is_generic(s)
+    verdict = _genericity(s, tails)
     if verdict.kind == "not_generic":
-        return SetVerdict(
-            "not_strongly_generic", f"not generic ({verdict.reason})"
-        )
+        return SetVerdict("not_strongly_generic", f"not generic ({verdict.reason})")
     if verdict.kind == "unknown":
         return SetVerdict("unknown", verdict.reason)
-    fin = _finite_core(s)
-    if fin is not None:
-        w = _finite_core(weighted(fin))
-        if w.is_zero():
-            return SetVerdict(
-                "not_strongly_generic",
-                "weighted sequence (i*s_i) is zero (support {0})",
-            )
-        q = _laurent_quotient(fin, w)
-        if q is not None:
-            return SetVerdict(
-                "not_strongly_generic",
-                "weighted sequence (i*s_i) is the translate combination "
-                f"{q!r} applied to the member",
-            )
+    if fin is None:
         return SetVerdict(
             "strongly_generic",
-            "finite support; weighted sequence is not a Laurent multiple",
+            "generic with infinite support: weighting raises the degree of "
+            "a tail's polynomial coefficients, no translate combination does",
         )
-    if _geometric_core(s) is not None:
+    w = weighted(fin)
+    if w.is_zero():
         return SetVerdict(
-            "strongly_generic",
-            "single geometric sequence: translate span only meets the "
-            "weighted sequence in 0",
+            "not_strongly_generic",
+            "weighted sequence (i*s_i) is zero (support {0})",
         )
-    return SetVerdict("unknown", f"no decision procedure for {type(s).__name__}")
+    q = _laurent_quotient(fin, w)
+    if q is not None:
+        return SetVerdict(
+            "not_strongly_generic",
+            "weighted sequence (i*s_i) is the translate combination "
+            f"{q!r} applied to the member",
+        )
+    return SetVerdict(
+        "strongly_generic",
+        "finite support; weighted sequence is not a Laurent multiple",
+    )
 
 
-def _dependence_of_pair(sa: BiSequence, sb: BiSequence):
-    """Reason string when translates of sa and sb are provably dependent.
+def _geometric_ratio(tails) -> Optional[Fraction]:
+    """j when both tail polynomials are S - j, else None."""
+    left, right = tails[2:]
+    return -left[0] / left[1] if left == right and left.width() == 1 else None
 
-    Within the exact classes this always succeeds for a known pair:
 
-    * two finite supports f, g: the translate combinations G-applied-to-f
-      and F-applied-to-g are both the product polynomial f*g;
-    * two geometric cores with ratios j, j': the cutoff identity
+def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
+    """Reason string why the translates of two generic members, with
+    tails ``ta`` and ``tb``, are dependent.
+
+    Any two are.  With T from :func:`is_generic`, T_a(S)a is a nonzero
+    finite sequence, which reads as F_a(S)delta_0 for a Laurent
+    polynomial F_a; likewise T_b(S)b = F_b(S)delta_0.  Then (F_b T_a)(S)a
+    and (F_a T_b)(S)b are both (F_a F_b)(S)delta_0, a vanishing
+    combination of nonzero translate combinations of a and b.
+
+    The reason names the familiar cases.  A member is geometric with
+    ratio j when both its tail polynomials are S - j (a width-1
+    recurrence is never generic, so it never gets here), and finite when
+    it has a finite core:
+
+    * two geometric members with ratios j, j': the cutoff identity
       j * a^{(-1)} - a^{(0)} = -j * delta_1 holds for every ratio, so the
       delta residues cancel across the pair;
+    * two finite supports f, g: the translate combinations G-applied-to-f
+      and F-applied-to-g are both the product polynomial f*g;
     * geometric + finite support: every delta_k is the translate
       combination -(1/j) * (j * a^{(-k)} - a^{(1-k)}) of the geometric
       member, so any finite-support member lies in its translate span.
     """
-    ga, gb = _geometric_core(sa), _geometric_core(sb)
-    fa, fb = _finite_core(sa), _finite_core(sb)
-    if ga is not None and gb is not None:
-        ja, jb = ga.j, gb.j
+    ja, jb = _geometric_ratio(ta), _geometric_ratio(tb)
+    fa = _finite_core(sa, ta) is not None
+    fb = _finite_core(sb, tb) is not None
+    if ja is not None and jb is not None:
         if ja == jb:
             return (
                 f"proportional translates: both are scaled shifts of the "
@@ -648,65 +716,59 @@ def _dependence_of_pair(sa: BiSequence, sb: BiSequence):
             f"{ja} and {jb}: the delta_1 residues cancel across the pair, "
             "a vanishing combination of four translates"
         )
-    if fa is not None and fb is not None:
+    if fa and fb:
         return (
             "finite supports: applying each member's polynomial to the "
             "other's translates gives the same product sequence, a "
             "vanishing cross combination"
         )
-    if (ga is not None and fb is not None) or (gb is not None and fa is not None):
-        j = (ga or gb).j
-        return (
-            "every delta_k equals the translate combination "
-            f"-(1/{j})*({j}*a^(-k) - a^(1-k)) of the geometric member, so "
-            "the finite-support member lies in its translate span"
-        )
-    return None
+    for j, other_finite in ((ja, fb), (jb, fa)):
+        if j is not None and other_finite:
+            return (
+                "every delta_k equals the translate combination "
+                f"-(1/{j})*({j}*a^(-k) - a^(1-k)) of the geometric member, so "
+                "the finite-support member lies in its translate span"
+            )
+    return (
+        "tail annihilators T and finite residues T(S)s = F(S)delta_0 give "
+        "(F_b*T_a)(S)a = (F_a*T_b)(S)b, a vanishing cross combination"
+    )
 
 
 def is_strongly_generic_set(seqs: Iterable[BiSequence]) -> SetVerdict:
-    """Decide strong genericity of a family of sequences from the exact classes.
+    """Decide strong genericity of a family of sequences.
 
-    Singleton families reduce to :func:`member_strong_genericity`.  Any
-    family with two members of known core (finite-support or geometric,
-    possibly shifted/scaled) is *never* strongly generic: the translate
-    spans of any two such sequences intersect nontrivially, with an
-    explicit vanishing combination recorded in the verdict reason.
-    Families containing an undecidable member stay 'unknown' unless a
-    decidable failure is found first.
+    Singleton families reduce to :func:`member_strong_genericity`.  A
+    family with two decided members that pass it is *never* strongly
+    generic: the translate spans of any two generic sequences intersect
+    nontrivially (:func:`_dependence_of_pair`), with the vanishing
+    combination named in the verdict reason.  Families containing an
+    undecidable member stay 'unknown' unless a decidable failure is
+    found first.
     """
     seqs = list(seqs)
     if not seqs:
         return SetVerdict("strongly_generic", "empty family")
     unknown = None
+    known = []
     for idx, s in enumerate(seqs):
-        v = member_strong_genericity(s)
+        tails = _tails(s)
+        v = _member_verdict(s, tails)
         if v.kind == "not_strongly_generic":
-            return SetVerdict(
-                "not_strongly_generic", f"member {idx}: {v.reason}"
-            )
+            return SetVerdict("not_strongly_generic", f"member {idx}: {v.reason}")
         if v.kind == "unknown":
             unknown = f"member {idx}: {v.reason}"
-    known = [
-        i
-        for i, s in enumerate(seqs)
-        if _geometric_core(s) is not None or _finite_core(s) is not None
-    ]
-    for pos in range(1, len(known)):
-        a, b = known[0], known[pos]
-        reason = _dependence_of_pair(seqs[a], seqs[b])
-        if reason is not None:
-            return SetVerdict(
-                "not_strongly_generic", f"members {a} and {b}: {reason}"
-            )
+        else:
+            known.append((idx, s, tails))
+    if len(known) > 1:
+        (a, sa, ta), (b, sb, tb) = known[:2]
+        return SetVerdict(
+            "not_strongly_generic",
+            f"members {a} and {b}: {_dependence_of_pair(sa, ta, sb, tb)}",
+        )
     if unknown is not None:
         return SetVerdict("unknown", unknown)
-    return SetVerdict(
-        "strongly_generic",
-        "single decidable member"
-        if len(seqs) == 1
-        else "no dependence found among decidable members",
-    )
+    return SetVerdict("strongly_generic", "single decidable member")
 
 
 # ---------------------------------------------------------------------------
@@ -770,12 +832,6 @@ def window_rank_check(
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_core(s: BiSequence) -> Optional[Recurrence]:
-    """The Recurrence under s's Shifted/Scaled wrappers, or None."""
-    base = _unwrap(s)[0]
-    return base if isinstance(base, Recurrence) else None
-
-
 def minimal_annihilator(s: BiSequence) -> FinVector:
     """Minimal-width annihilator of a non-generic sequence.
 
@@ -784,22 +840,17 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
 
     The search runs over the Hankel matrices of a window of
     2*omega + 1 consecutive entries, where omega is the width of the
-    defining annihilator: a candidate of width m <= omega whose defect
-    sum_k c_k a_{k+i} vanishes for i in [-omega, omega - m] vanishes
-    identically, because the defect itself satisfies the defining
-    recurrence and has more than omega consecutive zeros.
+    witness T of :func:`is_generic`, which annihilates s: a candidate
+    of width m <= omega whose defect sum_k c_k a_{k+i} vanishes for i in
+    [-omega, omega - m] vanishes identically, because the defect itself
+    is annihilated by T and has more than omega consecutive zeros.
     """
     verdict = is_generic(s)
     if verdict.kind == "generic":
         raise GenericInput("generic sequences have no annihilator")
     if verdict.kind == "unknown":
         raise ValueError("genericity undecided; no annihilator search available")
-    if is_zero_sequence(s):
-        return FinVector({0: 1})
-    rec = _recurrence_core(s)
-    if rec is None:
-        raise ValueError(f"no annihilator search for {type(s).__name__}")
-    om = rec.omega
+    om = verdict.witness.width()
     window = {i: s.entry(i) for i in range(-om, om + 1)}
     for m in range(0, om + 1):
         rows = []
@@ -816,17 +867,15 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
         g = math.gcd(*ints.values())
         sign = 1 if ints[0] > 0 else -1
         return FinVector({k: sign * c // g for k, c in ints.items()})
-    raise AssertionError("defining annihilator bounds the search; unreachable")
+    raise AssertionError("the witness bounds the search; unreachable")
 
 
 def size(s: BiSequence) -> int:
     """Width of the minimal annihilator of a non-generic sequence.
 
-    Zero sequences have size 0; constants have size 1.  Generic input
-    raises GenericInput.
+    Zero sequences have size 0 (their annihilator is v_0); constants have
+    size 1.  Generic input raises GenericInput.
     """
-    if is_zero_sequence(s):
-        return 0
     return minimal_annihilator(s).width()
 
 

@@ -131,12 +131,14 @@ def test_finite_core_folds_every_wrapper(s):
 
 def test_geometric_and_recurrence_cores_see_through_shifts_and_scales():
     geo = Scaled(Shifted(Scaled(Geometric(3), 2), -4), F(1, 5))
-    assert seqspace._geometric_core(geo) == Geometric(3)
-    assert seqspace._geometric_core(Weighted(Geometric(3))) is None
+    lo, hi, left, right = seqspace._tails(geo)
+    assert (lo, hi) == (4, 5) and left is right and left == FinVector({0: -3, 1: 1})
+    assert seqspace._geometric_ratio(seqspace._tails(geo)) == 3
+    assert seqspace._geometric_ratio(seqspace._tails(Weighted(Geometric(3)))) is None
     rec = Shifted(Scaled(Shifted(FIB, 2), -1), 3)
-    assert seqspace._recurrence_core(rec) is FIB
-    assert seqspace._recurrence_core(geo) is None
-    assert seqspace._unwrap(rec) == (FIB, 5, F(-1))
+    lo, hi, left, right = seqspace._tails(rec)
+    assert (lo, hi) == (-5, -5) and left is FIB.v and right is FIB.v
+    assert all(rec.entry(i) == -FIB.entry(i + 5) for i in range(-8, 9))
     assert all(geo.entry(i) == F(2, 5) * Geometric(3).entry(i - 4) for i in range(-2, 9))
     assert minimal_annihilator(rec) == FinVector({0: 1, 1: 1, 2: -1})
 
@@ -277,7 +279,12 @@ def test_genericity_verdicts():
     for n in range(-8, 9):
         assert pairing(v.witness, translate(FIB, n)) == 0
 
-    assert is_generic(Weighted(FIB)).kind == "unknown"
+    # (S^2 - S - 1)^2 kills i * F_i
+    v = is_generic(Weighted(FIB))
+    assert v.kind == "not_generic"
+    assert v.witness == FinVector({0: 1, 1: 2, 2: -1, 3: -2, 4: 1})
+    for n in range(-8, 9):
+        assert pairing(v.witness, translate(Weighted(FIB), n)) == 0
 
 
 def test_finite_support_generic_property():
@@ -351,7 +358,7 @@ def test_member_strong_genericity_other_cases():
         member_strong_genericity(Scaled(Geometric(2), -1)).kind == "strongly_generic"
     )
     assert member_strong_genericity(CONST1).kind == "not_strongly_generic"
-    assert member_strong_genericity(Weighted(Geometric(2))).kind == "unknown"
+    assert member_strong_genericity(Weighted(Geometric(2))).kind == "strongly_generic"
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +405,13 @@ def test_delta_in_geometric_translate_span():
             assert combo == (1 if i == k else 0), (k, i)
 
 
+class NoTails(seqspace.BiSequence):
+    """A sequence class with no tail normal form."""
+
+    def entry(self, i):
+        return F(i * i)
+
+
 def test_set_verdicts():
     assert is_strongly_generic_set([]).is_strongly_generic
     assert is_strongly_generic_set([Geometric(2)]).is_strongly_generic
@@ -425,8 +439,8 @@ def test_set_verdicts():
     assert v.kind == "not_strongly_generic" and v.reason.startswith("member 1")
 
     # an undecidable member keeps the set undecided when nothing fails
-    v = is_strongly_generic_set([Weighted(Geometric(2))])
-    assert v.kind == "unknown"
+    v = is_strongly_generic_set([Shifted(NoTails(), 1)])
+    assert (v.kind, v.reason) == ("unknown", "member 0: no decision procedure for Shifted")
 
 
 # the full reason strings that check-seq prints and writes to its report
@@ -487,6 +501,160 @@ def test_pinned_member_reasons(s, member, generic, witness):
     assert (v.kind, v.reason) == ("not_strongly_generic", member)
     g = is_generic(s)
     assert (g.kind, g.reason, g.witness) == ("not_generic", generic, witness)
+
+
+# ---------------------------------------------------------------------------
+# the tail normal form: every nesting of wrappers is decided
+# ---------------------------------------------------------------------------
+
+G2 = Geometric(2)
+R = Recurrence(FinVector({0: 1, 2: 1}), [1, 0])  # 1 + S^2 kills it
+
+
+def apply_poly(p, s, i):
+    """(p(S)s)_i = sum_k p_k s_{i+k}, straight from the entries."""
+    return sum((c * s.entry(i + k) for k, c in p.items()), F(0))
+
+
+def kills_translates(v, s, lo=-30, hi=30):
+    return all(pairing(v, translate(s, n)) == 0 for n in range(lo, hi + 1))
+
+
+def test_shifted_and_scaled_weighted_geometric_are_generic():
+    for s in (Shifted(Weighted(G2), 1), Scaled(Weighted(G2), 2), Weighted(G2)):
+        assert is_generic(s).kind == "generic", s
+
+
+def test_weighted_recurrence_is_not_generic_with_squared_witness():
+    v = is_generic(Weighted(R))
+    assert v.kind == "not_generic"
+    assert v.witness == FinVector({0: 1, 2: 2, 4: 1})  # (1 + S^2)^2
+    assert kills_translates(v.witness, Weighted(R))
+    # i * R_i is not killed by 1 + S^2 itself
+    assert not kills_translates(R.v, Weighted(R))
+
+
+@pytest.mark.parametrize(
+    "s",
+    [Weighted(G2), Shifted(Weighted(G2), 1), Scaled(Weighted(G2), -3),
+     Weighted(Weighted(G2))],
+    ids=range(4),
+)
+def test_weighted_members_are_strongly_generic(s):
+    assert member_strong_genericity(s).kind == "strongly_generic"
+    assert window_rank_check([s], 3, 12).full_rank
+
+
+def test_weighted_members_that_are_not_strongly_generic():
+    v = member_strong_genericity(Weighted(FIB))
+    assert v.kind == "not_strongly_generic" and v.reason.startswith("not generic")
+    v = member_strong_genericity(Weighted(Shifted(FiniteSupport({1: 1}), 1)))
+    assert v.reason == "the zero sequence is dependent"
+
+
+def residue_poly(s):
+    """(T, F) with T from is_generic and T(S)s = F(S)delta_0, i.e. F_k is
+    entry -k of T(S)s, read off a window wider than the tails."""
+    lo, hi, left, right = seqspace._tails(s)
+    t = left if left == right else seqspace._polymul(left, right)
+    f = {-i: apply_poly(t, s, i) for i in range(lo - 40, hi + 40)}
+    return t, FinVector({k: c for k, c in f.items() if c})
+
+
+def laurent_mul(p, q):
+    out = {}
+    for i, a in p.items():
+        for k, b in q.items():
+            linalg.add_term(out, i + k, a * b)
+    return FinVector(out)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(Weighted(G2), G2), (Shifted(Weighted(G2), 1), FiniteSupport({0: 1, 2: -1})),
+     (Scaled(Weighted(Geometric(3)), 2), Weighted(FiniteSupport({1: 1, 2: 1})))],
+    ids=range(3),
+)
+def test_general_pair_combination_vanishes(a, b):
+    v = is_strongly_generic_set([a, b])
+    assert v.kind == "not_strongly_generic"
+    assert v.reason.startswith("members 0 and 1: tail annihilators")
+    t_a, f_a = residue_poly(a)
+    t_b, f_b = residue_poly(b)
+    assert not f_a.is_zero() and not f_b.is_zero()
+    q_a, q_b = laurent_mul(f_b, t_a), laurent_mul(f_a, t_b)
+    for i in range(-30, 31):
+        assert apply_poly(q_a, a, i) == apply_poly(q_b, b, i), i
+
+
+def test_weighted_fibonacci_minimal_annihilator_has_width_four():
+    w = Weighted(FIB)
+    v = minimal_annihilator(w)
+    assert v.width() == 4 and size(w) == 4
+    assert kills_translates(v, w)
+    got = oracles.brute_annihilator(w.entry)
+    assert got is not None and got[-1][0] - got[0][0] == 4
+
+
+def test_width_zero_unit_recurrence_is_the_zero_sequence():
+    s = Recurrence(FinVector({0: 1}), [])
+    v = is_generic(s)
+    assert (v.kind, v.reason, v.witness) == ("not_generic", "zero sequence", FinVector({0: 1}))
+    assert v.witness is s.v
+
+
+def test_translate_of_a_recurrence_is_shifted():
+    t = translate(FIB, 3)
+    assert type(t) is Shifted and (t.base, t.offset) == (FIB, 3)
+    assert is_generic(t).witness is FIB.v
+
+
+def random_tower(rng, depth):
+    """A random Shifted/Scaled/Weighted tower over the three classes."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        s = FiniteSupport({rng.randint(-4, 4): rng.randint(-3, 3) for _ in range(rng.randint(0, 3))})
+    elif kind == 1:
+        s = Geometric(rng.choice([2, 3, F(5, 2)]))
+    else:
+        width = rng.randint(1, 2)
+        v = {k: rng.randint(-2, 2) for k in range(width)}
+        v[0] = v[0] or 1
+        v[width] = rng.choice([1, -1, 2])
+        s = Recurrence(FinVector(v), [rng.randint(-2, 2) for _ in range(width)])
+    for _ in range(rng.randint(0, depth)):
+        wrap = rng.randrange(3)
+        if wrap == 0:
+            s = Shifted(s, rng.randint(-3, 3))
+        elif wrap == 1:
+            s = Scaled(s, rng.choice([2, -1, F(1, 3)]))
+        else:
+            s = Weighted(s)
+    return s
+
+
+def test_random_towers_against_the_oracles():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        s = random_tower(rng, 3)
+        lo, hi, left, right = seqspace._tails(s)
+        # each tail polynomial holds on its side of [-40, 40]
+        assert all(apply_poly(left, s, i) == 0 for i in range(-40, lo - left.width() + 1))
+        assert all(apply_poly(right, s, i) == 0 for i in range(hi, 41 - right.width()))
+        fin = seqspace._finite_core(s)
+        if fin is not None:
+            assert all(fin.entry(i) == s.entry(i) for i in range(-40, 41))
+        v = is_generic(s)
+        if v.kind == "not_generic":
+            assert kills_translates(v.witness, s)
+            assert kills_translates(minimal_annihilator(s), s)
+        else:
+            assert v.kind == "generic"
+            for width in range(1, 5):
+                rows = [[s.entry(n + k) for k in range(width)] for n in range(-12, 13)]
+                assert oracles.sympy_dense_rank(rows) == width, s
+        if member_strong_genericity(s).kind == "strongly_generic":
+            assert window_rank_check([s], 3, 12).full_rank, s
 
 
 # ---------------------------------------------------------------------------
