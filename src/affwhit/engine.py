@@ -87,9 +87,23 @@ builder's rows are the memoized shifted images (X - Lam_j) . m of the
 basis columns, as they are.  The tensor builder is a Kronecker sum:
 X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
 ma (x) (X - Lam'_j).mb, so it reads the two shifted factor images, one
-per factor basis element and condition, and writes their off-diagonal
-terms to (m, mb) and (ma, m'); the one key both share, (ma, mb), gets
-s_a + s_b once.  No tensor element is built.
+per factor basis element and condition, as they are, and writes their
+terms to (m, mb) and (ma, m').  No tensor element is built.
+
+Those keys never coincide, because a shifted image (X - Lam_j) . m,
+X = X_alpha (x) t^j with alpha in Phi_n, never has a term on m.  Let m
+= u_1 ... u_k . 1 have PBW degree k and weight wt(m), the sum of the
+root-lattice weights of its factors (X_beta (x) t^i has weight beta,
+the Cartan loops and d have weight 0).  Moving X to the right leaves
+lambda(X) m, which the shift cancels, and the terms u_1 ... [X, u_i] ...
+u_k . 1.  Straightening those into standard monomials only lowers the
+degree: reordering two factors leaves their bracket, one factor or c,
+in place of two, and a factor in L(n) + Cc acts on what stands to its
+right by a shorter product or a scalar.  So a term of full degree k
+comes from a module generator in [X, u_i] and has weight wt(m) +
+alpha, since brackets add weights and reordering keeps them; alpha !=
+0, so it is not m.  Every other term has degree below k, so it is not
+m either.
 
 Rows are never kept as a full list, and the rows of dead columns are
 counted, not built.  Each condition's rows stream through the singleton
@@ -773,12 +787,6 @@ PairMonomial = Tuple[Monomial, Monomial]
 TensorElement = Dict[PairMonomial, Scalar]
 
 
-def _split_diagonal(img: IdElement, mono: int) -> Tuple[IdElement, Scalar]:
-    """(a copy of img without mono, the coefficient of mono)."""
-    off = dict(img)
-    return off, off.pop(mono, 0)
-
-
 class TensorModule:
     """Diagonal action on M(Lam, theta) (x) M(Lam', theta')."""
 
@@ -840,51 +848,42 @@ class TensorModule:
 
         The rows form a Kronecker sum: g - (Lam + Lam')_j acts on (ma, mb)
         by (g - Lam_j).ma (x) mb + ma (x) (g - Lam'_j).mb, so every shifted
-        factor image is read once per condition.  Off-diagonal terms land
-        on (m, mb) and (ma, m'), which never coincide; the one shared key
-        (ma, mb) gets s_a + s_b once, where s_a and s_b are the diagonal
-        coefficients of the two shifted images.  As for the module
-        builder, a pair column in ``dead`` only adds its output keys to
-        the count, which is the number of rows over every column.
+        factor image is read once per condition, as it is.  Its terms land
+        on (m, mb) and (ma, m'), which never coincide: a shifted image
+        (g - Lam_j).m has no term on m, since its terms of full PBW degree
+        have weight wt(m) + root and the others lower degree (module
+        docstring).  As for the module builder, a pair column in ``dead``
+        only adds its output keys to the count, which is the number of
+        rows over every column.
         """
         g = ("X", root, j)
         lmul_a, ga = self.left._lmul, self.left._gid(g)
         lmul_b, gb = self.right._lmul, self.right._gid(g)
-        right = [_split_diagonal(lmul_b(gb, mb), mb) for mb in basis_b]
+        right = [lmul_b(gb, mb) for mb in basis_b]
         seen: Set[Tuple[int, int]] = set()
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         nb = len(basis_b)
         for ia, ma in enumerate(basis_a):
-            off_a, s_a = _split_diagonal(lmul_a(ga, ma), ma)
-            for col, (mb, (off_b, s_b)) in enumerate(zip(basis_b, right), ia * nb):
-                s = s_a + s_b
+            img_a = lmul_a(ga, ma)
+            for col, (mb, img_b) in enumerate(zip(basis_b, right), ia * nb):
                 if col in dead:
-                    seen.update(zip(off_a, repeat(mb)))
-                    seen.update(zip(repeat(ma), off_b))
-                    if s:
-                        seen.add((ma, mb))
+                    seen.update(zip(img_a, repeat(mb)))
+                    seen.update(zip(repeat(ma), img_b))
                     continue
-                for m, c in off_a.items():
+                for m, c in img_a.items():
                     key = (m, mb)
                     row = by_out.get(key)
                     if row is None:
                         by_out[key] = {col: c}
                     else:
                         row[col] = c
-                for m, c in off_b.items():
+                for m, c in img_b.items():
                     key = (ma, m)
                     row = by_out.get(key)
                     if row is None:
                         by_out[key] = {col: c}
                     else:
                         row[col] = c
-                if s:
-                    key = (ma, mb)
-                    row = by_out.get(key)
-                    if row is None:
-                        by_out[key] = {col: s}
-                    else:
-                        row[col] = s
         seen.update(by_out)
         return by_out, len(seen)
 

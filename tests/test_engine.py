@@ -688,7 +688,19 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
     assert cancelled
 
 
-# modules and tensor products whose live-only rows are checked, at a truncation
+@pytest.mark.parametrize("factory", [f for f, _ in INTERNED.values()] + [const_spec],
+                         ids=list(INTERNED) + ["sl2-const"])
+def test_shifted_image_has_no_term_on_its_monomial(factory):
+    # the tensor builder writes both factor images as they are, on the
+    # weight argument of the engine docstring
+    module = WhittakerModule(quiet(factory))
+    ids = [module._mid(m) for m in module.basis(Truncation(2, 2, 3))]
+    for root in module.condition_roots():
+        for j in range(-3, 4):
+            g = module._gid(X(root, j))
+            for m in ids:
+                assert m not in module._lmul(g, m), (root, j, module._monos[m])
+
 LIVE_ONLY = {
     **{
         name: ((lambda f=factory: WhittakerModule(f())), trunc)
