@@ -508,16 +508,17 @@ def _tails(s: BiSequence):
     return lo, hi, left2, left2 if right == left else _polymul(right, right)
 
 
-def _residue(p: FinVector, s: BiSequence, lo: int, hi: int) -> FiniteSupport:
-    """Entries i of p(S)s, sum_k p_k s_{i+k}, for lo - omega(p) < i < hi.
+def _kills(p: FinVector, s: BiSequence, lo: int, hi: int) -> bool:
+    """Whether p(S)s = 0, for a p that holds on (-inf, lo] and on [hi, inf).
 
-    When p holds on (-inf, lo] and on [hi, inf), p(S)s vanishes at every
-    other i, so this is all of p(S)s.
+    Entry i of p(S)s is sum_k p_k s_{i+k}, so it vanishes unless
+    lo - omega(p) < i < hi, and only those entries are computed.
     """
-    start, terms = lo - p.width() + 1, p.items()
-    vals = s.window(start, hi - 1 + p.width())
-    return FiniteSupport({i: sum(c * vals[i - start + k] for k, c in terms)
-                          for i in range(start, hi)})
+    w, terms = p.width(), p.items()
+    vals = s.window(lo - w + 1, hi - 1 + w)
+    return not any(
+        sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1)
+    )
 
 
 def is_zero_sequence(s: BiSequence):
@@ -579,7 +580,7 @@ def _genericity(s: BiSequence, tails) -> SeqVerdict:
         return SeqVerdict("unknown", None, f"no decision procedure for {type(s).__name__}")
     lo, hi, left, right = tails
     t = left if left == right else _polymul(left, right)
-    if not _residue(t, s, lo, hi).is_zero():
+    if not _kills(t, s, lo, hi):
         return GENERIC
     return SeqVerdict(
         "not_generic", t, "zero sequence" if t == _ONE else "defining annihilator"

@@ -20,7 +20,7 @@ DECISIONS = (
     "is_zero_sequence", "_finite_core", "is_generic", "member_strong_genericity",
     "_dependence_of_pair", "is_strongly_generic_set", "minimal_annihilator",
     # the private helpers those read
-    "_genericity", "_member_verdict", "_geometric_ratio", "_residue",
+    "_genericity", "_member_verdict", "_geometric_ratio", "_kills",
 )
 
 
