@@ -3,7 +3,7 @@
 The package is organized in four layers:
 
 * :mod:`affwhit.seqspace` -- bi-infinite rational sequences, genericity
-  verdicts, minimal annihilators of recurrence sequences;
+  verdicts, minimal annihilators of every non-generic sequence;
 * :mod:`affwhit.rootdata` -- type-A root systems, parabolic nilradical
   combinatorics, Chevalley structure constants and the Killing form;
 * :mod:`affwhit.affine` -- the affine algebra: loop generators, central
