@@ -150,12 +150,12 @@ the same rows, and its dead set does not depend on row order; the
 dead set it held carries over, so most of a new condition's columns
 are only counted.  The pruner also
 holds the reduced echelon form of the core it certified last, and the
-next solve extends that form by the new core rows and newly dead
-columns instead of eliminating the whole core again (the argument is
-in the ``linalg`` docstring).  The extension is returned only after
-every current core row is checked against it, and otherwise the whole
-core is eliminated; the reduced echelon form and the normalized kernel
-basis are unique, so either way the answer is a fresh solve's.
+next solve eliminates that form, restricted to the columns still live,
+together with the new core rows, instead of the whole core again: the
+two span the same row space (the argument is in the ``linalg``
+docstring).  That elimination is the same certified ``rref_pivots``
+call as a fresh solve's, and the reduced echelon form and the
+normalized kernel basis are unique, so the answer is a fresh solve's.
 ``row_count`` and ``condition_count`` are sums over the conditions fed,
 so they still count the full system at J.
 

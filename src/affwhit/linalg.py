@@ -47,9 +47,9 @@ on the kernel, hence not on the pruning nor on the row order.
 large system can feed rows as they are made, keep only the live core,
 and ask the pruner itself for the kernel (:meth:`SingletonPruner.nullspace`),
 which skips a second singleton pass.  The pruner holds the reduced form
-it certified last, so a caller that feeds more rows and asks again pays
-for the new rows, not for the whole core (see "Extending a certified
-form" below).
+it certified last, so a caller that feeds more rows and asks again
+eliminates that form and the new rows, not the whole core (see
+"Extending a certified form" below).
 
 Certified multimodular elimination
 ----------------------------------
@@ -103,42 +103,28 @@ Nothing is computed at import time.
 
 Extending a certified form
 --------------------------
-A :class:`SingletonPruner` holds the pivot rows R it returned last, with
-the number of rows it had kept and its dead set at that time.  The first
-call eliminates the core with :func:`rref_pivots`.  A later call, once
-more rows have come and more columns died (the set N), extends R
-instead.  Let p = 2^127 - 1, let A be the current core cleared of
-denominators, and let B be R cleared of denominators, the integer rows
-kept since and still live, and one unit row e_d per d in N.
+A :class:`SingletonPruner` holds the pivot rows R it returned last and
+the number of rows it had kept then.  Every call eliminates with
+:func:`rref_pivots`: the first one the whole core, a later one R
+restricted to the columns live now, then the rows kept since.  Let pi
+drop the columns that died since the last call.
 
-* Row space.  An old core row restricted to the columns live now is a
-  current core row, or zero when the row was consumed (all its columns
-  are dead).  So the old core, hence R, lies in rowspace(A) + span(e_d :
-  d in N), and the columns of R off N are columns of A.  Each current
-  core row is an old one minus its entries on N, or a row kept since.
-  Thus rowspace_Q(B) = rowspace_Q(A) (+) span(e_d : d in N), a direct
-  sum since A has no entry on a dead column, and
-  rank_Q(B) = rank_Q(A) + |N|.
-* Seeding.  If p divides no denominator of R, then R mod p (a/b read
-  as a * b^-1) is the reduced echelon form mod p of R cleared of
-  denominators: each cleared row is a unit multiple of its row mod p,
-  and R is fully reduced with leading value 1.  Its rank mod p is
-  therefore |R|, the rank over Q.  So the loop of :func:`_rref_mod` may
-  start from R mod p and feed only the other rows of B, which gives the
-  reduced echelon form of B mod p.
-* Rank bound.  That form holds each e_d, d in N, so d is a pivot and
-  its row is e_d; the other rows are zero on N.  Dropping the rows of N
-  leaves |P| = rank_p(B) - |N| <= rank_Q(B) - |N| = rank_Q(A) pivots,
-  all rows supported in C.
+* Every old core row y reduced to zero against R, so
+  y = sum_pc y[pc] R_pc, and pi(y) = sum_pc y[pc] pi(R_pc).
+* Each current core row is pi of an old core row, or a row kept since.
+  An old core row consumed since has all its columns dead, so its pi
+  is zero.
+* Each R_pc is a combination of old core rows, so pi(R_pc) is a
+  combination of current core rows.
+* So pi(R) and the rows kept since span exactly the current core's row
+  space, and have the same reduced echelon form.
 
-These are the facts the proof above uses about a candidate: pivots at
-most rank_Q(A), rows starting at their pivot, support in C.  So once it
-is lifted and every row of A reduces to zero against it, the candidate
-is the reduced echelon form of A over Q, as before.  If a denominator
-of R is a multiple of p, the lift fails or the check fails, the whole
-core goes to :func:`rref_pivots`, which ends as shown above.  The answer
-never depends on which path ran, since the reduced echelon form is
-unique.
+:func:`rref_pivots` certifies its lift against every row it gets, so by
+induction on the calls each result is the exact reduced echelon form of
+the core over Q, as a fresh elimination of the whole core would give.
+The rows of R need no special care: :func:`_integer_row` clears their
+denominators like any other row's, and any further primes come from
+the usual loop.
 
 No floating point is used anywhere.
 """
@@ -342,12 +328,7 @@ def _integer_row(row: SparseRow) -> IntRow:
 
 
 def _rref_mod(rows: Iterable[IntRow], p: int) -> IntPivots:
-    """Fully reduced echelon rows of the integer rows mod p, leading value 1."""
-    return _extend_mod({}, rows, p)
-
-
-def _extend_mod(pivots: IntPivots, rows: Iterable[IntRow], p: int) -> IntPivots:
-    """pivots, a fully reduced echelon form mod p, extended by the rows.
+    """Fully reduced echelon rows of the integer rows mod p, leading value 1.
 
     Invariant: every stored pivot row contains no pivot column other
     than its own.  An incoming row is therefore fully reduced by one
@@ -355,6 +336,7 @@ def _extend_mod(pivots: IntPivots, rows: Iterable[IntRow], p: int) -> IntPivots:
     introduces non-pivot columns), after which its minimum remaining
     column is a fresh pivot.  Each pivot row's columns are >= its pivot.
     """
+    pivots: IntPivots = {}
     for row in rows:
         r = {}
         for c, v in row.items():
@@ -557,18 +539,16 @@ class SingletonPruner:
     the order of the rows.
     """
 
-    __slots__ = ("dead", "_kept", "_by_col", "_held", "_held_kept", "_held_dead")
+    __slots__ = ("dead", "_kept", "_by_col", "_held", "_held_kept")
 
     def __init__(self):
         self.dead: Set[int] = set()
         # [live count, row, its nonzero columns live on arrival]; count 0 = consumed
         self._kept: List[list] = []
         self._by_col: Dict[int, List[list]] = {}
-        # the certified pivot rows of the last _pivots call, with len(_kept)
-        # and the dead set as they were then
-        self._held: Optional[Dict[int, SparseRow]] = None
+        # the certified pivot rows of the last _pivots call, and len(_kept) then
+        self._held: Dict[int, SparseRow] = {}
         self._held_kept = 0
-        self._held_dead: Set[int] = set()
 
     def extend(self, rows: Iterable[SparseRow]) -> None:
         """Feed the rows in turn."""
@@ -616,11 +596,11 @@ class SingletonPruner:
                             break
                     entry[1] = entry[2] = None
 
-    def core(self, start: int = 0, stop: Optional[int] = None) -> Iterator[SparseRow]:
-        """Kept rows start..stop-1 (all by default) restricted to their live
-        columns, in arrival order."""
+    def core(self, start: int = 0) -> Iterator[SparseRow]:
+        """Kept rows from ``start`` on (all by default) restricted to their
+        live columns, in arrival order."""
         dead = self.dead
-        for count, row, live in self._kept[start:stop]:
+        for count, row, live in self._kept[start:]:
             if count:
                 yield {c: row[c] for c in live if c not in dead}
 
@@ -628,51 +608,20 @@ class SingletonPruner:
         """The core's pivot rows, after range-checking every column seen.
 
         Every nonzero column fed is dead or live in a kept row, and the
-        live ones are exactly the keys of ``_by_col``.  The first call
-        streams the core into :func:`rref_pivots`, so no list of it is
-        kept; a later one extends the pivot rows it certified
-        (:meth:`_extend_held`), and falls back to :func:`rref_pivots`
-        when that fails.  The result is held for the next call.
+        live ones are exactly the keys of ``_by_col``.  One
+        :func:`rref_pivots` call gets the pivot rows held from the last
+        call restricted to the live columns, then the rows kept since,
+        streamed so no list of the core is kept; the first call gets the
+        whole core.  The result is held for the next call (see "Extending
+        a certified form" in the module docstring).
         """
-        if any(c < 0 or c >= ncols for c in chain(self.dead, self._by_col)):
+        dead = self.dead
+        if any(c < 0 or c >= ncols for c in chain(dead, self._by_col)):
             raise ValueError("row has a column outside range(ncols)")
-        pivots = None if self._held is None else self._extend_held()
-        if pivots is None:
-            pivots = rref_pivots(self.core())
-        self._held, self._held_kept, self._held_dead = pivots, len(self._kept), set(self.dead)
+        held = ({c: v for c, v in row.items() if c not in dead} for row in self._held.values())
+        pivots = rref_pivots(chain(held, self.core(self._held_kept)))
+        self._held, self._held_kept = pivots, len(self._kept)
         return pivots
-
-    def _extend_held(self) -> Optional[Dict[int, SparseRow]]:
-        """The core's pivot rows, extended from the held ones, or None.
-
-        The held rows modulo 2^127 - 1, the integer rows kept since and
-        still live, and one unit row per column dead since are reduced
-        mod p; the pivots of those dead columns are dropped, and the
-        rest is lifted and returned only if every core row reduces to
-        zero against it.  None when a held denominator is a multiple of
-        p, the lift fails or the check fails (see the module docstring).
-        """
-        start, new_dead = self._held_kept, self.dead - self._held_dead
-        p = _FIRST_PRIME
-        image: IntPivots = {}
-        for pc, row in self._held.items():
-            r = {}
-            for c, v in row.items():
-                if not v.denominator % p:
-                    return None
-                x = v.numerator * pow(v.denominator, -1, p) % p
-                if x:
-                    r[c] = x
-            image[pc] = r
-        new = [_integer_row(r) for r in self.core(start)]
-        _extend_mod(image, chain(({d: 1} for d in new_dead), new), p)
-        for d in new_dead:
-            image.pop(d, None)
-        cand = _lift(image, p)
-        if cand is None:
-            return None
-        old = [_integer_row(r) for r in self.core(0, start)]
-        return _fractions(cand) if _certify(old + new, cand) else None
 
     def nullspace(self, ncols: int) -> List[SparseRow]:
         """:func:`nullspace` of the rows fed so far, without a second pass."""

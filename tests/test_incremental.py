@@ -119,30 +119,50 @@ def test_descending_or_changed_truncation_rebuilds(name):
         assert len(fed) == want.condition_count
 
 
-def count_eliminations(monkeypatch):
-    """A list that gets one entry per call of ``linalg.rref_pivots``."""
+def record_eliminations(monkeypatch):
+    """A list that gets (rows, pivot rows) for every ``linalg.rref_pivots`` call."""
     calls = []
     rref = linalg.rref_pivots
 
-    def counted(rows):
-        calls.append(None)
-        return rref(rows)
+    def recorded(rows):
+        rows = list(rows)
+        pivots = rref(rows)
+        calls.append((rows, pivots))
+        return pivots
 
-    monkeypatch.setattr(linalg, "rref_pivots", counted)
+    monkeypatch.setattr(linalg, "rref_pivots", recorded)
     return calls
+
+
+def assert_held_rows_then_new(rows, pruner, held, kept):
+    """``rows`` are the pivot rows ``held`` from the last solve restricted to
+    the columns live now, then the core rows kept since row ``kept``: no
+    old core row is eliminated again."""
+    dead = pruner.dead
+    restricted = [{c: v for c, v in r.items() if c not in dead} for r in held.values()]
+    assert rows == restricted + list(pruner.core(kept))
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_only_the_first_J_eliminates_the_whole_core(name, monkeypatch):
-    # later Js extend the certified form held from the last solve; a silent
-    # fall back to full elimination (say, without the unit rows of columns
-    # that died since) would call rref_pivots again
+    # later Js eliminate the certified form held from the last solve and
+    # the new core rows; a silent return to the whole core would feed the
+    # old core rows again
     make, D, E, Js = SCANS[name]
     module = make()
-    calls = count_eliminations(monkeypatch)
-    for J in Js:
+    calls = record_eliminations(monkeypatch)
+    module.solve(Truncation(D, E, Js[0]))
+    (rows, held), = calls
+    pruner = module._held.pruner
+    assert rows == list(pruner.core())
+    for J in Js[1:]:
+        calls.clear()
+        kept = len(pruner._kept)
         module.solve(Truncation(D, E, J))
-        assert len(calls) == 1
+        assert module._held.pruner is pruner
+        (rows, pivots), = calls
+        assert_held_rows_then_new(rows, pruner, held, kept)
+        held = pivots
 
 
 def batch(rng, nc, pivots):
@@ -166,16 +186,20 @@ def test_pruner_extends_its_certified_form_batch_by_batch(monkeypatch):
         nc = rng.randint(6, 12)
         pruner = linalg.SingletonPruner()
         rows, pivots = [], set()
-        calls = count_eliminations(monkeypatch)
+        calls = record_eliminations(monkeypatch)
+        held = {}
         for k in range(4):
+            kept = len(pruner._kept)
             new = batch(rng, nc, pivots)
             pruner.extend(new)
             rows += new
             held_pivot_died += bool(pivots & pruner.dead)
             got = pruner.nullspace(nc)
-            # only the first solve eliminates the whole core
-            assert len(calls) == (k == 0)
-            calls.clear()
+            # the first solve eliminates the whole core, each later one
+            # the held pivot rows and the rows kept since
+            (fed, result), = calls
+            assert_held_rows_then_new(fed, pruner, held, kept)
+            held = result
             assert got == linalg.nullspace(rows, nc)
             assert got == oracles.sympy_nullspace(rows, nc)
             calls.clear()
@@ -196,13 +220,27 @@ def tall_rows(rng, nc, n):
     ]
 
 
-def test_held_path_falls_back_when_one_prime_is_not_enough(monkeypatch):
+def log_primes(monkeypatch):
+    """A list that gets every prime ``linalg.rref_pivots`` draws."""
+    primes = []
+    draw = linalg._primes
+
+    def logged():
+        for p in draw():
+            primes.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "_primes", logged)
+    return primes
+
+
+def test_held_rows_are_certified_when_one_prime_is_not_enough(monkeypatch):
     rng = random.Random(6364)
     cases = [
         # small held form, then rows of 100-bit entries: the lift fails
         ([{0: 1, 1: 2, 2: 3}, {2: 1, 3: -1}], tall_rows(rng, 8, 3)),
         # the new reduced form holds -2^126, which is -1/2 modulo 2^127 - 1:
-        # the lift succeeds and only the check against the core rejects it
+        # the lift succeeds and only the check against the rows rejects it
         ([{2: 1, 3: 1}], [{0: 1, 1: -(2**126)}]),
         # a held denominator that is a multiple of 2^127 - 1
         ([{0: M127, 1: 1}], [{1: 1, 2: 3}]),
@@ -211,15 +249,44 @@ def test_held_path_falls_back_when_one_prime_is_not_enough(monkeypatch):
         nc = 8
         pruner = linalg.SingletonPruner()
         pruner.extend(first)
-        calls = count_eliminations(monkeypatch)
+        calls = record_eliminations(monkeypatch)
         assert pruner.nullspace(nc) == oracles.sympy_nullspace(first, nc)
+        (_, held), = calls
+        kept = len(pruner._kept)
         pruner.extend(second)
+        primes = log_primes(monkeypatch)
         got = pruner.nullspace(nc)
-        assert len(calls) == 2  # the first solve, then the fallback
+        assert len(calls) == 2 and len(primes) > 1
+        assert_held_rows_then_new(calls[1][0], pruner, held, kept)
         rows = first + second
         assert got == linalg.nullspace(rows, nc)
         assert got == oracles.sympy_nullspace(rows, nc)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("first, second, restricted", [
+    # every column of the held pivot row 0 dies
+    ([{0: 1, 1: 1}, {2: 1, 3: 1, 4: 1}], [{0: 2}, {3: 1, 5: 2}],
+     {0: {}, 2: {2: 1, 3: 1, 4: 1}}),
+    # the held pivot column 0 dies, and columns 1 and 2 of its row stay live
+    ([{0: 1, 1: 1, 2: 1}], [{0: 3}, {1: 1, 3: 1}], {0: {1: 1, 2: 1}}),
+], ids=["all-columns-die", "pivot-column-dies"])
+def test_held_pivot_rows_lose_their_dead_columns(first, second, restricted, monkeypatch):
+    nc = 8
+    pruner = linalg.SingletonPruner()
+    pruner.extend(first)
+    calls = record_eliminations(monkeypatch)
+    pruner.nullspace(nc)
+    (_, held), = calls
+    kept = len(pruner._kept)
+    pruner.extend(second)
+    got = pruner.nullspace(nc)
+    fed = calls[1][0]
+    assert dict(zip(held, fed)) == restricted  # keyed by held pivot column
+    assert_held_rows_then_new(fed, pruner, held, kept)
+    rows = first + second
+    assert got == linalg.nullspace(rows, nc)
+    assert got == oracles.sympy_nullspace(rows, nc)
 
 
 def test_dropped_solved_modules_are_freed_without_the_collector():
