@@ -50,7 +50,7 @@ from .seqspace import (
     minimal_annihilator,
     sequence_from_literal,
     sequence_str,
-    size,
+    size,  # not called here; perfbench/tracing.py wraps cli.size
     window_rank_check,
 )
 
@@ -284,7 +284,7 @@ def cmd_check_seq(args) -> int:
         line = f"  [{i}] {sequence_str(s)}: {v.kind}"
         if v.kind == "not_generic":
             ann = minimal_annihilator(s)
-            sz = size(s)
+            sz = ann.width()
             entry["size"] = sz
             entry["minimal_annihilator"] = repr(ann)
             line += f" (witness {ann!r}, size {sz})"

@@ -701,7 +701,8 @@ def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
       and F-applied-to-g are both the product polynomial f*g;
     * geometric + finite support: every delta_k is the translate
       combination -(1/j) * (j * a^{(-k)} - a^{(1-k)}) of the geometric
-      member, so any finite-support member lies in its translate span.
+      member, so any finite-support member lies in its translate span
+      (a ratio that is not an integer is printed in brackets).
     """
     ja, jb = _geometric_ratio(ta), _geometric_ratio(tb)
     fa = _finite_core(sa, ta) is not None
@@ -725,6 +726,7 @@ def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
         )
     for j, other_finite in ((ja, fb), (jb, fa)):
         if j is not None and other_finite:
+            j = j if j.denominator == 1 else f"({j})"
             return (
                 "every delta_k equals the translate combination "
                 f"-(1/{j})*({j}*a^(-k) - a^(1-k)) of the geometric member, so "

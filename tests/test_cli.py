@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, exit codes, reports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from affwhit import cli, presets
+from affwhit import cli, presets, seqspace
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -206,6 +207,24 @@ def test_check_seq_reports_annihilator(tmp_path, capsys):
     assert "not_generic" in out
     assert "size 1" in out
     assert "v_0 - v_1" in out
+
+
+def test_check_seq_searches_each_annihilator_once(monkeypatch, capsys):
+    # one Hankel search per non-generic member: its size is the width of
+    # the annihilator found
+    searches = []
+    search = seqspace.minimal_annihilator
+
+    def counted(s):
+        searches.append(s)
+        return search(s)
+
+    monkeypatch.setattr(cli, "minimal_annihilator", counted)
+    monkeypatch.setattr(seqspace, "minimal_annihilator", counted)
+    config = str(Path(__file__).parent / "golden" / "check-seq-mixed.json")
+    code, out, _ = run(capsys, "check-seq", "--config", config)
+    assert code == 0
+    assert len(searches) == out.count(": not_generic") == 3
 
 
 # ---------------------------------------------------------------------------

@@ -474,10 +474,16 @@ PINNED_SET_REASONS = [
         "ratios 2 and 7/3: the delta_1 residues cancel across the pair, a "
         "vanishing combination of four translates",
     ),
+    (
+        [Geometric(F(5, 2)), FiniteSupport({0: 1, 1: 1})],
+        "members 0 and 1: every delta_k equals the translate combination "
+        "-(1/(5/2))*((5/2)*a^(-k) - a^(1-k)) of the geometric member, so the "
+        "finite-support member lies in its translate span",
+    ),
 ]
 
 
-@pytest.mark.parametrize("seqs, reason", PINNED_SET_REASONS, ids=range(5))
+@pytest.mark.parametrize("seqs, reason", PINNED_SET_REASONS, ids=range(6))
 def test_pinned_pair_reasons(seqs, reason):
     v = is_strongly_generic_set(seqs)
     assert (v.kind, v.reason) == ("not_strongly_generic", reason)
