@@ -56,6 +56,14 @@ from .seqspace import (
 
 _LABEL_RE = re.compile(r"^a(\d+)$")
 
+# size bounds, checked before the work they bound starts; each admits every
+# preset, golden and benchmark rung (largest: rank 3, the 6,084 pairs of the
+# tensor goldens at D = E = 2, S = 16 and W = 64)
+MAX_RANK = 16
+MAX_BASIS = 10000
+MAX_SHIFT = 32
+MAX_WINDOW = 128
+
 
 class ConfigError(ValueError):
     pass
@@ -129,6 +137,8 @@ def build_algebra(alg_cfg: dict):
     rank = config_int(alg_cfg.get("rank", 0), "rank")
     if rank < 1:
         raise ConfigError("rank must be a positive integer")
+    if rank > MAX_RANK:
+        raise ConfigError(f"rank {rank} exceeds the bound {MAX_RANK}")
     levi_cfg = require_list(alg_cfg.get("levi", []), "levi")
     levi = {config_int(i, "levi entry") for i in levi_cfg}
     return build_datum(rank + 1, levi)
@@ -190,6 +200,32 @@ def truncation_field(cfg: dict, args, name: str) -> int:
 
 def resolve_truncation(cfg: dict, args) -> Truncation:
     return Truncation(*(truncation_field(cfg, args, name) for name in "DEJ"))
+
+
+def check_basis_size(specs, trunc: Truncation, max_basis: int) -> None:
+    """ConfigError, before any basis is built, when the basis at ``trunc``
+    has more than ``max_basis`` monomials.
+
+    A module with G generators of |exponent| <= E has C(G + D, D)
+    standard monomials of degree <= D; a tensor basis is the product of
+    its factors' sizes.  The binomial is built up one degree at a time
+    and stops once past the bound, so a huge D or E costs nothing."""
+    size = 1
+    for spec in specs:
+        datum = spec.datum
+        gens = len(datum.phi) - len(datum.phi_n) + datum.rank
+        gens = gens * (2 * trunc.E + 1) + (not spec.loop_only)
+        count = 1  # C(gens + k, k)
+        for k in range(1, trunc.D + 1):
+            count = count * (gens + k) // k
+            if size * count > max_basis:
+                break
+        size *= count
+        if size > max_basis:
+            raise ConfigError(
+                f"basis at D={trunc.D}, E={trunc.E} has more than {max_basis} "
+                "monomials; raise --max-basis to solve it"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +308,11 @@ def cmd_check_seq(args) -> int:
     seqs = [sequence_from_literal(lit) for lit in literals]
     S = config_int(cfg.get("S", 6), "S")
     W = config_int(cfg.get("W", 20), "W")
+    if S > MAX_SHIFT or W > MAX_WINDOW:
+        raise ConfigError(
+            f"window S={S}, W={W} exceeds the bounds "
+            f"S <= {MAX_SHIFT}, W <= {MAX_WINDOW}"
+        )
     include_weighted = cfg.get("weighted", True)
     if not isinstance(include_weighted, bool):
         raise ConfigError(f"weighted must be true or false, got {include_weighted!r}")
@@ -346,6 +387,7 @@ def cmd_whittaker(args) -> int:
     cfg = load_config(args)
     spec = build_spec(cfg, args.mode, args.cocycle)
     trunc = resolve_truncation(cfg, args)
+    check_basis_size([spec], trunc, args.max_basis)
     module = WhittakerModule(spec)
     t0 = time.monotonic()
     result = module.solve(trunc)
@@ -365,6 +407,7 @@ def cmd_tensor(args) -> int:
     spec_a = build_spec(cfg["left"], args.mode, args.cocycle)
     spec_b = build_spec(cfg["right"], args.mode, args.cocycle)
     trunc = resolve_truncation(cfg, args)
+    check_basis_size([spec_a, spec_b], trunc, args.max_basis)
     module = TensorModule(spec_a, spec_b)
     t0 = time.monotonic()
     result = module.solve(trunc)
@@ -429,6 +472,13 @@ def cmd_bracket(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_max_basis(p: argparse.ArgumentParser):
+    p.add_argument(
+        "--max-basis", type=int, default=MAX_BASIS,
+        help=f"refuse a larger basis before building it (default {MAX_BASIS})",
+    )
+
+
 def _add_common(p: argparse.ArgumentParser, truncation=True):
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument(
@@ -461,10 +511,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whittaker", help="solve the truncated Whittaker system")
     _add_common(p)
+    _add_max_basis(p)
     p.set_defaults(func=cmd_whittaker)
 
     p = sub.add_parser("tensor", help="solve the system on a tensor product")
     _add_common(p)
+    _add_max_basis(p)
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("bracket", help="bracket of two affine generators")

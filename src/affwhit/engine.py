@@ -38,33 +38,42 @@ only ever recurses into strictly smaller degrees, except for the
 immediate prepend which does not recurse.  The public ``lmul`` adds
 lambda(g) back on the monomial it was given, so it returns g . m.
 
-Monomials and generators are hash-consed.  Each module numbers the
-generators (gid; c is 0) and the monomials (mid; the cyclic vector is
-0) it has seen, and keeps for every mid its split: the head gid, its
-multiplicity and the mid of the monomial with one head factor removed,
-which is what the recursion above reads.  A monomial is interned once:
-when a prepend or a merge of equal heads first creates it, or when it
-is first looked up as a basis element or an argument of the public
-``lmul``; a tuple from outside is checked to be standard before any
-part of it is interned.  Straightening, its memo, the bracket memo and
-both row builders work on these small ``int`` ids, whose hashes are
-free, instead of hashing nested tuples on every memo probe and sum.
-Both memos are per-generator tables, lists indexed by gid that grow
-with the generator table: ``_memo[gid]`` maps a mid to the image
-{mid: coeff} of (g - lambda(g)) on that monomial, and
-``_brackets[gid]`` maps a head gid to the bracket as (gid, coeff)
-pairs, so no probe builds or hashes a key tuple.  Tuples appear only
-at the public boundary: ``lmul`` interns its arguments and translates
-a fresh copy of the result back.  This is exact.  The ids are a
-bijection on the monomials seen, and every row entry is the
-coefficient of its output monomial in (X - Lam_j) . m, as straightening
-g and subtracting Lam_j on the diagonal would give, with zero entries
-absent.  So every condition yields the same rows with the same
-coefficients under renamed keys; only the order in which columns and
-rows first appear can differ.  The pruner's dead set does not depend on
-row order, and the reduced echelon form and the normalized kernel basis
-are unique; so the vectors, ``row_count`` and every report are
-unchanged.
+Monomials and generators are hash-consed, keyed by their constructor
+arguments.  Each module numbers the generators (gid; c is 0) and the
+monomials (mid; the cyclic vector is 0) it has seen, and keeps for
+every mid its split: the head gid, its multiplicity and the mid of the
+monomial with one head factor removed, which is what the recursion
+above reads.  A monomial is interned by its split: ``_prep[g]`` maps the
+mid of rest to the mid of g prepended to it ((g, rest) fixes the
+multiplicity), so no monomial tuple is built or hashed there.  A tuple
+from outside is checked to be standard on every call, before any part
+of it is interned, then walked in by prepends; the generated basis is
+walked in unchecked.  Straightening, its memo, the bracket memo and
+both row builders work on these small ``int`` ids.  All three tables
+are lists indexed by gid that grow with the generator table:
+``_memo[gid]`` maps a mid to the image {mid: coeff} of (g - lambda(g))
+on it, ``_brackets[gid]`` a head gid to the bracket as (gid, coeff)
+pairs.  Tuples appear only at the boundary: ``mono(mid)`` builds one
+from the splits and caches it, for the public ``lmul``.
+
+A prepend takes no memo entry.  ``_prepend(h, ...)`` is only called
+where h prepends in standard order (the prepend branches of ``_lmul``,
+and the walk of a standard tuple), so an entry ``_prep[h][m]`` means
+that h is a module generator with h <= head(m).  Then lambda(h) = 0,
+and (h - lambda(h)) . m = h . m is that monomial with coefficient 1.
+So ``_lmul`` takes the head on each term of g . rest, and each bracket
+term h on rest, from ``_prep`` when the entry exists, with no memo
+probe and no call.
+
+This is exact.  The ids are a bijection on the monomials seen, and
+every row entry is the coefficient of its output monomial in
+(X - Lam_j) . m, as straightening g and subtracting Lam_j on the
+diagonal would give, with zero entries absent.  So every condition
+yields the same rows with the same coefficients under renamed keys;
+only the order in which columns and rows first appear can differ.  The
+pruner's dead set does not depend on row order, and the reduced echelon
+form and the normalized kernel basis are unique; so the vectors,
+``row_count`` and every report are unchanged.
 
 whittaker_solve assembles, for a finite truncation (D = max monomial
 degree, E = max |t-exponent| per factor, J = condition window), the
@@ -107,83 +116,59 @@ m either.
 
 Rows are never kept as a full list, and the rows of dead columns are
 counted, not built.  Each condition's rows stream through the singleton
-pass of :class:`linalg.SingletonPruner`, fed in one
-:meth:`~linalg.SingletonPruner.extend` call as soon as they are built:
-a row with one live column forces that column to zero in every
-solution, and those deaths propagate through the kept rows.  Most rows
-only say that one column vanishes, so what survives is a small core of
-rows with two or more live columns.  The pruner's dead set and core
-then go straight to elimination (``SingletonPruner.nullspace``, the
-path ``linalg.nullspace`` also takes), with no second singleton pass.
-This is exact: each dead column's unit vector lies in the row space of
-the full system, so the core plus one unit row per dead column has the
-same row space, the same kernel and the same normalized kernel basis
-(x_f = 1 on free columns); vectors and dimensions do not change.
+pass of :class:`linalg.SingletonPruner` as soon as they are built: a
+row with one live column forces that column to zero in every solution,
+and those deaths propagate through the kept rows.  What survives is a
+small core of rows with two or more live columns, which goes straight
+to elimination (``SingletonPruner.nullspace``).  This is exact: each
+dead column's unit vector lies in the row space of the full system, so
+the core plus one unit row per dead column has the same row space, the
+same kernel and the same normalized kernel basis.
 
 A column dead when its condition starts is still straightened, since
 the row count needs the support of every image, but the builder only
 adds that support to the set of output keys it counts and writes none
-of its entries.  The rows reach the pruner without those entries, and
-a row left with none is not built.  Nothing changes: ``extend`` reads
-each row's live columns as the row arrives and drops the rest, and the
-dead set only grows, so it takes the same live entries from these rows
-as from the full ones and reaches the same dead set; a row with no
-live entry is one it would have dropped.  The core is the same set of
-rows, at most in another order, and its reduced echelon form, hence
-the primes that certify it, does not depend on row order.  The count
-is taken over every column, so ``row_count`` is the full system's.
+of its entries; a row left with none is not built.  Nothing changes:
+``extend`` reads each row's live columns as it arrives and drops the
+rest, and the dead set only grows, so it takes the same live entries
+from these rows as from the full ones and reaches the same dead set.
+The core is the same set of rows, at most in another order, and its
+reduced echelon form, hence the primes that certify it, does not depend
+on row order.  ``row_count`` is the full system's.
 
 The system at J is the system at a smaller J plus the conditions with
 larger |j|, on the same basis, since the basis depends only on (D, E).
-So each module keeps the :class:`ConditionSystem` of its last solve:
-(D, E, J), the basis with its interned ids, the pruner and the
-condition and row counts.  The system holds no reference to its
-module: each solve calls the module's row builder on the held ids, so
-a dropped module, with its memo and held system, is freed by reference
-counting.
-A solve with the same (D, E) and a J' >= J only builds and feeds the
-conditions with J < |j| <= J' (none when J' = J); any other request
-rebuilds the system from scratch.  The system is kept only after a
-solve succeeds; if a row builder raises, it is dropped.  The answer is
-the same as a fresh solve's: the pruner gets the same live entries of
-the same rows, and its dead set does not depend on row order; the
-dead set it held carries over, so most of a new condition's columns
-are only counted.  The pruner also
-holds the reduced echelon form of the core it certified last, and the
-next solve eliminates that form, restricted to the columns still live,
-together with the new core rows, instead of the whole core again: the
-two span the same row space (the argument is in the ``linalg``
-docstring).  That elimination is the same certified ``rref_pivots``
-call as a fresh solve's, and the reduced echelon form and the
-normalized kernel basis are unique, so the answer is a fresh solve's.
-``row_count`` and ``condition_count`` are sums over the conditions fed,
-so they still count the full system at J.
+So each module keeps the :class:`ConditionSystem` of its last
+successful solve: (D, E, J), the basis with its interned ids, the
+pruner and the condition and row counts, but no reference to its
+module, so a dropped module is freed by reference counting.  A solve
+with the same (D, E) and a J' >= J only builds and feeds the conditions
+with J < |j| <= J'; any other request rebuilds the system.  The pruner
+gets the same live entries of the same rows as a fresh solve's, and
+its dead set does not depend on row order.  It also holds the reduced
+echelon form it certified last, and the next solve eliminates that
+form, restricted to the columns still live, with the new core rows:
+the two span the core's row space (argument in the ``linalg``
+docstring), and the certified reduced echelon form and normalized
+kernel basis are unique, so the answer is a fresh solve's.
+``row_count`` and ``condition_count`` are sums over the conditions fed.
 
-Elimination of the core is multimodular (``linalg.rref_pivots``): the
-fully reduced Gauss-Jordan runs in ``int`` arithmetic modulo primes,
-the images are combined by CRT and lifted by rational reconstruction,
-and the lift is returned only after every core row has been checked to
-reduce to zero against it in exact integer arithmetic.  That check
-proves the lift is the reduced echelon form over Q, so the kernel
-vectors are the exact ones, not probable ones; no ``Fraction``
-elimination runs.
+Elimination of the core is multimodular and certified
+(``linalg.rref_pivots``): the lift is returned only once every core row
+reduces to zero against it in exact integer arithmetic, so the kernel
+vectors are the exact ones, not probable ones.
 
 Coefficients are exact: an ``int`` when the value is integral, else a
 ``Fraction``.  Values enter straightening in that form -- the unit
-coefficient of a prepend, the shifts lambda(g) (theta and the vacuum
-scalars) and the brackets, memoized per module -- and a product or sum
-of two ``int`` values stays an ``int``.  A product or sum involving a
-``Fraction`` is a ``Fraction`` even when integral, so each new memo
-entry is normalized once, after its loops.  Most products are integral
-(unit prepends, integer structure constants), and an ``int`` product
-costs no gcd and no ``Fraction`` object.  A product whose memoized or
-bracket factor is 1 is not formed at all: the other factor is taken as
-it is, which has the product's value, and since memo entries are
-normalized that factor is the ``int`` 1, so the product would also
-have had the other factor's type.  ``int`` and integral ``Fraction``
-values compare, hash and print alike, and the kernel vectors from the
-elimination are ``Fraction`` throughout, so no answer or report
-changes.
+coefficient of a prepend, the shifts lambda(g) and the brackets -- and
+a product or sum of two ``int`` values stays an ``int``, with no gcd and
+no ``Fraction`` object.  One involving a ``Fraction`` is a ``Fraction``
+even when integral, so each new memo entry is normalized once, after
+its loops.  A product whose memoized or bracket factor is 1 is not
+formed: the other factor has its value and, with memo entries
+normalized, its type.  ``int`` and integral ``Fraction`` values compare,
+hash and print alike, and the kernel vectors are ``Fraction``
+throughout, so no answer or report changes.
 
 ``solve`` pauses the cyclic garbage collector while it runs and
 restores the caller's setting afterwards.  Straightening and
@@ -427,14 +412,15 @@ class WhittakerModule:
         # gid -> lambda(g): Lam(alpha)_j on L(n), theta on c, else 0
         self._shift: List[Scalar] = [_exact(spec.theta)]
         # monomial tables, by mid; the cyclic vector is mid 0
-        self._monos: List[Monomial] = [VACUUM]
-        self._mono_ids: Dict[Monomial, int] = {VACUUM: 0}
         # mid -> (head gid, its multiplicity, mid of mono with one head removed)
         self._split: List[Optional[Tuple[int, int, int]]] = [None]
+        self._monos: Dict[int, Monomial] = {0: VACUUM}  # tuples built by mono()
         # per-generator tables, by gid, grown in _gid: mid -> image of
-        # (gid, mid), and head gid -> [(gid, coeff)] of [gid, head]
+        # (gid, mid), head gid -> [(gid, coeff)] of [gid, head], and rest
+        # mid -> mid of gid prepended to rest
         self._memo: List[Dict[int, IdElement]] = [{}]
         self._brackets: List[Dict[int, List[Tuple[int, Scalar]]]] = [{}]
+        self._prep: List[Dict[int, int]] = [{}]
         self._held: Optional[ConditionSystem] = None  # system of the last solve
 
     # -- generator order ------------------------------------------------------
@@ -452,10 +438,9 @@ class WhittakerModule:
     def _gid(self, g: Gen) -> int:
         """Id of a generator of the algebra, interning it on first sight.
 
-        Nothing is validated here: the public entry points validate what
-        comes from outside first (:meth:`lmul`, :meth:`_mid`), and the
-        straightener only passes generators of the algebra.  An
-        equality lookup alone would take ``True`` for ``1``."""
+        Nothing is validated here, though an equality lookup alone would
+        take ``True`` for ``1``: :meth:`lmul` and :meth:`_mid` validate
+        what comes from outside first."""
         gid = self._gen_ids.get(g)
         if gid is None:
             in_ln = self.alg.in_Ln(g)
@@ -467,22 +452,20 @@ class WhittakerModule:
             self._shift.append(shift)
             self._memo.append({})
             self._brackets.append({})
+            self._prep.append({})
         return gid
 
     def _mid(self, mono: Monomial) -> int:
-        """Id of a monomial given as a tuple, interning it and its tails on
-        first sight.
+        """Id of a monomial given as a tuple from outside, interning it and
+        its tails on first sight.
 
-        A monomial not seen yet is checked whole before any part of it is
+        Every call checks the tuple whole before any part of it is
         interned: ValueError unless it is a tuple of (module generator,
         positive ``int`` multiplicity) pairs, strictly ascending in the
-        generator order.  Monomials the straightener makes are interned
-        by :meth:`_prepend` and never pass through here."""
+        generator order.  No table is keyed by monomial tuples, so no
+        lookup can pass an equal but invalid twin (``True`` for ``1``)."""
         if type(mono) is not tuple:
             raise ValueError(f"monomial must be a tuple, got {mono!r}")
-        mid = self._mono_ids.get(mono)
-        if mid is not None:
-            return mid
         prev = None
         for factor in mono:
             if type(factor) is not tuple or len(factor) != 2:
@@ -495,6 +478,11 @@ class WhittakerModule:
             if prev is not None and not prev < key:
                 raise ValueError(f"factors not strictly ascending: {mono_str(mono)}")
             prev = key
+        return self._intern(mono)
+
+    def _intern(self, mono: Monomial) -> int:
+        """Id of a standard monomial tuple, not checked again: its factors
+        are prepended one by one from the right by :meth:`_prepend`."""
         mid = 0
         for g, mult in reversed(mono):
             gid = self._gid(g)
@@ -505,36 +493,42 @@ class WhittakerModule:
     def _prepend(self, g: int, mult: int, rest: int) -> int:
         """Id of the monomial whose split is (g, mult, rest): g prepended to
         the monomial ``rest``, which starts with (g, mult - 1) when
-        mult > 1 and with a factor above g when mult == 1."""
-        tail = self._monos[rest]
-        mono = ((self._gens[g], mult),) + (tail[1:] if mult > 1 else tail)
-        mid = self._mono_ids.get(mono)
+        mult > 1 and with a factor above g when mult == 1.
+
+        Only called where g prepends in standard order: the prepend
+        branches of :meth:`_lmul` and :meth:`_intern`.  (g, rest) fixes
+        mult, so the id is kept in ``_prep[g][rest]`` and no tuple is
+        built or hashed."""
+        prep = self._prep[g]
+        mid = prep.get(rest)
         if mid is None:
-            mid = self._mono_ids[mono] = len(self._monos)
-            self._monos.append(mono)
+            mid = prep[rest] = len(self._split)
             self._split.append((g, mult, rest))
         return mid
+
+    def mono(self, mid: int) -> Monomial:
+        """The monomial tuple of ``mid``, built from its split and cached."""
+        out = self._monos.get(mid)
+        if out is None:
+            g, mult, rest = self._split[mid]
+            tail = self.mono(rest)[1 if mult > 1 else 0:]
+            out = self._monos[mid] = ((self._gens[g], mult),) + tail
+        return out
 
     # -- straightening ----------------------------------------------------------
 
     def lmul(self, g: Gen, mono: Monomial) -> ModuleElement:
         """g . (mono . 1) in standard form, as a fresh dict that the caller
-        may mutate.  ValueError when ``mono`` is not a standard monomial
-        (see :meth:`_mid`).
-
-        It is the memoized (g - lambda(g)) . mono with lambda(g) added
-        back on ``mono`` itself (lambda(g) is 0 unless g is in L(n) or is
-        c).  Coefficients are exact: the unit coefficient of a prepend is
-        ``1``, the shifts and the brackets (memoized per module) enter as
-        ``int`` when integral, else ``Fraction``, and an integral
-        ``Fraction`` in a memo entry is stored as ``int``.  ValueError
-        when ``g`` is no generator of the algebra, checked on every
-        call."""
+        may mutate: the memoized (g - lambda(g)) . mono with lambda(g)
+        added back on ``mono`` itself, translated to tuples by
+        :meth:`mono`.  ValueError when ``g`` is no generator of the
+        algebra or ``mono`` no standard monomial (see :meth:`_mid`), both
+        checked on every call."""
         self.alg.validate_gen(g)
         gid, mid = self._gid(g), self._mid(mono)
-        monos = self._monos
-        out = {monos[m]: c for m, c in self._lmul(gid, mid).items()}
-        linalg.add_term(out, monos[mid], self._shift[gid])
+        mono = self.mono
+        out = {mono(m): c for m, c in self._lmul(gid, mid).items()}
+        linalg.add_term(out, mono(mid), self._shift[gid])
         return out
 
     def _lmul(self, g: int, m: int) -> IdElement:
@@ -542,17 +536,12 @@ class WhittakerModule:
         lambda(g) = ``_shift[g]`` (see the module docstring).  The result
         is shared through the memo and must not be mutated by callers.
 
-        The two recursive steps, g on the tail and then the head on each of
-        its terms, and the bracket terms on the tail, probe the memo
-        tables ``_memo[gid]`` inline and call ``_lmul`` only on a miss; a
-        hit has no side effect.  A bracket term ch.h adds ch.lambda(h) on
-        the tail, then ch.(h - lambda(h)) of the tail.  An image here
-        lacks the term lambda(g) m of g . m, so the monomials are interned
-        in another order, under other mids, than straightening g itself
-        would intern them.  No answer depends on the mids (see the module
-        docstring): every row entry keeps its value under renamed keys,
-        and only the order of keys in a row can differ.  A product with a
-        factor 1 (the coefficient of every prepend, most structure
+        The recursive steps (g on the tail, the head on each of its terms,
+        the bracket terms on the tail) probe ``_memo`` inline and call
+        ``_lmul`` only on a miss; the head and a bracket term that prepend
+        are read from ``_prep`` (module docstring).  A bracket term ch.h
+        adds ch.lambda(h) on the tail, then ch.(h - lambda(h)) of the
+        tail.  A product with a factor 1 (every prepend, most structure
         constants) is not formed: ``c * 1`` equals ``c`` and, with memo
         entries normalized to ``int``, has its type."""
         memo = self._memo[g]
@@ -569,21 +558,27 @@ class WhittakerModule:
         head, mult, rest = self._split[m]
         if not in_ln:
             hk = self._gen_info[head][1]
-            if gk < hk:
-                out = memo[m] = {self._prepend(g, 1, m): 1}
-                return out
-            if gk == hk:
-                out = memo[m] = {self._prepend(g, mult + 1, m): 1}
+            if gk <= hk:  # a prepend, merging with the head when equal
+                out = memo[m] = {self._prepend(g, mult + 1 if gk == hk else 1, m): 1}
                 return out
         lmul = self._lmul
-        memos = self._memo
-        head_memo = memos[head]
+        memos, preps = self._memo, self._prep
+        head_memo, head_prep = memos[head], preps[head]
         acc: IdElement = {}
-        # linalg.add_term inlined in the two hot loops below
+        # linalg.add_term inlined in the hot loops below
         outer = memo.get(rest)
         if outer is None:
             outer = lmul(g, rest)
         for m2, c2 in outer.items():
+            m3 = head_prep.get(m2)
+            if m3 is not None:  # head . m2 is the monomial m3, coefficient 1
+                s = acc.get(m3)
+                s = c2 if s is None else s + c2
+                if s:
+                    acc[m3] = s
+                else:
+                    del acc[m3]
+                continue
             img = head_memo.get(m2)
             if img is None:
                 img = lmul(head, m2)
@@ -611,6 +606,15 @@ class WhittakerModule:
             sh = shift[h]  # h = (h - lambda(h)) + lambda(h)
             if sh:
                 linalg.add_term(acc, rest, ch * sh)
+            m4 = preps[h].get(rest)
+            if m4 is not None:  # h . rest is the monomial m4, coefficient 1
+                s = acc.get(m4)
+                s = ch if s is None else s + ch
+                if s:
+                    acc[m4] = s
+                else:
+                    del acc[m4]
+                continue
             img = memos[h].get(rest)
             if img is None:
                 img = lmul(h, rest)
@@ -713,35 +717,26 @@ class WhittakerModule:
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the basis of (trunc.D, trunc.E)."""
         basis = self.basis(trunc)
-        return ConditionSystem(trunc, basis, ([self._mid(m) for m in basis],))
+        return ConditionSystem(trunc, basis, ([self._intern(m) for m in basis],))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         """Exact nullspace of the Whittaker conditions at ``trunc``; the
         tensor module shares this definition.
 
         One condition per root of :meth:`condition_roots` and j in [-J, J].
-        When the system held from the last solve
-        :meth:`~ConditionSystem.extends_to` ``trunc``, only the conditions
-        with held.J < |j| <= J are built and fed to it; otherwise
-        :meth:`condition_system` starts an empty one.
-        ``condition_rows(*system.ids, root, j, pruner.dead)`` builds the
-        rows ``{out: {col: coeff}}`` of the condition X_root (x) t^j . v =
-        eigenvalue(root, j) v over the columns not yet dead, each a fresh
-        dict, since the pruner keeps it, and counts the rows of the full
-        condition.  Each condition's rows stream through the system's
-        singleton pass as soon as they are built, so only the rows with two
-        or more live columns outlive their condition; the kernel is then
-        taken from the pruner's dead set and core, and equals the full
-        system's.  The builder returns before ``extend`` runs, so the dead
-        set does not change while it builds.  ``row_count`` counts every
-        row of the full system at J.
+        When the held system :meth:`~ConditionSystem.extends_to` ``trunc``,
+        only the conditions with held.J < |j| <= J are fed to it;
+        otherwise :meth:`condition_system` starts an empty one.
+        ``condition_rows(*system.ids, root, j, pruner.dead)`` builds one
+        condition's rows over the columns not yet dead, each a fresh dict
+        (the pruner keeps it), and counts the rows of the full condition.
+        They stream through the singleton pass before the next condition
+        is built, so the dead set does not change while a builder runs.
 
-        The system is held for the next solve only once this one returns:
-        if a row builder raises, the held system may have been fed part of
-        a condition range, so it is dropped.  The cyclic garbage collector
-        is paused for the whole solve (see the module docstring) and
-        restored to the caller's setting afterwards, also when a row
-        builder raises.
+        The system is held for the next solve only once this one returns;
+        if a row builder raises, it is dropped.  The cyclic garbage
+        collector is paused for the whole solve and restored to the
+        caller's setting afterwards, also when a row builder raises.
         """
         held, self._held = self._held, None
         enabled = gc.isenabled()
@@ -846,15 +841,11 @@ class TensorModule:
         factors (column ia * len(basis_b) + ib is the pair (basis_a[ia],
         basis_b[ib])), rows keyed by output pair of ids.
 
-        The rows form a Kronecker sum: g - (Lam + Lam')_j acts on (ma, mb)
-        by (g - Lam_j).ma (x) mb + ma (x) (g - Lam'_j).mb, so every shifted
-        factor image is read once per condition, as it is.  Its terms land
-        on (m, mb) and (ma, m'), which never coincide: a shifted image
-        (g - Lam_j).m has no term on m, since its terms of full PBW degree
-        have weight wt(m) + root and the others lower degree (module
-        docstring).  As for the module builder, a pair column in ``dead``
-        only adds its output keys to the count, which is the number of
-        rows over every column.
+        The rows form a Kronecker sum (module docstring): every shifted
+        factor image is read once per condition, as it is, and its terms
+        land on (m, mb) and (ma, m'), which never coincide.  As for the
+        module builder, a pair column in ``dead`` only adds its output
+        keys to the count, which is the number of rows over every column.
         """
         g = ("X", root, j)
         lmul_a, ga = self.left._lmul, self.left._gid(g)
@@ -892,8 +883,8 @@ class TensorModule:
         left, right = self.left, self.right
         basis_a, basis_b = left.basis(trunc), right.basis(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        ids_a = [left._mid(m) for m in basis_a]
-        ids_b = [right._mid(m) for m in basis_b]
+        ids_a = [left._intern(m) for m in basis_a]
+        ids_b = [right._intern(m) for m in basis_b]
         return ConditionSystem(trunc, basis, (ids_a, ids_b))
 
     solve = WhittakerModule.solve

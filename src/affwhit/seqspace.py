@@ -906,6 +906,9 @@ def reconstruct(v: FinVector, initial: Sequence[ScalarLike]) -> Recurrence:
 # JSON literal syntax
 # ---------------------------------------------------------------------------
 
+# largest index span of a finite literal (the goldens and presets use at most 3)
+MAX_SPAN = 1000
+
 
 def _literal_field(obj: dict, key: str, kind: type):
     value = obj.get(key, kind())
@@ -929,7 +932,9 @@ def sequence_from_literal(obj) -> BiSequence:
 
     An optional 'scale' key wraps the result in a nonzero scalar
     multiple.  All rationals are decimal-free strings or integers.
-    Malformed literals, wrong JSON types included, raise ValueError.
+    Malformed literals, wrong JSON types included, raise ValueError, and
+    so does a finite literal whose support spans more than ``MAX_SPAN``
+    indices past its first, since the verdicts walk the whole span.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"sequence literal must be an object with 'kind': {obj!r}")
@@ -945,6 +950,11 @@ def sequence_from_literal(obj) -> BiSequence:
         seq: BiSequence = FiniteSupport(
             {int(i): _literal_scalar(c) for i, c in entries.items()}
         )
+        if seq.coeffs and max(seq.coeffs) - min(seq.coeffs) > MAX_SPAN:
+            raise ValueError(
+                f"finite literal spans indices {min(seq.coeffs)}..{max(seq.coeffs)}, "
+                f"more than {MAX_SPAN} apart"
+            )
     elif kind == "geometric":
         if "j" not in obj:
             raise ValueError("geometric literal needs a ratio 'j'")

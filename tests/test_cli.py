@@ -621,3 +621,107 @@ def test_unknown_cocycle_in_config_is_an_error(tmp_path, capsys, argv):
     assert_one_line_error(code, err)
     assert "cocycle must be one of ('standard', 'literal'), got 'bogus'" in err
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# size bounds: an oversized request is refused before any work starts
+# ---------------------------------------------------------------------------
+
+
+def _set(cfg, path, value):
+    """cfg with the field at ``path`` (a tuple of keys) set to ``value``."""
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+OVERSIZED = {
+    "sl3-abelian-D7": ("whittaker", "sl3-abelian", ("truncation", "D"), 7,
+                       "basis at D=7"),
+    "sl2-D40": ("whittaker", "sl2", ("truncation",), {"D": 40, "E": 40, "J": 1},
+                "basis at D=40, E=40"),
+    "tensor-D7": ("tensor", "tensor-sl2", ("truncation", "D"), 7, "basis at D=7"),
+    "rank-3000-describe": ("describe", "sl2", ("algebra", "rank"), 3000,
+                           "rank 3000 exceeds the bound 16"),
+    "rank-3000-whittaker": ("whittaker", "sl2", ("algebra", "rank"), 3000,
+                            "rank 3000 exceeds the bound 16"),
+    "S-33": ("check-seq", "geo-family", ("S",), 33, "window S=33, W=20"),
+    "W-129": ("check-seq", "geo-family", ("W",), 129, "window S=6, W=129"),
+    "finite-span": ("check-seq", "geo-family", ("sequences", 0),
+                    {"kind": "finite", "entries": {"0": "1", "100000": "1"}},
+                    "finite literal spans indices 0..100000"),
+    "finite-span-lam": ("whittaker", "sl2-loop", ("lam", "a1"),
+                        {"kind": "finite", "entries": {"-600": "1", "600": "1"}},
+                        "finite literal spans indices -600..600"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+def test_oversized_request_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, name
+):
+    command, preset, path, value, message = OVERSIZED[name]
+    cfg = _set(presets.get_preset(preset), path, value)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on an oversized request")
+
+    guarded = [(cli.WhittakerModule, "basis"), (cli, "is_generic"),
+               (cli, "window_rank_check")]
+    if path == ("algebra", "rank"):
+        guarded.append((cli, "build_datum"))
+    for owner, attr in guarded:
+        monkeypatch.setattr(owner, attr, refuse)
+    code, out, err = run_config(tmp_path, capsys, command, cfg)
+    assert_one_line_error(code, err)
+    assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("preset, D, E", [
+    ("sl2", 2, 2), ("sl2-loop", 4, 2), ("sl3-abelian", 3, 1), ("sl3-borel", 2, 1),
+    ("tensor-sl2", 2, 1), ("tensor-sl2", 2, 2),
+])
+def test_basis_bound_is_the_basis_size(preset, D, E):
+    # --max-basis admits a basis of exactly its size and refuses one more
+    cfg = presets.get_preset(preset)
+    if "left" in cfg:
+        specs = [cli.build_spec(cfg["left"]), cli.build_spec(cfg["right"])]
+        size = 1
+        for spec in specs:
+            size *= len(cli.WhittakerModule(spec).basis(cli.Truncation(D, E, 0)))
+    else:
+        specs = [cli.build_spec(cfg)]
+        size = len(cli.WhittakerModule(specs[0]).basis(cli.Truncation(D, E, 0)))
+    trunc = cli.Truncation(D, E, 0)
+    cli.check_basis_size(specs, trunc, size)
+    with pytest.raises(cli.ConfigError, match=f"more than {size - 1} monomials"):
+        cli.check_basis_size(specs, trunc, size - 1)
+
+
+def test_max_basis_option(capsys):
+    # the sl2 preset's basis has 78 monomials
+    code, out, _ = run(capsys, "whittaker", "--preset", "sl2", "--max-basis", "78")
+    assert code == 2 and "basis size 78" in out
+    code, out, err = run(capsys, "whittaker", "--preset", "sl2", "--max-basis", "77")
+    assert_one_line_error(code, err)
+    assert "raise --max-basis" in err and out == ""
+
+
+def test_largest_benchmark_window_is_admitted(tmp_path, capsys):
+    cfg = {"sequences": [{"kind": "geometric", "j": "2"},
+                         {"kind": "finite", "entries": {"-2": "1", "0": "3"}}],
+           "S": 16, "W": 64}
+    code, out, err = run_config(tmp_path, capsys, "check-seq", cfg)
+    assert code == 0 and err == ""
+    assert "shift bound S=16, window W=64" in out
+
+
+def test_finite_span_bound_is_inclusive():
+    lit = {"kind": "finite", "entries": {"0": "1", str(seqspace.MAX_SPAN): "1"}}
+    assert seqspace.sequence_from_literal(lit).entry(seqspace.MAX_SPAN) == 1
+    lit["entries"] = {"-1": "1", str(seqspace.MAX_SPAN): "1"}
+    with pytest.raises(ValueError, match="spans indices"):
+        seqspace.sequence_from_literal(lit)

@@ -606,21 +606,38 @@ INTERNED = {
 }
 
 
-def assert_tables_consistent(module):
-    """Ids are a bijection, and every split rebuilds its monomial."""
-    monos, gens = module._monos, module._gens
-    assert monos[0] == VACUUM and module._split[0] is None
-    assert len(module._mono_ids) == len(monos) == len(module._split)
-    assert all(module._mono_ids[m] == mid for mid, m in enumerate(monos))
+def assert_tables_consistent(module, rejected=()):
+    """Each call in ``rejected`` raises ValueError and interns nothing;
+    then: ``_prep[g][rest] == mid`` exactly when ``_split[mid]`` is (g,
+    mult, rest), every split rebuilds a distinct standard monomial, which
+    ``mono`` returns, and every prepend is in standard order."""
+    for call in rejected:
+        sizes = len(module._split), len(module._gens)
+        with pytest.raises(ValueError):
+            call()
+        assert (len(module._split), len(module._gens)) == sizes
+    split, gens = module._split, module._gens
+    assert split[0] is None and module.mono(0) == VACUUM
     assert all(module._gen_ids[g] == gid for gid, g in enumerate(gens))
-    for mid in range(1, len(monos)):
-        head, mult, rest = module._split[mid]
+    # the prepend tables hold one entry per split and nothing else
+    assert len(module._prep) == len(gens)
+    assert sum(len(prep) for prep in module._prep) == len(split) - 1
+    key = module.gen_key
+    monos = [VACUUM]
+    for mid in range(1, len(split)):
+        head, mult, rest = split[mid]
+        assert module._prep[head][rest] == mid and rest < mid
         tail = monos[rest]
+        assert not module._gen_info[head][0]  # a module generator
         if mult > 1:
             assert tail[0] == (gens[head], mult - 1)
             tail = tail[1:]
-        assert monos[mid] == ((gens[head], mult),) + tail
-    # one memo and one bracket table per generator, on known ids only
+        else:  # gen_key(g) below the key of the head of rest
+            assert not tail or key(gens[head]) < key(tail[0][0])
+        monos.append(((gens[head], mult),) + tail)
+    assert len(set(monos)) == len(monos)
+    assert all(module.mono(mid) == m for mid, m in enumerate(monos))
+    # one memo, bracket and prepend table per generator, on known ids only
     assert len(module._memo) == len(module._brackets) == len(gens)
     for memo in module._memo:
         for mid, out in memo.items():
@@ -637,7 +654,7 @@ def test_lmul_equals_tuple_straightening(name):
     factory, trunc = INTERNED[name]
     module = WhittakerModule(quiet(factory))
     basis = module.basis(trunc)
-    assert [module._monos[module._mid(m)] for m in basis] == basis
+    assert [module.mono(module._mid(m)) for m in basis] == basis
     memo = {}
     for root in module.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
@@ -669,14 +686,13 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
     module = WhittakerModule(quiet(factory))
     basis = module.basis(trunc)
     ids = [module._mid(m) for m in basis]
-    monos = module._monos
     memo = {}
     cancelled = 0
     for root in module.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
             built, count = module.condition_rows(ids, root, j, set())
             assert count == len(built)
-            rows = {monos[out]: row for out, row in built.items()}
+            rows = {module.mono(out): row for out, row in built.items()}
             assert rows == tuple_rows(module, basis, root, j, memo), (root, j)
             # a column whose diagonal meets Lam(root)_j gets no entry there
             target = module.spec.vacuum_scalar(root, j)
@@ -699,7 +715,7 @@ def test_shifted_image_has_no_term_on_its_monomial(factory):
         for j in range(-3, 4):
             g = module._gid(X(root, j))
             for m in ids:
-                assert m not in module._lmul(g, m), (root, j, module._monos[m])
+                assert m not in module._lmul(g, m), (root, j, module.mono(m))
 
 LIVE_ONLY = {
     **{
@@ -788,11 +804,10 @@ def test_lmul_returns_a_fresh_dict():
 
 def test_rejected_generator_is_not_interned():
     module = WhittakerModule(quiet(loop_spec))
-    for m in (VACUUM, mono(H(1, 0))):
-        with pytest.raises(ValueError):
-            module.lmul(D, m)
+    assert_tables_consistent(
+        module, [lambda m=m: module.lmul(D, m) for m in (VACUUM, mono(H(1, 0)))]
+    )
     assert D not in module._gen_ids
-    assert_tables_consistent(module)
 
 
 # monomials from outside that are not standard; lmul must refuse them whole
@@ -809,12 +824,9 @@ def test_lmul_rejects_a_nonstandard_monomial(name):
     module = WhittakerModule(sl2_spec())
     good = mono(X((-1,), 0), H(1, 1))
     want = module.lmul(g, good)
-    n_monos = len(module._monos)
-    with pytest.raises(ValueError):
-        module.lmul(g, bad)
-    assert len(module._monos) == n_monos  # no tail of it was interned
-    assert bad not in module._mono_ids
-    assert_tables_consistent(module)
+    # no tail of it is interned
+    assert_tables_consistent(module, [lambda: module.lmul(g, bad)])
+    assert bad not in {module.mono(mid) for mid in range(len(module._split))}
     assert module.lmul(g, good) == want
 
 
@@ -882,7 +894,85 @@ def test_mid_rejects_malformed_factors():
         ((C, 1),),  # c is not a module generator
         ((("H", 5, 0), 1),),  # Cartan index out of range
     ):
-        with pytest.raises(ValueError):
-            module._mid(bad)
-    assert len(module._monos) == 1 and len(module._gens) == 1
+        assert_tables_consistent(module, [lambda: module._mid(bad)])
+    assert len(module._split) == 1 and len(module._gens) == 1
+
+
+def test_mid_refuses_invalid_twins_of_interned_monomials():
+    # every tuple from outside is checked on every call, so an equal but
+    # invalid twin of an interned monomial is refused, and so is one whose
+    # factors are the interned ones out of order
+    module = WhittakerModule(sl2_spec())
+    good = mono(X((-1,), 0), H(1, 1))
+    mid = module._mid(good)
+    twins = [
+        ((X((-1,), 0), 1), (H(1, 1), True)),  # bool multiplicity
+        ((X((-1,), 0), 1), (("H", 1, True), 1)),  # bool exponent
+        ((X((-1,), 0), True), (H(1, 1), 1)),
+        ((H(1, 1), 1), (X((-1,), 0), 1)),  # out of order
+    ]
+    assert twins[0] == twins[1] == twins[2] == good
+    assert_tables_consistent(module, [lambda t=t: module._mid(t) for t in twins])
+    assert module._mid(good) == mid
+
+
+def prepended(g, m):
+    """The monomial tuple of g prepended to m, g <= the head of m."""
+    if m and m[0][0] == g:
+        return ((g, m[0][1] + 1),) + m[1:]
+    return ((g, 1),) + m
+
+
+def straightening_calls(module, g, m):
+    """(module.lmul(g, m), the (gid, mid) of every _lmul call it made)."""
+    calls = []
+    lmul = module._lmul
+
+    def spy(gid, mid):
+        calls.append((gid, mid))
+        return lmul(gid, mid)
+
+    module._lmul = spy  # shadows the method, which looks itself up on self
+    try:
+        return module.lmul(g, m), calls
+    finally:
+        del module._lmul
+
+
+def prepend_calls(module, calls):
+    """The calls among ``calls`` whose generator prepends to the monomial."""
+    out = []
+    for gid, mid in calls:
+        in_ln, gk = module._gen_info[gid]
+        if not gid or in_ln:
+            continue
+        if not mid or gk <= module._gen_info[module._split[mid][0]][1]:
+            out.append((module._gens[gid], module.mono(mid)))
+    return out
+
+
+@pytest.mark.parametrize("g, m", [
+    (X(A1, 1), mono(X((-1,), 0), X((-1,), 0), H(1, 1))),
+    (X(A1, 2), mono(X((-1,), -1), H(1, 0), H(1, 1), D)),
+    (X(A1, 2), mono(X((-1,), 1), X((-1,), 1), H(1, 0))),
+])
+def test_prepend_fast_path_equals_tuple_straightening(g, m):
+    # on a fresh module some straightening steps are prepends, each a memo
+    # entry; once their results are interned they are read from _prep, with
+    # Fraction coefficients c2, and make no call and no memo entry
+    fresh = WhittakerModule(quiet(sl2_fractional_spec))
+    want, calls = straightening_calls(fresh, g, m)
+    prepends = prepend_calls(fresh, calls)
+    assert prepends
+    assert want == oracles.tuple_lmul(fresh.alg, fresh.spec, g, m, {})
+    module = WhittakerModule(quiet(sl2_fractional_spec))
+    for h, rest in prepends:
+        module._mid(prepended(h, rest))
+    got, calls = straightening_calls(module, g, m)
+    assert got == want
+    assert any(type(c) is Fraction for c in got.values())
+    skipped = set(prepends) - set(prepend_calls(module, calls))
+    assert skipped
+    for h, rest in skipped:
+        assert module._mid(rest) not in module._memo[module._gid(h)]
     assert_tables_consistent(module)

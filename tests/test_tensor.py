@@ -239,13 +239,13 @@ def test_kronecker_rows_equal_act_gen_rows(make, trunc):
     basis = [(ma, mb) for ma in basis_a for mb in basis_b]
     ids_a = [t.left._mid(m) for m in basis_a]
     ids_b = [t.right._mid(m) for m in basis_b]
-    monos_a, monos_b = t.left._monos, t.right._monos
+    mono_a, mono_b = t.left.mono, t.right.mono
     cancelled = 0
     for root in t.left.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
             built, count = t.condition_rows(ids_a, ids_b, root, j, set())
             assert count == len(built)
-            rows = {(monos_a[a], monos_b[b]): row for (a, b), row in built.items()}
+            rows = {(mono_a(a), mono_b(b)): row for (a, b), row in built.items()}
             assert rows == act_gen_rows(t, basis, root, j), (root, j)
             # pairs whose diagonal s_a + s_b meets the target get no entry
             g, target = X(root, j), t.lam_sum(root, j)
