@@ -29,7 +29,6 @@ from .seqspace import (
     Shifted,
     Weighted,
     WindowRank,
-    annihilator_basis_window,
     entry,
     is_generic,
     is_strongly_generic_set,
@@ -39,7 +38,6 @@ from .seqspace import (
     reconstruct,
     sequence_from_literal,
     sequence_str,
-    sequence_to_literal,
     size,
     translate,
     weighted,
@@ -113,7 +111,6 @@ __all__ = [
     "WhittakerSpec",
     "WindowRank",
     "X",
-    "annihilator_basis_window",
     "bracket",
     "bracket_fin",
     "build_datum",
@@ -133,7 +130,6 @@ __all__ = [
     "root_str",
     "sequence_from_literal",
     "sequence_str",
-    "sequence_to_literal",
     "size",
     "tensor_whittaker_solve",
     "translate",

@@ -122,14 +122,6 @@ def load_config(args) -> dict:
     raise ConfigError("one of --preset or --config is required")
 
 
-def resolve_mode(value: Optional[str]) -> Optional[str]:
-    if value is None:
-        return None
-    return {"affine": "affine", "loop-only": "loop_only", "loop_only": "loop_only"}[
-        value
-    ]
-
-
 def build_algebra(alg_cfg: dict):
     require_object(alg_cfg, "algebra")
     if alg_cfg.get("type") != "A":
@@ -155,23 +147,30 @@ def module_datum(cfg: dict):
     return build_algebra(cfg["algebra"])
 
 
-def algebra_config(cfg: dict, mode_override=None, cocycle_override=None):
-    """(module config, root datum, mode, cocycle) for ``describe`` and
-    ``bracket``.
+def mode_and_cocycle(cfg: dict, mode_override=None, cocycle_override=None):
+    """(mode, cocycle) of a module config, a command-line override first.
 
-    A tensor config stands for its left factor; the mode is checked as
-    :class:`WhittakerSpec` checks it, the cocycle as
-    :class:`AffineAlgebra` checks it."""
-    if "algebra" not in cfg and "left" in cfg:
-        cfg = require_object(cfg["left"], "left")
-    datum = module_datum(cfg)
-    mode = resolve_mode(mode_override) or cfg.get("mode", "affine")
+    ``--mode loop-only`` reads as the config value ``loop_only``.  Each is
+    checked here with the message :class:`WhittakerSpec` and
+    :class:`AffineAlgebra` would give."""
+    mode = cfg.get("mode", "affine")
+    if mode_override:
+        mode = mode_override.replace("-", "_")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     cocycle = cocycle_override or cfg.get("cocycle", "standard")
     if cocycle not in COCYCLE_MODES:
         raise ConfigError(f"cocycle must be one of {COCYCLE_MODES}, got {cocycle!r}")
-    return cfg, datum, mode, cocycle
+    return mode, cocycle
+
+
+def algebra_config(cfg: dict, mode_override=None, cocycle_override=None):
+    """(module config, root datum, mode, cocycle) for ``describe`` and
+    ``bracket``; a tensor config stands for its left factor."""
+    if "algebra" not in cfg and "left" in cfg:
+        cfg = require_object(cfg["left"], "left")
+    datum = module_datum(cfg)
+    return (cfg, datum) + mode_and_cocycle(cfg, mode_override, cocycle_override)
 
 
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
@@ -184,8 +183,7 @@ def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> Whittake
         theta = as_scalar(cfg.get("theta", "0"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"theta: {exc}") from None
-    mode = resolve_mode(mode_override) or cfg.get("mode", "affine")
-    cocycle = cocycle_override or cfg.get("cocycle", "standard")
+    mode, cocycle = mode_and_cocycle(cfg, mode_override, cocycle_override)
     return WhittakerSpec(datum, lam, theta=theta, mode=mode, cocycle=cocycle)
 
 

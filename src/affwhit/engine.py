@@ -360,10 +360,6 @@ class SolveResult:
     def basis_size(self) -> int:
         return len(self.basis)
 
-    @property
-    def unique(self) -> bool:
-        return self.dimension == 1
-
 
 class ConditionSystem:
     """The Whittaker conditions with |j| <= J on span(basis), as fed so far.
@@ -403,7 +399,6 @@ class WhittakerModule:
         self.alg = AffineAlgebra(
             spec.datum, cocycle=spec.cocycle, loop_only=spec.loop_only
         )
-        self._key_cache: Dict[Gen, tuple] = {}
         # generator tables, by gid; c is gid 0
         self._gens: List[Gen] = ["c"]
         self._gen_ids: Dict[Gen, int] = {"c": 0}
@@ -427,11 +422,7 @@ class WhittakerModule:
 
     def gen_key(self, g: Gen) -> tuple:
         """Total order key on module generators (never for L(n) or c)."""
-        key = self._key_cache.get(g)
-        if key is None:
-            key = generator_key(self.spec.datum, g, self.spec.loop_only)
-            self._key_cache[g] = key
-        return key
+        return generator_key(self.spec.datum, g, self.spec.loop_only)
 
     # -- hash-consing ------------------------------------------------------------
 

@@ -82,6 +82,14 @@ class DegenerateAnnihilator(ValueError):
     """Raised when an initial window is supplied for a width-0 annihilator."""
 
 
+def _require_int(x, what: str) -> int:
+    """x when it is an ``int``; ValueError for anything else, a bool or a
+    float included, where ``int()`` would truncate."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # finitely supported vectors
 # ---------------------------------------------------------------------------
@@ -120,16 +128,6 @@ class FinVector(linalg.LinearCombination):
         if n == 0:
             return self
         return FinVector({i + n: c for i, c in self.coeffs.items()})
-
-    def proportional(self, other: "FinVector") -> bool:
-        """True when the two vectors span the same line."""
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        i0 = self.l()
-        ratio = other.coeffs[i0] / self.coeffs[i0]
-        return all(other.coeffs[i] == c * ratio for i, c in self.coeffs.items())
 
     def __repr__(self):
         if not self.coeffs:
@@ -281,9 +279,6 @@ class Recurrence(BiSequence):
             self._lo = n
         return memo[i]
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.initial)
-
     def __eq__(self, other):
         return (
             isinstance(other, Recurrence)
@@ -305,7 +300,7 @@ class Shifted(BiSequence):
 
     def __init__(self, base: BiSequence, offset: int):
         self.base = base
-        self.offset = int(offset)
+        self.offset = _require_int(offset, "shift offset")
 
     def entry(self, i: int) -> Fraction:
         return self.base.entry(i + self.offset)
@@ -395,7 +390,7 @@ def translate(x, n: int):
     is v_2.  The two are adjoint: <translate(v, n), a> =
     <v, translate(a, n)>.
     """
-    n = int(n)
+    n = _require_int(n, "translation")
     if n == 0:
         return x
     if isinstance(x, FinVector):
@@ -521,33 +516,20 @@ def _kills(p: FinVector, s: BiSequence, lo: int, hi: int) -> bool:
     )
 
 
-def is_zero_sequence(s: BiSequence):
-    """True/False when s has a tail normal form, None otherwise.
-
-    s is zero exactly when its finite core exists and is zero.
-    """
-    tails = _tails(s)
-    if tails is None:
-        return None
-    fin = _finite_core(s, tails)
-    return fin is not None and fin.is_zero()
-
-
-def _finite_core(s: BiSequence, tails=None) -> Optional[FiniteSupport]:
+def _finite_core(s: BiSequence, tails) -> Optional[FiniteSupport]:
     """s as a plain FiniteSupport when its support is finite, else None.
 
-    ``tails`` is ``_tails(s)``, computed when not given; s must have
-    one.  With tails (lo, hi, left, right), s has finite support iff it
-    is 0 on the omega(left) entries that end at lo and on the
-    omega(right) entries that start at hi; the core is then its entries
-    on (lo, hi).  Proof:
+    ``tails`` is ``_tails(s)``, which must not be None.  With tails (lo,
+    hi, left, right), s has finite support iff it is 0 on the
+    omega(left) entries that end at lo and on the omega(right) entries
+    that start at hi; the core is then its entries on (lo, hi).  Proof:
     a tail on which P holds and which has omega(P) consecutive zeros is
     zero, since P_0 != 0 and P_omega != 0 unroll it both ways from them.
     A finite support gives such zeros far out on each tail, hence on the
     whole tail, those next to lo and hi included; conversely zeros there
     clear both tails, which leaves only the entries on (lo, hi).
     """
-    lo, hi, left, right = tails or _tails(s)
+    lo, hi, left, right = tails
     if any(s.window(lo - left.width() + 1, lo) + s.window(hi, hi + right.width() - 1)):
         return None
     return FiniteSupport(dict(zip(range(lo + 1, hi), s.window(lo + 1, hi - 1))))
@@ -810,8 +792,8 @@ def window_rank_check(
     independent ones, and centre-out keeps every translate within S
     steps of those, where ascending order would reach 2S steps.
     """
-    S = int(S)
-    W = int(W)
+    S = _require_int(S, "shift bound S")
+    W = _require_int(W, "window W")
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
     width = 2 * W + 1
@@ -836,17 +818,25 @@ def window_rank_check(
 
 
 def minimal_annihilator(s: BiSequence) -> FinVector:
-    """Minimal-width annihilator of a non-generic sequence.
+    """Minimal-width annihilator M of a non-generic sequence.
 
-    Normalized with l(v) = 0, integer entries with gcd 1, and positive
+    Normalized with l(M) = 0, integer entries with gcd 1, and positive
     coefficient at index 0.  For the zero sequence this is v_0.
 
-    The search runs over the Hankel matrices of a window of
-    2*omega + 1 consecutive entries, where omega is the width of the
-    witness T of :func:`is_generic`, which annihilates s: a candidate
-    of width m <= omega whose defect sum_k c_k a_{k+i} vanishes for i in
-    [-omega, omega - m] vanishes identically, because the defect itself
-    is annihilated by T and has more than omega consecutive zeros.
+    One Hankel solve finds it.  Let omega be the width of the witness T
+    of :func:`is_generic`, so T(S)s = 0 and T_0, T_omega != 0, and take
+    the rows i = -omega..-1 and the columns k = 0..omega of the matrix
+    with entries s_{i+k}.  A kernel vector c is a candidate of width <=
+    omega whose defect d = c(S)s vanishes on those omega rows.  T
+    annihilates d, since T(S)c(S)s = c(S)T(S)s = 0, and T_0, T_omega !=
+    0 unroll d both ways from omega consecutive zeros, so d = 0.  Hence
+    the kernel holds the annihilating polynomials of degree <= omega,
+    which are the multiples h * M (they form an ideal of Q[S], and M_0
+    != 0 since S is invertible on bi-infinite sequences).  Column j is a
+    combination of the columns before it exactly when a kernel vector
+    ends at j, that is when j >= w = omega(M).  So columns 0..w-1 are
+    the pivots, and the first kernel vector (free column w, x_w = 1) is
+    M / M_w.
     """
     verdict = is_generic(s)
     if verdict.kind == "generic":
@@ -854,23 +844,14 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
     if verdict.kind == "unknown":
         raise ValueError("genericity undecided; no annihilator search available")
     om = verdict.witness.width()
-    window = {i: s.entry(i) for i in range(-om, om + 1)}
-    for m in range(0, om + 1):
-        rows = []
-        for i in range(-om, om - m + 1):
-            rows.append({k: window[i + k] for k in range(m + 1) if window[i + k]})
-        kernel = linalg.nullspace(rows, m + 1)
-        if not kernel:
-            continue
-        assert len(kernel) == 1, "minimal width must pin the annihilator line"
-        vec = kernel[0]
-        assert vec.get(0) and vec.get(m), "minimal annihilator has nonzero endpoints"
-        den_lcm = math.lcm(*(c.denominator for c in vec.values()))
-        ints = {k: int(c * den_lcm) for k, c in sorted(vec.items())}
-        g = math.gcd(*ints.values())
-        sign = 1 if ints[0] > 0 else -1
-        return FinVector({k: sign * c // g for k, c in ints.items()})
-    raise AssertionError("the witness bounds the search; unreachable")
+    vals = s.window(-om, om - 1)
+    rows = [{k: vals[i + k] for k in range(om + 1) if vals[i + k]} for i in range(om)]
+    vec = linalg.nullspace(rows, om + 1)[0]
+    den_lcm = math.lcm(*(c.denominator for c in vec.values()))
+    ints = {k: int(c * den_lcm) for k, c in sorted(vec.items())}
+    g = math.gcd(*ints.values())
+    sign = 1 if ints[0] > 0 else -1
+    return FinVector({k: sign * c // g for k, c in ints.items()})
 
 
 def size(s: BiSequence) -> int:
@@ -880,16 +861,6 @@ def size(s: BiSequence) -> int:
     size 1.  Generic input raises GenericInput.
     """
     return minimal_annihilator(s).width()
-
-
-def annihilator_basis_window(s: BiSequence, window) -> list:
-    """Translates of the minimal annihilator supported inside [lo, hi]."""
-    lo, hi = int(window[0]), int(window[1])
-    if lo > hi:
-        raise ValueError(f"empty window {window}")
-    v = minimal_annihilator(s)
-    m = v.width()
-    return [v.translate(i) for i in range(lo, hi - m + 1)]
 
 
 def reconstruct(v: FinVector, initial: Sequence[ScalarLike]) -> Recurrence:
@@ -973,29 +944,6 @@ def sequence_from_literal(obj) -> BiSequence:
         if factor != 1:
             seq = Scaled(seq, factor)
     return seq
-
-
-def sequence_to_literal(s: BiSequence) -> dict:
-    """Inverse of sequence_from_literal on the input-expressible classes."""
-    scale = None
-    if isinstance(s, Scaled):
-        scale = s.factor
-        s = s.base
-    if isinstance(s, FiniteSupport):
-        out = {"kind": "finite", "entries": {str(i): str(c) for i, c in s.items()}}
-    elif isinstance(s, Geometric):
-        out = {"kind": "geometric", "j": str(s.j)}
-    elif isinstance(s, Recurrence):
-        out = {
-            "kind": "recurrence",
-            "v": {str(i): str(c) for i, c in s.v.items()},
-            "initial": [str(x) for x in s.initial],
-        }
-    else:
-        raise ValueError(f"{type(s).__name__} has no literal form")
-    if scale is not None:
-        out["scale"] = str(scale)
-    return out
 
 
 def sequence_str(s: BiSequence) -> str:

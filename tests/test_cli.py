@@ -725,3 +725,73 @@ def test_finite_span_bound_is_inclusive():
     lit["entries"] = {"-1": "1", str(seqspace.MAX_SPAN): "1"}
     with pytest.raises(ValueError, match="spans indices"):
         seqspace.sequence_from_literal(lit)
+
+
+# ---------------------------------------------------------------------------
+# mutation run: every field of one config per command, deleted or replaced
+# ---------------------------------------------------------------------------
+
+DELETE = object()
+MUTANTS = [DELETE, None, True, 1.5, "x", [], {}, -1, 7, "1/0", "0", 0, "-1", "1.5"]
+BRACKET_GENS = ("X[1]@t^1", "X[-1]@t^-1")
+
+# (command, preset, small-size overrides); the module runs are at (1, 1, 1)
+MUTATION_RUNS = [
+    ("describe", "sl3-abelian", {"truncation": {"D": 1, "E": 1, "J": 1}}),
+    ("check-seq", "geo-family", {"S": 2, "W": 4}),
+    ("whittaker", "sl2-const", {"truncation": {"D": 1, "E": 1, "J": 1}}),
+    ("tensor", "tensor-sl2-neg", {"truncation": {"D": 1, "E": 1, "J": 1}}),
+    ("bracket", "sl2", {}),
+]
+
+
+def field_paths(node, prefix=()):
+    """The path of every field of a JSON value: dict keys and list slots."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def mutated(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, preset, overrides", MUTATION_RUNS, ids=[r[0] for r in MUTATION_RUNS]
+)
+def test_mutated_configs_exit_cleanly(tmp_path, capsys, command, preset, overrides):
+    """Every mutant exits 0, 1 or 2, and an exit 1 prints exactly one
+    stderr line, starting with ``error:``; nothing escapes ``main``."""
+    base = dict(presets.get_preset(preset), **overrides)
+    path = tmp_path / "cfg.json"
+    argv = [command, *(BRACKET_GENS if command == "bracket" else ()),
+            "--config", str(path)]
+    fields = list(field_paths(base))
+    assert len(fields) >= 10
+    escapes = []
+    for field in fields:
+        for value in MUTANTS:
+            path.write_text(json.dumps(mutated(base, field, value)))
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # an escape is what this test looks for
+                code = f"{type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2) or (
+                code == 1
+                and not (err.startswith("error:") and len(err.splitlines()) == 1)
+            ):
+                mutant = "deleted" if value is DELETE else json.dumps(value)
+                escapes.append(f"{'.'.join(map(str, field))} = {mutant}: {code} {err!r}")
+    assert not escapes, "\n".join(escapes)

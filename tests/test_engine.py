@@ -321,7 +321,7 @@ def test_sl2_dimensions_and_certificate():
     assert dims == {(2, 3): 3, (3, 3): 4, (2, 4): 1, (3, 4): 1, (2, 5): 1}
 
     res = module.solve(Truncation(2, 2, 4))
-    assert res.unique and res.vectors[0] == {VACUUM: F(1)}
+    assert res.dimension == 1 and res.vectors[0] == {VACUUM: F(1)}
 
     # the J=3 kernel satisfies the imposed window but contains vectors
     # that die at |j| = 4; the degree-1 spurious vector is pinned
@@ -345,7 +345,7 @@ def test_sl2_solve_row_bookkeeping():
     assert res.basis_size == 78
     assert res.condition_count == 7
     assert res.row_count == 476
-    assert not res.unique
+    assert res.dimension != 1
 
 
 def test_sl3_borel_dimensions():
@@ -437,7 +437,7 @@ def test_kernel_vectors_verified_by_action():
 
 def test_whittaker_solve_wrapper():
     res = whittaker_solve(sl2_spec(), Truncation(2, 2, 4))
-    assert res.unique
+    assert res.dimension == 1
 
 
 def test_spec_validation():

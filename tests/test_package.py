@@ -1,6 +1,13 @@
 """The package's export list."""
 
+import ast
+import re
+from pathlib import Path
+
 import affwhit
+
+REPO = Path(__file__).parent.parent
+PACKAGE = Path(affwhit.__file__).parent
 
 
 def test_all_names_are_exported_once():
@@ -12,3 +19,64 @@ def test_all_names_are_exported_once():
     exec("from affwhit import *", ns)
     ns.pop("__builtins__")
     assert set(ns) == set(names)
+
+
+def python_uses(source: str) -> set:
+    """Names a Python source uses: loaded names, attributes and string
+    constants that are one identifier (``perfbench`` binds its wrappers
+    by name).  A use inside the definition of the name itself does not
+    count, so neither a recursive call nor a definition line does."""
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value if node.value.isidentifier() else None
+        else:
+            name = None
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
+    return used
+
+
+def callers_of_exports() -> set:
+    """Every name used in ``src/affwhit`` (bar the export list in
+    ``__init__``), ``demos/``, ``perfbench/`` or named in ``README.md``."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((REPO / "demos").glob("*.py"))
+    files += sorted((REPO / "perfbench").glob("*.py"))
+    used = set()
+    for path in files:
+        used |= python_uses(path.read_text(encoding="utf-8"))
+    used |= set(re.findall(r"\w+", (REPO / "README.md").read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_export_has_a_caller():
+    used = callers_of_exports()
+    unused = [n for n in affwhit.__all__ if n not in used]
+    assert not unused, unused
+
+
+def test_use_lint_skips_the_definition_itself():
+    source = (
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    kind = 'Box'\n"
+        "def main():\n"
+        "    return mod.size, [run]\n"
+        "BIND = ('cli', 'wrapped name', 'traced')\n"
+    )
+    used = python_uses(source)
+    assert {"size", "run", "mod", "cli", "traced"} <= used
+    assert not {"helper", "Box", "main", "BIND", "wrapped name"} & used
