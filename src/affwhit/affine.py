@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
-from .linalg import LinearCombination, add_term, signed_sum
+from .linalg import LinearCombination, add_term, require_int, signed_sum
 from .rootdata import RootDatum
 
 Gen = Union[Tuple, str]  # ("X", root, m) | ("H", i, m) | "c" | "d"
@@ -37,11 +37,12 @@ COCYCLE_MODES = ("standard", "literal")
 
 
 def X(root, m: int) -> Gen:
-    return ("X", tuple(root), int(m))
+    root = tuple(require_int(c, "root coordinate") for c in root)
+    return ("X", root, require_int(m, "t-exponent"))
 
 
 def H(i: int, m: int) -> Gen:
-    return ("H", int(i), int(m))
+    return ("H", require_int(i, "Cartan index"), require_int(m, "t-exponent"))
 
 
 C: Gen = "c"
@@ -135,19 +136,12 @@ class AffineAlgebra:
             return
         if not isinstance(g, tuple) or len(g) != 3:
             raise ValueError(f"malformed generator {g!r}")
-        # exact type checks: a bool is an int subclass but no index or exponent
-        if type(g[2]) is not int:
-            raise ValueError(f"t-exponent of {g!r} is not an int")
+        # X and H check every integer; a root must already be a tuple
         if g[0] == "X":
-            root = g[1]
-            if (
-                type(root) is not tuple
-                or any(type(x) is not int for x in root)
-                or root not in self.datum.phi
-            ):
-                raise ValueError(f"not a root: {root}")
+            if type(g[1]) is not tuple or X(g[1], g[2])[1] not in self.datum.phi:
+                raise ValueError(f"not a root: {g[1]}")
         elif g[0] == "H":
-            if type(g[1]) is not int or not 1 <= g[1] <= self.datum.rank:
+            if not 1 <= H(g[1], g[2])[1] <= self.datum.rank:
                 raise ValueError(f"Cartan index out of range: {g[1]!r}")
         else:
             raise ValueError(f"malformed generator {g!r}")

@@ -58,9 +58,12 @@ _LABEL_RE = re.compile(r"^a(\d+)$")
 
 # size bounds, checked before the work they bound starts; each admits every
 # preset, golden and benchmark rung (largest: rank 3, the 6,084 pairs of the
-# tensor goldens at D = E = 2, S = 16 and W = 64)
+# tensor goldens at D = E = 2, J = 6, 6 sequences, S = 16 and W = 64)
 MAX_RANK = 16
 MAX_BASIS = 10000
+MAX_J = 100
+MAX_EXPONENT = 100
+MAX_SEQUENCES = 32
 MAX_SHIFT = 32
 MAX_WINDOW = 128
 
@@ -197,7 +200,10 @@ def truncation_field(cfg: dict, args, name: str) -> int:
 
 
 def resolve_truncation(cfg: dict, args) -> Truncation:
-    return Truncation(*(truncation_field(cfg, args, name) for name in "DEJ"))
+    trunc = Truncation(*(truncation_field(cfg, args, name) for name in "DEJ"))
+    if trunc.J > MAX_J:
+        raise ConfigError(f"condition window J={trunc.J} exceeds the bound {MAX_J}")
+    return trunc
 
 
 def check_basis_size(specs, trunc: Truncation, max_basis: int) -> None:
@@ -262,6 +268,8 @@ def cmd_describe(args) -> int:
     E = truncation_field(cfg, args, "E")
     if E < 0:
         raise ConfigError(f"E must be nonnegative, got {E}")
+    if E > MAX_EXPONENT:
+        raise ConfigError(f"exponent bound E={E} exceeds the bound {MAX_EXPONENT}")
     gens = ordered_generators(datum, E, loop_only=(mode == "loop_only"))
 
     def by_height(roots):
@@ -303,6 +311,8 @@ def cmd_check_seq(args) -> int:
     if "sequences" not in cfg:
         raise ConfigError("check-seq config needs 'sequences'")
     literals = require_list(cfg["sequences"], "sequences")
+    if len(literals) > MAX_SEQUENCES:
+        raise ConfigError(f"{len(literals)} sequences exceed the bound {MAX_SEQUENCES}")
     seqs = [sequence_from_literal(lit) for lit in literals]
     S = config_int(cfg.get("S", 6), "S")
     W = config_int(cfg.get("W", 20), "W")

@@ -222,10 +222,9 @@ class Truncation:
     J: int
 
     def __post_init__(self):
-        if any(type(x) is not int for x in (self.D, self.E, self.J)):
-            raise ValueError(f"truncation bounds must be int: {self}")
-        if self.D < 0 or self.E < 0 or self.J < 0:
-            raise ValueError(f"truncation bounds must be nonnegative: {self}")
+        for name in "DEJ":
+            if linalg.require_int(getattr(self, name), f"truncation bound {name}") < 0:
+                raise ValueError(f"truncation bounds must be nonnegative: {self}")
 
 
 class WhittakerSpec:
@@ -464,8 +463,8 @@ class WhittakerModule:
             g, mult = factor
             self.alg.validate_gen(g)
             key = self.gen_key(g)  # ValueError unless a module generator
-            if type(mult) is not int or mult < 1:
-                raise ValueError(f"{gen_str(g)} has multiplicity {mult!r}, not int >= 1")
+            if linalg.require_int(mult, "multiplicity") < 1:
+                raise ValueError(f"{gen_str(g)} has multiplicity {mult!r}, not >= 1")
             if prev is not None and not prev < key:
                 raise ValueError(f"factors not strictly ascending: {mono_str(mono)}")
             prev = key

@@ -5,12 +5,12 @@ Sparse linear combinations {key: nonzero coefficient} share one base,
 (``int``, ``Fraction`` or a decimal-free string; a float is refused),
 sum, difference, negation, scalar multiples, equality, hash, and the
 sorted ``support`` and ``items``.  Four classes subclass it:
-``seqspace.FinVector`` and ``seqspace.FiniteSupport`` (``int`` keys),
-``rootdata.ChevalleyElement`` and ``affine.AffineElement``; each keeps
-its own key normalization, term order and ``repr``.  :func:`add_term`
-is the base's accumulation step, and :func:`signed_sum` the sign
-rendering that ``AffineElement``, ``ChevalleyElement`` and
-``engine.element_str`` print with.
+``seqspace.FinVector`` and ``seqspace.FiniteSupport`` (keys checked by
+:func:`require_int`), ``rootdata.ChevalleyElement`` and
+``affine.AffineElement``; each keeps its own key check, term order and
+``repr``.  :func:`add_term` is the base's accumulation step, and
+:func:`signed_sum` the sign rendering that ``AffineElement``,
+``ChevalleyElement`` and ``engine.element_str`` print with.
 
 Two entry points cover everything the linear systems need:
 
@@ -165,6 +165,15 @@ def as_scalar(x: ScalarLike) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def require_int(x, what: str = "index") -> int:
+    """x when it is an ``int``; ValueError for anything else, a bool, a
+    float or a string included, where ``int()`` would coerce or truncate.
+    The package's one integer check."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 def add_term(acc: dict, key, x) -> None:
     """acc[key] += x, dropping the entry when the sum is zero.
 
@@ -183,7 +192,8 @@ class LinearCombination:
     """Sparse linear combination sum_k c_k k with nonzero coefficients.
 
     ``_scalar`` coerces a coefficient or raises (:func:`as_scalar`),
-    ``_key`` normalizes a key (unchanged unless a subclass sets it),
+    ``_key`` passes a valid key or raises (any key, unless a subclass
+    sets it),
     ``_order`` is the sort key of a key for ``support`` and ``items``
     (None sorts the keys themselves), and ``_new`` builds a result of
     the same class.  Coefficients that are zero after coercion are not

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
-from .linalg import LinearCombination, add_term, signed_sum
+from .linalg import LinearCombination, add_term, require_int, signed_sum
 
 Root = Tuple[int, ...]
 BasisKey = Tuple[str, Union[Root, int]]  # ("X", root) or ("H", i)
@@ -88,10 +88,10 @@ class RootDatum:
     """
 
     def __init__(self, n: int, levi: Iterable[int] = ()):
-        n = int(n)
+        n = require_int(n, "n")
         if n < 2:
             raise ValueError(f"sl(n) needs n >= 2, got n={n}")
-        levi = frozenset(int(i) for i in levi)
+        levi = frozenset(require_int(i, "levi index") for i in levi)
         if not levi <= set(range(1, n)):
             raise ValueError(
                 f"levi indices must lie in 1..{n - 1}, got {sorted(levi)}"
@@ -159,9 +159,6 @@ class RootDatum:
 
     # -- basic queries -----------------------------------------------------
 
-    def pos_of_root(self, root: Root) -> Tuple[int, int]:
-        return self._pos_of_root[root]
-
     def pairing(self, root: Root, i: int) -> int:
         """root(H_i) for the Cartan basis element H_i."""
         p, q = self._pos_of_root[root]
@@ -175,18 +172,15 @@ class RootDatum:
     # -- element constructors ----------------------------------------------
 
     def X(self, root: Root, coeff=1) -> "ChevalleyElement":
-        root = tuple(root)
+        root = tuple(require_int(c, "root coordinate") for c in root)
         if root not in self.phi:
             raise ValueError(f"not a root: {root}")
         return ChevalleyElement(self, {("X", root): coeff})
 
     def H(self, i: int, coeff=1) -> "ChevalleyElement":
-        if not 1 <= i <= self.rank:
+        if not 1 <= require_int(i, "Cartan index") <= self.rank:
             raise ValueError(f"Cartan index must lie in 1..{self.rank}, got {i}")
         return ChevalleyElement(self, {("H", i): coeff})
-
-    def zero_element(self) -> "ChevalleyElement":
-        return ChevalleyElement(self, {})
 
     # -- structure constants -----------------------------------------------
 

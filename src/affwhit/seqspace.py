@@ -67,7 +67,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .linalg import ScalarLike, as_scalar
+from .linalg import ScalarLike, as_scalar, require_int
 
 
 class BothInfiniteSupport(ValueError):
@@ -82,14 +82,6 @@ class DegenerateAnnihilator(ValueError):
     """Raised when an initial window is supplied for a width-0 annihilator."""
 
 
-def _require_int(x, what: str) -> int:
-    """x when it is an ``int``; ValueError for anything else, a bool or a
-    float included, where ``int()`` would truncate."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an int, got {x!r}")
-    return x
-
-
 # ---------------------------------------------------------------------------
 # finitely supported vectors
 # ---------------------------------------------------------------------------
@@ -100,13 +92,14 @@ class FinVector(linalg.LinearCombination):
 
     The support bounds are l(v) = min support and r(v) = max support;
     the width is omega(v) = r(v) - l(v).  Annihilator vectors are kept
-    normalized with l(v) = 0 by the callers that need it.  Indices are
-    stored as ``int`` and coefficients coerced by :func:`as_scalar`.
+    normalized with l(v) = 0 by the callers that need it.  Indices must
+    be ``int`` (:func:`require_int`); coefficients are coerced by
+    :func:`as_scalar`.
     """
 
     __slots__ = ()
 
-    _key = int
+    _key = staticmethod(require_int)
 
     def l(self) -> int:
         if not self.coeffs:
@@ -122,10 +115,10 @@ class FinVector(linalg.LinearCombination):
         return self.r() - self.l()
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
+        return self.coeffs.get(require_int(i), Fraction(0))
 
     def translate(self, n: int) -> "FinVector":
-        if n == 0:
+        if require_int(n, "translation") == 0:
             return self
         return FinVector({i + n: c for i, c in self.coeffs.items()})
 
@@ -168,10 +161,10 @@ class FiniteSupport(linalg.LinearCombination, BiSequence):
 
     __slots__ = ()
 
-    _key = int
+    _key = staticmethod(require_int)
 
     def entry(self, i: int) -> Fraction:
-        return self.coeffs.get(i, Fraction(0))
+        return self.coeffs.get(require_int(i), Fraction(0))
 
     def __repr__(self):
         return f"FiniteSupport({dict(self.items())})"
@@ -192,7 +185,7 @@ class Geometric(BiSequence):
         self.j = j
 
     def entry(self, i: int) -> Fraction:
-        if i <= 0:
+        if require_int(i) <= 0:
             return Fraction(0)
         return self.j ** i
 
@@ -251,7 +244,7 @@ class Recurrence(BiSequence):
 
     def entry(self, i: int) -> Fraction:
         memo = self._memo
-        x = memo.get(i)
+        x = memo.get(require_int(i))
         if x is not None:
             return x
         om = self.omega
@@ -300,7 +293,7 @@ class Shifted(BiSequence):
 
     def __init__(self, base: BiSequence, offset: int):
         self.base = base
-        self.offset = _require_int(offset, "shift offset")
+        self.offset = require_int(offset, "shift offset")
 
     def entry(self, i: int) -> Fraction:
         return self.base.entry(i + self.offset)
@@ -390,7 +383,7 @@ def translate(x, n: int):
     is v_2.  The two are adjoint: <translate(v, n), a> =
     <v, translate(a, n)>.
     """
-    n = _require_int(n, "translation")
+    n = require_int(n, "translation")
     if n == 0:
         return x
     if isinstance(x, FinVector):
@@ -778,11 +771,12 @@ def window_rank_check(
 
     Rows are the entries over coordinates [-W, W] of every translate
     x^(s), s in [-S, S], of every member (plus the weighted rows when
-    flagged).  Each member's entries on [-W-S, W+S] are computed once
-    and the translate rows are slices of them.  Rank is computed exactly
-    over Q by :func:`linalg.rank`.  full_rank (rank == row count)
-    certifies linear independence of the tested finite subfamily; a
-    deficient rank on a window proves nothing either way.
+    flagged).  Each member's entries on [-W-S, W+S] are computed once;
+    the translate rows are slices of them, and the weighted row weights
+    the s = 0 slice.  Rank is computed exactly over Q by
+    :func:`linalg.rank`.  full_rank (rank == row count) certifies linear
+    independence of the tested finite subfamily; a deficient rank on a
+    window proves nothing either way.
 
     Each member's translates are passed centre-out, s = 0, 1, -1, ...,
     S, -S, then its weighted row.  Row order never changes the rank, but
@@ -792,8 +786,8 @@ def window_rank_check(
     independent ones, and centre-out keeps every translate within S
     steps of those, where ascending order would reach 2S steps.
     """
-    S = _require_int(S, "shift bound S")
-    W = _require_int(W, "window W")
+    S = require_int(S, "shift bound S")
+    W = require_int(W, "window W")
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
     width = 2 * W + 1
@@ -806,8 +800,7 @@ def window_rank_check(
         vals = x.window(-W - S, W + S)
         rows.extend(vals[k : k + width] for k in starts)
         if include_weighted:
-            w = weighted(x)
-            rows.append([w.entry(i) for i in range(-W, W + 1)])
+            rows.append([i * v for i, v in enumerate(vals[S : S + width], -W)])
     rank = linalg.rank(rows)
     return WindowRank(rank == len(rows), rank, len(rows), 2 * W + 1)
 

@@ -21,12 +21,24 @@ from affwhit.engine import generator_key
 # ---------------------------------------------------------------------------
 
 
+def root_position(root) -> tuple:
+    """The matrix unit (p, q), 1-based, of a root of A_{n-1}, read from its
+    coefficients alone: e_p - e_q with p < q is the run of +1 on the simple
+    roots p..q-1, and its negative e_q - e_p the run of -1."""
+    support = [k for k, c in enumerate(root, start=1) if c]
+    lo, hi = support[0], support[-1]
+    sign = root[lo - 1]
+    assert sign in (1, -1) and support == list(range(lo, hi + 1)), root
+    assert all(root[k - 1] == sign for k in support), root
+    return (lo, hi + 1) if sign == 1 else (hi + 1, lo)
+
+
 def basis_matrix(datum, key) -> sympy.Matrix:
     """Realize a Chevalley basis key as an n-by-n trace-zero matrix."""
     n = datum.n
     M = sympy.zeros(n, n)
     if key[0] == "X":
-        p, q = datum.pos_of_root(key[1])
+        p, q = root_position(key[1])
         M[p - 1, q - 1] = 1
     else:
         i = key[1]

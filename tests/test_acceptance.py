@@ -21,6 +21,7 @@ from affwhit import (
     AffineAlgebra,
     AffineElement,
     C,
+    ChevalleyElement,
     D,
     FinVector,
     FiniteSupport,
@@ -160,7 +161,7 @@ def test_criterion_02_structure_constant_oracle():
         ]
 
         def rand_elt():
-            elt = datum.zero_element()
+            elt = ChevalleyElement(datum, {})
             for _ in range(rng.randint(1, 3)):
                 k = rng.choice(keys)
                 c = F(rng.randint(-5, 5), rng.randint(1, 3))

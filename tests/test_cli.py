@@ -655,6 +655,15 @@ OVERSIZED = {
     "finite-span-lam": ("whittaker", "sl2-loop", ("lam", "a1"),
                         {"kind": "finite", "entries": {"-600": "1", "600": "1"}},
                         "finite literal spans indices -600..600"),
+    "J-20000-whittaker": ("whittaker", "sl2", ("truncation", "J"), 20000,
+                          "condition window J=20000 exceeds the bound 100"),
+    "J-101-tensor": ("tensor", "tensor-sl2", ("truncation", "J"), 101,
+                     "condition window J=101 exceeds the bound 100"),
+    "E-101-describe": ("describe", "sl3-borel", ("truncation", "E"), 101,
+                       "exponent bound E=101 exceeds the bound 100"),
+    "sequences-33": ("check-seq", "geo-family", ("sequences",),
+                     [{"kind": "geometric", "j": "2"}] * 33,
+                     "33 sequences exceed the bound 32"),
 }
 
 
@@ -669,9 +678,11 @@ def test_oversized_request_is_refused_before_any_work(
         raise AssertionError("work started on an oversized request")
 
     guarded = [(cli.WhittakerModule, "basis"), (cli, "is_generic"),
-               (cli, "window_rank_check")]
+               (cli, "window_rank_check"), (cli, "ordered_generators")]
     if path == ("algebra", "rank"):
         guarded.append((cli, "build_datum"))
+    if path == ("sequences",):
+        guarded.append((cli, "sequence_from_literal"))
     for owner, attr in guarded:
         monkeypatch.setattr(owner, attr, refuse)
     code, out, err = run_config(tmp_path, capsys, command, cfg)

@@ -8,6 +8,10 @@ call on a sequence class.
 
 ``linalg`` has one elimination entry point: only ``rref_pivots`` calls
 the modular elimination, the lift and the certificate.
+
+The package has one integer check, ``linalg.require_int``: no other code
+tests ``type(x) is int`` or coerces an argument with ``int``, bar the
+parsers of text.
 """
 
 import ast
@@ -130,3 +134,87 @@ def test_lint_catches_a_second_elimination_path():
         "_lift": ["SingletonPruner._extend_held", "rref_pivots"],
         "_certify": ["SingletonPruner._extend_held", "rref_pivots"],
     }
+
+
+# the functions that read integers out of text (JSON fields, labels, literals)
+INT_PARSERS = {"config_int", "parse_root_label", "parse_gen", "sequence_from_literal"}
+
+
+def integer_checks(source: str, allowed=INT_PARSERS) -> list:
+    """(scope, line) for every integer decision outside the functions
+    ``allowed``: a ``type(...) is int`` or ``is not int`` test, ``int``
+    bound as a ``_key``, or ``int`` called on a parameter of the enclosing
+    function or on a loop or comprehension variable."""
+    found = []
+
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def visit(node, scope, bound):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name
+            if scope in allowed:
+                return
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            bound = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.comprehension, ast.For)):
+                    bound |= {n.id for n in ast.walk(sub.target) if isinstance(n, ast.Name)}
+        if (
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Call)
+            and isinstance(node.left.func, ast.Name)
+            and node.left.func.id == "type"
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any(is_int(c) for c in node.comparators)
+        ) or (
+            isinstance(node, ast.Assign)
+            and is_int(node.value)
+            and any(isinstance(t, ast.Name) and t.id == "_key" for t in node.targets)
+        ) or (
+            isinstance(node, ast.Call)
+            and is_int(node.func)
+            and any(isinstance(a, ast.Name) and a.id in bound for a in node.args)
+        ):
+            found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, bound)
+
+    visit(ast.parse(source), "", set())
+    return found
+
+
+def test_require_int_is_the_one_integer_check():
+    package = pathlib.Path(affwhit.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        allowed = INT_PARSERS | ({"require_int"} if path.stem == "linalg" else set())
+        checks = integer_checks(path.read_text(encoding="utf-8"), allowed)
+        if checks:
+            found[path.stem] = checks
+    assert found == {}
+
+
+def test_integer_lint_catches_each_inline_check():
+    source = (
+        "def require_int(x):\n"
+        "    if type(x) is not int:\n"
+        "        raise ValueError(x)\n"
+        "class FinVector:\n"
+        "    _key = int\n"
+        "def X(root, m):\n"
+        "    return tuple(root), int(m)\n"
+        "class RootDatum:\n"
+        "    def __init__(self, n, levi):\n"
+        "        self.levi = frozenset(int(i) for i in levi)\n"
+        "        self.ok = int(len(levi)) + int(n * 2)\n"
+        "        self.bad = any(type(x) is int for x in levi)\n"
+        "def config_int(value):\n"
+        "    return int(value)\n"
+    )
+    assert integer_checks(source) == [
+        ("require_int", 2), ("FinVector", 5), ("X", 7), ("__init__", 10),
+        ("__init__", 12),
+    ]
+    assert integer_checks(source, INT_PARSERS | {"require_int"})[0] == ("FinVector", 5)

@@ -75,7 +75,7 @@ def chev(terms, datum=SL3):
             AffineElement(reversed_dict(AFF_TERMS)),
             "2/3*c - 5/2*d - H[1]@t^0 + 3*X[-1,-1]@t^-3 + X[1,0]@t^2",
         ),
-        (SL3.zero_element(), "0"),
+        (ChevalleyElement(SL3, {}), "0"),
         (SL3.X((1, 0)), "X[a1]"),
         (SL3.X((1, 0), -1), "-X[a1]"),
         (SL3.H(2, F(-7, 3)), "-7/3*H2"),
@@ -151,7 +151,7 @@ def test_equality_and_hash_across_classes():
     # hashes follow the coefficients only; equality keeps them apart
     assert hash(fin) == hash(aff) == hash(ch) == hash(seq)
     assert len({fin, aff, ch, seq}) == 4
-    assert FinVector({}) != AffineElement({}) and AffineElement({}) != SL3.zero_element()
+    assert FinVector({}) != AffineElement({}) and AffineElement({}) != ChevalleyElement(SL3, {})
     assert FiniteSupport({}) != FinVector({})
 
 
@@ -178,7 +178,11 @@ def test_chevalley_sums_need_the_same_datum():
 
 
 def test_finvector_keys_and_exact_coefficients():
-    v = FinVector({"2": "1/2", 3.0: 1})
+    # an index must be an int: a string or a float key is refused, not coerced
+    for key in ("2", 3.0):
+        with pytest.raises(ValueError, match="index must be an int"):
+            FinVector({key: 1})
+    v = FinVector({2: "1/2", 3: 1})
     assert v.coeffs == {2: F(1, 2), 3: F(1)}
     assert all(type(i) is int for i in v.coeffs)
     assert v * "2/3" == FinVector({2: F(1, 3), 3: F(2, 3)})

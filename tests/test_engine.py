@@ -457,7 +457,7 @@ def test_spec_validation():
         spec = WhittakerSpec(build_datum(2), {A1: Geometric(2)}, theta=theta)
         assert spec.theta == want and type(spec.theta) is Fraction
     for bounds in ((True, 1, 1), (1, 1.5, 1), (1, 1, 2.0), (1, "1", 1)):
-        with pytest.raises(ValueError, match="must be int"):
+        with pytest.raises(ValueError, match="must be an int"):
             Truncation(*bounds)
 
 

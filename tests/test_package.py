@@ -1,4 +1,4 @@
-"""The package's export list."""
+"""The package's export list, and a caller for every public name."""
 
 import ast
 import re
@@ -50,7 +50,8 @@ def python_uses(source: str) -> set:
 
 def callers_of_exports() -> set:
     """Every name used in ``src/affwhit`` (bar the export list in
-    ``__init__``), ``demos/``, ``perfbench/`` or named in ``README.md``."""
+    ``__init__``), ``demos/``, ``perfbench/`` or named in ``README.md``;
+    a test is no caller."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((REPO / "demos").glob("*.py"))
     files += sorted((REPO / "perfbench").glob("*.py"))
@@ -61,9 +62,26 @@ def callers_of_exports() -> set:
     return used
 
 
+def public_definitions() -> dict:
+    """Qualified name -> name of every public module-level function and
+    public method of a module-level class in ``src/affwhit``."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                found[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        found[f"{path.stem}.{node.name}.{fn.name}"] = fn.name
+    return {q: n for q, n in found.items() if not n.startswith("_")}
+
+
 def test_every_export_has_a_caller():
+    # every name in __all__ and every public function and method
     used = callers_of_exports()
-    unused = [n for n in affwhit.__all__ if n not in used]
+    names = dict(public_definitions(), **{n: n for n in affwhit.__all__})
+    unused = sorted(q for q, n in names.items() if n not in used)
     assert not unused, unused
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from affwhit import (
+    ChevalleyElement,
     ImproperParabolic,
     OutOfDomain,
     bracket_fin,
@@ -25,7 +26,7 @@ def all_basis_keys(datum):
 
 
 def random_element(datum, rng, max_terms=3):
-    elt = datum.zero_element()
+    elt = ChevalleyElement(datum, {})
     keys = all_basis_keys(datum)
     for _ in range(rng.randint(1, max_terms)):
         key = rng.choice(keys)
@@ -112,10 +113,35 @@ def test_bracket_matches_matrix_commutator():
             assert got == want
 
 
+def test_commutator_oracle_catches_a_relabelled_root_table():
+    # sl(3) with +-(a1+a2) sent to each other's matrix units in both tables:
+    # the datum stays self-consistent, but the oracle reads matrix units
+    # from the roots themselves, so the commutators disagree
+    datum = build_datum(3)
+    for root, pos in (((1, 1), (3, 1)), ((-1, -1), (1, 3))):
+        datum._pos_of_root[root] = pos
+        datum._root_of_pos[pos] = root
+    elements = [ChevalleyElement(datum, {k: 1}) for k in all_basis_keys(datum)]
+    assert any(
+        oracles.element_matrix(bracket_fin(x, y))
+        != oracles.matrix_bracket(oracles.element_matrix(x), oracles.element_matrix(y))
+        for x in elements for y in elements
+    )
+
+
+def test_root_position_oracle():
+    assert oracles.root_position((1, 1, 0)) == (1, 3)
+    assert oracles.root_position((0, -1, -1)) == (4, 2)
+    assert oracles.root_position((0, 1)) == (2, 3)
+    for bad in ((1, 0, 1), (1, -1), (2,), (0, 0)):
+        with pytest.raises((AssertionError, IndexError)):
+            oracles.root_position(bad)
+
+
 def test_bracket_antisymmetry_and_jacobi():
     rng = random.Random(321)
     datum = build_datum(3, {1})
-    zero = datum.zero_element()
+    zero = ChevalleyElement(datum, {})
     for _ in range(40):
         x, y, z = (random_element(datum, rng) for _ in range(3))
         assert bracket_fin(x, y) + bracket_fin(y, x) == zero

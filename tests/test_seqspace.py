@@ -13,10 +13,14 @@ from affwhit import (
     FiniteSupport,
     Geometric,
     GenericInput,
+    H,
     Recurrence,
+    RootDatum,
     Scaled,
     Shifted,
     Weighted,
+    X,
+    build_datum,
     is_generic,
     is_strongly_generic_set,
     linalg,
@@ -186,6 +190,20 @@ NON_INT = [
     (window_rank_check, ([Geometric(2)], 2.7, 4)),
     (window_rank_check, ([Geometric(2)], 2, 4.9)),
     (window_rank_check, ([Geometric(2)], False, 4)),
+    # every other integer argument goes through the same linalg.require_int
+    (RootDatum, (3.7,)),
+    (RootDatum, (3, {1.5})),
+    (X, ((1,), 2.5)),
+    (H, (1.9, 0)),
+    (FinVector, ({1.5: 2},)),
+    (FiniteSupport, ({True: 3},)),
+    (FinVector({0: 1}).translate, (1.5,)),
+    (Geometric(2).entry, (1.5,)),
+    (Recurrence(FinVector({0: 1, 1: 1, 2: -1}), [0, 1]).entry, (2.5,)),
+    (build_datum(2).H, (1.0,)),
+    (build_datum(2).X, ((1.0,),)),
+    (FiniteSupport({1: 1}).entry, (True,)),
+    (FinVector({1: 1}).__getitem__, (1.0,)),
 ]
 
 
