@@ -98,11 +98,27 @@ def gen_sort_key(g: Gen):
 
 
 class AffineElement(LinearCombination):
-    """Sparse linear combination of affine generators."""
+    """Sparse linear combination of affine generators.
+
+    A key is c, d or a generator tuple, whose integers :func:`X` and
+    :func:`H` check as they rebuild it; roots are not checked against
+    any datum (:meth:`AffineAlgebra.validate_gen` does that).
+    """
 
     __slots__ = ()
 
     _order = staticmethod(gen_sort_key)
+
+    @staticmethod
+    def _key(g):
+        if g == "c" or g == "d":
+            return g
+        if type(g) is tuple and len(g) == 3:
+            if g[0] == "X" and type(g[1]) is tuple:
+                return X(g[1], g[2])
+            if g[0] == "H":
+                return H(g[1], g[2])
+        raise ValueError(f"malformed generator {g!r}")
 
     def __repr__(self):
         return signed_sum(((gen_str(g), c) for g, c in self.items()), " ")

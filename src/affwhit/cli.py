@@ -178,9 +178,14 @@ def algebra_config(cfg: dict, mode_override=None, cocycle_override=None):
 
 def build_spec(cfg: dict, mode_override=None, cocycle_override=None) -> WhittakerSpec:
     datum = module_datum(cfg)
-    lam = {}
+    lam, labels = {}, {}
     for label, literal in require_object(cfg.get("lam", {}), "lam").items():
         root = parse_root_label(label, datum.rank)
+        if root in labels:
+            raise ConfigError(
+                f"lam keys {labels[root]!r} and {label!r} name one root {root_str(root)}"
+            )
+        labels[root] = label
         lam[root] = sequence_from_literal(literal)
     try:
         theta = as_scalar(cfg.get("theta", "0"))
@@ -206,9 +211,9 @@ def resolve_truncation(cfg: dict, args) -> Truncation:
     return trunc
 
 
-def check_basis_size(specs, trunc: Truncation, max_basis: int) -> None:
+def check_basis_size(specs, trunc: Truncation) -> None:
     """ConfigError, before any basis is built, when the basis at ``trunc``
-    has more than ``max_basis`` monomials.
+    has more than ``MAX_BASIS`` monomials.
 
     A module with G generators of |exponent| <= E has C(G + D, D)
     standard monomials of degree <= D; a tensor basis is the product of
@@ -222,13 +227,12 @@ def check_basis_size(specs, trunc: Truncation, max_basis: int) -> None:
         count = 1  # C(gens + k, k)
         for k in range(1, trunc.D + 1):
             count = count * (gens + k) // k
-            if size * count > max_basis:
+            if size * count > MAX_BASIS:
                 break
         size *= count
-        if size > max_basis:
+        if size > MAX_BASIS:
             raise ConfigError(
-                f"basis at D={trunc.D}, E={trunc.E} has more than {max_basis} "
-                "monomials; raise --max-basis to solve it"
+                f"basis at D={trunc.D}, E={trunc.E} has more than {MAX_BASIS} monomials"
             )
 
 
@@ -395,7 +399,7 @@ def cmd_whittaker(args) -> int:
     cfg = load_config(args)
     spec = build_spec(cfg, args.mode, args.cocycle)
     trunc = resolve_truncation(cfg, args)
-    check_basis_size([spec], trunc, args.max_basis)
+    check_basis_size([spec], trunc)
     module = WhittakerModule(spec)
     t0 = time.monotonic()
     result = module.solve(trunc)
@@ -415,7 +419,7 @@ def cmd_tensor(args) -> int:
     spec_a = build_spec(cfg["left"], args.mode, args.cocycle)
     spec_b = build_spec(cfg["right"], args.mode, args.cocycle)
     trunc = resolve_truncation(cfg, args)
-    check_basis_size([spec_a, spec_b], trunc, args.max_basis)
+    check_basis_size([spec_a, spec_b], trunc)
     module = TensorModule(spec_a, spec_b)
     t0 = time.monotonic()
     result = module.solve(trunc)
@@ -480,13 +484,6 @@ def cmd_bracket(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_max_basis(p: argparse.ArgumentParser):
-    p.add_argument(
-        "--max-basis", type=int, default=MAX_BASIS,
-        help=f"refuse a larger basis before building it (default {MAX_BASIS})",
-    )
-
-
 def _add_common(p: argparse.ArgumentParser, truncation=True):
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument(
@@ -519,12 +516,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whittaker", help="solve the truncated Whittaker system")
     _add_common(p)
-    _add_max_basis(p)
     p.set_defaults(func=cmd_whittaker)
 
     p = sub.add_parser("tensor", help="solve the system on a tensor product")
     _add_common(p)
-    _add_max_basis(p)
     p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("bracket", help="bracket of two affine generators")

@@ -105,10 +105,6 @@ class RootDatum:
         self.levi = levi
 
         self.zero: Root = (0,) * self.rank
-        self.simple = [
-            tuple(1 if k == i else 0 for k in range(self.rank))
-            for i in range(self.rank)
-        ]
 
         # root <-> matrix unit position (1-based pair (p, q), p != q)
         self._pos_of_root: Dict[Root, Tuple[int, int]] = {}
@@ -172,15 +168,27 @@ class RootDatum:
     # -- element constructors ----------------------------------------------
 
     def X(self, root: Root, coeff=1) -> "ChevalleyElement":
-        root = tuple(require_int(c, "root coordinate") for c in root)
-        if root not in self.phi:
-            raise ValueError(f"not a root: {root}")
-        return ChevalleyElement(self, {("X", root): coeff})
+        return ChevalleyElement(self, {self._basis_key(("X", tuple(root))): coeff})
 
     def H(self, i: int, coeff=1) -> "ChevalleyElement":
-        if not 1 <= require_int(i, "Cartan index") <= self.rank:
-            raise ValueError(f"Cartan index must lie in 1..{self.rank}, got {i}")
-        return ChevalleyElement(self, {("H", i): coeff})
+        return ChevalleyElement(self, {self._basis_key(("H", i)): coeff})
+
+    def _basis_key(self, key) -> BasisKey:
+        """key when it is ("X", root) for a root tuple of this datum or
+        ("H", i) for i in 1..rank, with ``int`` entries; ValueError
+        otherwise.  X, H and every ChevalleyElement key pass here."""
+        tag, x = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if tag == "X" and type(x) is tuple:
+            for c in x:
+                require_int(c, "root coordinate")
+            if x not in self.phi:
+                raise ValueError(f"not a root: {x}")
+        elif tag == "H":
+            if not 1 <= require_int(x, "Cartan index") <= self.rank:
+                raise ValueError(f"Cartan index must lie in 1..{self.rank}, got {x}")
+        else:
+            raise ValueError(f"malformed basis key {key!r}")
+        return key
 
     # -- structure constants -----------------------------------------------
 
@@ -275,7 +283,7 @@ class ChevalleyElement(LinearCombination):
     """Sparse element of sl(n) over the Chevalley basis {X_root} u {H_i}.
 
     Sums and differences, like brackets, need both elements over the
-    same root datum.
+    same root datum, and every key must be a basis key of it.
     """
 
     __slots__ = ("datum",)
@@ -285,6 +293,9 @@ class ChevalleyElement(LinearCombination):
     def __init__(self, datum: RootDatum, coeffs: Mapping[BasisKey, object] = ()):
         self.datum = datum
         super().__init__(coeffs)
+
+    def _key(self, key):
+        return self.datum._basis_key(key)
 
     def _new(self, coeffs):
         return ChevalleyElement(self.datum, coeffs)

@@ -170,30 +170,23 @@ class FiniteSupport(linalg.LinearCombination, BiSequence):
         return f"FiniteSupport({dict(self.items())})"
 
 
+@dataclass(frozen=True)
 class Geometric(BiSequence):
-    """One-sided geometric sequence: entry i is j^i for i > 0, else 0.
+    """One-sided geometric sequence with rational ratio j > 1: entry i
+    is j^i for i > 0, else 0."""
 
-    The ratio j is a rational number > 1.
-    """
+    j: Fraction
 
-    __slots__ = ("j",)
-
-    def __init__(self, j: ScalarLike):
-        j = as_scalar(j)
+    def __post_init__(self):
+        j = as_scalar(self.j)
         if j <= 1:
             raise ValueError(f"geometric ratio must exceed 1, got {j}")
-        self.j = j
+        object.__setattr__(self, "j", j)
 
     def entry(self, i: int) -> Fraction:
         if require_int(i) <= 0:
             return Fraction(0)
         return self.j ** i
-
-    def __eq__(self, other):
-        return isinstance(other, Geometric) and self.j == other.j
-
-    def __hash__(self):
-        return hash(("Geometric", self.j))
 
     def __repr__(self):
         return f"Geometric({self.j})"
@@ -286,77 +279,51 @@ class Recurrence(BiSequence):
         return f"Recurrence({self.v!r}, {list(self.initial)})"
 
 
+@dataclass(frozen=True)
 class Shifted(BiSequence):
     """Lazy translate of a base sequence: entry i is base(i + offset)."""
 
-    __slots__ = ("base", "offset")
+    base: BiSequence
+    offset: int
 
-    def __init__(self, base: BiSequence, offset: int):
-        self.base = base
-        self.offset = require_int(offset, "shift offset")
+    def __post_init__(self):
+        require_int(self.offset, "shift offset")
 
     def entry(self, i: int) -> Fraction:
         return self.base.entry(i + self.offset)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Shifted)
-            and self.base == other.base
-            and self.offset == other.offset
-        )
-
-    def __hash__(self):
-        return hash(("Shifted", self.base, self.offset))
 
     def __repr__(self):
         return f"Shifted({self.base!r}, {self.offset})"
 
 
+@dataclass(frozen=True)
 class Weighted(BiSequence):
     """Lazy index weighting: entry i is i * base(i)."""
 
-    __slots__ = ("base",)
-
-    def __init__(self, base: BiSequence):
-        self.base = base
+    base: BiSequence
 
     def entry(self, i: int) -> Fraction:
         return i * self.base.entry(i)
-
-    def __eq__(self, other):
-        return isinstance(other, Weighted) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("Weighted", self.base))
 
     def __repr__(self):
         return f"Weighted({self.base!r})"
 
 
+@dataclass(frozen=True)
 class Scaled(BiSequence):
     """Lazy nonzero scalar multiple of a base sequence."""
 
-    __slots__ = ("base", "factor")
+    base: BiSequence
+    factor: Fraction
 
-    def __init__(self, base: BiSequence, factor: ScalarLike):
-        factor = as_scalar(factor)
+    def __post_init__(self):
+        factor = as_scalar(self.factor)
         if factor == 0:
             raise ValueError("scale factor must be nonzero")
-        self.base = base
-        self.factor = factor
+        object.__setattr__(self, "factor", factor)
 
     def entry(self, i: int) -> Fraction:
         return self.factor * self.base.entry(i)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Scaled)
-            and self.base == other.base
-            and self.factor == other.factor
-        )
-
-    def __hash__(self):
-        return hash(("Scaled", self.base, self.factor))
 
     def __repr__(self):
         return f"Scaled({self.base!r}, {self.factor})"
@@ -562,39 +529,6 @@ def _genericity(s: BiSequence, tails) -> SeqVerdict:
     )
 
 
-def _laurent_quotient(f: FiniteSupport, w: FiniteSupport):
-    """Quotient q with w = q * f as Laurent polynomials, else None.
-
-    Finite translate-combinations of a finite-support sequence f are
-    exactly the Laurent-polynomial multiples of f (coefficients of the
-    combination = coefficients of the multiplier), so divisibility
-    decides membership of w in the translate span of f.
-    """
-    if f.is_zero():
-        return None
-    if w.is_zero():
-        return FiniteSupport({})
-    flo, fhi = f.support[0], f.support[-1]
-    wlo, whi = w.support[0], w.support[-1]
-    fd = [f.entry(flo + k) for k in range(fhi - flo + 1)]
-    wd = [w.entry(wlo + k) for k in range(whi - wlo + 1)]
-    if len(wd) < len(fd):
-        return None
-    quot = [Fraction(0)] * (len(wd) - len(fd) + 1)
-    rem = list(wd)
-    lead = fd[-1]
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + len(fd) - 1] / lead
-        quot[k] = q
-        if q:
-            for t, c in enumerate(fd):
-                rem[k + t] -= q * c
-    if any(rem):
-        return None
-    off = wlo - flo
-    return FiniteSupport({off + k: c for k, c in enumerate(quot) if c})
-
-
 def member_strong_genericity(s: BiSequence) -> SetVerdict:
     """Strong genericity of the one-element family {s}.
 
@@ -605,10 +539,13 @@ def member_strong_genericity(s: BiSequence) -> SetVerdict:
     some p_r != 0 (module docstring).  C(S)s has the coefficients
     sum_n C_n r^n p_r(i + n), of degree at most deg p_r, but i * s_i has
     i * p_r(i), of degree deg p_r + 1, and such a representation is
-    unique.  For finite support it reduces to Laurent divisibility: the
-    weighted sequence is again finitely supported and lies in the
-    translate span of s exactly when the polynomial of s divides the
-    polynomial of the weighted sequence.
+    unique.  A finite s, with polynomial F = sum_i s_i x^i, fails iff F
+    divides the polynomial x * F' of its weighted sequence, since its
+    translate combinations are the Laurent multiples of F.  Write F =
+    x^a * G with G(0) != 0.  Then x * F' = x^a * (a * G + x * G'), so F
+    divides x * F' iff G divides G' (x is a unit and prime to G).  As
+    deg G' < deg G, that holds iff G' = 0, which over Q means that the
+    support is the single point a; then x * F' = a * F.
     """
     return _member_verdict(s, _tails(s))
 
@@ -629,22 +566,21 @@ def _member_verdict(s: BiSequence, tails) -> SetVerdict:
             "generic with infinite support: weighting raises the degree of "
             "a tail's polynomial coefficients, no translate combination does",
         )
-    w = weighted(fin)
-    if w.is_zero():
+    support = fin.support
+    if len(support) > 1:
+        return SetVerdict(
+            "strongly_generic",
+            "finite support; weighted sequence is not a Laurent multiple",
+        )
+    if support == [0]:
         return SetVerdict(
             "not_strongly_generic",
             "weighted sequence (i*s_i) is zero (support {0})",
         )
-    q = _laurent_quotient(fin, w)
-    if q is not None:
-        return SetVerdict(
-            "not_strongly_generic",
-            "weighted sequence (i*s_i) is the translate combination "
-            f"{q!r} applied to the member",
-        )
     return SetVerdict(
-        "strongly_generic",
-        "finite support; weighted sequence is not a Laurent multiple",
+        "not_strongly_generic",
+        "weighted sequence (i*s_i) is the translate combination "
+        f"{FiniteSupport({0: support[0]})!r} applied to the member",
     )
 
 
@@ -896,9 +832,9 @@ def sequence_from_literal(obj) -> BiSequence:
 
     An optional 'scale' key wraps the result in a nonzero scalar
     multiple.  All rationals are decimal-free strings or integers.
-    Malformed literals, wrong JSON types included, raise ValueError, and
-    so does a finite literal whose support spans more than ``MAX_SPAN``
-    indices past its first, since the verdicts walk the whole span.
+    Malformed literals (wrong JSON types, two keys such as "1" and "01"
+    for one index) raise ValueError, and so does a finite literal whose
+    support spans more than ``MAX_SPAN`` indices, which the verdicts walk.
     """
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError(f"sequence literal must be an object with 'kind': {obj!r}")
@@ -909,11 +845,20 @@ def sequence_from_literal(obj) -> BiSequence:
     extra = set(obj) - {"kind", "scale", "entries", "j", "v", "initial"}
     if extra:
         raise ValueError(f"unexpected keys in sequence literal: {sorted(extra)}")
+
+    def indexed(entries: dict) -> dict:
+        out, keys = {}, {}
+        for key, c in entries.items():
+            i = int(key)
+            if i in keys:
+                raise ValueError(
+                    f"sequence literal keys {keys[i]!r} and {key!r} name one index {i}"
+                )
+            keys[i], out[i] = key, _literal_scalar(c)
+        return out
+
     if kind == "finite":
-        entries = _literal_field(obj, "entries", dict)
-        seq: BiSequence = FiniteSupport(
-            {int(i): _literal_scalar(c) for i, c in entries.items()}
-        )
+        seq: BiSequence = FiniteSupport(indexed(_literal_field(obj, "entries", dict)))
         if seq.coeffs and max(seq.coeffs) - min(seq.coeffs) > MAX_SPAN:
             raise ValueError(
                 f"finite literal spans indices {min(seq.coeffs)}..{max(seq.coeffs)}, "
@@ -928,10 +873,7 @@ def sequence_from_literal(obj) -> BiSequence:
             raise ValueError("recurrence literal needs 'v' and 'initial'")
         v = _literal_field(obj, "v", dict)
         initial = _literal_field(obj, "initial", list)
-        seq = Recurrence(
-            FinVector({int(i): _literal_scalar(c) for i, c in v.items()}),
-            [_literal_scalar(x) for x in initial],
-        )
+        seq = Recurrence(FinVector(indexed(v)), [_literal_scalar(x) for x in initial])
     if "scale" in obj:
         factor = _literal_scalar(obj["scale"])
         if factor != 1:

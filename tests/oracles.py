@@ -245,3 +245,14 @@ def brute_annihilator(entries, max_size=6):
             coeffs = [c / lead for c in coeffs]
             return tuple((k, c) for k, c in zip(cols, coeffs) if c)
     return None
+
+
+def weighting_divides(entries: dict) -> bool:
+    """Whether the Laurent polynomial F = sum_i s_i x^i of a nonzero
+    finite sequence divides x * F', the polynomial of its weighted
+    sequence (i * s_i): sympy cancels x * F' / F, and the quotient is a
+    Laurent polynomial iff the denominator left is a monomial."""
+    x = sympy.symbols("x")
+    F = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in entries.items())
+    _, den = sympy.fraction(sympy.cancel(x * sympy.diff(F, x) / F))
+    return sympy.Poly(den, x).is_monomial

@@ -576,6 +576,27 @@ def test_wrong_nested_types_are_errors(tmp_path, capsys, path, value):
     assert out == ""
 
 
+# two config keys that name one root or one index: (preset, field, value, message)
+COLLIDING_KEYS = {
+    "lam-roots": ("sl3-abelian", ("lam", "a2+a1"), {"kind": "geometric", "j": "5"},
+                  "lam keys 'a1+a2' and 'a2+a1' name one root a1+a2"),
+    "finite-entries": ("sl2-loop", ("lam", "a1", "entries"), {"1": "1", "01": "5"},
+                       "sequence literal keys '1' and '01' name one index 1"),
+    "recurrence-v": ("sl2-const", ("lam", "a1", "v"), {"0": "-1", "1": "1", "01": "3"},
+                     "sequence literal keys '1' and '01' name one index 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLIDING_KEYS))
+def test_colliding_keys_are_refused(tmp_path, capsys, name):
+    preset, path, value, message = COLLIDING_KEYS[name]
+    cfg = _set(presets.get_preset(preset), path, value)
+    code, out, err = run_config(tmp_path, capsys, "whittaker", cfg)
+    assert_one_line_error(code, err)
+    assert message in err
+    assert out == ""
+
+
 def test_wrong_window_types_are_errors(tmp_path, capsys):
     for key, value, message in (
         ("S", [5], "S must be an integer"),
@@ -695,8 +716,8 @@ def test_oversized_request_is_refused_before_any_work(
     ("sl2", 2, 2), ("sl2-loop", 4, 2), ("sl3-abelian", 3, 1), ("sl3-borel", 2, 1),
     ("tensor-sl2", 2, 1), ("tensor-sl2", 2, 2),
 ])
-def test_basis_bound_is_the_basis_size(preset, D, E):
-    # --max-basis admits a basis of exactly its size and refuses one more
+def test_basis_bound_is_the_basis_size(monkeypatch, preset, D, E):
+    # MAX_BASIS admits a basis of exactly its size and refuses one more
     cfg = presets.get_preset(preset)
     if "left" in cfg:
         specs = [cli.build_spec(cfg["left"]), cli.build_spec(cfg["right"])]
@@ -707,18 +728,26 @@ def test_basis_bound_is_the_basis_size(preset, D, E):
         specs = [cli.build_spec(cfg)]
         size = len(cli.WhittakerModule(specs[0]).basis(cli.Truncation(D, E, 0)))
     trunc = cli.Truncation(D, E, 0)
-    cli.check_basis_size(specs, trunc, size)
+    monkeypatch.setattr(cli, "MAX_BASIS", size)
+    cli.check_basis_size(specs, trunc)
+    monkeypatch.setattr(cli, "MAX_BASIS", size - 1)
     with pytest.raises(cli.ConfigError, match=f"more than {size - 1} monomials"):
-        cli.check_basis_size(specs, trunc, size - 1)
+        cli.check_basis_size(specs, trunc)
 
 
-def test_max_basis_option(capsys):
+def test_max_basis_option(monkeypatch, capsys):
     # the sl2 preset's basis has 78 monomials
-    code, out, _ = run(capsys, "whittaker", "--preset", "sl2", "--max-basis", "78")
+    monkeypatch.setattr(cli, "MAX_BASIS", 78)
+    code, out, _ = run(capsys, "whittaker", "--preset", "sl2")
     assert code == 2 and "basis size 78" in out
-    code, out, err = run(capsys, "whittaker", "--preset", "sl2", "--max-basis", "77")
+    monkeypatch.setattr(cli, "MAX_BASIS", 77)
+    code, out, err = run(capsys, "whittaker", "--preset", "sl2")
     assert_one_line_error(code, err)
-    assert "raise --max-basis" in err and out == ""
+    assert "more than 77 monomials" in err and out == ""
+    # the bound is a constant, no longer a flag
+    with pytest.raises(SystemExit):
+        run(capsys, "whittaker", "--preset", "sl2", "--max-basis", "78")
+    assert "unrecognized arguments: --max-basis" in capsys.readouterr().err
 
 
 def test_largest_benchmark_window_is_admitted(tmp_path, capsys):

@@ -141,9 +141,11 @@ def test_linear_combination_arithmetic(make, terms):
 
 
 def test_equality_and_hash_across_classes():
-    fin, aff = FinVector({0: 1}), AffineElement({0: 1})
-    ch = ChevalleyElement(SL3, {0: 1})
-    seq = FiniteSupport({0: 1})
+    # no key is valid in all four classes, so the empty combinations stand
+    # for equal coefficients
+    fin, aff = FinVector({}), AffineElement({})
+    ch = ChevalleyElement(SL3, {})
+    seq = FiniteSupport({})
     assert fin.coeffs == aff.coeffs == ch.coeffs == seq.coeffs
     assert fin != aff and aff != fin
     assert fin != ch and ch != fin and aff != ch and ch != aff
@@ -151,8 +153,37 @@ def test_equality_and_hash_across_classes():
     # hashes follow the coefficients only; equality keeps them apart
     assert hash(fin) == hash(aff) == hash(ch) == hash(seq)
     assert len({fin, aff, ch, seq}) == 4
-    assert FinVector({}) != AffineElement({}) and AffineElement({}) != ChevalleyElement(SL3, {})
-    assert FiniteSupport({}) != FinVector({})
+    # an index is a key of both vectors and sequences
+    vec, delta = FinVector({0: 1}), FiniteSupport({0: 1})
+    assert vec.coeffs == delta.coeffs and hash(vec) == hash(delta)
+    assert vec != delta and delta != vec and len({vec, delta}) == 2
+
+
+# (element class, key, message): a key an element class cannot hold
+BAD_KEYS = [
+    ("affine", 0, "malformed generator 0"),
+    ("affine", ("X", 1, 0), "malformed generator"),
+    ("affine", ("Y", (1,), 0), "malformed generator"),
+    ("affine", ("H", 1, 0, 0), "malformed generator"),
+    ("affine", ("H", 1, 0.0), "t-exponent must be an int"),
+    ("chevalley", 0, "malformed basis key 0"),
+    ("chevalley", ("X", [1, 0]), "malformed basis key"),
+    ("chevalley", ("X", (1, 0), 0), "malformed basis key"),
+    ("chevalley", ("X", (2, 0)), r"not a root: \(2, 0\)"),
+    ("chevalley", ("X", (1,)), r"not a root: \(1,\)"),
+    ("chevalley", ("X", (1, False)), "root coordinate must be an int"),
+    ("chevalley", ("H", 3), r"Cartan index must lie in 1\.\.2, got 3"),
+    ("chevalley", ("H", True), "Cartan index must be an int"),
+]
+
+
+@pytest.mark.parametrize("cls, key, message", BAD_KEYS, ids=range(len(BAD_KEYS)))
+def test_element_keys_are_checked(cls, key, message):
+    with pytest.raises(ValueError, match=message):
+        if cls == "affine":
+            AffineElement([(key, 1)])
+        else:
+            ChevalleyElement(SL3, [(key, 1)])
 
 
 def test_chevalley_equality_needs_the_same_datum():

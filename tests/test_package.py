@@ -1,4 +1,5 @@
-"""The package's export list, and a caller for every public name."""
+"""The package's export list, a caller for every public name and a
+reader for every attribute."""
 
 import ast
 import re
@@ -98,3 +99,67 @@ def test_use_lint_skips_the_definition_itself():
     used = python_uses(source)
     assert {"size", "run", "mod", "cli", "traced"} <= used
     assert not {"helper", "Box", "main", "BIND", "wrapped name"} & used
+
+
+def assigned_attributes(source: str) -> dict:
+    """Class.attribute -> attribute for every ``self.<name>`` that a
+    module-level class assigns, plainly, annotated or augmented."""
+    found = {}
+    for cls in ast.parse(source).body:
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    found[f"{cls.name}.{node.attr}"] = node.attr
+    return found
+
+
+def attribute_reads(source: str) -> set:
+    """Attribute names a Python source reads: ``x.name`` in a load."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_attribute_is_read():
+    # every self.<name> assigned in src/affwhit is read as .name in
+    # src/affwhit, demos/ or perfbench/, or named as .name in README.md;
+    # a test is no reader
+    files = sorted(PACKAGE.glob("*.py"))
+    files += sorted((REPO / "demos").glob("*.py"))
+    files += sorted((REPO / "perfbench").glob("*.py"))
+    read = set(re.findall(r"\.(\w+)", (REPO / "README.md").read_text(encoding="utf-8")))
+    for path in files:
+        read |= attribute_reads(path.read_text(encoding="utf-8"))
+    unread = sorted(
+        f"{path.stem}.{q}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for q, name in assigned_attributes(path.read_text(encoding="utf-8")).items()
+        if name not in read
+    )
+    assert not unread, unread
+
+
+def test_attribute_lint_counts_only_reads():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n"
+        "        self.dead = [n]\n"
+        "        self.count: int = 0\n"
+        "        self.lo, self.hi = n, n\n"
+        "    def bump(self):\n"
+        "        self.count += 1\n"
+        "        return self.n + self.lo\n"
+    )
+    assert assigned_attributes(source) == {
+        "Box.n": "n", "Box.dead": "dead", "Box.count": "count",
+        "Box.lo": "lo", "Box.hi": "hi",
+    }
+    assert attribute_reads(source) == {"n", "lo"}

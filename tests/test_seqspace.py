@@ -1,5 +1,6 @@
 """Bi-infinite sequence space: exact classes, genericity, window evidence."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import pytest
 
 import oracles
 from affwhit import (
+    AffineElement,
     BothInfiniteSupport,
+    ChevalleyElement,
     DegenerateAnnihilator,
     FinVector,
     FiniteSupport,
@@ -204,6 +207,9 @@ NON_INT = [
     (build_datum(2).X, ((1.0,),)),
     (FiniteSupport({1: 1}).entry, (True,)),
     (FinVector({1: 1}).__getitem__, (1.0,)),
+    # hand-built element keys
+    (AffineElement, ({("X", (1,), 2.5): 1},)),
+    (ChevalleyElement, (build_datum(2), {("H", 1.0): 1})),
 ]
 
 
@@ -408,16 +414,16 @@ def test_member_strong_genericity_finite_cases():
 
 
 def test_member_strong_genericity_divisibility_witness():
-    # s with polynomial F = (1 + x)^2 has weighted polynomial
-    # W = x d/dx F = 2x(1 + x), and F | W fails; but F = x(1+x) gives
-    # W = x(1 + 2x) + x^2 ... compute honestly: s = delta_1 + delta_2,
-    # weighted = delta_1 + 2 delta_2, and (x + x^2) | (x + 2x^2) fails.
+    # A finite member with polynomial F fails iff F divides x * F', the
+    # polynomial of its weighted sequence; with F = x^a * G and G(0) != 0
+    # that holds iff G' = 0, i.e. iff the support is one point
+    # (member_strong_genericity).  s = delta_1 + delta_2 has two points:
+    # F = x + x^2 does not divide x * F' = x + 2x^2.
     assert member_strong_genericity(FiniteSupport({1: 1, 2: 1})).kind == (
         "strongly_generic"
     )
-    # genuinely divisible case: the quotient must be reported
-    # F = x - x^2 (delta_1 - delta_2), W = x - 2x^2; W/F is not polynomial.
-    # Divisible example: any monomial c*x^k, W = k*c*x^k = k * F.
+    # one point a = 3: F = (2/5) x^3 and x * F' = 3 * F, so the reason
+    # names the translate combination 3 * s^(0)
     v = member_strong_genericity(FiniteSupport({3: F(2, 5)}))
     assert v.kind == "not_strongly_generic"
     assert "translate combination" in v.reason
@@ -578,6 +584,79 @@ def test_pinned_member_reasons(s, member, generic, witness):
     assert (v.kind, v.reason) == ("not_strongly_generic", member)
     g = is_generic(s)
     assert (g.kind, g.reason, g.witness) == ("not_generic", generic, witness)
+
+
+# a finite member's reason is read off its support (member_strong_genericity)
+PINNED_FINITE_REASONS = [
+    (FiniteSupport({0: 1}), "not_strongly_generic",
+     "weighted sequence (i*s_i) is zero (support {0})"),
+    (FiniteSupport({3: F(2, 5)}), "not_strongly_generic",
+     "weighted sequence (i*s_i) is the translate combination "
+     "FiniteSupport({0: Fraction(3, 1)}) applied to the member"),
+    (Weighted(FiniteSupport({-1: 1, 0: 5})), "not_strongly_generic",
+     "weighted sequence (i*s_i) is the translate combination "
+     "FiniteSupport({0: Fraction(-1, 1)}) applied to the member"),
+    (Scaled(Shifted(FiniteSupport({0: 7}), -2), F(1, 3)), "not_strongly_generic",
+     "weighted sequence (i*s_i) is the translate combination "
+     "FiniteSupport({0: Fraction(2, 1)}) applied to the member"),
+    (FiniteSupport({-2: 1, 5: F(-3, 4)}), "strongly_generic",
+     "finite support; weighted sequence is not a Laurent multiple"),
+]
+
+
+@pytest.mark.parametrize("s, kind, reason", PINNED_FINITE_REASONS, ids=range(5))
+def test_pinned_finite_member_reasons(s, kind, reason):
+    v = member_strong_genericity(s)
+    assert (v.kind, v.reason) == (kind, reason)
+
+
+def test_finite_members_against_sympy_divisibility():
+    # random finite members, bare or wrapped, with their entries tracked
+    # by hand: strongly generic iff sympy finds F does not divide x * F'
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(150):
+        entries = {
+            i: F(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 5]))
+            for i in rng.sample(range(-4, 5), rng.randint(1, 3))
+        }
+        s = FiniteSupport(entries)
+        for _ in range(rng.randint(0, 2)):
+            wrap = rng.randrange(3)
+            if wrap == 0:
+                o = rng.randint(-3, 3)
+                s, entries = Shifted(s, o), {i - o: c for i, c in entries.items()}
+            elif wrap == 1:
+                k = rng.choice([2, -1, F(1, 3)])
+                s, entries = Scaled(s, k), {i: k * c for i, c in entries.items()}
+            else:
+                s, entries = Weighted(s), {i: i * c for i, c in entries.items() if i}
+        kind = member_strong_genericity(s).kind
+        if not entries:
+            assert kind == "not_strongly_generic", s
+            seen.add("zero")
+            continue
+        assert (kind == "strongly_generic") == (not oracles.weighting_divides(entries)), s
+        seen.add(min(len(entries), 2) if set(entries) != {0} else 0)
+    assert seen == {"zero", 0, 1, 2}
+
+
+def test_sequence_wrappers_are_frozen_values():
+    g = Geometric(2)
+    for obj, field in ((g, "j"), (Shifted(g, 1), "offset"), (Scaled(g, 3), "factor"),
+                       (Weighted(g), "base"), (Shifted(g, 1), "base")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 5)
+    for a, b in ((Geometric(2), Geometric("2")),
+                 (Shifted(g, 1), Shifted(Geometric(2), 1)),
+                 (Scaled(g, F(1, 2)), Scaled(Geometric(2), "1/2")),
+                 (Weighted(Shifted(g, 1)), Weighted(Shifted(Geometric(2), 1)))):
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert Shifted(g, 1) != Scaled(g, 1) and Scaled(g, 1) != Shifted(g, 1)
+    assert Shifted(g, 1) != Shifted(g, 2) and Scaled(g, 2) != Scaled(Geometric(3), 2)
+    for build, args in ((Geometric, (1,)), (Scaled, (FIB, 0)), (Shifted, (FIB, 1.5))):
+        with pytest.raises(ValueError):
+            build(*args)
 
 
 # ---------------------------------------------------------------------------
