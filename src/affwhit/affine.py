@@ -37,6 +37,8 @@ COCYCLE_MODES = ("standard", "literal")
 
 
 def X(root, m: int) -> Gen:
+    if type(root) is not tuple:
+        raise ValueError(f"root must be a tuple, got {root!r}")
     root = tuple(require_int(c, "root coordinate") for c in root)
     return ("X", root, require_int(m, "t-exponent"))
 
@@ -152,9 +154,9 @@ class AffineAlgebra:
             return
         if not isinstance(g, tuple) or len(g) != 3:
             raise ValueError(f"malformed generator {g!r}")
-        # X and H check every integer; a root must already be a tuple
+        # X and H check every integer, and X that a root is a tuple
         if g[0] == "X":
-            if type(g[1]) is not tuple or X(g[1], g[2])[1] not in self.datum.phi:
+            if X(g[1], g[2])[1] not in self.datum.phi:
                 raise ValueError(f"not a root: {g[1]}")
         elif g[0] == "H":
             if not 1 <= H(g[1], g[2])[1] <= self.datum.rank:

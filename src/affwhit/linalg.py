@@ -196,9 +196,9 @@ class LinearCombination:
     sets it),
     ``_order`` is the sort key of a key for ``support`` and ``items``
     (None sorts the keys themselves), and ``_new`` builds a result of
-    the same class.  Coefficients that are zero after coercion are not
-    stored.  ``==`` holds only within one class; the hash depends on
-    the coefficients alone.
+    the same class.  Every key is checked, and coefficients that are
+    zero after coercion are not stored.  ``==`` holds only within one
+    class; the hash depends on the coefficients alone.
     """
 
     __slots__ = ("coeffs",)
@@ -215,8 +215,9 @@ class LinearCombination:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for k, c in items:
             c = self._scalar(c)
+            k = self._key(k)
             if c:
-                data[self._key(k)] = c
+                data[k] = c
         self.coeffs = data
 
     def _new(self, coeffs: dict):

@@ -168,10 +168,10 @@ class RootDatum:
     # -- element constructors ----------------------------------------------
 
     def X(self, root: Root, coeff=1) -> "ChevalleyElement":
-        return ChevalleyElement(self, {self._basis_key(("X", tuple(root))): coeff})
+        return ChevalleyElement(self, [(("X", root), coeff)])
 
     def H(self, i: int, coeff=1) -> "ChevalleyElement":
-        return ChevalleyElement(self, {self._basis_key(("H", i)): coeff})
+        return ChevalleyElement(self, [(("H", i), coeff)])
 
     def _basis_key(self, key) -> BasisKey:
         """key when it is ("X", root) for a root tuple of this datum or

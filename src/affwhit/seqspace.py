@@ -707,12 +707,33 @@ def window_rank_check(
 
     Rows are the entries over coordinates [-W, W] of every translate
     x^(s), s in [-S, S], of every member (plus the weighted rows when
-    flagged).  Each member's entries on [-W-S, W+S] are computed once;
-    the translate rows are slices of them, and the weighted row weights
-    the s = 0 slice.  Rank is computed exactly over Q by
-    :func:`linalg.rank`.  full_rank (rank == row count) certifies linear
-    independence of the tested finite subfamily; a deficient rank on a
-    window proves nothing either way.
+    flagged).  Rank is computed exactly over Q by :func:`linalg.rank`.
+    full_rank (rank == row count) certifies linear independence of the
+    tested finite subfamily.  When W >= B below, the rank is that of the
+    bi-infinite rows, so a deficient rank proves a dependence; when W <
+    B it proves nothing either way.
+
+    Only the coordinates [-W0, W0], W0 = min(W, B), are eliminated.  Let
+    k = 2 with the weighted rows and 1 without, and over the members'
+    tail forms (lo, hi, L, R) let H = max hi, Lo = min lo, N_R = sum k *
+    omega(R) and N_L = sum k * omega(L); then B = max(S, H + S + N_R -
+    1, S - Lo + N_L - 1).  Proof: take a row combination y.  R^k holds
+    on every row of its member over [hi + S, inf) (R on a translate
+    x^(s) over [hi - s, inf), R^2 on the weighted row by the tail form
+    of Weighted), so the product P of the members' R^k holds on y over
+    [H + S, inf); likewise the product of the L^k over (-inf, Lo - S].
+    Each tail form has lo <= hi and omega(L) = omega(R), so the sum of
+    the last two terms of B gives 2B + 1 >= 2 N_R - 1, and [-B, B] holds
+    N_R consecutive coordinates of [H + S, inf) (none are needed when
+    N_R = 0).  If y vanishes on [-B, B], then P_0, P_omega != 0 unroll
+    those zeros over all of [H + S, inf), the left side likewise over
+    (-inf, Lo - S], and B makes the three ranges cover Z: y = 0.  So
+    every window W >= B has the left kernel of the bi-infinite rows,
+    hence their rank.  Any member without a tail form keeps the full W.
+
+    Each member's entries on [-W0-S, W0+S] are computed once; the
+    translate rows are slices of them, and the weighted row weights the
+    s = 0 slice.  ``ncols`` reports the requested 2W + 1.
 
     Each member's translates are passed centre-out, s = 0, 1, -1, ...,
     S, -S, then its weighted row.  Row order never changes the rank, but
@@ -726,17 +747,26 @@ def window_rank_check(
     W = require_int(W, "window W")
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
-    width = 2 * W + 1
-    # the row of translate s starts at entry s - W, index s + S of vals
+    seqs = list(seqs)
+    forms = [_tails(x) for x in seqs]
+    W0 = W
+    if forms and None not in forms:
+        power = 2 if include_weighted else 1
+        lo, hi, left, right = zip(*forms)
+        n_left = power * sum(p.width() for p in left)
+        n_right = power * sum(p.width() for p in right)
+        W0 = min(W, max(S, max(hi) + S + n_right - 1, S - min(lo) + n_left - 1))
+    width = 2 * W0 + 1
+    # the row of translate s starts at entry s - W0, index s + S of vals
     starts = [S]
     for o in range(1, S + 1):
         starts += (S + o, S - o)
     rows = []
     for x in seqs:
-        vals = x.window(-W - S, W + S)
+        vals = x.window(-W0 - S, W0 + S)
         rows.extend(vals[k : k + width] for k in starts)
         if include_weighted:
-            rows.append([i * v for i, v in enumerate(vals[S : S + width], -W)])
+            rows.append([i * v for i, v in enumerate(vals[S : S + width], -W0)])
     rank = linalg.rank(rows)
     return WindowRank(rank == len(rows), rank, len(rows), 2 * W + 1)
 

@@ -24,7 +24,8 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def bench():
     sys.path.insert(0, BENCH)
     try:
-        yield {name: importlib.import_module(name) for name in ("tracing", "gate", "ops")}
+        yield {name: importlib.import_module(name)
+               for name in ("tracing", "gate", "ops", "workloads")}
     finally:
         sys.path.remove(BENCH)
 
@@ -73,3 +74,23 @@ def test_gate_and_ops_names(bench):
     assert gate.element_str is engine.element_str
     assert gate.mono_str is engine.mono_str and gate.pair_str is engine.pair_str
     assert ops.WhittakerModule is WhittakerModule and ops.Truncation is Truncation
+
+
+# (S, W) of each seq-window template: the W0 its tail forms allow
+SEQ_W0 = {(10, 40): 21, (12, 48): 25, (8, 32): 18, (14, 56): 23, (16, 64): 25}
+
+
+def test_seq_window_ops_eliminate_the_smallest_window(bench, tmp_path, monkeypatch):
+    ops = bench["workloads"].generate("seq-window", 0)
+    bench["ops"].prepare(ops, str(tmp_path))
+    cols = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: cols.append(len(rows[0])) or rank(rows))
+    for op in ops:
+        cfg = op["config"]
+        S, W = cfg["S"], cfg["W"]
+        raw = bench["ops"].execute(op, {})
+        assert raw.rc is not None and raw.error is None, op["id"]
+        assert f"window rank: {op['expect']['rank']} of {op['expect']['rows']} rows" in raw.stdout
+        assert cols == [2 * SEQ_W0[S, W] + 1] and cols[0] < 2 * W + 1, op["id"]
+        cols.clear()

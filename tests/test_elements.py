@@ -179,11 +179,13 @@ BAD_KEYS = [
 
 @pytest.mark.parametrize("cls, key, message", BAD_KEYS, ids=range(len(BAD_KEYS)))
 def test_element_keys_are_checked(cls, key, message):
-    with pytest.raises(ValueError, match=message):
-        if cls == "affine":
-            AffineElement([(key, 1)])
-        else:
-            ChevalleyElement(SL3, [(key, 1)])
+    # a zero coefficient is not stored, but its key is checked all the same
+    for coeff in (1, 0):
+        with pytest.raises(ValueError, match=message):
+            if cls == "affine":
+                AffineElement([(key, coeff)])
+            else:
+                ChevalleyElement(SL3, [(key, coeff)])
 
 
 def test_chevalley_equality_needs_the_same_datum():

@@ -207,15 +207,33 @@ NON_INT = [
     (build_datum(2).X, ((1.0,),)),
     (FiniteSupport({1: 1}).entry, (True,)),
     (FinVector({1: 1}).__getitem__, (1.0,)),
-    # hand-built element keys
+    # hand-built element keys, checked with a zero coefficient too
     (AffineElement, ({("X", (1,), 2.5): 1},)),
     (ChevalleyElement, (build_datum(2), {("H", 1.0): 1})),
+    (ChevalleyElement, (build_datum(2), {("H", 1.0): 0})),
+    (FinVector, ({1.5: 0},)),
 ]
 
 
 @pytest.mark.parametrize("fn, args", NON_INT, ids=range(len(NON_INT)))
 def test_integer_arguments_refuse_what_int_would_truncate(fn, args):
     with pytest.raises(ValueError, match="must be an int"):
+        fn(*args)
+
+
+# a root is a tuple: anything else is refused, not iterated or converted
+NON_TUPLE = [
+    (X, (5, 0), "root must be a tuple, got 5"),
+    (X, ([1], 0), r"root must be a tuple, got \[1\]"),
+    (build_datum(2).X, (5,), r"malformed basis key \('X', 5\)"),
+    (build_datum(2).X, ([1],), "malformed basis key"),
+    (AffineElement, ({("X", 5, 0): 0},), "malformed generator"),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", NON_TUPLE, ids=range(len(NON_TUPLE)))
+def test_roots_must_be_tuples(fn, args, message):
+    with pytest.raises(ValueError, match=message):
         fn(*args)
 
 
@@ -852,14 +870,16 @@ def test_window_rank_matches_sympy(monkeypatch):
     assert info.count == len(rows)
 
 
-def window_rows_ascending(seqs, S, W):
-    """Each member's translates s = -S..S, then its weighted row."""
+def window_rows_ascending(seqs, S, W, with_weighted=True):
+    """Each member's translates s = -S..S, then its weighted row when
+    ``with_weighted``."""
     rows = []
     for s in seqs:
         for off in range(-S, S + 1):
             rows.append([s.entry(i + off) for i in range(-W, W + 1)])
-        w = weighted(s)
-        rows.append([w.entry(i) for i in range(-W, W + 1)])
+        if with_weighted:
+            w = weighted(s)
+            rows.append([w.entry(i) for i in range(-W, W + 1)])
     return rows
 
 
@@ -916,6 +936,55 @@ def test_window_rank_does_not_depend_on_row_order(seqs, S, W):
     for _ in range(4):
         rng.shuffle(rows)
         assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+
+
+def record_rank_columns(monkeypatch):
+    """Patch linalg.rank; the list gets the column count of each call."""
+    cols = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: cols.append(len(rows[0])) or rank(rows))
+    return cols
+
+
+def test_window_bound_gives_the_full_window_rank(monkeypatch):
+    # W0 < W eliminates fewer columns and must not change the rank
+    rng = random.Random(20261019)
+    cols = record_rank_columns(monkeypatch)
+    shrunk = 0
+    for _ in range(40):
+        seqs = [random_tower(rng, 2) for _ in range(rng.randint(1, 3))]
+        for lo, hi, left, right in map(seqspace._tails, seqs):
+            assert lo <= hi and left.width() == right.width()  # the bound's proof uses both
+        S = rng.randint(0, 5)
+        W = rng.randint(S, 45)
+        flag = rng.random() < 0.5
+        info = window_rank_check(seqs, S, W, flag)
+        full = window_rows_ascending(seqs, S, W, flag)
+        assert info.rank == linalg.rank(full), (seqs, S, W, flag)
+        assert info.count == len(full) and info.ncols == 2 * W + 1
+        assert cols[-2] <= cols[-1] == 2 * W + 1
+        shrunk += cols[-2] < cols[-1]
+    assert shrunk >= 20
+
+
+@pytest.mark.parametrize("offset, W0", [(30, 33), (-30, 34)])
+def test_window_bound_follows_shifted_tails(monkeypatch, offset, W0):
+    # lo = -30 (offset 30) and hi = 31 (offset -30) set the bound
+    seqs = [Shifted(Geometric(2), offset), FiniteSupport({0: 1, 2: -1})]
+    cols = record_rank_columns(monkeypatch)
+    info = window_rank_check(seqs, 2, 45, True)
+    assert cols == [2 * W0 + 1]
+    assert info.rank == linalg.rank(window_rows_ascending(seqs, 2, 45)) == info.count == 12
+
+
+def test_window_bound_is_tight(monkeypatch):
+    # FiniteSupport({5: 1}) has tails (4, 6, 1, 1): W0 = 5, and on [-4, 4]
+    # the member is zero, so a bound one smaller would read rank 0
+    seqs = [FiniteSupport({5: 1})]
+    cols = record_rank_columns(monkeypatch)
+    assert window_rank_check(seqs, 0, 20, False).rank == 1
+    assert cols == [11]
+    assert linalg.rank(window_rows_ascending(seqs, 0, 4, False)) == 0
 
 
 def test_window_rank_empty_and_validation():
