@@ -22,6 +22,7 @@ Exit codes: 0 = success (for the solvers: unique Whittaker vector),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -499,7 +500,10 @@ def _add_common(p: argparse.ArgumentParser, truncation=True):
         p.add_argument("-J", type=int, default=None, help="condition window [-J, J]")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged, and each command looks up the module's names when run."""
     parser = argparse.ArgumentParser(
         prog="affwhit",
         description="Exact Whittaker-module computations for affine type-A algebras",

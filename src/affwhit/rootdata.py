@@ -243,9 +243,10 @@ class RootDatum:
         comparison; this linearly extends the partial order where
         gamma > beta whenever gamma - beta is a nonzero nonnegative
         combination of positive Levi roots (such a difference has
-        positive height).
+        positive height).  A root that is not a tuple is refused.
         """
-        root = tuple(root)
+        if type(root) is not tuple:
+            raise ValueError(f"root must be a tuple, got {root!r}")
         if root in self.phi_n:
             raise OutOfDomain(f"{root_str(root)} lies in the nilradical")
         if root == self.zero or root in self.levi_roots:

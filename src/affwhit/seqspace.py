@@ -731,17 +731,31 @@ def window_rank_check(
     every window W >= B has the left kernel of the bi-infinite rows,
     hence their rank.  Any member without a tail form keeps the full W.
 
-    Each member's entries on [-W0-S, W0+S] are computed once; the
-    translate rows are slices of them, and the weighted row weights the
-    s = 0 slice.  ``ncols`` reports the requested 2W + 1.
+    Each member's translates are taken centre-out, s = 0, 1, -1, ..., S,
+    -S, then its weighted row.  A member that :func:`is_generic` finds
+    not generic, with witness T, passes only its first min(omega(T), 2S
+    + 1) translates, which are consecutive shifts; every other member
+    passes all 2S + 1, and every weighted row is passed.  Proof: T(S)x =
+    0 on Z gives sum_k T_k x^(s+k) = 0 for every s, entrywise on any
+    window, and as T_0, T_omega != 0 it writes x^(s+omega) in terms of
+    the omega translates below it and x^(s) in terms of the omega above
+    it, so unrolling both ways puts every dropped translate in the span
+    of the kept block.  The kept rows thus have the rank of all rows on
+    every window, and as they are a subset of them the W0 argument above
+    holds for them too.  A member with witness T = 1 is zero and passes
+    no translate.  ``count`` and ``full_rank`` still refer to all
+    len(seqs) * (2S + 1 + weighted) rows.
 
-    Each member's translates are passed centre-out, s = 0, 1, -1, ...,
-    S, -S, then its weighted row.  Row order never changes the rank, but
-    it sets the height of the transposed reduced form that
-    :func:`linalg.rank` lifts, and so how many primes it draws: that
-    form writes each dependent translate in terms of the first
-    independent ones, and centre-out keeps every translate within S
-    steps of those, where ascending order would reach 2S steps.
+    Each member's entries are computed once, over the span its kept rows
+    need; the translate rows are slices of them, and the weighted row
+    weights the s = 0 slice.  ``ncols`` reports the requested 2W + 1.
+
+    Row order never changes the rank, but it sets the height of the
+    transposed reduced form that :func:`linalg.rank` lifts, and so how
+    many primes it draws: that form writes each dependent translate in
+    terms of the first independent ones, and centre-out keeps every
+    translate within S steps of those, where ascending order would reach
+    2S steps.
     """
     S = require_int(S, "shift bound S")
     W = require_int(W, "window W")
@@ -757,18 +771,24 @@ def window_rank_check(
         n_right = power * sum(p.width() for p in right)
         W0 = min(W, max(S, max(hi) + S + n_right - 1, S - min(lo) + n_left - 1))
     width = 2 * W0 + 1
-    # the row of translate s starts at entry s - W0, index s + S of vals
-    starts = [S]
+    shifts = [0]
     for o in range(1, S + 1):
-        starts += (S + o, S - o)
+        shifts += (o, -o)
     rows = []
-    for x in seqs:
-        vals = x.window(-W0 - S, W0 + S)
-        rows.extend(vals[k : k + width] for k in starts)
+    for x, form in zip(seqs, forms):
+        kept = shifts
+        verdict = _genericity(x, form)
+        if verdict.kind == "not_generic":
+            kept = shifts[: verdict.witness.width()]
+        # the row of translate s starts at entry s - W0, index s - first of vals
+        first, last = min(kept, default=0), max(kept, default=0)
+        vals = x.window(first - W0, last + W0)
+        rows.extend(vals[s - first : s - first + width] for s in kept)
         if include_weighted:
-            rows.append([i * v for i, v in enumerate(vals[S : S + width], -W0)])
+            rows.append([i * v for i, v in enumerate(vals[-first : width - first], -W0)])
     rank = linalg.rank(rows)
-    return WindowRank(rank == len(rows), rank, len(rows), 2 * W + 1)
+    count = len(seqs) * (2 * S + 1 + bool(include_weighted))
+    return WindowRank(rank == count, rank, count, 2 * W + 1)
 
 
 # ---------------------------------------------------------------------------

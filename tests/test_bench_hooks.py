@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from affwhit import cli, engine, linalg
+from affwhit import cli, engine, is_generic, linalg, sequence_from_literal
 from affwhit.engine import Truncation, WhittakerModule
 from affwhit.presets import PRESETS
 
@@ -94,3 +94,33 @@ def test_seq_window_ops_eliminate_the_smallest_window(bench, tmp_path, monkeypat
         assert f"window rank: {op['expect']['rank']} of {op['expect']['rows']} rows" in raw.stdout
         assert cols == [2 * SEQ_W0[S, W] + 1] and cols[0] < 2 * W + 1, op["id"]
         cols.clear()
+
+
+def test_seq_window_ops_pass_only_the_translates_that_can_be_independent(
+    bench, tmp_path, monkeypatch
+):
+    # a member whose annihilator has width omega spans its translates from
+    # omega of them, so it passes min(omega, 2S + 1), any other 2S + 1
+    ops = bench["workloads"].generate("seq-window", 0)
+    bench["ops"].prepare(ops, str(tmp_path))
+    passed = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: passed.append(len(rows)) or rank(rows))
+    dropped = 0
+    for op in ops:
+        cfg = op["config"]
+        S = cfg["S"]
+        assert cfg["weighted"] is True
+        kept = 0
+        for literal in cfg["sequences"]:
+            verdict = is_generic(sequence_from_literal(literal))
+            omega = verdict.witness.width() if verdict.kind == "not_generic" else 2 * S + 1
+            kept += min(omega, 2 * S + 1) + 1
+        count = len(cfg["sequences"]) * (2 * S + 2)
+        raw = bench["ops"].execute(op, {})
+        assert raw.rc is not None and raw.error is None, op["id"]
+        assert f"window rank: {op['expect']['rank']} of {op['expect']['rows']} rows" in raw.stdout
+        assert op["expect"]["rows"] == count and passed == [kept], op["id"]
+        dropped += count - kept
+        passed.clear()
+    assert dropped > 0

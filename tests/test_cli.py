@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reports."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -341,6 +342,32 @@ def test_unknown_preset_message_is_plain(capsys):
     code, _, err = run(capsys, "whittaker", "--preset", "nope")
     assert_one_line_error(code, err)
     assert err.startswith("error: unknown preset 'nope'; available: ")
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.make_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, "check-seq", "--preset", "geo-family")[0] == 0
+    assert built.count("affwhit") == 1
+    first = len(built)
+    assert run(capsys, "describe", "--preset", "sl2")[0] == 0
+    assert len(built) == first
+
+
+def test_failed_runs_leave_the_parser_as_built(tmp_path, capsys):
+    golden = (Path(__file__).parent / "golden" / "check-seq-geo-family.stdout").read_text()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-seq", "--no-such-option"])
+    assert exc.value.code == 2
+    assert run(capsys, "check-seq", "--config", str(tmp_path / "missing.json"))[0] == 1
+    assert run(capsys, "check-seq", "--preset", "geo-family")[:2] == (0, golden)
 
 
 def test_module_config_without_algebra(tmp_path, capsys):

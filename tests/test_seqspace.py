@@ -228,6 +228,8 @@ NON_TUPLE = [
     (build_datum(2).X, (5,), r"malformed basis key \('X', 5\)"),
     (build_datum(2).X, ([1],), "malformed basis key"),
     (AffineElement, ({("X", 5, 0): 0},), "malformed generator"),
+    (build_datum(3).order_key, (5,), "root must be a tuple, got 5"),
+    (build_datum(3).order_key, ([1, 0],), r"root must be a tuple, got \[1, 0\]"),
 ]
 
 
@@ -859,15 +861,20 @@ def test_window_rank_matches_sympy(monkeypatch):
     rank = linalg.rank
     monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
     info = window_rank_check(seqs, 3, 8, True)
-    rows = []
+    rows, passed = [], []
     for s in seqs:
-        for off in (0, 1, -1, 2, -2, 3, -3):  # translates centre-out
+        # translates centre-out; FIB's annihilator of width 2 spans its
+        # translates from the first two
+        for n, off in enumerate((0, 1, -1, 2, -2, 3, -3)):
             rows.append([s.entry(i + off) for i in range(-8, 9)])
+            if s is not FIB or n < 2:
+                passed.append(rows[-1])
         w = weighted(s)
         rows.append([w.entry(i) for i in range(-8, 9)])
-    assert seen == [rows]
+        passed.append(rows[-1])
+    assert seen == [passed] and len(passed) == 19
     assert info.rank == oracles.sympy_dense_rank(rows)
-    assert info.count == len(rows)
+    assert info.count == len(rows) == 24
 
 
 def window_rows_ascending(seqs, S, W, with_weighted=True):
@@ -881,6 +888,67 @@ def window_rows_ascending(seqs, S, W, with_weighted=True):
             w = weighted(s)
             rows.append([w.entry(i) for i in range(-W, W + 1)])
     return rows
+
+
+def random_window_member(rng):
+    """A recurrence, possibly wrapped, FIB, the zero sequence, a geometric
+    or a nonzero finite sequence."""
+    kind = rng.randrange(6)
+    if kind < 2:
+        width = rng.randint(1, 3)
+        v = {k: rng.randint(-2, 2) for k in range(1, width)}
+        v[0], v[width] = rng.choice([1, -1, 2]), rng.choice([1, -1, 3])
+        s = Recurrence(FinVector(v), [rng.randint(-2, 2) for _ in range(width)])
+        if kind == 1:
+            s = rng.choice([Shifted(s, rng.randint(-3, 3)), Scaled(s, F(-2, 3)), Weighted(s)])
+        return s
+    if kind == 2:
+        return FIB
+    if kind == 3:
+        return FiniteSupport({})
+    if kind == 4:
+        return Geometric(rng.choice([2, 3, F(5, 2)]))
+    return FiniteSupport({rng.randint(-4, 4): rng.randint(1, 3) for _ in range(rng.randint(1, 3))})
+
+
+def test_window_rank_drops_the_translates_an_annihilator_spans(monkeypatch):
+    # a non-generic member with witness T passes its first min(omega(T),
+    # 2S + 1) translates centre-out, every other member all 2S + 1, and
+    # each member its weighted row; the rank is that of all the rows
+    rng = random.Random(24)
+    rank = linalg.rank
+    seen = []
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    reduced = clipped = 0
+    for trial in range(48):
+        seqs = [random_window_member(rng) for _ in range(rng.randint(1, 4))]
+        S = rng.randint(0, 4)
+        W = rng.randint(S, 30)
+        flag = trial % 2 == 0
+        info = window_rank_check(seqs, S, W, flag)
+        full = window_rows_ascending(seqs, S, W, flag)
+        assert info.rank == rank(full) and info.count == len(full), (seqs, S, W, flag)
+        if trial < 4:
+            assert info.rank == oracles.sympy_dense_rank(full)
+        rows = seen.pop()
+        W0 = (len(rows[0]) - 1) // 2 if rows else W
+        shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
+        k = 0
+        for s in seqs:
+            verdict = is_generic(s)
+            kept = len(shifts)
+            if verdict.kind == "not_generic":
+                kept = min(verdict.witness.width(), len(shifts))
+                reduced += kept < len(shifts)
+                clipped += kept == len(shifts)
+            for off in shifts[:kept]:
+                assert rows[k] == [s.entry(i + off) for i in range(-W0, W0 + 1)], (s, off)
+                k += 1
+            if flag:
+                assert rows[k] == [i * s.entry(i) for i in range(-W0, W0 + 1)], s
+                k += 1
+        assert k == len(rows)
+    assert reduced >= 20 and clipped >= 3
 
 
 def count_prime_draws(monkeypatch):
