@@ -77,15 +77,15 @@ def parse_gen(text: str, datum: RootDatum) -> Gen:
             "H[i]@t^m, c or d"
         )
     tag, inner, exp = m.group(1), m.group(2), int(m.group(3))
-    nums = [int(x) for x in inner.replace(" ", "").split(",") if x]
-    if tag == "H":
-        if len(nums) != 1 or not 1 <= nums[0] <= datum.rank:
-            raise ValueError(f"Cartan index out of range in {text!r}")
-        return ("H", nums[0], exp)
-    root = tuple(nums)
-    if len(root) != datum.rank or root not in datum.phi:
-        raise ValueError(f"not a root of the configured algebra: {text!r}")
-    return ("X", root, exp)
+    nums = tuple(int(x) for x in inner.replace(" ", "").split(",") if x)
+    if tag == "H" and len(nums) != 1:
+        raise ValueError(f"H takes one Cartan index: {text!r}")
+    key = ("H", nums[0]) if tag == "H" else ("X", nums)
+    try:
+        datum._basis_key(key)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {text!r}") from None
+    return key + (exp,)
 
 
 def gen_sort_key(g: Gen):
@@ -148,21 +148,17 @@ class AffineAlgebra:
         return AffineElement({g: c for g, c in terms})
 
     def validate_gen(self, g: Gen) -> None:
+        """ValueError unless g is c or d (not in loop-only mode) or a loop
+        generator of the datum: :func:`X` and :func:`H` check its integers,
+        and :meth:`RootDatum._basis_key` its root or Cartan index."""
         if g == "c" or g == "d":
             if self.loop_only:
                 raise ValueError(f"generator {g} does not exist in loop-only mode")
             return
-        if not isinstance(g, tuple) or len(g) != 3:
+        if not isinstance(g, tuple) or len(g) != 3 or g[0] not in ("X", "H"):
             raise ValueError(f"malformed generator {g!r}")
-        # X and H check every integer, and X that a root is a tuple
-        if g[0] == "X":
-            if X(g[1], g[2])[1] not in self.datum.phi:
-                raise ValueError(f"not a root: {g[1]}")
-        elif g[0] == "H":
-            if not 1 <= H(g[1], g[2])[1] <= self.datum.rank:
-                raise ValueError(f"Cartan index out of range: {g[1]!r}")
-        else:
-            raise ValueError(f"malformed generator {g!r}")
+        g = (X if g[0] == "X" else H)(g[1], g[2])
+        self.datum._basis_key(g[:2])
 
     def in_Ln(self, g: Gen) -> bool:
         """Membership in the loop nilradical L(n)."""

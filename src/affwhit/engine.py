@@ -33,10 +33,9 @@ Since lambda(g) is a scalar, it commutes with u_1, and
 with [g, u_1] = sum_h [g, u_1]_h h over generators h.  The recursion
 stops where g prepends in order (g <= u_1, g not in L(n)), and at the
 cyclic vector, where g - lambda(g) gives 0 for g in L(n); c - theta is
-0 on the whole module.  Results are memoized per module; straightening
-only ever recurses into strictly smaller degrees, except for the
-immediate prepend which does not recurse.  The public ``lmul`` adds
-lambda(g) back on the monomial it was given, so it returns g . m.
+0 on the whole module.  Results are memoized per module, as far as a
+later step can read them (below).  The public ``lmul`` adds lambda(g)
+back on the monomial it was given, so it returns g . m.
 
 Monomials and generators are hash-consed, keyed by their constructor
 arguments.  Each module numbers the generators (gid; c is 0) and the
@@ -61,9 +60,31 @@ where h prepends in standard order (the prepend branches of ``_lmul``,
 and the walk of a standard tuple), so an entry ``_prep[h][m]`` means
 that h is a module generator with h <= head(m).  Then lambda(h) = 0,
 and (h - lambda(h)) . m = h . m is that monomial with coefficient 1.
-So ``_lmul`` takes the head on each term of g . rest, and each bracket
-term h on rest, from ``_prep`` when the entry exists, with no memo
-probe and no call.
+So ``_lmul`` takes g on rest, the head on each term of g . rest, and
+each bracket term h on rest from ``_prep`` when the entry exists, with
+no memo probe and no call; and its prepend branches, the cyclic vector
+under a module generator included, return the one-term image without
+storing it, since ``_prepend`` has just recorded it in ``_prep``.
+
+The memo keeps only images a later step can read.  A call on m reads
+images of rest (degree deg m - 1), of the terms of (g - lambda(g)) .
+rest, of degree at most deg m since one more factor raises the PBW
+degree by at most one, and of rest under the bracket terms; so the
+calls it makes, and by induction all calls below it, are on monomials
+of degree at most deg m.  For g in L(n) the terms of (g - lambda(g)) .
+rest have degree at most deg rest (shown below, where a shifted image
+is seen to have no term on its monomial), so a condition's call on a
+basis column of the top degree D makes calls on lower degrees only.
+So within a solve the one read of a top-degree image is the row
+builder's own, once per condition and column, and each builder drops
+that image from ``_memo[g]`` as soon as it has read it.  The basis
+ascends in degree, so a builder finds its top-degree columns by
+bisection on the degrees of the ids it is given.  The images of lower
+degree, which later columns and conditions read, stay.  Anything that
+asks for a dropped image again -- the public ``lmul`` and ``act_gen``,
+or a system rebuilt at another (D, E) -- straightens it again and gets
+the same image; in a J scan on a held system every new condition has a
+generator of its own, so none does.
 
 This is exact.  The ids are a bijection on the monomials seen, and
 every row entry is the coefficient of its output monomial in
@@ -183,6 +204,7 @@ from __future__ import annotations
 
 import gc
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product, repeat
@@ -410,8 +432,9 @@ class WhittakerModule:
         self._split: List[Optional[Tuple[int, int, int]]] = [None]
         self._monos: Dict[int, Monomial] = {0: VACUUM}  # tuples built by mono()
         # per-generator tables, by gid, grown in _gid: mid -> image of
-        # (gid, mid), head gid -> [(gid, coeff)] of [gid, head], and rest
-        # mid -> mid of gid prepended to rest
+        # (gid, mid) while a later step can read it (module docstring),
+        # head gid -> [(gid, coeff)] of [gid, head], and rest mid -> mid of
+        # gid prepended to rest
         self._memo: List[Dict[int, IdElement]] = [{}]
         self._brackets: List[Dict[int, List[Tuple[int, Scalar]]]] = [{}]
         self._prep: List[Dict[int, int]] = [{}]
@@ -496,6 +519,20 @@ class WhittakerModule:
             self._split.append((g, mult, rest))
         return mid
 
+    def _degree(self, mid: int) -> int:
+        """PBW degree of ``mid``: each split removes one factor."""
+        split, deg = self._split, 0
+        while mid:
+            mid = split[mid][2]
+            deg += 1
+        return deg
+
+    def _top_start(self, basis: List[int]) -> int:
+        """Index of the first id in ``basis`` of the degree of its last, so
+        the start of its top-degree columns when ``basis`` ascends in
+        degree, as :meth:`basis` enumerates it."""
+        return bisect_left(basis, self._degree(basis[-1]), key=self._degree)
+
     def mono(self, mid: int) -> Monomial:
         """The monomial tuple of ``mid``, built from its split and cached."""
         out = self._monos.get(mid)
@@ -525,11 +562,16 @@ class WhittakerModule:
         """(g - lambda(g)) . m on ids, memoized in ``_memo[g][m]``, with
         lambda(g) = ``_shift[g]`` (see the module docstring).  The result
         is shared through the memo and must not be mutated by callers.
+        A prepend (g a module generator, g <= head(m), or m the cyclic
+        vector) is returned as a fresh one-term image and not stored:
+        :meth:`_prepend` records it in ``_prep``.
 
         The recursive steps (g on the tail, the head on each of its terms,
-        the bracket terms on the tail) probe ``_memo`` inline and call
-        ``_lmul`` only on a miss; the head and a bracket term that prepend
-        are read from ``_prep`` (module docstring).  A bracket term ch.h
+        the bracket terms on the tail) read a prepend from ``_prep``
+        (module docstring), else probe ``_memo`` inline and call ``_lmul``
+        only on a miss.  Each is on a monomial of degree at most deg m,
+        and below deg m when g lies in L(n), so a row builder may drop the
+        images of its top-degree columns.  A bracket term ch.h
         adds ch.lambda(h) on the tail, then ch.(h - lambda(h)) of the
         tail.  A product with a factor 1 (every prepend, most structure
         constants) is not formed: ``c * 1`` equals ``c`` and, with memo
@@ -542,24 +584,30 @@ class WhittakerModule:
             out = memo[m] = {}
             return out
         in_ln, gk = self._gen_info[g]
-        if not m:
-            out = memo[m] = {} if in_ln else {self._prepend(g, 1, 0): 1}
-            return out
+        if not m:  # g - lambda(g) is 0 on the cyclic vector for g in L(n)
+            if in_ln:
+                out = memo[m] = {}
+                return out
+            return {self._prepend(g, 1, 0): 1}
         head, mult, rest = self._split[m]
         if not in_ln:
             hk = self._gen_info[head][1]
             if gk <= hk:  # a prepend, merging with the head when equal
-                out = memo[m] = {self._prepend(g, mult + 1 if gk == hk else 1, m): 1}
-                return out
+                return {self._prepend(g, mult + 1 if gk == hk else 1, m): 1}
         lmul = self._lmul
         memos, preps = self._memo, self._prep
         head_memo, head_prep = memos[head], preps[head]
         acc: IdElement = {}
         # linalg.add_term inlined in the hot loops below
-        outer = memo.get(rest)
-        if outer is None:
-            outer = lmul(g, rest)
-        for m2, c2 in outer.items():
+        m2 = preps[g].get(rest)
+        if m2 is not None:  # g . rest is the monomial m2, coefficient 1
+            outer = ((m2, 1),)
+        else:
+            img = memo.get(rest)
+            if img is None:
+                img = lmul(g, rest)
+            outer = img.items()
+        for m2, c2 in outer:
             m3 = head_prep.get(m2)
             if m3 is not None:  # head . m2 is the monomial m3, coefficient 1
                 s = acc.get(m3)
@@ -685,13 +733,19 @@ class WhittakerModule:
         of the full condition.  The singleton pass drops every entry of a
         dead column and every row with no live one, so it gets the same
         live entries from these rows as from the full ones.
+
+        The image of a column of the top degree of ``basis`` (from
+        :meth:`_top_start` on) is dropped from ``_memo`` once read: no
+        later step reads it (module docstring).
         """
         g = self._gid(("X", root, j))
-        lmul = self._lmul
+        lmul, memo, top = self._lmul, self._memo[g], self._top_start(basis)
         seen: Set[int] = set()
         by_out: Dict[int, Dict[int, Scalar]] = {}
         for col, item in enumerate(basis):
             img = lmul(g, item)
+            if col >= top:  # read once; no later step reads it
+                memo.pop(item, None)
             if col in dead:
                 seen.update(img)
                 continue
@@ -835,18 +889,25 @@ class TensorModule:
         factor image is read once per condition, as it is, and its terms
         land on (m, mb) and (ma, m'), which never coincide.  As for the
         module builder, a pair column in ``dead`` only adds its output
-        keys to the count, which is the number of rows over every column.
+        keys to the count, which is the number of rows over every column,
+        and each factor's top-degree images leave its memo once read.
         """
         g = ("X", root, j)
-        lmul_a, ga = self.left._lmul, self.left._gid(g)
-        lmul_b, gb = self.right._lmul, self.right._gid(g)
-        right = [lmul_b(gb, mb) for mb in basis_b]
+        left, right = self.left, self.right
+        ga, gb = left._gid(g), right._gid(g)
+        lmul_a, memo_a, top_a = left._lmul, left._memo[ga], left._top_start(basis_a)
+        memo_b, top_b = right._memo[gb], right._top_start(basis_b)
+        images_b = [right._lmul(gb, mb) for mb in basis_b]
+        for mb in basis_b[top_b:]:  # each read once, into ``images_b``
+            memo_b.pop(mb, None)
         seen: Set[Tuple[int, int]] = set()
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         nb = len(basis_b)
         for ia, ma in enumerate(basis_a):
             img_a = lmul_a(ga, ma)
-            for col, (mb, img_b) in enumerate(zip(basis_b, right), ia * nb):
+            if ia >= top_a:  # read once; no later step reads it
+                memo_a.pop(ma, None)
+            for col, (mb, img_b) in enumerate(zip(basis_b, images_b), ia * nb):
                 if col in dead:
                     seen.update(zip(img_a, repeat(mb)))
                     seen.update(zip(repeat(ma), img_b))

@@ -161,10 +161,11 @@ def test_validate_gen():
     a.validate_gen(X(A, 5))
     a.validate_gen(H(1, -5))
     a.validate_gen(C)
-    with pytest.raises(ValueError):
-        a.validate_gen(X((2,), 0))  # not a root
-    with pytest.raises(ValueError):
-        a.validate_gen(H(2, 0))  # Cartan index out of range for sl(2)
+    # the datum's one root and Cartan-range check (RootDatum._basis_key)
+    with pytest.raises(ValueError, match=r"^not a root: \(2,\)$"):
+        a.validate_gen(X((2,), 0))
+    with pytest.raises(ValueError, match=r"^Cartan index must lie in 1\.\.1, got 2$"):
+        a.validate_gen(H(2, 0))
     with pytest.raises(ValueError):
         a.validate_gen(("Y", A, 0))
     # index, root entries and t-exponent must be of type int; a bool is not one
@@ -202,10 +203,15 @@ def test_gen_str_round_trip():
 def test_parse_gen_errors():
     with pytest.raises(ValueError):
         parse_gen("bogus", SL2)
-    with pytest.raises(ValueError):
-        parse_gen("X[2]@t^0", SL2)  # (2,) is not a root
-    with pytest.raises(ValueError):
+    # the datum's one root and Cartan-range check, with the text
+    with pytest.raises(ValueError, match=r"^not a root: \(2,\) in 'X\[2\]@t\^0'$"):
+        parse_gen("X[2]@t^0", SL2)
+    with pytest.raises(ValueError, match=r"^not a root: \(1, 0\) in "):
+        parse_gen("X[1,0]@t^0", SL2)
+    with pytest.raises(ValueError, match=r"^Cartan index must lie in 1\.\.1, got 5 in "):
         parse_gen("H[5]@t^0", SL2)
+    with pytest.raises(ValueError, match=r"^H takes one Cartan index: 'H\[1,1\]@t\^0'$"):
+        parse_gen("H[1,1]@t^0", SL2)
 
 
 def test_element_repr_deterministic():

@@ -124,3 +124,22 @@ def test_seq_window_ops_pass_only_the_translates_that_can_be_independent(
         dropped += count - kept
         passed.clear()
     assert dropped > 0
+
+
+# memo entries a seed-0 solve leaves: after a solve the memo holds only the
+# images a later step can read (the ``affwhit.engine`` docstring), 42,188
+# and 20,849 entries when it kept every image
+MEMO_ENTRIES = {
+    ("multiplicity", "whittaker:sl3-abelian(3,1,4)"): 10_899,
+    ("certify", "whittaker:sl2(4,2,4)"): 7_862,
+}
+
+
+@pytest.mark.filterwarnings("ignore:Lam multiset is not certified")
+@pytest.mark.parametrize("workload, op_id", sorted(MEMO_ENTRIES))
+def test_solve_leaves_only_the_memo_entries_a_later_step_reads(bench, workload, op_id):
+    op = next(op for op in bench["workloads"].generate(workload, 0) if op["id"] == op_id)
+    cfg = op["config"]
+    module = bench["ops"].build_module(cfg, False)
+    assert module.solve(Truncation(**cfg["truncation"])).dimension == op["expect"]
+    assert sum(map(len, module._memo)) == MEMO_ENTRIES[workload, op_id]

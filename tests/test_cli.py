@@ -321,6 +321,12 @@ def test_bracket_parse_error(capsys):
     assert "error:" in err
 
 
+def test_bracket_cartan_index_out_of_range(capsys):
+    code, out, err = run(capsys, "bracket", "H[5]@t^0", "d", "--preset", "sl2")
+    assert code == 1 and not out
+    assert err == "error: Cartan index must lie in 1..1, got 5 in 'H[5]@t^0'\n"
+
+
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------

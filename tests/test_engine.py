@@ -3,6 +3,7 @@
 import gc
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -957,9 +958,10 @@ def prepend_calls(module, calls):
     (X(A1, 2), mono(X((-1,), 1), X((-1,), 1), H(1, 0))),
 ])
 def test_prepend_fast_path_equals_tuple_straightening(g, m):
-    # on a fresh module some straightening steps are prepends, each a memo
-    # entry; once their results are interned they are read from _prep, with
-    # Fraction coefficients c2, and make no call and no memo entry
+    # on a fresh module some straightening steps are prepends, each a call
+    # that interns its result and takes no memo entry; once their results
+    # are interned they are read from _prep, with Fraction coefficients c2,
+    # and make no call
     fresh = WhittakerModule(quiet(sl2_fractional_spec))
     want, calls = straightening_calls(fresh, g, m)
     prepends = prepend_calls(fresh, calls)
@@ -976,3 +978,99 @@ def test_prepend_fast_path_equals_tuple_straightening(g, m):
     for h, rest in skipped:
         assert module._mid(rest) not in module._memo[module._gid(h)]
     assert_tables_consistent(module)
+
+
+# ---------------------------------------------------------------------------
+# memo retention: a solve keeps only the images a later step reads
+# ---------------------------------------------------------------------------
+
+def factors(module):
+    """The modules whose memos a solve on ``module`` fills."""
+    return (module.left, module.right) if isinstance(module, TensorModule) else (module,)
+
+
+def top_degree(factor, trunc):
+    """The basis monomials of degree D, from their tuples."""
+    return [m for m in factor.basis(trunc) if sum(k for _, k in m) == trunc.D]
+
+
+def spied_solve(module, trunc):
+    """(solve(trunc), every _lmul call of the solve as (factor index, gid,
+    mid, whether the memo lacked the image when called))."""
+    calls = []
+    for k, factor in enumerate(factors(module)):
+        def spy(gid, mid, k=k, lmul=factor._lmul, memos=factor._memo):
+            calls.append((k, gid, mid, mid not in memos[gid]))
+            return lmul(gid, mid)
+
+        factor._lmul = spy  # shadows the method, which looks itself up on self
+    try:
+        return module.solve(trunc), calls
+    finally:
+        for factor in factors(module):
+            del factor._lmul
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_solve_leaves_no_top_degree_image_and_no_prepend_in_the_memo(name):
+    make, trunc = LIVE_ONLY[name]
+    module = quiet(make)
+    module.solve(trunc)
+    for factor in factors(module):
+        top = {factor._mid(m) for m in top_degree(factor, trunc)}
+        assert top
+        assert all(not top & memo.keys() for memo in factor._memo)
+        # a prepend is recorded in _prep and nowhere else
+        assert sum(map(len, factor._prep)) > len(factor.basis(trunc))
+        for gid, memo in enumerate(factor._memo):
+            prep = factor._prep[gid]
+            for mid, out in memo.items():
+                assert out != {prep.get(mid): 1}, (factor._gens[gid], factor.mono(mid))
+        assert any(factor._memo)
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_solve_straightens_each_image_once_and_each_top_column_once_per_condition(
+    name,
+):
+    make, trunc = LIVE_ONLY[name]
+    module = quiet(make)
+    _, calls = spied_solve(module, trunc)
+    computed = [(k, gid, mid) for k, gid, mid, missed in calls if missed]
+    assert computed and len(computed) == len(set(computed))
+    js = range(-trunc.J, trunc.J + 1)
+    for k, factor in enumerate(factors(module)):
+        top = {factor._mid(m) for m in top_degree(factor, trunc)}
+        conditions = {factor._gid(X(root, j)) for root in module.condition_roots() for j in js}
+        passed = Counter((gid, mid) for kk, gid, mid, _ in calls if kk == k and mid in top)
+        assert passed == {(g, m): 1 for g in conditions for m in top}
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_lmul_after_a_solve_recomputes_top_degree_images(name):
+    make, trunc = LIVE_ONLY[name]
+    module = quiet(make)
+    module.solve(trunc)
+    for factor in factors(module):
+        tops = top_degree(factor, trunc)
+        memo = {}
+        for root in module.condition_roots():
+            for j in (-trunc.J, 0, trunc.J):
+                g = X(root, j)
+                for m in tops[:: max(1, len(tops) // 12)]:
+                    want = oracles.tuple_lmul(factor.alg, factor.spec, g, m, memo)
+                    assert factor.lmul(g, m) == want, (g, m)
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_solves_on_one_module_equal_fresh_solves(name):
+    # (D, E, J), then D + 1 (rebuilt: the old top degree straightened
+    # again), then J + 1 at the old D (rebuilt on a warm memo)
+    make, _ = LIVE_ONLY[name]
+    D = 1 if name.startswith("tensor") else 3
+    module = quiet(make)
+    for trunc in (Truncation(D, 1, D + 1), Truncation(D + 1, 1, D + 1),
+                  Truncation(D, 1, D + 2)):
+        got, want = module.solve(trunc), quiet(make).solve(trunc)
+        assert got.vectors == want.vectors and got.basis == want.basis, trunc
+        assert (got.row_count, got.condition_count) == (want.row_count, want.condition_count)
