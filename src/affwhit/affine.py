@@ -60,7 +60,7 @@ def gen_str(g: Gen) -> str:
     return f"H[{g[1]}]@t^{g[2]}"
 
 
-_GEN_RE = re.compile(r"^([XH])\[([0-9,\s-]+)\]@t\^(-?\d+)$")
+_GEN_RE = re.compile(r"^([XH])\[\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\]@t\^(-?\d+)$")
 
 
 def parse_gen(text: str, datum: RootDatum) -> Gen:
@@ -77,7 +77,7 @@ def parse_gen(text: str, datum: RootDatum) -> Gen:
             "H[i]@t^m, c or d"
         )
     tag, inner, exp = m.group(1), m.group(2), int(m.group(3))
-    nums = tuple(int(x) for x in inner.replace(" ", "").split(",") if x)
+    nums = tuple(int(x) for x in inner.split(","))
     if tag == "H" and len(nums) != 1:
         raise ValueError(f"H takes one Cartan index: {text!r}")
     key = ("H", nums[0]) if tag == "H" else ("X", nums)

@@ -211,7 +211,7 @@ from itertools import combinations_with_replacement, product, repeat
 from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from . import linalg
-from .affine import AffineAlgebra, AffineElement, Gen, gen_str
+from .affine import AffineAlgebra, Gen, gen_str
 from .rootdata import RootDatum, root_str
 from .seqspace import (
     BiSequence,
@@ -681,15 +681,6 @@ class WhittakerModule:
                 linalg.add_term(out, m, coeff * c)
         return out
 
-    def act(self, x: AffineElement, elt: ModuleElement) -> ModuleElement:
-        """Action of a general affine element through :meth:`act_gen` (c
-        acts by theta); the tensor module shares this definition."""
-        out: ModuleElement = {}
-        for g, cg in x.coeffs.items():
-            for m, c in self.act_gen(g, elt).items():
-                linalg.add_term(out, m, cg * c)
-        return out
-
     # -- monomial order, basis ---------------------------------------------------
 
     def generators(self, E: int) -> List[Gen]:
@@ -865,8 +856,6 @@ class TensorModule:
             for m, c in self.right.lmul(g, mb).items():
                 linalg.add_term(out, (ma, m), coeff * c)
         return out
-
-    act = WhittakerModule.act
 
     def condition_roots(self) -> List[tuple]:
         return self.left.condition_roots()

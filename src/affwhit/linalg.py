@@ -14,14 +14,9 @@ sorted ``support`` and ``items``.  Four classes subclass it:
 
 Two entry points cover everything the linear systems need:
 
-* :func:`rank` -- the number of pivots of the certified reduced
-  echelon form (:func:`rref_pivots`) of the transpose; row rank equals
-  column rank.  The transpose is eliminated, not the rows: its reduced
-  form holds the linear relations among the rows, and for the translate
-  windows of :mod:`seqspace` those have small coefficients, while the
-  rows' reduced form would hold every free column in terms of the
-  pivot columns.  Smaller entries need fewer primes before the lift is
-  certified.
+* :func:`rank` -- the rank of sparse {column: value} rows: the
+  singleton pass below, then the number of dead columns plus the
+  number of pivots of the core's certified reduced echelon form.
 
 * :func:`nullspace` -- kernel of a sparse system of {column: value}
   rows, in two stages.  First a singleton pass (:class:`SingletonPruner`,
@@ -135,7 +130,7 @@ from fractions import Fraction
 import math
 from itertools import chain
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+    Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 )
 
 
@@ -517,24 +512,19 @@ def _fractions(cand: Dict[int, Dict[int, Tuple[int, int]]]) -> Dict[int, SparseR
     }
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank over Q of a dense matrix given as a list of rows.
+def rank(rows: Iterable[SparseRow]) -> int:
+    """Exact rank over Q of sparse {column: value} rows.
 
     Entries may be ``int`` or ``Fraction``, as for :func:`rref_pivots`.
-    The rank is the pivot count of the certified reduced echelon form of
-    the transpose: each column becomes one sparse {row: value} row.
-    Row order never changes the rank.  It does set that form, which
-    writes each dependent row in terms of the first independent rows in
-    the given order, hence its height and how many primes are drawn
-    before the lift is certified.
+    The rows go through a :class:`SingletonPruner`; the rank is the
+    number of dead columns plus the pivot count of the core's certified
+    reduced echelon form, since the row space is the span of the dead
+    columns' unit vectors plus the core's, which touches no dead column
+    (module docstring).
     """
-    if not rows:
-        return 0
-    nc = len(rows[0])
-    if any(len(r) != nc for r in rows):
-        raise ValueError("ragged matrix")
-    columns = ({i: x for i, x in enumerate(col) if x} for col in zip(*rows))
-    return len(rref_pivots(columns))
+    pruner = SingletonPruner()
+    pruner.extend(rows)
+    return len(pruner.dead) + len(rref_pivots(pruner.core()))
 
 
 class SingletonPruner:

@@ -206,7 +206,7 @@ class Recurrence(BiSequence):
     readers at worst repeat work.
     """
 
-    __slots__ = ("v", "initial", "_memo", "_lo", "_hi")
+    __slots__ = ("v", "initial", "_memo", "_lo", "_hi", "_c")
 
     def __init__(self, v: FinVector, initial: Sequence[ScalarLike]):
         if v.is_zero():
@@ -227,26 +227,25 @@ class Recurrence(BiSequence):
             )
         self.v = v
         self.initial = initial
+        self._c = [v[k] for k in range(omega + 1)]  # c_0, ..., c_omega
         self._memo = {i: x for i, x in enumerate(initial)}
         self._lo = 0
         self._hi = len(initial) - 1  # -1 when the window is empty
 
     @property
     def omega(self) -> int:
-        return self.v.width()
+        return len(self._c) - 1
 
     def entry(self, i: int) -> Fraction:
         memo = self._memo
         x = memo.get(require_int(i))
         if x is not None:
             return x
-        om = self.omega
+        c = self._c
+        om = len(c) - 1
         if om == 0:
             return Fraction(0)
-        v = self.v
-        c = [v[k] for k in range(om + 1)]
-        c0 = c[0]
-        cw = c[om]
+        c0, cw = c[0], c[om]
         # forward: a_{i} from the om entries below it
         while self._hi < i:
             n = self._hi + 1
@@ -463,17 +462,17 @@ def _tails(s: BiSequence):
     return lo, hi, left2, left2 if right == left else _polymul(right, right)
 
 
-def _kills(p: FinVector, s: BiSequence, lo: int, hi: int) -> bool:
-    """Whether p(S)s = 0, for a p that holds on (-inf, lo] and on [hi, inf).
-
-    Entry i of p(S)s is sum_k p_k s_{i+k}, so it vanishes unless
-    lo - omega(p) < i < hi, and only those entries are computed.
+def _residue(s: BiSequence, tails):
+    """(T, z) for ``tails = _tails(s)``: T as in :func:`is_generic` and z =
+    T(S)s as {i: nonzero entry}.  T holds on (-inf, lo] and on [hi, inf),
+    and z_i = sum_k T_k s_{i+k}, so only lo - omega(T) < i < hi are computed.
     """
-    w, terms = p.width(), p.items()
+    lo, hi, left, right = tails
+    t = left if left == right else _polymul(left, right)
+    w, terms = t.width(), t.items()
     vals = s.window(lo - w + 1, hi - 1 + w)
-    return not any(
-        sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1)
-    )
+    z = (sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1))
+    return t, {i: x for i, x in enumerate(z, lo - w + 1) if x}
 
 
 def _finite_core(s: BiSequence, tails) -> Optional[FiniteSupport]:
@@ -520,9 +519,8 @@ def _genericity(s: BiSequence, tails) -> SeqVerdict:
     """:func:`is_generic` of s, given ``_tails(s)``."""
     if tails is None:
         return SeqVerdict("unknown", None, f"no decision procedure for {type(s).__name__}")
-    lo, hi, left, right = tails
-    t = left if left == right else _polymul(left, right)
-    if not _kills(t, s, lo, hi):
+    t, z = _residue(s, tails)
+    if z:
         return GENERIC
     return SeqVerdict(
         "not_generic", t, "zero sequence" if t == _ONE else "defining annihilator"
@@ -731,31 +729,27 @@ def window_rank_check(
     every window W >= B has the left kernel of the bi-infinite rows,
     hence their rank.  Any member without a tail form keeps the full W.
 
-    Each member's translates are taken centre-out, s = 0, 1, -1, ..., S,
-    -S, then its weighted row.  A member that :func:`is_generic` finds
-    not generic, with witness T, passes only its first min(omega(T), 2S
-    + 1) translates, which are consecutive shifts; every other member
-    passes all 2S + 1, and every weighted row is passed.  Proof: T(S)x =
-    0 on Z gives sum_k T_k x^(s+k) = 0 for every s, entrywise on any
-    window, and as T_0, T_omega != 0 it writes x^(s+omega) in terms of
-    the omega translates below it and x^(s) in terms of the omega above
-    it, so unrolling both ways puts every dropped translate in the span
-    of the kept block.  The kept rows thus have the rank of all rows on
-    every window, and as they are a subset of them the W0 argument above
-    holds for them too.  A member with witness T = 1 is zero and passes
-    no translate.  ``count`` and ``full_rank`` still refer to all
-    len(seqs) * (2S + 1 + weighted) rows.
+    Each member x with a tail form passes rows spanning what its 2S + 1
+    translates span.  With T and z = T(S)x from :func:`is_generic` (z is
+    finite, on (lo - omega, hi), omega = omega(T)) these are its first
+    min(omega, 2S + 1) translates centre-out, s = 0, 1, -1, ..., the
+    consecutive shifts a..a + omega - 1; the z^(u), -S <= u <= S - omega,
+    nonzero on the window; and its weighted row.  Proof: z^(u) = sum_k
+    T_k x^(u+k), entrywise on any window.  For t < a, T_0 != 0 recovers
+    x^(t) from z^(t) and the translates above it; for t > a + omega - 1,
+    T_omega != 0 recovers it from z^(t - omega) and those below it.  The
+    change of basis is triangular, so on every window the passed rows
+    have the rank of all rows, and the W0 argument holds for them.  A
+    member that is not generic has z = 0, and the zero sequence (T = 1)
+    passes no translate; a member with no tail form passes all 2S + 1.
+    ``count`` and ``full_rank`` still refer to all len(seqs) * (2S + 1 +
+    weighted) rows.
 
-    Each member's entries are computed once, over the span its kept rows
-    need; the translate rows are slices of them, and the weighted row
-    weights the s = 0 slice.  ``ncols`` reports the requested 2W + 1.
-
-    Row order never changes the rank, but it sets the height of the
-    transposed reduced form that :func:`linalg.rank` lifts, and so how
-    many primes it draws: that form writes each dependent translate in
-    terms of the first independent ones, and centre-out keeps every
-    translate within S steps of those, where ascending order would reach
-    2S steps.
+    z is computed once per member and also gives its verdict, and the
+    member's entries once, over the span its kept rows need.  Rows are
+    sparse {coordinate: value} maps, so :func:`linalg.rank` kills the
+    coordinates of one-entry z-rows before it eliminates.  ``ncols``
+    reports the requested 2W + 1.
     """
     S = require_int(S, "shift bound S")
     W = require_int(W, "window W")
@@ -771,21 +765,25 @@ def window_rank_check(
         n_right = power * sum(p.width() for p in right)
         W0 = min(W, max(S, max(hi) + S + n_right - 1, S - min(lo) + n_left - 1))
     width = 2 * W0 + 1
-    shifts = [0]
-    for o in range(1, S + 1):
-        shifts += (o, -o)
+    shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
     rows = []
     for x, form in zip(seqs, forms):
-        kept = shifts
-        verdict = _genericity(x, form)
-        if verdict.kind == "not_generic":
-            kept = shifts[: verdict.witness.width()]
+        t, z = _residue(x, form) if form else (None, {})
+        kept = shifts[: t.width()] if form else shifts
         # the row of translate s starts at entry s - W0, index s - first of vals
         first, last = min(kept, default=0), max(kept, default=0)
         vals = x.window(first - W0, last + W0)
-        rows.extend(vals[s - first : s - first + width] for s in kept)
+        for s in kept:
+            row = enumerate(vals[s - first : s - first + width], -W0)
+            rows.append({i: v for i, v in row if v})
+        # z^(u) for u = -S..S - omega, none once omega >= 2S + 1
+        for u in range(-S, S + 1 - len(kept)):
+            row = {i - u: v for i, v in z.items() if -W0 <= i - u <= W0}
+            if row:
+                rows.append(row)
         if include_weighted:
-            rows.append([i * v for i, v in enumerate(vals[-first : width - first], -W0)])
+            row = enumerate(vals[-first : width - first], -W0)
+            rows.append({i: i * v for i, v in row if i and v})
     rank = linalg.rank(rows)
     count = len(seqs) * (2 * S + 1 + bool(include_weighted))
     return WindowRank(rank == count, rank, count, 2 * W + 1)

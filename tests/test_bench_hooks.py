@@ -13,9 +13,10 @@ import sys
 
 import pytest
 
-from affwhit import cli, engine, is_generic, linalg, sequence_from_literal
+from affwhit import cli, engine, linalg, sequence_from_literal
 from affwhit.engine import Truncation, WhittakerModule
 from affwhit.presets import PRESETS
+from test_seqspace import record_rank_rows, reduced_rows, window_of
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -83,47 +84,43 @@ SEQ_W0 = {(10, 40): 21, (12, 48): 25, (8, 32): 18, (14, 56): 23, (16, 64): 25}
 def test_seq_window_ops_eliminate_the_smallest_window(bench, tmp_path, monkeypatch):
     ops = bench["workloads"].generate("seq-window", 0)
     bench["ops"].prepare(ops, str(tmp_path))
-    cols = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: cols.append(len(rows[0])) or rank(rows))
+    seen = record_rank_rows(monkeypatch)
     for op in ops:
         cfg = op["config"]
         S, W = cfg["S"], cfg["W"]
         raw = bench["ops"].execute(op, {})
         assert raw.rc is not None and raw.error is None, op["id"]
         assert f"window rank: {op['expect']['rank']} of {op['expect']['rows']} rows" in raw.stdout
-        assert cols == [2 * SEQ_W0[S, W] + 1] and cols[0] < 2 * W + 1, op["id"]
-        cols.clear()
+        assert [window_of(rows) for rows in seen] == [SEQ_W0[S, W]] and SEQ_W0[S, W] < W, op["id"]
+        seen.clear()
 
 
 def test_seq_window_ops_pass_only_the_translates_that_can_be_independent(
     bench, tmp_path, monkeypatch
 ):
-    # a member whose annihilator has width omega spans its translates from
-    # omega of them, so it passes min(omega, 2S + 1), any other 2S + 1
+    # each member passes rows that span its 2S + 1 translates: the first
+    # min(omega(T), 2S + 1) of them, the translates of the finite z =
+    # T(S)x that are nonzero on the window, and its weighted row; the
+    # z-rows of the geometric members have one entry each
     ops = bench["workloads"].generate("seq-window", 0)
     bench["ops"].prepare(ops, str(tmp_path))
-    passed = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: passed.append(len(rows)) or rank(rows))
-    dropped = 0
+    seen = record_rank_rows(monkeypatch)
+    units = 0
     for op in ops:
         cfg = op["config"]
-        S = cfg["S"]
+        S, W = cfg["S"], cfg["W"]
         assert cfg["weighted"] is True
-        kept = 0
-        for literal in cfg["sequences"]:
-            verdict = is_generic(sequence_from_literal(literal))
-            omega = verdict.witness.width() if verdict.kind == "not_generic" else 2 * S + 1
-            kept += min(omega, 2 * S + 1) + 1
-        count = len(cfg["sequences"]) * (2 * S + 2)
+        seqs = [sequence_from_literal(literal) for literal in cfg["sequences"]]
+        count = len(seqs) * (2 * S + 2)
         raw = bench["ops"].execute(op, {})
         assert raw.rc is not None and raw.error is None, op["id"]
         assert f"window rank: {op['expect']['rank']} of {op['expect']['rows']} rows" in raw.stdout
-        assert op["expect"]["rows"] == count and passed == [kept], op["id"]
-        dropped += count - kept
-        passed.clear()
-    assert dropped > 0
+        assert op["expect"]["rows"] == count, op["id"]
+        assert seen == [reduced_rows(seqs, S, SEQ_W0[S, W])], op["id"]
+        assert len(seen[0]) <= count, op["id"]
+        units += sum(len(row) == 1 for row in seen[0])
+        seen.clear()
+    assert units > 0
 
 
 # memo entries a seed-0 solve leaves: after a solve the memo holds only the

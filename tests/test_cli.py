@@ -321,6 +321,15 @@ def test_bracket_parse_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("gen", ["X[1-1]@t^0", "X[-]@t^0", "X[1,,2]@t^0"])
+def test_bracket_malformed_coefficients(capsys, gen):
+    code, out, err = run(capsys, "bracket", gen, "d", "--preset", "sl2")
+    assert code == 1 and not out
+    assert err == (
+        f"error: cannot parse generator {gen!r}; expected X[coeffs]@t^m, H[i]@t^m, c or d\n"
+    )
+
+
 def test_bracket_cartan_index_out_of_range(capsys):
     code, out, err = run(capsys, "bracket", "H[5]@t^0", "d", "--preset", "sl2")
     assert code == 1 and not out

@@ -26,8 +26,9 @@ SEQUENCE_CLASSES = {
 DECISIONS = (
     "_finite_core", "is_generic", "member_strong_genericity",
     "_dependence_of_pair", "is_strongly_generic_set", "minimal_annihilator",
+    "window_rank_check",
     # the private helpers those read
-    "_genericity", "_member_verdict", "_geometric_ratio", "_kills",
+    "_genericity", "_member_verdict", "_geometric_ratio", "_residue",
 )
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_acceptance import act
 from affwhit import (
     C,
     D,
@@ -258,14 +259,14 @@ def test_action_compatibility_property():
                     key=module.gen_key,
                 )): F(1)
             }
-            lhs = module.act(x, module.act(y, v))
-            for m, c in module.act(y, module.act(x, v)).items():
+            lhs = act(module, x, act(module, y, v))
+            for m, c in act(module, y, act(module, x, v)).items():
                 s = lhs.get(m, F(0)) - c
                 if s:
                     lhs[m] = s
                 else:
                     lhs.pop(m, None)
-            rhs = module.act(alg.bracket(x, y), v)
+            rhs = act(module, alg.bracket(x, y), v)
             assert lhs == rhs, (x, y, v)
 
 

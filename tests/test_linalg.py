@@ -45,18 +45,46 @@ def test_as_scalar_takes_exact_values_only():
             linalg.as_scalar(x)
 
 
+def sparse(dense_rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense_rows]
+
+
 def test_rank_small_cases():
     assert linalg.rank([]) == 0
-    assert linalg.rank([[]]) == 0
-    assert linalg.rank([[], []]) == 0
-    assert linalg.rank([[F(0), F(0)]]) == 0
-    assert linalg.rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert linalg.rank([[F(1, 2), F(0)], [F(0), F(7, 3)]]) == 2
-    assert linalg.rank([[1, 2], [3, F(9, 2)]]) == 2
-    with pytest.raises(ValueError):
-        linalg.rank([[F(1)], [F(1), F(2)]])
-    with pytest.raises(ValueError):
-        linalg.rank([[F(1), F(2)], [F(1)]])
+    assert linalg.rank([{}]) == 0
+    assert linalg.rank([{}, {}]) == 0
+    assert linalg.rank([{0: F(0), 1: F(0)}]) == 0
+    assert linalg.rank([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]) == 1
+    assert linalg.rank([{0: F(1, 2)}, {1: F(7, 3)}]) == 2
+    assert linalg.rank([{0: 1, 1: 2}, {0: 3, 1: F(9, 2)}]) == 2
+    # columns are any int keys, negative ones included
+    assert linalg.rank([{-5: 1, 7: 2}, {-5: 2, 7: 4}, {0: F(1, 3)}]) == 2
+
+
+def test_rank_counts_unit_rows_as_dead_columns():
+    # each unit row kills its column; a repeated one adds nothing, and a
+    # row on dead columns only is dropped
+    rows = [{3: F(2)}, {-1: F(-1)}, {3: F(5)}, {3: F(1), -1: F(4)}]
+    assert linalg.rank(rows) == 2
+    assert linalg.rank(rows + [{0: F(1), 3: F(1)}]) == 3
+
+
+def test_rank_follows_a_singleton_cascade():
+    # {0} kills 0, which leaves {0, 1} with one live column and kills 1,
+    # and so on down the chain; the last two rows then lie in the span of
+    # the unit vectors, so the core is empty
+    n = 6
+    chain_rows = [{k: F(k + 1), k + 1: F(-1)} for k in range(n - 1)]
+    rows = chain_rows + [{0: F(3)}, {2: F(1), 4: F(1)}, {1: F(1), 5: F(2)}]
+    assert linalg.rank(rows) == n == oracles.sympy_dense_rank(dense(rows, n))
+    # without the unit row the chain alone has rank n - 1, all in the core
+    assert linalg.rank(chain_rows) == n - 1
+
+
+def test_rank_ignores_empty_and_zero_rows():
+    rows = [{}, {0: F(1), 1: F(1)}, {2: F(0)}, {}, {0: F(2), 1: F(2)}, {1: F(0), 2: F(0)}]
+    assert linalg.rank(rows) == 1
+    assert linalg.rank([{}] * 5) == 0
 
 
 def test_rank_zero_pivot_column_regression():
@@ -67,15 +95,15 @@ def test_rank_zero_pivot_column_regression():
         [F(0), F(5), F(2), F(1)],
         [F(0), F(7), F(3), F(9)],
     ]
-    assert linalg.rank(rows) == oracles.sympy_dense_rank(rows) == 4
+    assert linalg.rank(sparse(rows)) == oracles.sympy_dense_rank(rows) == 4
 
 
 def test_rank_matches_sympy_random(monkeypatch):
     rng = random.Random(777)
     for _ in range(150):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
-        rows = dense(random_sparse_rows(rng, nr, nc), nc)
-        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+        rows = random_sparse_rows(rng, nr, nc)
+        assert linalg.rank(rows) == oracles.sympy_dense_rank(dense(rows, nc))
     # tall and wide shapes; about half get one row a combination of two others
     for _ in range(40):
         nr, nc = rng.randint(1, 12), rng.randint(1, 20)
@@ -85,10 +113,11 @@ def test_rank_matches_sympy_random(monkeypatch):
         if nr > 2 and rng.random() < 0.5:
             a, b, c = rng.sample(range(nr), 3)
             rows[c] = [x + F(3, 2) * y for x, y in zip(rows[a], rows[b])]
-        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
-        assert linalg.rank(rows) == linalg.rank([list(c) for c in zip(*rows)])
+        assert linalg.rank(sparse(rows)) == oracles.sympy_dense_rank(rows)
+        assert linalg.rank(sparse(rows)) == linalg.rank(sparse(zip(*rows)))
     # entries with denominator 1 or 2^127 - 1 and 100-bit numerators, and
-    # a row relation with 100-bit coefficients: the lift needs more primes
+    # a row relation with 100-bit coefficients: the reduced form of the
+    # transpose holds that relation, and its lift needs more primes
     log = PrimeLog(monkeypatch)
     for _ in range(10):
         nr, nc = rng.randint(3, 6), rng.randint(2, 6)
@@ -98,10 +127,11 @@ def test_rank_matches_sympy_random(monkeypatch):
         ]
         a, b = (F(rng.getrandbits(100) | 1, rng.getrandbits(100) | 1) for _ in range(2))
         rows.append([a * x + b * y for x, y in zip(rows[0], rows[1])])
+        want = oracles.sympy_dense_rank(rows)
+        assert linalg.rank(sparse(rows)) == want
         log.primes.clear()
-        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
+        assert linalg.rank(sparse(zip(*rows))) == want
         assert len(log.primes) > 1
-        assert linalg.rank(rows) == linalg.rank([list(c) for c in zip(*rows)])
 
 
 def test_rref_pivot_rows_are_fully_reduced():

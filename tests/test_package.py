@@ -26,12 +26,15 @@ def python_uses(source: str) -> set:
     """Names a Python source uses: loaded names, attributes and string
     constants that are one identifier (``perfbench`` binds its wrappers
     by name).  A use inside the definition of the name itself does not
-    count, so neither a recursive call nor a definition line does."""
+    count, so neither a recursive call nor a definition line does, and
+    neither does an alias ``name = owner.name``."""
     used = set()
 
     def visit(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
+        elif isinstance(node, ast.Assign):
+            inside = inside | {t.id for t in node.targets if isinstance(t, ast.Name)}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -49,17 +52,24 @@ def python_uses(source: str) -> set:
     return used
 
 
+def readme_code() -> str:
+    """The code of ``README.md``: the text between matching backtick
+    runs, so its code spans and fenced blocks, not its prose."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return "\n".join(code for _, code in re.findall(r"(`+)(.+?)\1", text, re.S))
+
+
 def callers_of_exports() -> set:
     """Every name used in ``src/affwhit`` (bar the export list in
-    ``__init__``), ``demos/``, ``perfbench/`` or named in ``README.md``;
-    a test is no caller."""
+    ``__init__``), ``demos/``, ``perfbench/`` or named in a code span of
+    ``README.md``; a test is no caller."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += sorted((REPO / "demos").glob("*.py"))
     files += sorted((REPO / "perfbench").glob("*.py"))
     used = set()
     for path in files:
         used |= python_uses(path.read_text(encoding="utf-8"))
-    used |= set(re.findall(r"\w+", (REPO / "README.md").read_text(encoding="utf-8")))
+    used |= set(re.findall(r"\w+", readme_code()))
     return used
 
 
@@ -95,10 +105,19 @@ def test_use_lint_skips_the_definition_itself():
         "def main():\n"
         "    return mod.size, [run]\n"
         "BIND = ('cli', 'wrapped name', 'traced')\n"
+        "class Pair:\n"
+        "    apply = Owner.apply\n"
+        "    other = Owner.shift\n"
     )
     used = python_uses(source)
-    assert {"size", "run", "mod", "cli", "traced"} <= used
-    assert not {"helper", "Box", "main", "BIND", "wrapped name"} & used
+    assert {"size", "run", "mod", "cli", "traced", "Owner", "shift"} <= used
+    assert not {"helper", "Box", "main", "BIND", "wrapped name", "apply"} & used
+
+
+def test_readme_callers_are_read_from_code_only():
+    code = readme_code()
+    assert "window_rank_check" in code and "--preset" in code
+    assert "Module config schema" not in code and "Tests" not in re.findall(r"\w+", code)
 
 
 def assigned_attributes(source: str) -> dict:
@@ -129,12 +148,13 @@ def attribute_reads(source: str) -> set:
 
 def test_every_attribute_is_read():
     # every self.<name> assigned in src/affwhit is read as .name in
-    # src/affwhit, demos/ or perfbench/, or named as .name in README.md;
+    # src/affwhit, demos/ or perfbench/, or named as .name in a code span
+    # of README.md;
     # a test is no reader
     files = sorted(PACKAGE.glob("*.py"))
     files += sorted((REPO / "demos").glob("*.py"))
     files += sorted((REPO / "perfbench").glob("*.py"))
-    read = set(re.findall(r"\.(\w+)", (REPO / "README.md").read_text(encoding="utf-8")))
+    read = set(re.findall(r"\.(\w+)", readme_code()))
     for path in files:
         read |= attribute_reads(path.read_text(encoding="utf-8"))
     unread = sorted(

@@ -857,22 +857,15 @@ def test_window_rank_geometric_family_deficient():
 
 def test_window_rank_matches_sympy(monkeypatch):
     seqs = [Geometric(2), FiniteSupport({0: 1, 2: -1}), FIB]
-    seen = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    seen = record_rank_rows(monkeypatch)
     info = window_rank_check(seqs, 3, 8, True)
-    rows, passed = [], []
-    for s in seqs:
-        # translates centre-out; FIB's annihilator of width 2 spans its
-        # translates from the first two
-        for n, off in enumerate((0, 1, -1, 2, -2, 3, -3)):
-            rows.append([s.entry(i + off) for i in range(-8, 9)])
-            if s is not FIB or n < 2:
-                passed.append(rows[-1])
-        w = weighted(s)
-        rows.append([w.entry(i) for i in range(-8, 9)])
-        passed.append(rows[-1])
-    assert seen == [passed] and len(passed) == 19
+    rows = window_rows_ascending(seqs, 3, 8)
+    # Geometric(2) (T = S - 2, z = 2*delta_0) passes x^(0), then z^(u) =
+    # 2*delta_{-u} for u = -3..2, then its weighted row; the finite member
+    # (T = 1, z = x) its seven translates as z-rows, then its weighted
+    # row; FIB (z = 0) its first two translates, then its weighted row
+    assert seen == [reduced_rows(seqs, 3, 8)] and len(seen[0]) == 19
+    assert seen[0][1:7] == [{-u: F(2)} for u in range(-3, 3)]
     assert info.rank == oracles.sympy_dense_rank(rows)
     assert info.count == len(rows) == 24
 
@@ -888,6 +881,58 @@ def window_rows_ascending(seqs, S, W, with_weighted=True):
             w = weighted(s)
             rows.append([w.entry(i) for i in range(-W, W + 1)])
     return rows
+
+
+def sparse(dense_rows):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense_rows]
+
+
+def tail_witness(s):
+    """T of :func:`is_generic` from the tail form: left, or left * right."""
+    lo, hi, left, right = seqspace._tails(s)
+    if left == right:
+        return left
+    prod = {}
+    for i, a in left.items():
+        for j, b in right.items():
+            prod[i + j] = prod.get(i + j, 0) + a * b
+    return FinVector(prod)
+
+
+def reduced_rows(seqs, S, W0, with_weighted=True):
+    """The rows window_rank_check passes, from entries alone.  Per member
+    with witness T, omega = omega(T): its first min(omega, 2S + 1)
+    translates centre-out, then each z^(u), -S <= u <= S - omega, of z =
+    T(S)x that is nonzero on [-W0, W0], then its weighted row; a member
+    with no tail form passes all 2S + 1 translates."""
+    shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
+    window = range(-W0, W0 + 1)
+    rows = []
+    for s in seqs:
+        t = None if seqspace._tails(s) is None else tail_witness(s)
+        omega = len(shifts) if t is None else t.width()
+        for off in shifts[:omega]:
+            rows.append({i: s.entry(i + off) for i in window if s.entry(i + off)})
+        for u in range(-S, S - omega + 1):
+            z = {i: sum(c * s.entry(i + u + k) for k, c in t.items()) for i in window}
+            if any(z.values()):
+                rows.append({i: v for i, v in z.items() if v})
+        if with_weighted:
+            rows.append({i: i * s.entry(i) for i in window if i * s.entry(i)})
+    return rows
+
+
+def record_rank_rows(monkeypatch):
+    """Patch linalg.rank; the list gets the rows of each call."""
+    seen = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    return seen
+
+
+def window_of(rows):
+    """W0 read from the rows: the largest column key in absolute value."""
+    return max((abs(c) for row in rows for c in row), default=None)
 
 
 def random_window_member(rng):
@@ -913,12 +958,11 @@ def random_window_member(rng):
 
 def test_window_rank_drops_the_translates_an_annihilator_spans(monkeypatch):
     # a non-generic member with witness T passes its first min(omega(T),
-    # 2S + 1) translates centre-out, every other member all 2S + 1, and
-    # each member its weighted row; the rank is that of all the rows
+    # 2S + 1) translates centre-out and no z-row, a generic one those
+    # translates and the z-rows, and each member its weighted row; the
+    # rank is that of all the rows
     rng = random.Random(24)
-    rank = linalg.rank
-    seen = []
-    monkeypatch.setattr(linalg, "rank", lambda rows: seen.append(rows) or rank(rows))
+    seen = record_rank_rows(monkeypatch)
     reduced = clipped = 0
     for trial in range(48):
         seqs = [random_window_member(rng) for _ in range(rng.randint(1, 4))]
@@ -926,29 +970,82 @@ def test_window_rank_drops_the_translates_an_annihilator_spans(monkeypatch):
         W = rng.randint(S, 30)
         flag = trial % 2 == 0
         info = window_rank_check(seqs, S, W, flag)
-        full = window_rows_ascending(seqs, S, W, flag)
-        assert info.rank == rank(full) and info.count == len(full), (seqs, S, W, flag)
-        if trial < 4:
-            assert info.rank == oracles.sympy_dense_rank(full)
         rows = seen.pop()
-        W0 = (len(rows[0]) - 1) // 2 if rows else W
-        shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
-        k = 0
+        full = sparse(window_rows_ascending(seqs, S, W, flag))
+        assert info.rank == linalg.rank(full) and info.count == len(full), (seqs, S, W, flag)
+        seen.clear()
+        if trial < 4:
+            assert info.rank == oracles.sympy_dense_rank(window_rows_ascending(seqs, S, W, flag))
+        W0 = window_of(rows)
+        assert W0 is None or W0 <= W
+        assert rows == reduced_rows(seqs, S, W0 or 0, flag), (seqs, S, W, flag)
         for s in seqs:
             verdict = is_generic(s)
-            kept = len(shifts)
             if verdict.kind == "not_generic":
-                kept = min(verdict.witness.width(), len(shifts))
-                reduced += kept < len(shifts)
-                clipped += kept == len(shifts)
-            for off in shifts[:kept]:
-                assert rows[k] == [s.entry(i + off) for i in range(-W0, W0 + 1)], (s, off)
-                k += 1
-            if flag:
-                assert rows[k] == [i * s.entry(i) for i in range(-W0, W0 + 1)], s
-                k += 1
-        assert k == len(rows)
+                reduced += verdict.witness.width() < 2 * S + 1
+                clipped += verdict.witness.width() >= 2 * S + 1
     assert reduced >= 20 and clipped >= 3
+
+
+def test_window_rank_of_the_reduced_rows_is_the_full_rank():
+    # families of wrapped members and a member with no tail form: the rows
+    # passed have the rank of all the rows, by linalg.rank and by sympy
+    rng = random.Random(27)
+    wrappers = (
+        lambda s: Shifted(s, rng.randint(-3, 3)),
+        lambda s: Scaled(s, rng.choice([2, F(-1, 3)])),
+        Weighted,
+    )
+    by_sympy = 0
+    for trial in range(96):
+        seqs = []
+        for _ in range(rng.randint(1, 4)):
+            s = NoTails() if rng.random() < 0.15 else random_window_member(rng)
+            for _ in range(rng.randint(0, 2)):
+                s = rng.choice(wrappers)(s)
+            seqs.append(s)
+        S = rng.randint(0, 4)
+        W = rng.randint(S, 24)
+        flag = trial % 2 == 0
+        info = window_rank_check(seqs, S, W, flag)
+        full = window_rows_ascending(seqs, S, W, flag)
+        assert info.rank == linalg.rank(sparse(full)), (seqs, S, W, flag)
+        assert info.count == len(full) and info.ncols == 2 * W + 1
+        if trial % 10 == 0:
+            assert info.rank == oracles.sympy_dense_rank(full), (seqs, S, W, flag)
+            by_sympy += 1
+    assert by_sympy >= 8
+
+
+class TwoRatio(seqspace.BiSequence):
+    """2^i for i <= 0 and 3^i for i > 0."""
+
+    def entry(self, i):
+        return F(2) ** i if i <= 0 else F(3) ** i
+
+
+def test_window_rows_use_both_tail_polynomials(monkeypatch):
+    # no class of the package has a tail form with left != right; give
+    # TwoRatio one, S - 2 on (-inf, 0] and S - 3 on [1, inf): only T =
+    # left * right makes z = T(S)x finite, on (-2, 1)
+    x = TwoRatio()
+    assert all(x.entry(i + 1) == 2 * x.entry(i) for i in range(-20, 0))
+    assert all(x.entry(i + 1) == 3 * x.entry(i) for i in range(1, 20))
+    form = (0, 1, FinVector({0: -2, 1: 1}), FinVector({0: -3, 1: 1}))
+    tails = seqspace._tails
+    monkeypatch.setattr(
+        seqspace, "_tails", lambda s: form if isinstance(s, TwoRatio) else tails(s)
+    )
+    assert is_generic(x).kind == "generic"
+    seen = record_rank_rows(monkeypatch)
+    for seqs, S, W in (([x], 3, 12), ([x, Geometric(2)], 2, 15), ([FIB, x], 4, 20)):
+        for flag in (True, False):
+            info = window_rank_check(seqs, S, W, flag)
+            rows = seen.pop()
+            assert rows == reduced_rows(seqs, S, window_of(rows), flag)
+            assert info.rank == oracles.sympy_dense_rank(window_rows_ascending(seqs, S, W, flag))
+            # x passes x^(0), x^(1) and S - 1 + S + 1 = 2S - 1 z-rows
+            assert sum(len(row) <= 2 for row in rows) >= 2 * S - 1
 
 
 def count_prime_draws(monkeypatch):
@@ -978,14 +1075,8 @@ ONE_PRIME_FAMILY = [
 
 
 def test_centre_out_window_rank_certifies_with_one_prime(monkeypatch):
-    # In ascending order the transposed reduced form writes dependent
-    # translates in terms of pivots at s = -S, 2S steps away; its entries
-    # outgrow what 2^127 - 1 alone reconstructs and a second prime is
-    # drawn.  Centre-out keeps them within S steps of a pivot.
+    # the benchmark family's window rank is certified on 2^127 - 1 alone
     draws = count_prime_draws(monkeypatch)
-    assert linalg.rank(window_rows_ascending(ONE_PRIME_FAMILY, 8, 32)) == 25
-    assert draws == [2]
-    draws.clear()
     info = window_rank_check(ONE_PRIME_FAMILY, 8, 32, True)
     assert (info.rank, info.count) == (25, 72)
     assert draws == [1]
@@ -1003,21 +1094,13 @@ def test_window_rank_does_not_depend_on_row_order(seqs, S, W):
     rng = random.Random(S * 1000 + W)
     for _ in range(4):
         rng.shuffle(rows)
-        assert linalg.rank(rows) == oracles.sympy_dense_rank(rows)
-
-
-def record_rank_columns(monkeypatch):
-    """Patch linalg.rank; the list gets the column count of each call."""
-    cols = []
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: cols.append(len(rows[0])) or rank(rows))
-    return cols
+        assert linalg.rank(sparse(rows)) == oracles.sympy_dense_rank(rows)
 
 
 def test_window_bound_gives_the_full_window_rank(monkeypatch):
     # W0 < W eliminates fewer columns and must not change the rank
     rng = random.Random(20261019)
-    cols = record_rank_columns(monkeypatch)
+    seen = record_rank_rows(monkeypatch)
     shrunk = 0
     for _ in range(40):
         seqs = [random_tower(rng, 2) for _ in range(rng.randint(1, 3))]
@@ -1027,11 +1110,13 @@ def test_window_bound_gives_the_full_window_rank(monkeypatch):
         W = rng.randint(S, 45)
         flag = rng.random() < 0.5
         info = window_rank_check(seqs, S, W, flag)
+        W0 = window_of(seen.pop())
         full = window_rows_ascending(seqs, S, W, flag)
-        assert info.rank == linalg.rank(full), (seqs, S, W, flag)
+        assert info.rank == linalg.rank(sparse(full)), (seqs, S, W, flag)
         assert info.count == len(full) and info.ncols == 2 * W + 1
-        assert cols[-2] <= cols[-1] == 2 * W + 1
-        shrunk += cols[-2] < cols[-1]
+        assert W0 is None or W0 <= W
+        shrunk += W0 is not None and W0 < W
+        seen.clear()
     assert shrunk >= 20
 
 
@@ -1039,20 +1124,22 @@ def test_window_bound_gives_the_full_window_rank(monkeypatch):
 def test_window_bound_follows_shifted_tails(monkeypatch, offset, W0):
     # lo = -30 (offset 30) and hi = 31 (offset -30) set the bound
     seqs = [Shifted(Geometric(2), offset), FiniteSupport({0: 1, 2: -1})]
-    cols = record_rank_columns(monkeypatch)
+    seen = record_rank_rows(monkeypatch)
     info = window_rank_check(seqs, 2, 45, True)
-    assert cols == [2 * W0 + 1]
-    assert info.rank == linalg.rank(window_rows_ascending(seqs, 2, 45)) == info.count == 12
+    assert [window_of(rows) for rows in seen] == [W0]
+    assert seen == [reduced_rows(seqs, 2, W0)]
+    full = sparse(window_rows_ascending(seqs, 2, 45))
+    assert info.rank == linalg.rank(full) == info.count == 12
 
 
 def test_window_bound_is_tight(monkeypatch):
     # FiniteSupport({5: 1}) has tails (4, 6, 1, 1): W0 = 5, and on [-4, 4]
     # the member is zero, so a bound one smaller would read rank 0
     seqs = [FiniteSupport({5: 1})]
-    cols = record_rank_columns(monkeypatch)
+    seen = record_rank_rows(monkeypatch)
     assert window_rank_check(seqs, 0, 20, False).rank == 1
-    assert cols == [11]
-    assert linalg.rank(window_rows_ascending(seqs, 0, 4, False)) == 0
+    assert seen == [[{5: F(1)}]] and window_of(seen[0]) == 5
+    assert linalg.rank(sparse(window_rows_ascending(seqs, 0, 4, False))) == 0
 
 
 def test_window_rank_empty_and_validation():
