@@ -46,9 +46,10 @@ from .engine import (
 from .rootdata import build_datum, root_str
 from .seqspace import (
     as_scalar,
-    is_generic,
+    is_generic,  # not called here; perfbench/tracing.py wraps cli.is_generic
     is_strongly_generic_set,
-    minimal_annihilator,
+    member_record,
+    minimal_annihilator,  # not called here; perfbench/tracing.py wraps it
     sequence_from_literal,
     sequence_str,
     size,  # not called here; perfbench/tracing.py wraps cli.size
@@ -332,22 +333,24 @@ def cmd_check_seq(args) -> int:
     per_seq = []
     lines = [f"sequences: {len(seqs)}   shift bound S={S}, window W={W}, "
              f"weighted rows {'on' if include_weighted else 'off'}"]
-    for i, s in enumerate(seqs):
-        v = is_generic(s)
-        entry = {"sequence": sequence_str(s), "genericity": verdict_json(v)}
-        line = f"  [{i}] {sequence_str(s)}: {v.kind}"
+    # each member is decided once; the lines and both checks read its record
+    members = [member_record(s) for s in seqs]
+    for i, rec in enumerate(members):
+        v = rec.verdict
+        entry = {"sequence": sequence_str(rec.seq), "genericity": verdict_json(v)}
+        line = f"  [{i}] {sequence_str(rec.seq)}: {v.kind}"
         if v.kind == "not_generic":
-            ann = minimal_annihilator(s)
+            ann = rec.annihilator
             sz = ann.width()
             entry["size"] = sz
             entry["minimal_annihilator"] = repr(ann)
             line += f" (witness {ann!r}, size {sz})"
         per_seq.append(entry)
         lines.append(line)
-    set_verdict = is_strongly_generic_set(seqs)
+    set_verdict = is_strongly_generic_set(members)
     lines.append(f"set verdict: {set_verdict.kind}" +
                  (f" ({set_verdict.reason})" if set_verdict.reason else ""))
-    rank_info = window_rank_check(seqs, S, W, include_weighted)
+    rank_info = window_rank_check(members, S, W, include_weighted)
     lines.append(
         f"window rank: {rank_info.rank} of {rank_info.count} rows "
         f"({2 * W + 1} coordinates): "

@@ -216,8 +216,9 @@ from .rootdata import RootDatum, root_str
 from .seqspace import (
     BiSequence,
     SetVerdict,
-    is_generic,
+    is_generic,  # not called here; perfbench/tracing.py wraps engine.is_generic
     is_strongly_generic_set,
+    member_record,
 )
 
 Monomial = Tuple[Tuple[Gen, int], ...]  # ((gen, multiplicity), ...) ascending
@@ -285,9 +286,10 @@ class WhittakerSpec:
         self.genericity = self._check_genericity()
 
     def _check_genericity(self) -> SetVerdict:
-        values = [self.lam[r] for r in sorted(self.lam)]
+        roots = sorted(self.lam)
+        members = [member_record(self.lam[r]) for r in roots]  # one decision each
         if self.mode == "loop_only":
-            bad = [r for r in sorted(self.lam) if not is_generic(self.lam[r]).is_generic]
+            bad = [r for r, rec in zip(roots, members) if not rec.verdict.is_generic]
             if bad:
                 verdict = SetVerdict(
                     "not_strongly_generic",
@@ -300,7 +302,7 @@ class WhittakerSpec:
                 )
                 return verdict
             return SetVerdict("strongly_generic", "each member generic (loop mode)")
-        verdict = is_strongly_generic_set(values)
+        verdict = is_strongly_generic_set(members)
         if not verdict.is_strongly_generic:
             warnings.warn(
                 f"Lam multiset is not certified strongly generic "
@@ -564,7 +566,10 @@ class WhittakerModule:
         is shared through the memo and must not be mutated by callers.
         A prepend (g a module generator, g <= head(m), or m the cyclic
         vector) is returned as a fresh one-term image and not stored:
-        :meth:`_prepend` records it in ``_prep``.
+        :meth:`_prepend` records it in ``_prep``.  A zero image -- c on
+        any monomial, g in L(n) on the cyclic vector -- is returned as a
+        fresh empty dict and not stored either; the recursive steps do not
+        ask for it.
 
         The recursive steps (g on the tail, the head on each of its terms,
         the bracket terms on the tail) read a prepend from ``_prep``
@@ -573,21 +578,20 @@ class WhittakerModule:
         and below deg m when g lies in L(n), so a row builder may drop the
         images of its top-degree columns.  A bracket term ch.h
         adds ch.lambda(h) on the tail, then ch.(h - lambda(h)) of the
-        tail.  A product with a factor 1 (every prepend, most structure
-        constants) is not formed: ``c * 1`` equals ``c`` and, with memo
-        entries normalized to ``int``, has its type."""
+        tail, which is zero for h = c and not asked for.  A product with
+        a factor 1 (every prepend, most structure constants) is not
+        formed: ``c * 1`` equals ``c`` and, with memo entries normalized
+        to ``int``, has its type."""
         memo = self._memo[g]
         out = memo.get(m)
         if out is not None:
             return out
         if not g:  # c - theta is zero on the whole module
-            out = memo[m] = {}
-            return out
+            return {}
         in_ln, gk = self._gen_info[g]
         if not m:  # g - lambda(g) is 0 on the cyclic vector for g in L(n)
             if in_ln:
-                out = memo[m] = {}
-                return out
+                return {}
             return {self._prepend(g, 1, 0): 1}
         head, mult, rest = self._split[m]
         if not in_ln:
@@ -604,8 +608,8 @@ class WhittakerModule:
             outer = ((m2, 1),)
         else:
             img = memo.get(rest)
-            if img is None:
-                img = lmul(g, rest)
+            if img is None:  # not stored: g in L(n) on the cyclic vector is zero
+                img = lmul(g, rest) if rest or not in_ln else {}
             outer = img.items()
         for m2, c2 in outer:
             m3 = head_prep.get(m2)
@@ -639,7 +643,7 @@ class WhittakerModule:
                 (self._gid(h), _exact(c))
                 for h, c in self.alg.bracket_gens(gens[g], gens[head]).items()
             ]
-        shift = self._shift
+        shift, gen_info = self._shift, self._gen_info
         for h, ch in bracket:
             sh = shift[h]  # h = (h - lambda(h)) + lambda(h)
             if sh:
@@ -655,6 +659,9 @@ class WhittakerModule:
                 continue
             img = memos[h].get(rest)
             if img is None:
+                # not stored: c - theta, and h in L(n) on the cyclic vector, are zero
+                if not h or not rest and gen_info[h][0]:
+                    continue
                 img = lmul(h, rest)
             for m4, c4 in img.items():
                 x = c4 if ch == 1 else ch * c4

@@ -55,8 +55,15 @@ enough.  ``_tails`` is the only decision code that asks a sequence its
 class; a sequence built on any other class has no form, and its
 verdicts are 'unknown'.
 
-All arithmetic is exact over Q via :class:`fractions.Fraction`; no
-floating point is used anywhere.
+All arithmetic is exact over Q, and no floating point is used
+anywhere.  Entries are read in bulk as integer windows: ``int_window(lo,
+hi)`` gives (D, N) with D > 0 and entry i = N[i - lo] / D on [lo, hi].
+No rank or kernel changes when a row is scaled by a positive number, so
+the decisions, the Hankel rows and the window rows work on these
+integers (each window row passed to :func:`linalg.rank` is its
+primitive integer multiple); an entry becomes a
+:class:`fractions.Fraction` only where one is returned (``entry``,
+``window``, a finite core).
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from operator import mul
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .linalg import ScalarLike, as_scalar, require_int
@@ -141,15 +150,31 @@ class FinVector(linalg.LinearCombination):
 # ---------------------------------------------------------------------------
 
 
+IntWindow = Tuple[int, List[int]]  # (D, N): entry lo + k is N[k] / D, D > 0
+
+
 class BiSequence:
-    """Abstract bi-infinite sequence Z -> Q."""
+    """Abstract bi-infinite sequence Z -> Q.
+
+    A subclass defines :meth:`entry` or :meth:`int_window`; the package
+    classes define ``int_window`` directly, and this default reads it
+    from ``entry``.
+    """
 
     def entry(self, i: int) -> Fraction:
         raise NotImplementedError
 
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        """(D, N) with D > 0 and entry i = N[i - lo] / D for lo <= i <= hi;
+        (1, []) when hi < lo."""
+        vals = [as_scalar(self.entry(i)) for i in range(lo, hi + 1)]
+        d = math.lcm(*(x.denominator for x in vals))
+        return d, [x.numerator * (d // x.denominator) for x in vals]
+
     def window(self, lo: int, hi: int) -> list:
         """Entries on [lo, hi] inclusive."""
-        return [self.entry(i) for i in range(lo, hi + 1)]
+        d, nums = self.int_window(lo, hi)
+        return [Fraction(n, d) for n in nums]
 
 
 class FiniteSupport(linalg.LinearCombination, BiSequence):
@@ -165,6 +190,12 @@ class FiniteSupport(linalg.LinearCombination, BiSequence):
 
     def entry(self, i: int) -> Fraction:
         return self.coeffs.get(require_int(i), Fraction(0))
+
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        get = self.coeffs.get
+        vals = [get(i) for i in range(lo, hi + 1)]
+        d = math.lcm(*(x.denominator for x in vals if x is not None))
+        return d, [0 if x is None else x.numerator * (d // x.denominator) for x in vals]
 
     def __repr__(self):
         return f"FiniteSupport({dict(self.items())})"
@@ -188,6 +219,13 @@ class Geometric(BiSequence):
             return Fraction(0)
         return self.j ** i
 
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        """With j = p/q: D = q^hi and N_i = p^i * q^(hi - i) for 0 < i <= hi."""
+        if hi <= 0:
+            return 1, [0] * max(0, hi - lo + 1)
+        p, q = self.j.numerator, self.j.denominator
+        return q**hi, [p**i * q ** (hi - i) if i > 0 else 0 for i in range(lo, hi + 1)]
+
     def __repr__(self):
         return f"Geometric({self.j})"
 
@@ -202,11 +240,12 @@ class Recurrence(BiSequence):
 
         sum_k c_k a_{k+i} = 0   for every i in Z.
 
-    Entries are memoized; recomputation is idempotent, so concurrent
-    readers at worst repeat work.
+    Nothing is memoized: :meth:`int_window` unrolls each window it is
+    asked for in integers, and :meth:`entry` is its one-entry window, so
+    an object is never mutated after construction.
     """
 
-    __slots__ = ("v", "initial", "_memo", "_lo", "_hi", "_c")
+    __slots__ = ("v", "initial", "_c", "_init", "_den")
 
     def __init__(self, v: FinVector, initial: Sequence[ScalarLike]):
         if v.is_zero():
@@ -227,42 +266,62 @@ class Recurrence(BiSequence):
             )
         self.v = v
         self.initial = initial
-        self._c = [v[k] for k in range(omega + 1)]  # c_0, ..., c_omega
-        self._memo = {i: x for i, x in enumerate(initial)}
-        self._lo = 0
-        self._hi = len(initial) - 1  # -1 when the window is empty
+        c = [v[k] for k in range(omega + 1)]  # c_0, ..., c_omega
+        m = math.lcm(*(x.denominator for x in c))
+        self._c = [x.numerator * (m // x.denominator) for x in c]  # m * c, integers
+        self._den = math.lcm(*(x.denominator for x in initial))  # L
+        self._init = [x.numerator * (self._den // x.denominator) for x in initial]
 
     @property
     def omega(self) -> int:
         return len(self._c) - 1
 
     def entry(self, i: int) -> Fraction:
-        memo = self._memo
-        x = memo.get(require_int(i))
-        if x is not None:
-            return x
+        d, (n,) = self.int_window(require_int(i), i)
+        return Fraction(n, d)
+
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        """(D, N) on [lo, hi], D = L * |c_omega|^f * |c_0|^b.
+
+        c here is v scaled to integers, L the lcm of the initial
+        denominators, f = max(0, hi - omega + 1) the forward steps past
+        a_{omega-1} and b = max(0, -lo) the backward steps below a_0.
+        Each entry is unrolled at the final scale, N_n = D * a_n: from
+        L * a_0, ..., L * a_{omega-1} times D / L, forward by N_n =
+        -(sum_{k<omega} c_k N_{n-omega+k}) / c_omega and backward by N_n =
+        -(sum_{k>=1} c_k N_{n+k}) / c_0.  Both divisions are exact.  Proof:
+        by induction, L * |c_omega|^t * a_n is an integer for the t-th
+        forward entry, as c_omega * a_n is an integer combination of
+        entries with t - 1 steps, and likewise L * |c_0|^t * a_n for the
+        t-th backward entry; so every N_n is an integer, and it is the
+        quotient computed.  A remainder would be an arithmetic fault,
+        and raises.
+        """
+        if hi < lo:
+            return 1, []
         c = self._c
         om = len(c) - 1
         if om == 0:
-            return Fraction(0)
+            return 1, [0] * (hi - lo + 1)
         c0, cw = c[0], c[om]
-        # forward: a_{i} from the om entries below it
-        while self._hi < i:
-            n = self._hi + 1
-            s = Fraction(0)
-            for k in range(om):
-                s += c[k] * memo[n - om + k]
-            memo[n] = -s / cw
-            self._hi = n
-        # backward: a_{i} from the om entries above it
-        while self._lo > i:
-            n = self._lo - 1
-            s = Fraction(0)
-            for k in range(1, om + 1):
-                s += c[k] * memo[n + k]
-            memo[n] = -s / c0
-            self._lo = n
-        return memo[i]
+        f, b = max(0, hi - om + 1), max(0, -lo)
+        scale = abs(cw) ** f * abs(c0) ** b
+        up = [x * scale for x in self._init]  # a_0, a_1, ... ascending
+        head = c[:om]
+        for _ in range(f):
+            q, r = divmod(-sum(map(mul, head, up[-om:])), cw)
+            if r:
+                raise ArithmeticError("inexact forward step in a recurrence unroll")
+            up.append(q)
+        down = up[om - 1 :: -1]  # a_{omega-1}, ..., a_0, then a_{-1}, ... descending
+        tail = c[om:0:-1]  # c_omega, ..., c_1 against a_{n+omega}, ..., a_{n+1}
+        for _ in range(b):
+            q, r = divmod(-sum(map(mul, tail, down[-om:])), c0)
+            if r:
+                raise ArithmeticError("inexact backward step in a recurrence unroll")
+            down.append(q)
+        vals = down[: om - 1 : -1] + up  # a_{-b}, ..., a_{omega-1+f}
+        return self._den * scale, vals[lo + b : hi + b + 1]
 
     def __eq__(self, other):
         return (
@@ -291,6 +350,9 @@ class Shifted(BiSequence):
     def entry(self, i: int) -> Fraction:
         return self.base.entry(i + self.offset)
 
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        return self.base.int_window(lo + self.offset, hi + self.offset)
+
     def __repr__(self):
         return f"Shifted({self.base!r}, {self.offset})"
 
@@ -303,6 +365,10 @@ class Weighted(BiSequence):
 
     def entry(self, i: int) -> Fraction:
         return i * self.base.entry(i)
+
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        d, nums = self.base.int_window(lo, hi)
+        return d, [i * n for i, n in enumerate(nums, lo)]
 
     def __repr__(self):
         return f"Weighted({self.base!r})"
@@ -323,6 +389,11 @@ class Scaled(BiSequence):
 
     def entry(self, i: int) -> Fraction:
         return self.factor * self.base.entry(i)
+
+    def int_window(self, lo: int, hi: int) -> IntWindow:
+        d, nums = self.base.int_window(lo, hi)
+        p = self.factor.numerator
+        return d * self.factor.denominator, [p * n for n in nums]
 
     def __repr__(self):
         return f"Scaled({self.base!r}, {self.factor})"
@@ -463,14 +534,18 @@ def _tails(s: BiSequence):
 
 
 def _residue(s: BiSequence, tails):
-    """(T, z) for ``tails = _tails(s)``: T as in :func:`is_generic` and z =
-    T(S)s as {i: nonzero entry}.  T holds on (-inf, lo] and on [hi, inf),
-    and z_i = sum_k T_k s_{i+k}, so only lo - omega(T) < i < hi are computed.
+    """(T, z) for ``tails = _tails(s)``: T as in :func:`is_generic` and z a
+    positive multiple of T(S)s as {i: nonzero int}.  T holds on (-inf, lo]
+    and on [hi, inf), and z_i = sum_k T_k s_{i+k}, so only lo - omega(T) <
+    i < hi are computed, from one integer window of s and T scaled to
+    integers by the lcm of its denominators.
     """
     lo, hi, left, right = tails
     t = left if left == right else _polymul(left, right)
-    w, terms = t.width(), t.items()
-    vals = s.window(lo - w + 1, hi - 1 + w)
+    w = t.width()
+    m = math.lcm(*(c.denominator for c in t.coeffs.values()))
+    terms = [(k, c.numerator * (m // c.denominator)) for k, c in t.items()]
+    _, vals = s.int_window(lo - w + 1, hi - 1 + w)
     z = (sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1))
     return t, {i: x for i, x in enumerate(z, lo - w + 1) if x}
 
@@ -486,12 +561,72 @@ def _finite_core(s: BiSequence, tails) -> Optional[FiniteSupport]:
     zero, since P_0 != 0 and P_omega != 0 unroll it both ways from them.
     A finite support gives such zeros far out on each tail, hence on the
     whole tail, those next to lo and hi included; conversely zeros there
-    clear both tails, which leaves only the entries on (lo, hi).
+    clear both tails, which leaves only the entries on (lo, hi).  All of
+    them are read as one integer window.
     """
     lo, hi, left, right = tails
-    if any(s.window(lo - left.width() + 1, lo) + s.window(hi, hi + right.width() - 1)):
+    wl, wr = left.width(), right.width()
+    d, vals = s.int_window(lo - wl + 1, hi + wr - 1)
+    end = len(vals) - wr  # vals[end:] starts at hi
+    if any(vals[:wl]) or any(vals[end:]):
         return None
-    return FiniteSupport(dict(zip(range(lo + 1, hi), s.window(lo + 1, hi - 1))))
+    return FiniteSupport({i: Fraction(n, d) for i, n in enumerate(vals[wl:end], lo + 1) if n})
+
+
+def _genericity(s: BiSequence, tails):
+    """(T, z, verdict) of :func:`is_generic` for s, given ``_tails(s)``;
+    T is None and z empty when s has no tail form."""
+    if tails is None:
+        reason = f"no decision procedure for {type(s).__name__}"
+        return None, {}, SeqVerdict("unknown", None, reason)
+    t, z = _residue(s, tails)
+    if z:
+        return t, z, GENERIC
+    reason = "zero sequence" if t == _ONE else "defining annihilator"
+    return t, z, SeqVerdict("not_generic", t, reason)
+
+
+@dataclass(frozen=True, eq=False)
+class MemberRecord:
+    """Everything the verdicts and the window rows read of one sequence.
+
+    ``tails`` is ``_tails(seq)`` (None without a tail form); ``t`` and
+    ``z`` are T and a positive multiple of T(S)seq from :func:`is_generic`
+    (None and {} without a tail form); ``core`` is seq as a FiniteSupport
+    when its support is finite, else None.
+    """
+
+    seq: BiSequence
+    tails: Optional[tuple]
+    t: Optional[FinVector]
+    z: dict
+    verdict: SeqVerdict
+    core: Optional[FiniteSupport]
+
+    @cached_property
+    def annihilator(self) -> Optional[FinVector]:
+        """The :func:`minimal_annihilator` of a member that is not generic,
+        else None; one Hankel solve, on the first read."""
+        if self.verdict.kind != "not_generic":
+            return None
+        return _annihilator(self.seq, self.t)
+
+
+def member_record(s: BiSequence) -> MemberRecord:
+    """Decide s once: its tail form, T, z, verdict and finite core, and,
+    when it is not generic and first asked, its minimal annihilator.
+    Every verdict below reads these records, and the functions taking a
+    family accept records in place of sequences, so a caller that builds
+    them decides each member once."""
+    tails = _tails(s)
+    t, z, verdict = _genericity(s, tails)
+    core = None if tails is None else _finite_core(s, tails)
+    return MemberRecord(s, tails, t, z, verdict, core)
+
+
+def _record(x: Union[BiSequence, MemberRecord]) -> MemberRecord:
+    """x when it is a record already, else its :func:`member_record`."""
+    return x if isinstance(x, MemberRecord) else member_record(x)
 
 
 def is_generic(s: BiSequence) -> SeqVerdict:
@@ -512,19 +647,7 @@ def is_generic(s: BiSequence) -> SeqVerdict:
     is ever computed.  A recurrence's witness is its own defining vector
     v (left and right are v), and a zero finite sequence's is v_0.
     """
-    return _genericity(s, _tails(s))
-
-
-def _genericity(s: BiSequence, tails) -> SeqVerdict:
-    """:func:`is_generic` of s, given ``_tails(s)``."""
-    if tails is None:
-        return SeqVerdict("unknown", None, f"no decision procedure for {type(s).__name__}")
-    t, z = _residue(s, tails)
-    if z:
-        return GENERIC
-    return SeqVerdict(
-        "not_generic", t, "zero sequence" if t == _ONE else "defining annihilator"
-    )
+    return member_record(s).verdict
 
 
 def member_strong_genericity(s: BiSequence) -> SetVerdict:
@@ -545,15 +668,15 @@ def member_strong_genericity(s: BiSequence) -> SetVerdict:
     deg G' < deg G, that holds iff G' = 0, which over Q means that the
     support is the single point a; then x * F' = a * F.
     """
-    return _member_verdict(s, _tails(s))
+    return _member_verdict(member_record(s))
 
 
-def _member_verdict(s: BiSequence, tails) -> SetVerdict:
-    """:func:`member_strong_genericity` of s, given ``_tails(s)``."""
-    fin = None if tails is None else _finite_core(s, tails)
+def _member_verdict(rec: MemberRecord) -> SetVerdict:
+    """:func:`member_strong_genericity` of a member, given its record."""
+    fin = rec.core
     if fin is not None and fin.is_zero():
         return SetVerdict("not_strongly_generic", "the zero sequence is dependent")
-    verdict = _genericity(s, tails)
+    verdict = rec.verdict
     if verdict.kind == "not_generic":
         return SetVerdict("not_strongly_generic", f"not generic ({verdict.reason})")
     if verdict.kind == "unknown":
@@ -588,9 +711,9 @@ def _geometric_ratio(tails) -> Optional[Fraction]:
     return -left[0] / left[1] if left == right and left.width() == 1 else None
 
 
-def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
+def _dependence_of_pair(ra: MemberRecord, rb: MemberRecord) -> str:
     """Reason string why the translates of two generic members, with
-    tails ``ta`` and ``tb``, are dependent.
+    records ``ra`` and ``rb``, are dependent.
 
     Any two are.  With T from :func:`is_generic`, T_a(S)a is a nonzero
     finite sequence, which reads as F_a(S)delta_0 for a Laurent
@@ -613,9 +736,8 @@ def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
       member, so any finite-support member lies in its translate span
       (a ratio that is not an integer is printed in brackets).
     """
-    ja, jb = _geometric_ratio(ta), _geometric_ratio(tb)
-    fa = _finite_core(sa, ta) is not None
-    fb = _finite_core(sb, tb) is not None
+    ja, jb = _geometric_ratio(ra.tails), _geometric_ratio(rb.tails)
+    fa, fb = ra.core is not None, rb.core is not None
     if ja is not None and jb is not None:
         if ja == jb:
             return (
@@ -647,7 +769,7 @@ def _dependence_of_pair(sa: BiSequence, ta, sb: BiSequence, tb) -> str:
     )
 
 
-def is_strongly_generic_set(seqs: Iterable[BiSequence]) -> SetVerdict:
+def is_strongly_generic_set(seqs: Iterable[Union[BiSequence, MemberRecord]]) -> SetVerdict:
     """Decide strong genericity of a family of sequences.
 
     Singleton families reduce to :func:`member_strong_genericity`.  A
@@ -656,7 +778,7 @@ def is_strongly_generic_set(seqs: Iterable[BiSequence]) -> SetVerdict:
     nontrivially (:func:`_dependence_of_pair`), with the vanishing
     combination named in the verdict reason.  Families containing an
     undecidable member stay 'unknown' unless a decidable failure is
-    found first.
+    found first.  Members may be given as :func:`member_record` records.
     """
     seqs = list(seqs)
     if not seqs:
@@ -664,19 +786,19 @@ def is_strongly_generic_set(seqs: Iterable[BiSequence]) -> SetVerdict:
     unknown = None
     known = []
     for idx, s in enumerate(seqs):
-        tails = _tails(s)
-        v = _member_verdict(s, tails)
+        rec = _record(s)
+        v = _member_verdict(rec)
         if v.kind == "not_strongly_generic":
             return SetVerdict("not_strongly_generic", f"member {idx}: {v.reason}")
         if v.kind == "unknown":
             unknown = f"member {idx}: {v.reason}"
         else:
-            known.append((idx, s, tails))
+            known.append((idx, rec))
     if len(known) > 1:
-        (a, sa, ta), (b, sb, tb) = known[:2]
+        (a, ra), (b, rb) = known[:2]
         return SetVerdict(
             "not_strongly_generic",
-            f"members {a} and {b}: {_dependence_of_pair(sa, ta, sb, tb)}",
+            f"members {a} and {b}: {_dependence_of_pair(ra, rb)}",
         )
     if unknown is not None:
         return SetVerdict("unknown", unknown)
@@ -699,7 +821,10 @@ class WindowRank:
 
 
 def window_rank_check(
-    seqs: Iterable[BiSequence], S: int, W: int, include_weighted: bool = True
+    seqs: Iterable[Union[BiSequence, MemberRecord]],
+    S: int,
+    W: int,
+    include_weighted: bool = True,
 ) -> WindowRank:
     """Exact rank of the translate family on a coordinate window.
 
@@ -745,18 +870,20 @@ def window_rank_check(
     ``count`` and ``full_rank`` still refer to all len(seqs) * (2S + 1 +
     weighted) rows.
 
-    z is computed once per member and also gives its verdict, and the
-    member's entries once, over the span its kept rows need.  Rows are
-    sparse {coordinate: value} maps, so :func:`linalg.rank` kills the
-    coordinates of one-entry z-rows before it eliminates.  ``ncols``
-    reports the requested 2W + 1.
+    T and z come from the member's :func:`member_record` (members may be
+    given as records), and its entries from one integer window over the
+    span its kept rows need.  Rows are sparse {coordinate: value} maps,
+    each the primitive integer multiple (:func:`_primitive`) of the row
+    it stands for; a positive multiple changes no rank, so
+    :func:`linalg.rank` gets integers, and it kills the coordinates of
+    one-entry z-rows before it eliminates.  ``ncols`` reports the requested 2W + 1.
     """
     S = require_int(S, "shift bound S")
     W = require_int(W, "window W")
     if S < 0 or W < S:
         raise ValueError(f"window bounds must satisfy W >= S >= 0, got S={S}, W={W}")
-    seqs = list(seqs)
-    forms = [_tails(x) for x in seqs]
+    records = [_record(x) for x in seqs]
+    forms = [rec.tails for rec in records]
     W0 = W
     if forms and None not in forms:
         power = 2 if include_weighted else 1
@@ -767,26 +894,33 @@ def window_rank_check(
     width = 2 * W0 + 1
     shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
     rows = []
-    for x, form in zip(seqs, forms):
-        t, z = _residue(x, form) if form else (None, {})
-        kept = shifts[: t.width()] if form else shifts
+    for rec in records:
+        z = rec.z
+        kept = shifts[: rec.t.width()] if rec.tails else shifts
         # the row of translate s starts at entry s - W0, index s - first of vals
         first, last = min(kept, default=0), max(kept, default=0)
-        vals = x.window(first - W0, last + W0)
+        _, vals = rec.seq.int_window(first - W0, last + W0)
         for s in kept:
             row = enumerate(vals[s - first : s - first + width], -W0)
-            rows.append({i: v for i, v in row if v})
+            rows.append(_primitive({i: v for i, v in row if v}))
         # z^(u) for u = -S..S - omega, none once omega >= 2S + 1
         for u in range(-S, S + 1 - len(kept)):
             row = {i - u: v for i, v in z.items() if -W0 <= i - u <= W0}
             if row:
-                rows.append(row)
+                rows.append(_primitive(row))
         if include_weighted:
             row = enumerate(vals[-first : width - first], -W0)
-            rows.append({i: i * v for i, v in row if i and v})
+            rows.append(_primitive({i: i * v for i, v in row if i and v}))
     rank = linalg.rank(rows)
-    count = len(seqs) * (2 * S + 1 + bool(include_weighted))
+    count = len(records) * (2 * S + 1 + bool(include_weighted))
     return WindowRank(rank == count, rank, count, 2 * W + 1)
+
+
+def _primitive(row: dict) -> dict:
+    """The integer row over the gcd of its entries: its multiple by a
+    positive rational with content 1 (an empty row as it is)."""
+    g = math.gcd(*row.values())
+    return {i: v // g for i, v in row.items()} if g > 1 else row
 
 
 # ---------------------------------------------------------------------------
@@ -813,15 +947,21 @@ def minimal_annihilator(s: BiSequence) -> FinVector:
     combination of the columns before it exactly when a kernel vector
     ends at j, that is when j >= w = omega(M).  So columns 0..w-1 are
     the pivots, and the first kernel vector (free column w, x_w = 1) is
-    M / M_w.
+    M / M_w.  The Hankel entries are one integer window, D * s_{i+k}:
+    scaling every row by D > 0 leaves the kernel as it is.
     """
-    verdict = is_generic(s)
-    if verdict.kind == "generic":
+    rec = member_record(s)
+    if rec.verdict.kind == "generic":
         raise GenericInput("generic sequences have no annihilator")
-    if verdict.kind == "unknown":
+    if rec.verdict.kind == "unknown":
         raise ValueError("genericity undecided; no annihilator search available")
-    om = verdict.witness.width()
-    vals = s.window(-om, om - 1)
+    return rec.annihilator
+
+
+def _annihilator(s: BiSequence, t: FinVector) -> FinVector:
+    """:func:`minimal_annihilator` of s, which is not generic with witness T."""
+    om = t.width()
+    _, vals = s.int_window(-om, om - 1)
     rows = [{k: vals[i + k] for k in range(om + 1) if vals[i + k]} for i in range(om)]
     vec = linalg.nullspace(rows, om + 1)[0]
     den_lcm = math.lcm(*(c.denominator for c in vec.values()))

@@ -256,3 +256,34 @@ def weighting_divides(entries: dict) -> bool:
     F = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in entries.items())
     _, den = sympy.fraction(sympy.cancel(x * sympy.diff(F, x) / F))
     return sympy.Poly(den, x).is_monomial
+
+
+def fraction_window(s, lo, hi) -> list:
+    """Entries lo..hi of a sequence built from the package's classes, read
+    off its definition in ``Fraction`` arithmetic: a recurrence is
+    unrolled one entry at a time from its initial window, dividing by
+    c_omega forward and by c_0 backward; the wrappers map their base's
+    entries.  Independent of the package's integer windows."""
+    name = type(s).__name__
+    idx = range(lo, hi + 1)
+    if name == "FiniteSupport":
+        return [Fraction(s.coeffs.get(i, 0)) for i in idx]
+    if name == "Geometric":
+        return [Fraction(s.j) ** i if i > 0 else Fraction(0) for i in idx]
+    if name == "Shifted":
+        return fraction_window(s.base, lo + s.offset, hi + s.offset)
+    if name == "Scaled":
+        return [Fraction(s.factor) * x for x in fraction_window(s.base, lo, hi)]
+    if name == "Weighted":
+        return [i * x for i, x in zip(idx, fraction_window(s.base, lo, hi))]
+    assert name == "Recurrence", name
+    c = {k: Fraction(x) for k, x in s.v.items()}
+    om = max(c)
+    if om == 0:
+        return [Fraction(0) for _ in idx]
+    a = {i: Fraction(x) for i, x in enumerate(s.initial)}
+    for n in range(om, hi + 1):
+        a[n] = -sum(c.get(k, 0) * a[n - om + k] for k in range(om)) / c[om]
+    for n in range(-1, lo - 1, -1):
+        a[n] = -sum(c.get(k, 0) * a[n + k] for k in range(1, om + 1)) / c[0]
+    return [a[i] for i in idx]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from affwhit import cli, presets, seqspace
+from affwhit import cli, linalg, presets, seqspace
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -210,22 +210,44 @@ def test_check_seq_reports_annihilator(tmp_path, capsys):
     assert "v_0 - v_1" in out
 
 
+MIXED = str(Path(__file__).parent / "golden" / "check-seq-mixed.json")
+
+
 def test_check_seq_searches_each_annihilator_once(monkeypatch, capsys):
     # one Hankel search per non-generic member: its size is the width of
-    # the annihilator found
+    # the annihilator found.  The search is the run's only linalg.nullspace
+    # call (the window rank goes through linalg.rank)
     searches = []
-    search = seqspace.minimal_annihilator
+    nullspace = linalg.nullspace
 
-    def counted(s):
-        searches.append(s)
-        return search(s)
+    def counted(rows, ncols):
+        searches.append(ncols)
+        return nullspace(rows, ncols)
 
-    monkeypatch.setattr(cli, "minimal_annihilator", counted)
-    monkeypatch.setattr(seqspace, "minimal_annihilator", counted)
-    config = str(Path(__file__).parent / "golden" / "check-seq-mixed.json")
-    code, out, _ = run(capsys, "check-seq", "--config", config)
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    code, out, _ = run(capsys, "check-seq", "--config", MIXED)
     assert code == 0
     assert len(searches) == out.count(": not_generic") == 3
+
+
+def test_check_seq_decides_each_member_once(monkeypatch, capsys):
+    # the per-member lines, the set verdict and the window rank all read
+    # one record per member
+    decided = []
+    genericity = seqspace._genericity
+
+    def counted(s, tails):
+        decided.append(s)
+        return genericity(s, tails)
+
+    monkeypatch.setattr(seqspace, "_genericity", counted)
+    code, out, _ = run(capsys, "check-seq", "--config", MIXED)
+    assert code == 0
+    members = [
+        seqspace.sequence_from_literal(lit)
+        for lit in json.loads(Path(MIXED).read_text())["sequences"]
+    ]
+    assert decided == members and out.startswith("sequences: 6 ")
 
 
 # ---------------------------------------------------------------------------

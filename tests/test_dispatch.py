@@ -1,8 +1,8 @@
 """Dispatch lints: one code path per concept, checked on the parsed source.
 
 The decision functions of ``seqspace`` read a sequence only through its
-tail normal form ``_tails(s)`` and its entries; ``_tails`` is the one
-place that asks a sequence its class.  The module is parsed with
+tail normal form ``_tails(s)`` and its entries (as integer windows);
+``_tails`` is the one place that asks a sequence its class.  The module is parsed with
 ``ast``, and each decision function is searched for an ``isinstance``
 call on a sequence class.
 
@@ -26,9 +26,10 @@ SEQUENCE_CLASSES = {
 DECISIONS = (
     "_finite_core", "is_generic", "member_strong_genericity",
     "_dependence_of_pair", "is_strongly_generic_set", "minimal_annihilator",
-    "window_rank_check",
-    # the private helpers those read
+    "window_rank_check", "member_record",
+    # the private helpers those read, the integer-window ones included
     "_genericity", "_member_verdict", "_geometric_ratio", "_residue",
+    "_record", "_annihilator", "_primitive",
 )
 
 

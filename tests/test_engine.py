@@ -1027,7 +1027,10 @@ def test_solve_leaves_no_top_degree_image_and_no_prepend_in_the_memo(name):
             prep = factor._prep[gid]
             for mid, out in memo.items():
                 assert out != {prep.get(mid): 1}, (factor._gens[gid], factor.mono(mid))
-        assert any(factor._memo)
+        if trunc.D > 1:
+            assert any(factor._memo)
+        else:  # below the top degree lies only the cyclic vector, whose images are zero
+            assert not any(factor._memo)
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_ONLY))

@@ -1,6 +1,7 @@
 """Bi-infinite sequence space: exact classes, genericity, window evidence."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -833,6 +834,66 @@ def test_random_towers_against_the_oracles():
             assert window_rank_check([s], 3, 12).full_rank, s
 
 
+# recurrences with |c_0| > 1 and |c_omega| > 1, one with fractional data
+WIDE_ENDS = [
+    Recurrence(FinVector({0: 2, 1: -3, 2: 3}), [1, -2]),
+    Recurrence(FinVector({0: -3, 1: 1, 2: 2}), [F(1, 2), 3]),
+    Recurrence(FinVector({0: F(1, 2), 1: 1, 2: F(-2, 3)}), [F(-1, 3), F(5, 7)]),
+    Recurrence(FinVector({0: 5, 3: -4}), [1, 0, -1]),
+]
+INT_WINDOW_CASES = WIDE_ENDS + [
+    FIB,
+    CONST1,
+    Recurrence(FinVector({0: 3}), []),
+    FiniteSupport({}),
+    FiniteSupport({-2: F(3, 4), 1: -5, 4: F(1, 6)}),
+    Geometric(3),
+    Geometric(F(5, 2)),
+    Scaled(WIDE_ENDS[1], F(-4, 9)),
+    Scaled(Geometric(F(7, 3)), -2),
+    Weighted(WIDE_ENDS[0]),
+    Weighted(Recurrence(FinVector({0: 1, 1: -2, 2: 1}), [F(1, 3), 2])),
+    Shifted(WIDE_ENDS[2], 4),
+    Shifted(Weighted(Scaled(WIDE_ENDS[3], F(-3, 2))), -5),
+    Weighted(Shifted(Geometric(F(5, 2)), -3)),
+    Scaled(Weighted(Shifted(FiniteSupport({0: F(2, 3), 2: -1}), 1)), -1),
+]
+# left of, straddling and right of [0, omega - 1], one entry, and empty
+INT_WINDOWS = [(-9, -3), (-6, 7), (0, 1), (2, 11), (5, 5), (-1, -1), (3, 2), (0, -1)]
+
+
+@pytest.mark.parametrize("s", INT_WINDOW_CASES, ids=range(len(INT_WINDOW_CASES)))
+def test_int_window_is_the_fraction_window_over_one_positive_denominator(s):
+    for lo, hi in INT_WINDOWS:
+        d, nums = s.int_window(lo, hi)
+        want = oracles.fraction_window(s, lo, hi)
+        assert type(d) is int and d > 0, (s, lo, hi)
+        assert all(type(n) is int for n in nums), (s, lo, hi)
+        assert [F(n, d) for n in nums] == want, (s, lo, hi)
+        assert s.window(lo, hi) == want
+        assert [s.entry(i) for i in range(lo, hi + 1)] == want
+
+
+def test_int_window_of_random_towers():
+    rng = random.Random(28)
+    for _ in range(80):
+        s = random_tower(rng, 3)
+        lo = rng.randint(-12, 8)
+        hi = lo + rng.randint(-1, 14)
+        d, nums = s.int_window(lo, hi)
+        assert d > 0 and [F(n, d) for n in nums] == oracles.fraction_window(s, lo, hi), s
+
+
+def test_int_window_default_reads_entries():
+    # a class that defines only entry gets int_window and window from it
+    d, nums = NoTails().int_window(-2, 2)
+    assert d == 1 and nums == [4, 1, 0, 1, 4]
+    d, nums = TwoRatio().int_window(-2, 1)
+    assert d == 4 and nums == [1, 2, 4, 12]
+    assert TwoRatio().window(-2, 1) == [F(1, 4), F(1, 2), F(1), F(3)]
+    assert NoTails().int_window(1, 0) == (1, [])
+
+
 # ---------------------------------------------------------------------------
 # window rank evidence
 # ---------------------------------------------------------------------------
@@ -865,7 +926,8 @@ def test_window_rank_matches_sympy(monkeypatch):
     # (T = 1, z = x) its seven translates as z-rows, then its weighted
     # row; FIB (z = 0) its first two translates, then its weighted row
     assert seen == [reduced_rows(seqs, 3, 8)] and len(seen[0]) == 19
-    assert seen[0][1:7] == [{-u: F(2)} for u in range(-3, 3)]
+    # each row is passed as its primitive integer multiple
+    assert seen[0][1:7] == [{-u: 1} for u in range(-3, 3)]
     assert info.rank == oracles.sympy_dense_rank(rows)
     assert info.count == len(rows) == 24
 
@@ -899,12 +961,24 @@ def tail_witness(s):
     return FinVector(prod)
 
 
+def primitive(row):
+    """A nonzero rational row times the positive rational that makes its
+    entries integers with gcd 1; an empty row as it is."""
+    if not row:
+        return row
+    den = math.lcm(*(F(v).denominator for v in row.values()))
+    ints = {i: int(F(v) * den) for i, v in row.items()}
+    g = math.gcd(*ints.values())
+    return {i: v // g for i, v in ints.items()}
+
+
 def reduced_rows(seqs, S, W0, with_weighted=True):
-    """The rows window_rank_check passes, from entries alone.  Per member
-    with witness T, omega = omega(T): its first min(omega, 2S + 1)
-    translates centre-out, then each z^(u), -S <= u <= S - omega, of z =
-    T(S)x that is nonzero on [-W0, W0], then its weighted row; a member
-    with no tail form passes all 2S + 1 translates."""
+    """The rows window_rank_check passes, from entries alone, each in its
+    primitive integer form.  Per member with witness T, omega = omega(T):
+    its first min(omega, 2S + 1) translates centre-out, then each z^(u),
+    -S <= u <= S - omega, of z = T(S)x that is nonzero on [-W0, W0], then
+    its weighted row; a member with no tail form passes all 2S + 1
+    translates."""
     shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
     window = range(-W0, W0 + 1)
     rows = []
@@ -919,7 +993,7 @@ def reduced_rows(seqs, S, W0, with_weighted=True):
                 rows.append({i: v for i, v in z.items() if v})
         if with_weighted:
             rows.append({i: i * s.entry(i) for i in window if i * s.entry(i)})
-    return rows
+    return [primitive(row) for row in rows]
 
 
 def record_rank_rows(monkeypatch):
