@@ -247,9 +247,9 @@ def emit(report: dict, lines, out_path: Optional[str]) -> None:
     for line in lines:
         print(line)
     if out_path:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def vector_json(vec, render) -> list:
@@ -373,6 +373,10 @@ def cmd_check_seq(args) -> int:
 
 
 def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
+    # each monomial of the vectors rendered, and its sort key built, once
+    monos = {m for v in result.vectors for m in v}
+    text = {m: render(m) for m in monos}.__getitem__
+    key = {m: (len(m), repr(m)) for m in monos}.__getitem__
     report = {
         "command": command,
         "config": cfg,
@@ -382,7 +386,7 @@ def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
         "condition_count": result.condition_count,
         "row_count": result.row_count,
         "dimension": result.dimension,
-        "vectors": [vector_json(v, render) for v in result.vectors],
+        "vectors": [vector_json(v, text) for v in result.vectors],
     }
     if extra:
         report.update(extra)
@@ -395,7 +399,7 @@ def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
         f"dimension: {result.dimension}",
     ]
     for v in result.vectors:
-        lines.append(f"  {element_str(v, render=render)}")
+        lines.append(f"  {element_str(v, render=text, key=key)}")
     return report, lines
 
 

@@ -51,40 +51,44 @@ walked in unchecked.  Straightening, its memo, the bracket memo and
 both row builders work on these small ``int`` ids.  All three tables
 are lists indexed by gid that grow with the generator table:
 ``_memo[gid]`` maps a mid to the image {mid: coeff} of (g - lambda(g))
-on it, ``_brackets[gid]`` a head gid to the bracket as (gid, coeff)
-pairs.  Tuples appear only at the boundary: ``mono(mid)`` builds one
-from the splits and caches it, for the public ``lmul``.
+on it, ``_brackets[gid]`` a head gid to [g, head] as the sum of its
+coefficients times lambda and its (gid, coeff) pairs bar c.  Tuples
+appear only at the boundary: ``mono(mid)`` builds one from the splits
+and caches it, for the public ``lmul``.
 
-A prepend takes no memo entry.  ``_prepend(h, ...)`` is only called
-where h prepends in standard order (the prepend branches of ``_lmul``,
-and the walk of a standard tuple), so an entry ``_prep[h][m]`` means
-that h is a module generator with h <= head(m).  Then lambda(h) = 0,
-and (h - lambda(h)) . m = h . m is that monomial with coefficient 1.
-So ``_lmul`` takes g on rest, the head on each term of g . rest, and
-each bracket term h on rest from ``_prep`` when the entry exists, with
-no memo probe and no call; and its prepend branches, the cyclic vector
-under a module generator included, return the one-term image without
-storing it, since ``_prepend`` has just recorded it in ``_prep``.
+One kernel straightens: the generator :func:`_straighten`, on a
+module's ``_tables``, which it binds once per call.  A row builder calls
+it once per condition over its basis ids and reads the images one
+column at a time; ``lmul``, ``act_gen`` and the recursion ask it for
+single images.  A prepend takes no memo entry.  ``_prep[h][m]`` is only
+written where h prepends in standard order (the kernel's prepend
+branch, a first-time prepend of the head in its head loop, and the walk
+of a standard tuple), so an entry means that h is a module generator
+with h <= head(m).  Then lambda(h) = 0, and (h - lambda(h)) . m = h . m
+is that monomial with coefficient 1, which the kernel reads from
+``_prep``, with no memo probe and no call, for g on rest, the head on
+each term of g . rest and each bracket term h on rest.
 
-The memo keeps only images a later step can read.  A call on m reads
+The memo keeps only images a later step can read.  An image of m reads
 images of rest (degree deg m - 1), of the terms of (g - lambda(g)) .
 rest, of degree at most deg m since one more factor raises the PBW
 degree by at most one, and of rest under the bracket terms; so the
-calls it makes, and by induction all calls below it, are on monomials
-of degree at most deg m.  For g in L(n) the terms of (g - lambda(g)) .
+images it reads, and by induction all below them, are of monomials of
+degree at most deg m.  For g in L(n) the terms of (g - lambda(g)) .
 rest have degree at most deg rest (shown below, where a shifted image
-is seen to have no term on its monomial), so a condition's call on a
-basis column of the top degree D makes calls on lower degrees only.
-So within a solve the one read of a top-degree image is the row
-builder's own, once per condition and column, and each builder drops
-that image from ``_memo[g]`` as soon as it has read it.  The basis
-ascends in degree, so a builder finds its top-degree columns by
-bisection on the degrees of the ids it is given.  The images of lower
-degree, which later columns and conditions read, stay.  Anything that
-asks for a dropped image again -- the public ``lmul`` and ``act_gen``,
-or a system rebuilt at another (D, E) -- straightens it again and gets
-the same image; in a J scan on a held system every new condition has a
-generator of its own, so none does.
+is seen to have no term on its monomial), so the image of a basis
+column of the top degree D reads lower degrees only.  So within a
+solve the one read of a top-degree image is the row builder's own,
+once per condition and column, and the kernel never stores the images
+of the columns a builder passes as top (one already stored, by
+``lmul``, it reads and drops).  The basis ascends in degree, so a
+builder finds its top-degree columns by bisection on the degrees of
+the ids it is given.  The images of lower degree, which later columns
+and conditions read, stay.  Anything that asks for a dropped image
+again -- the public ``lmul`` and ``act_gen``, or a system rebuilt at
+another (D, E) -- straightens it again and gets the same image; in a J
+scan on a held system every new condition has a generator of its own,
+so none does.
 
 This is exact.  The ids are a bijection on the monomials seen, and
 every row entry is the coefficient of its output monomial in
@@ -287,7 +291,8 @@ class WhittakerSpec:
 
     def _check_genericity(self) -> SetVerdict:
         roots = sorted(self.lam)
-        members = [member_record(self.lam[r]) for r in roots]  # one decision each
+        # one decision per member, kept for a tensor product's union verdict
+        self.member_records = members = [member_record(self.lam[r]) for r in roots]
         if self.mode == "loop_only":
             bad = [r for r, rec in zip(roots, members) if not rec.verdict.is_generic]
             if bad:
@@ -410,6 +415,176 @@ class ConditionSystem:
         return self.D == trunc.D and self.E == trunc.E and self.J <= trunc.J
 
 
+def _gen_id(t: tuple, g: Gen) -> int:
+    """Id of a generator of the algebra, interning it on first sight.
+
+    Nothing is validated here, though an equality lookup alone would take
+    ``True`` for ``1``: :meth:`WhittakerModule.act_gen` and
+    :meth:`WhittakerModule._mid` validate what comes from outside first."""
+    gid = t[7].get(g)
+    if gid is not None:
+        return gid
+    memos, preps, _, gen_info, shift, brackets, gens, gen_ids, alg, spec = t
+    in_ln = alg.in_Ln(g)
+    key = None if in_ln else generator_key(spec.datum, g, spec.loop_only)
+    gen_info.append((in_ln, key))
+    shift.append(_exact(spec.vacuum_scalar(g[1], g[2])) if in_ln else 0)
+    gid = gen_ids[g] = len(gens)
+    gens.append(g)
+    memos.append({})
+    brackets.append({})
+    preps.append({})
+    return gid
+
+
+def _prepend(t: tuple, g: int, rest: int) -> int:
+    """Id of the module generator g prepended to the monomial ``rest``, g <=
+    its head: the split (g, mult, rest), kept in ``_prep[g][rest]``."""
+    prep, split = t[1][g], t[2]
+    mid = prep.get(rest)
+    if mid is None:
+        mult = split[rest][1] + 1 if rest and split[rest][0] == g else 1
+        mid = prep[rest] = len(split)
+        split.append((g, mult, rest))
+    return mid
+
+
+def _bracket(t: tuple, g: int, head: int) -> tuple:
+    """``_brackets[g][head]``, computed and stored: [g, head] = sum ch.h as
+    (sum of ch.lambda(h), [(h, ch) for h != c]), c - theta being zero."""
+    shift, gens = t[4], t[6]
+    terms = [(_gen_id(t, h), _exact(c))
+             for h, c in t[8].bracket_gens(gens[g], gens[head]).items()]
+    lam = _exact(sum(c * shift[h] for h, c in terms))
+    out = t[5][g][head] = (lam, [(h, c) for h, c in terms if h])
+    return out
+
+
+def _straighten(t: tuple, g: int, mids, top: int = 1):
+    """The images (g - lambda(g)) . m on ids, m in ``mids`` in order, each
+    computed as it is asked for (module docstring); ``t`` is a module's
+    ``_tables``.  An image is read from ``_memo[g]``, else computed and
+    stored there, but those of ``mids[top:]`` are never stored and leave
+    the memo when found there.  Images are shared through the memo and
+    must not be mutated.  A prepend is a fresh one-term image, recorded in
+    ``_prep`` only; a zero image (c on any monomial, g in L(n) on the
+    cyclic vector) a fresh empty dict, which the recursion does not ask
+    for.  A product with a factor 1 (every prepend, most structure
+    constants) is not formed: ``c * 1`` equals ``c`` and, with memo
+    entries normalized to ``int``, has its type; an image formed without
+    a sum or product is normalized already."""
+    memos, preps, split, gen_info = t[0], t[1], t[2], t[3]
+    memo, g_prep, g_brackets = memos[g], preps[g], t[5][g]
+    in_ln, gk = gen_info[g]
+    for i, m in enumerate(mids):
+        acc = memo.get(m) if i < top else memo.pop(m, None)
+        if acc is not None:
+            yield acc
+            continue
+        if in_ln:
+            if not m:  # g - lambda(g) is zero on the cyclic vector
+                yield {}
+                continue
+        elif not g:  # c - theta is zero on the whole module
+            yield {}
+            continue
+        elif not m or gk <= gen_info[split[m][0]][1]:
+            yield {_prepend(t, g, m): 1}  # merging with the head when equal
+            continue
+        head, _, rest = split[m]
+        head_memo, head_prep = memos[head], preps[head]
+        acc, mixed = {}, False  # mixed: a sum or product formed
+        # linalg.add_term inlined in the hot loops below
+        m2 = g_prep.get(rest) if g_prep else None  # g_prep is empty for g in L(n)
+        if m2 is not None:  # g . rest is the monomial m2, coefficient 1
+            img = {m2: 1}
+        else:
+            img = memo.get(rest)
+            if img is None:  # not stored: g in L(n) on the cyclic vector is zero
+                img = {}
+                if rest or not in_ln:
+                    (img,) = _straighten(t, g, (rest,))
+        for m2, c2 in img.items():
+            k = head_prep.get(m2)
+            if k is None:
+                img = head_memo.get(m2)
+                if img is None:
+                    h = split[m2][0] if m2 else 0  # a first-time prepend?
+                    if h == head or not m2 or gen_info[head][1] < gen_info[h][1]:
+                        k = head_prep[m2] = len(split)
+                        split.append((head, split[m2][1] + 1 if h == head else 1, m2))
+                    else:
+                        (img,) = _straighten(t, head, (m2,))
+            if k is not None:  # head . m2 is the monomial k, coefficient 1
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = c2
+                    continue
+                s += c2
+                mixed = True
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+                continue
+            mixed = True
+            for k, c in img.items():
+                x = c2 if c == 1 else c2 * c
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = x
+                else:
+                    s += x
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+        lam, bracket = g_brackets.get(head) or _bracket(t, g, head)
+        if lam:  # h = (h - lambda(h)) + lambda(h), summed over the bracket
+            linalg.add_term(acc, rest, lam)
+            mixed = True
+        for h, ch in bracket:
+            k = preps[h].get(rest)
+            if k is not None:  # h . rest is the monomial k, coefficient 1
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = ch
+                    continue
+                s += ch
+                mixed = True
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+                continue
+            img = memos[h].get(rest)
+            if img is None:
+                if not rest and gen_info[h][0]:  # not stored: zero
+                    continue
+                (img,) = _straighten(t, h, (rest,))
+            if ch != 1:
+                mixed = True
+            for k, c in img.items():
+                x = c if ch == 1 else ch * c
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = x
+                else:
+                    s += x
+                    mixed = True
+                    if s:
+                        acc[k] = s
+                    else:
+                        del acc[k]
+        if mixed:  # sums and products of Fractions can be integral: store those as int
+            for k, c in acc.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    acc[k] = c.numerator
+        if i < top:
+            memo[m] = acc
+        yield acc
+
+
 class WhittakerModule:
     """Straightening engine for one induced module.
 
@@ -433,14 +608,20 @@ class WhittakerModule:
         # mid -> (head gid, its multiplicity, mid of mono with one head removed)
         self._split: List[Optional[Tuple[int, int, int]]] = [None]
         self._monos: Dict[int, Monomial] = {0: VACUUM}  # tuples built by mono()
-        # per-generator tables, by gid, grown in _gid: mid -> image of
+        # per-generator tables, by gid, grown in _gen_id: mid -> image of
         # (gid, mid) while a later step can read it (module docstring),
-        # head gid -> [(gid, coeff)] of [gid, head], and rest mid -> mid of
-        # gid prepended to rest
+        # head gid -> [gid, head] as (sum of ch.lambda(h), [(h, ch), h != c]),
+        # and rest mid -> mid of gid prepended to rest
         self._memo: List[Dict[int, IdElement]] = [{}]
-        self._brackets: List[Dict[int, List[Tuple[int, Scalar]]]] = [{}]
+        self._brackets: List[Dict[int, Tuple[Scalar, List[Tuple[int, Scalar]]]]] = [{}]
         self._prep: List[Dict[int, int]] = [{}]
         self._held: Optional[ConditionSystem] = None  # system of the last solve
+        # what _gen_id, _prepend, _bracket and _straighten read, by position;
+        # no reference back to the module
+        self._tables = (
+            self._memo, self._prep, self._split, self._gen_info, self._shift,
+            self._brackets, self._gens, self._gen_ids, self.alg, spec,
+        )
 
     # -- generator order ------------------------------------------------------
 
@@ -451,24 +632,9 @@ class WhittakerModule:
     # -- hash-consing ------------------------------------------------------------
 
     def _gid(self, g: Gen) -> int:
-        """Id of a generator of the algebra, interning it on first sight.
-
-        Nothing is validated here, though an equality lookup alone would
-        take ``True`` for ``1``: :meth:`lmul` and :meth:`_mid` validate
-        what comes from outside first."""
-        gid = self._gen_ids.get(g)
-        if gid is None:
-            in_ln = self.alg.in_Ln(g)
-            info = (in_ln, None if in_ln else self.gen_key(g))
-            shift = _exact(self.spec.vacuum_scalar(g[1], g[2])) if in_ln else 0
-            gid = self._gen_ids[g] = len(self._gens)
-            self._gens.append(g)
-            self._gen_info.append(info)
-            self._shift.append(shift)
-            self._memo.append({})
-            self._brackets.append({})
-            self._prep.append({})
-        return gid
+        """Id of a generator of the algebra, interning it on first sight
+        (:func:`_gen_id`)."""
+        return _gen_id(self._tables, g)
 
     def _mid(self, mono: Monomial) -> int:
         """Id of a monomial given as a tuple from outside, interning it and
@@ -497,28 +663,12 @@ class WhittakerModule:
 
     def _intern(self, mono: Monomial) -> int:
         """Id of a standard monomial tuple, not checked again: its factors
-        are prepended one by one from the right by :meth:`_prepend`."""
-        mid = 0
+        are prepended one by one from the right by :func:`_prepend`."""
+        mid, t = 0, self._tables
         for g, mult in reversed(mono):
-            gid = self._gid(g)
-            for k in range(1, mult + 1):
-                mid = self._prepend(gid, k, mid)
-        return mid
-
-    def _prepend(self, g: int, mult: int, rest: int) -> int:
-        """Id of the monomial whose split is (g, mult, rest): g prepended to
-        the monomial ``rest``, which starts with (g, mult - 1) when
-        mult > 1 and with a factor above g when mult == 1.
-
-        Only called where g prepends in standard order: the prepend
-        branches of :meth:`_lmul` and :meth:`_intern`.  (g, rest) fixes
-        mult, so the id is kept in ``_prep[g][rest]`` and no tuple is
-        built or hashed."""
-        prep = self._prep[g]
-        mid = prep.get(rest)
-        if mid is None:
-            mid = prep[rest] = len(self._split)
-            self._split.append((g, mult, rest))
+            gid = _gen_id(t, g)
+            for _ in range(mult):
+                mid = _prepend(t, gid, mid)
         return mid
 
     def _degree(self, mid: int) -> int:
@@ -553,139 +703,19 @@ class WhittakerModule:
         :meth:`mono`.  ValueError when ``g`` is no generator of the
         algebra or ``mono`` no standard monomial (see :meth:`_mid`), both
         checked on every call."""
-        self.alg.validate_gen(g)
-        gid, mid = self._gid(g), self._mid(mono)
-        mono = self.mono
-        out = {mono(m): c for m, c in self._lmul(gid, mid).items()}
-        linalg.add_term(out, mono(mid), self._shift[gid])
-        return out
-
-    def _lmul(self, g: int, m: int) -> IdElement:
-        """(g - lambda(g)) . m on ids, memoized in ``_memo[g][m]``, with
-        lambda(g) = ``_shift[g]`` (see the module docstring).  The result
-        is shared through the memo and must not be mutated by callers.
-        A prepend (g a module generator, g <= head(m), or m the cyclic
-        vector) is returned as a fresh one-term image and not stored:
-        :meth:`_prepend` records it in ``_prep``.  A zero image -- c on
-        any monomial, g in L(n) on the cyclic vector -- is returned as a
-        fresh empty dict and not stored either; the recursive steps do not
-        ask for it.
-
-        The recursive steps (g on the tail, the head on each of its terms,
-        the bracket terms on the tail) read a prepend from ``_prep``
-        (module docstring), else probe ``_memo`` inline and call ``_lmul``
-        only on a miss.  Each is on a monomial of degree at most deg m,
-        and below deg m when g lies in L(n), so a row builder may drop the
-        images of its top-degree columns.  A bracket term ch.h
-        adds ch.lambda(h) on the tail, then ch.(h - lambda(h)) of the
-        tail, which is zero for h = c and not asked for.  A product with
-        a factor 1 (every prepend, most structure constants) is not
-        formed: ``c * 1`` equals ``c`` and, with memo entries normalized
-        to ``int``, has its type."""
-        memo = self._memo[g]
-        out = memo.get(m)
-        if out is not None:
-            return out
-        if not g:  # c - theta is zero on the whole module
-            return {}
-        in_ln, gk = self._gen_info[g]
-        if not m:  # g - lambda(g) is 0 on the cyclic vector for g in L(n)
-            if in_ln:
-                return {}
-            return {self._prepend(g, 1, 0): 1}
-        head, mult, rest = self._split[m]
-        if not in_ln:
-            hk = self._gen_info[head][1]
-            if gk <= hk:  # a prepend, merging with the head when equal
-                return {self._prepend(g, mult + 1 if gk == hk else 1, m): 1}
-        lmul = self._lmul
-        memos, preps = self._memo, self._prep
-        head_memo, head_prep = memos[head], preps[head]
-        acc: IdElement = {}
-        # linalg.add_term inlined in the hot loops below
-        m2 = preps[g].get(rest)
-        if m2 is not None:  # g . rest is the monomial m2, coefficient 1
-            outer = ((m2, 1),)
-        else:
-            img = memo.get(rest)
-            if img is None:  # not stored: g in L(n) on the cyclic vector is zero
-                img = lmul(g, rest) if rest or not in_ln else {}
-            outer = img.items()
-        for m2, c2 in outer:
-            m3 = head_prep.get(m2)
-            if m3 is not None:  # head . m2 is the monomial m3, coefficient 1
-                s = acc.get(m3)
-                s = c2 if s is None else s + c2
-                if s:
-                    acc[m3] = s
-                else:
-                    del acc[m3]
-                continue
-            img = head_memo.get(m2)
-            if img is None:
-                img = lmul(head, m2)
-            for m3, c3 in img.items():
-                x = c2 if c3 == 1 else c2 * c3
-                s = acc.get(m3)
-                if s is None:
-                    acc[m3] = x
-                else:
-                    s += x
-                    if s:
-                        acc[m3] = s
-                    else:
-                        del acc[m3]
-        brackets = self._brackets[g]
-        bracket = brackets.get(head)
-        if bracket is None:
-            gens = self._gens
-            bracket = brackets[head] = [
-                (self._gid(h), _exact(c))
-                for h, c in self.alg.bracket_gens(gens[g], gens[head]).items()
-            ]
-        shift, gen_info = self._shift, self._gen_info
-        for h, ch in bracket:
-            sh = shift[h]  # h = (h - lambda(h)) + lambda(h)
-            if sh:
-                linalg.add_term(acc, rest, ch * sh)
-            m4 = preps[h].get(rest)
-            if m4 is not None:  # h . rest is the monomial m4, coefficient 1
-                s = acc.get(m4)
-                s = ch if s is None else s + ch
-                if s:
-                    acc[m4] = s
-                else:
-                    del acc[m4]
-                continue
-            img = memos[h].get(rest)
-            if img is None:
-                # not stored: c - theta, and h in L(n) on the cyclic vector, are zero
-                if not h or not rest and gen_info[h][0]:
-                    continue
-                img = lmul(h, rest)
-            for m4, c4 in img.items():
-                x = c4 if ch == 1 else ch * c4
-                s = acc.get(m4)
-                if s is None:
-                    acc[m4] = x
-                else:
-                    s += x
-                    if s:
-                        acc[m4] = s
-                    else:
-                        del acc[m4]
-        # sums and products of Fractions can be integral; store those as int
-        for k, c in acc.items():
-            if type(c) is Fraction and c.denominator == 1:
-                acc[k] = c.numerator
-        memo[m] = acc
-        return acc
+        return self.act_gen(g, {mono: 1})
 
     def act_gen(self, g: Gen, elt: ModuleElement) -> ModuleElement:
-        out: ModuleElement = {}
-        for mono, coeff in elt.items():
-            for m, c in self.lmul(g, mono).items():
-                linalg.add_term(out, m, coeff * c)
+        """g . elt, as :meth:`lmul` on each monomial, straightened in one
+        :func:`_straighten` call."""
+        self.alg.validate_gen(g)
+        gid, mids = self._gid(g), [self._mid(m) for m in elt]
+        mono, shift, out = self.mono, self._shift[gid], {}
+        images = _straighten(self._tables, gid, mids, len(mids))
+        for (m0, coeff), img in zip(elt.items(), images):
+            for m, c in img.items():
+                linalg.add_term(out, mono(m), coeff * c)
+            linalg.add_term(out, m0, coeff * shift)
         return out
 
     # -- monomial order, basis ---------------------------------------------------
@@ -732,18 +762,16 @@ class WhittakerModule:
         dead column and every row with no live one, so it gets the same
         live entries from these rows as from the full ones.
 
-        The image of a column of the top degree of ``basis`` (from
-        :meth:`_top_start` on) is dropped from ``_memo`` once read: no
-        later step reads it (module docstring).
+        One :func:`_straighten` call yields the images, column by column;
+        those of the top degree of ``basis`` (from :meth:`_top_start` on)
+        are not kept in ``_memo``: no later step reads them (module
+        docstring).
         """
         g = self._gid(("X", root, j))
-        lmul, memo, top = self._lmul, self._memo[g], self._top_start(basis)
+        images = _straighten(self._tables, g, basis, self._top_start(basis))
         seen: Set[int] = set()
         by_out: Dict[int, Dict[int, Scalar]] = {}
-        for col, item in enumerate(basis):
-            img = lmul(g, item)
-            if col >= top:  # read once; no later step reads it
-                memo.pop(item, None)
+        for col, img in enumerate(images):
             if col in dead:
                 seen.update(img)
                 continue
@@ -839,8 +867,7 @@ class TensorModule:
         self.left = WhittakerModule(spec_a)
         self.right = WhittakerModule(spec_b)
         self._held: Optional[ConditionSystem] = None  # system of the last solve
-        union = [spec_a.lam[r] for r in sorted(spec_a.lam)]
-        union += [spec_b.lam[r] for r in sorted(spec_b.lam)]
+        union = spec_a.member_records + spec_b.member_records
         self.union_genericity = is_strongly_generic_set(union)
         if not self.union_genericity.is_strongly_generic:
             warnings.warn(
@@ -886,23 +913,18 @@ class TensorModule:
         land on (m, mb) and (ma, m'), which never coincide.  As for the
         module builder, a pair column in ``dead`` only adds its output
         keys to the count, which is the number of rows over every column,
-        and each factor's top-degree images leave its memo once read.
+        and neither factor's memo keeps its top-degree images.
         """
         g = ("X", root, j)
         left, right = self.left, self.right
         ga, gb = left._gid(g), right._gid(g)
-        lmul_a, memo_a, top_a = left._lmul, left._memo[ga], left._top_start(basis_a)
-        memo_b, top_b = right._memo[gb], right._top_start(basis_b)
-        images_b = [right._lmul(gb, mb) for mb in basis_b]
-        for mb in basis_b[top_b:]:  # each read once, into ``images_b``
-            memo_b.pop(mb, None)
+        top_a, top_b = left._top_start(basis_a), right._top_start(basis_b)
+        images_a = _straighten(left._tables, ga, basis_a, top_a)
+        images_b = list(_straighten(right._tables, gb, basis_b, top_b))
         seen: Set[Tuple[int, int]] = set()
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
         nb = len(basis_b)
-        for ia, ma in enumerate(basis_a):
-            img_a = lmul_a(ga, ma)
-            if ia >= top_a:  # read once; no later step reads it
-                memo_a.pop(ma, None)
+        for ia, (ma, img_a) in enumerate(zip(basis_a, images_a)):
             for col, (mb, img_b) in enumerate(zip(basis_b, images_b), ia * nb):
                 if col in dead:
                     seen.update(zip(img_a, repeat(mb)))
@@ -968,6 +990,7 @@ def pair_str(pair: PairMonomial) -> str:
     return f"{mono_str(pair[0])} (x) {mono_str(pair[1])}"
 
 
-def element_str(elt: ModuleElement, render=mono_str) -> str:
-    items = sorted(elt.items(), key=lambda kv: (len(kv[0]), repr(kv[0])))
-    return linalg.signed_sum(((render(mono), c) for mono, c in items), " ")
+def element_str(elt: ModuleElement, render=mono_str, key=None) -> str:
+    """elt as a signed sum, monomials ordered by ``key``, else (len, repr)."""
+    monos = sorted(elt, key=key or (lambda m: (len(m), repr(m))))
+    return linalg.signed_sum(((render(m), elt[m]) for m in monos), " ")

@@ -263,6 +263,21 @@ def test_tensor_preset(capsys):
     assert "not_strongly_generic" in out
 
 
+def test_tensor_decides_each_member_once(monkeypatch, capsys):
+    # the union verdict reads the records each factor's spec decided
+    decided = []
+    genericity = seqspace._genericity
+
+    def counted(s, tails):
+        decided.append(s)
+        return genericity(s, tails)
+
+    monkeypatch.setattr(seqspace, "_genericity", counted)
+    code, out, _ = run(capsys, "tensor", "--preset", "tensor-sl2")
+    assert code == 2 and "not_strongly_generic" in out
+    assert len(decided) == 2
+
+
 def test_tensor_neg_preset(capsys):
     code, out, _ = run(capsys, "tensor", "--preset", "tensor-sl2-neg")
     assert code == 2

@@ -1,5 +1,6 @@
 """Straightening engine and exact Whittaker solvers."""
 
+import contextlib
 import gc
 import random
 import warnings
@@ -28,6 +29,7 @@ from affwhit import (
     linalg,
     whittaker_solve,
 )
+from affwhit import engine
 from affwhit.engine import TensorModule, generator_key
 
 F = Fraction
@@ -492,14 +494,22 @@ def test_memo_coefficients_are_int_when_integral():
     fractional = WhittakerSpec(
         build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(1, 2)
     )
-    for spec in (sl2_spec(), fractional):
-        module = WhittakerModule(spec)
-        res = module.solve(Truncation(2, 2, 3))
-        coeffs = memo_coefficients(module)
-        assert_exact_coefficients(coeffs)
-        assert any(type(c) is int for c in coeffs)
-        assert all(type(c) is Fraction for v in res.vectors for c in v.values())
-    assert any(type(c) is Fraction for c in coeffs)
+    lam = {(1, 0): Geometric(F(5, 2)), (0, 1): Geometric(F(7, 3))}
+    sl3 = quiet(lambda: WhittakerSpec(build_datum(3), lam, theta=F(3, 2)))
+    # at (3, 1, 3) sums and products of Fractions come out integral, on the
+    # lambda part of a bracket and on its terms too
+    for trunc, specs in ((Truncation(2, 2, 3), (sl2_spec(), fractional)),
+                         (Truncation(3, 1, 3), (sl2_spec(), sl3, fractional))):
+        for spec in specs:
+            module = WhittakerModule(spec)
+            with straighten_spy() as seen:  # the top-degree images too
+                res = module.solve(trunc)
+            coeffs = memo_coefficients(module)
+            assert_exact_coefficients(coeffs)
+            assert_exact_coefficients(c for *_, img in seen for c in img.values())
+            assert any(type(c) is int for c in coeffs)
+            assert all(type(c) is Fraction for v in res.vectors for c in v.values())
+        assert any(type(c) is Fraction for c in coeffs)
 
 
 def sl2_tensor():
@@ -646,7 +656,7 @@ def assert_tables_consistent(module, rejected=()):
             assert 0 <= mid < len(monos)
             assert all(0 <= m < len(monos) for m in out)
     for brackets in module._brackets:
-        for head, terms in brackets.items():
+        for head, (_, terms) in brackets.items():
             assert 0 <= head < len(gens)
             assert all(0 <= h < len(gens) for h, _ in terms)
 
@@ -716,8 +726,8 @@ def test_shifted_image_has_no_term_on_its_monomial(factory):
     for root in module.condition_roots():
         for j in range(-3, 4):
             g = module._gid(X(root, j))
-            for m in ids:
-                assert m not in module._lmul(g, m), (root, j, module.mono(m))
+            for m, img in zip(ids, engine._straighten(module._tables, g, ids, len(ids))):
+                assert m not in img, (root, j, module.mono(m))
 
 LIVE_ONLY = {
     **{
@@ -925,20 +935,40 @@ def prepended(g, m):
     return ((g, 1),) + m
 
 
-def straightening_calls(module, g, m):
-    """(module.lmul(g, m), the (gid, mid) of every _lmul call it made)."""
-    calls = []
-    lmul = module._lmul
+@contextlib.contextmanager
+def straighten_spy():
+    """Route every ``engine._straighten`` call, the row builders', the
+    public entries' and the recursion's, through a spy; yields the list
+    that gets (tables, gid, mid, whether the memo lacked the image when
+    asked, image) for every image, once the image is computed."""
+    kernel, seen = engine._straighten, []
 
-    def spy(gid, mid):
-        calls.append((gid, mid))
-        return lmul(gid, mid)
+    def spy(t, g, mids, top=1):
+        images = kernel(t, g, mids, top)
+        for m in mids:
+            missed = m not in t[0][g]
+            img = next(images)
+            seen.append((t, g, m, missed, img))
+            yield img
 
-    module._lmul = spy  # shadows the method, which looks itself up on self
+    engine._straighten = spy
     try:
-        return module.lmul(g, m), calls
+        yield seen
     finally:
-        del module._lmul
+        engine._straighten = kernel
+
+
+def straightening_calls(module, g, m):
+    """(module.lmul(g, m), the (gid, mid) of every image it asked the
+    straightener for, recursion included)."""
+    with straighten_spy() as seen:
+        got = module.lmul(g, m)
+    return got, [(gid, mid) for t, gid, mid, _, _ in seen if t is module._tables]
+
+
+def prep_entries(module):
+    """Every recorded prepend of ``module`` as (gid, rest mid)."""
+    return {(gid, rest) for gid, prep in enumerate(module._prep) for rest in prep}
 
 
 def prepend_calls(module, calls):
@@ -959,21 +989,30 @@ def prepend_calls(module, calls):
     (X(A1, 2), mono(X((-1,), 1), X((-1,), 1), H(1, 0))),
 ])
 def test_prepend_fast_path_equals_tuple_straightening(g, m):
-    # on a fresh module some straightening steps are prepends, each a call
-    # that interns its result and takes no memo entry; once their results
-    # are interned they are read from _prep, with Fraction coefficients c2,
-    # and make no call
+    # on a fresh module some straightening steps are first-time prepends,
+    # each recorded in _prep (in place when the head prepends, else by a
+    # call) and taking no memo entry; once their results are interned
+    # they are read from _prep, with Fraction coefficients c2, and make
+    # no call
     fresh = WhittakerModule(quiet(sl2_fractional_spec))
-    want, calls = straightening_calls(fresh, g, m)
-    prepends = prepend_calls(fresh, calls)
+    fresh._mid(m)
+    before = prep_entries(fresh)
+    want, _ = straightening_calls(fresh, g, m)
+    prepends = [
+        (fresh._gens[gid], fresh.mono(rest))
+        for gid, rest in prep_entries(fresh) - before
+    ]
     assert prepends
     assert want == oracles.tuple_lmul(fresh.alg, fresh.spec, g, m, {})
     module = WhittakerModule(quiet(sl2_fractional_spec))
     for h, rest in prepends:
         module._mid(prepended(h, rest))
+    module._mid(m)
+    before = prep_entries(module)
     got, calls = straightening_calls(module, g, m)
     assert got == want
     assert any(type(c) is Fraction for c in got.values())
+    assert prep_entries(module) == before
     skipped = set(prepends) - set(prepend_calls(module, calls))
     assert skipped
     for h, rest in skipped:
@@ -996,20 +1035,13 @@ def top_degree(factor, trunc):
 
 
 def spied_solve(module, trunc):
-    """(solve(trunc), every _lmul call of the solve as (factor index, gid,
-    mid, whether the memo lacked the image when called))."""
-    calls = []
-    for k, factor in enumerate(factors(module)):
-        def spy(gid, mid, k=k, lmul=factor._lmul, memos=factor._memo):
-            calls.append((k, gid, mid, mid not in memos[gid]))
-            return lmul(gid, mid)
-
-        factor._lmul = spy  # shadows the method, which looks itself up on self
-    try:
-        return module.solve(trunc), calls
-    finally:
-        for factor in factors(module):
-            del factor._lmul
+    """(solve(trunc), every image the solve asked the straightener for as
+    (factor index, gid, mid, whether the memo lacked the image when
+    asked))."""
+    index = {id(factor._tables): k for k, factor in enumerate(factors(module))}
+    with straighten_spy() as seen:
+        result = module.solve(trunc)
+    return result, [(index[id(t)], gid, mid, missed) for t, gid, mid, missed, _ in seen]
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_ONLY))
@@ -1078,3 +1110,71 @@ def test_solves_on_one_module_equal_fresh_solves(name):
         got, want = module.solve(trunc), quiet(make).solve(trunc)
         assert got.vectors == want.vectors and got.basis == want.basis, trunc
         assert (got.row_count, got.condition_count) == (want.row_count, want.condition_count)
+
+
+def recorded_solve(module, trunc):
+    """(solve(trunc), each condition's (rows, count), rows keyed by monomial
+    tuples: the ids of two modules differ with the order they meet them)."""
+    build, rows = module.condition_rows, []
+    if isinstance(module, TensorModule):
+        def named(out):
+            return module.left.mono(out[0]), module.right.mono(out[1])
+    else:
+        named = module.mono
+
+    def recording(*args):
+        built, count = build(*args)
+        rows.append(({named(out): dict(row) for out, row in built.items()}, count))
+        return built, count
+
+    module.condition_rows = recording  # shadows the method
+    try:
+        return module.solve(trunc), rows
+    finally:
+        del module.condition_rows
+
+
+def memo_contents(factor):
+    """The memo as {(generator, monomial): {monomial: (type, coeff)}}."""
+    mono = factor.mono
+    return {
+        (factor._gens[g], mono(m)): {mono(k): (type(c), c) for k, c in img.items()}
+        for g, memo in enumerate(factor._memo) for m, img in memo.items()
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_a_memo_warmed_by_lmul_changes_nothing_in_a_solve(name):
+    make, trunc = LIVE_ONLY[name]
+    fresh, warm = quiet(make), quiet(make)
+    rng = random.Random(name)
+    js = range(-trunc.J, trunc.J + 1)
+    filled = []
+    for k, factor in enumerate(factors(warm)):
+        basis = factor.basis(trunc)
+        pairs = [(X(root, j), m) for root in warm.condition_roots() for j in js
+                 for m in basis]
+        filled += [(k, g, m) for g, m in rng.sample(pairs, len(pairs) // 3)]
+    rng.shuffle(filled)
+    for k, g, m in filled:
+        factors(warm)[k].lmul(g, m)
+    # the top-degree images lmul left in the memo, per factor
+    warmed = []
+    for k, factor in enumerate(factors(warm)):
+        top = set(top_degree(factor, trunc))
+        ids = {(factor._gid(g), factor._mid(m)) for kk, g, m in filled if kk == k and m in top}
+        warmed.append({(gid, mid): factor._memo[gid][mid] for gid, mid in ids})
+        assert warmed[k]
+    want, want_rows = recorded_solve(fresh, trunc)
+    with straighten_spy() as seen:
+        got, got_rows = recorded_solve(warm, trunc)
+    assert got_rows == want_rows
+    assert (got.row_count, got.condition_count) == (want.row_count, want.condition_count)
+    assert got.vectors == want.vectors and got.basis == want.basis
+    for a, b, images in zip(factors(warm), factors(fresh), warmed):
+        assert memo_contents(a) == memo_contents(b)
+        # each is read, not straightened again, and then dropped
+        read = {(gid, mid) for t, gid, mid, _, img in seen
+                if t is a._tables and img is images.get((gid, mid))}
+        assert read == images.keys()
+        assert not any(mid in a._memo[gid] for gid, mid in images)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from test_engine import straighten_spy
 from affwhit import (
     C,
     Geometric,
@@ -174,19 +175,11 @@ def test_tensor_memo_coefficients_are_int_when_integral():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         t = TensorModule(left, right)
-    # every image as straightening returns it: the builders drop the
-    # top-degree images from the memo once read, and at D = 1 that leaves
-    # no nonzero image there
-    images = []
-    for module in (t.left, t.right):
-        def spy(g, m, lmul=module._lmul):
-            out = lmul(g, m)
-            images.append(out)
-            return out
-
-        module._lmul = spy  # shadows the method, which looks itself up on self
-    res = t.solve(Truncation(1, 1, 2))
-    coeffs = [c for out in images for c in out.values()]
+    # every image as straightening yields it: the top-degree images never
+    # enter the memo, and at D = 1 that leaves no nonzero image there
+    with straighten_spy() as seen:
+        res = t.solve(Truncation(1, 1, 2))
+    coeffs = [c for _, _, _, _, out in seen for c in out.values()]
     assert any(type(c) is Fraction for c in coeffs)
     for c in coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
