@@ -708,14 +708,22 @@ class WhittakerModule:
     def act_gen(self, g: Gen, elt: ModuleElement) -> ModuleElement:
         """g . elt, as :meth:`lmul` on each monomial, straightened in one
         :func:`_straighten` call."""
+        images, out = self._images(g, elt), {}
+        for m0, coeff in elt.items():
+            for m, c in images[m0].items():
+                linalg.add_term(out, m, coeff * c)
+        return out
+
+    def _images(self, g: Gen, monos: Mapping) -> Dict[Monomial, ModuleElement]:
+        """{m: g . (m . 1)} for each key m of ``monos``, checked as by
+        :meth:`lmul` and straightened in one :func:`_straighten` call."""
         self.alg.validate_gen(g)
-        gid, mids = self._gid(g), [self._mid(m) for m in elt]
+        gid, mids = self._gid(g), [self._mid(m) for m in monos]
         mono, shift, out = self.mono, self._shift[gid], {}
         images = _straighten(self._tables, gid, mids, len(mids))
-        for (m0, coeff), img in zip(elt.items(), images):
-            for m, c in img.items():
-                linalg.add_term(out, mono(m), coeff * c)
-            linalg.add_term(out, m0, coeff * shift)
+        for m0, img in zip(monos, images):
+            out[m0] = image = {mono(m): c for m, c in img.items()}
+            linalg.add_term(image, m0, shift)
         return out
 
     # -- monomial order, basis ---------------------------------------------------
@@ -883,11 +891,16 @@ class TensorModule:
         return self.left.spec.theta + self.right.spec.theta
 
     def act_gen(self, g: Gen, elt: TensorElement) -> TensorElement:
+        """g . elt by g (a (x) b) = g a (x) b + a (x) g b: each factor
+        straightens the distinct factor monomials of elt once, and their
+        images are written out to the pairs."""
+        left = self.left._images(g, dict.fromkeys(ma for ma, _ in elt))
+        right = self.right._images(g, dict.fromkeys(mb for _, mb in elt))
         out: TensorElement = {}
         for (ma, mb), coeff in elt.items():
-            for m, c in self.left.lmul(g, ma).items():
+            for m, c in left[ma].items():
                 linalg.add_term(out, (m, mb), coeff * c)
-            for m, c in self.right.lmul(g, mb).items():
+            for m, c in right[mb].items():
                 linalg.add_term(out, (ma, m), coeff * c)
         return out
 

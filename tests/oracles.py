@@ -145,6 +145,38 @@ def fraction_rref(rows) -> dict:
     return pivots
 
 
+def mod_rref(rows, p) -> dict:
+    """Reduced row echelon form of integer rows modulo a prime p, as
+    {pivot column: {column: residue}}, residues in [1, p) and 1 at each
+    pivot.
+
+    Textbook dense Gauss-Jordan, column by column, every entry reduced
+    as soon as it is formed.  A reference for ``linalg._rref_mod``, which
+    eliminates sparse rows one at a time on unreduced entries; it shares
+    no code with the package.
+    """
+    cols = sorted({c for row in rows for c in row})
+    mat = [[row.get(c, 0) % p for c in cols] for row in rows]
+    top = 0
+    for j in range(len(cols)):
+        k = next((i for i in range(top, len(mat)) if mat[i][j]), None)
+        if k is None:
+            continue
+        mat[top], mat[k] = mat[k], mat[top]
+        inv = pow(mat[top][j], -1, p)
+        mat[top] = [v * inv % p for v in mat[top]]
+        for i, row in enumerate(mat):
+            x = row[j]
+            if i != top and x:
+                mat[i] = [(v - x * w) % p for v, w in zip(row, mat[top])]
+        top += 1
+    out = {}
+    for row in mat[:top]:
+        entries = {cols[j]: v for j, v in enumerate(row) if v}
+        out[min(entries)] = entries
+    return out
+
+
 def sympy_dense_rank(dense_rows) -> int:
     if not dense_rows:
         return 0

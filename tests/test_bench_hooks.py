@@ -141,3 +141,57 @@ def test_solve_leaves_only_the_memo_entries_a_later_step_reads(bench, workload, 
     module = bench["ops"].build_module(cfg, False)
     assert module.solve(Truncation(**cfg["truncation"])).dimension == op["expect"]
     assert sum(map(len, module._memo)) == MEMO_ENTRIES[workload, op_id]
+
+
+def per_pair_action(tensor, g, elt):
+    """g . elt with one ``lmul`` per factor of every pair."""
+    out = {}
+    for (ma, mb), coeff in elt.items():
+        for m, c in tensor.left.lmul(g, ma).items():
+            linalg.add_term(out, (m, mb), coeff * c)
+        for m, c in tensor.right.lmul(g, mb).items():
+            linalg.add_term(out, (ma, m), coeff * c)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_tensor_action_straightens_each_factor_monomial_once(bench, monkeypatch):
+    op_id = "tensor:tensor-sl2(2,1,3)"
+    op = next(op for op in bench["workloads"].generate("multiplicity", 0) if op["id"] == op_id)
+    cfg = op["config"]
+    tensor = bench["ops"].build_module(cfg, True)
+    vectors = tensor.solve(Truncation(**cfg["truncation"])).vectors
+    assert len(vectors) == op["expect"] == 14
+    sides = {"left": tensor.left, "right": tensor.right}
+    factor = {id(module._tables): side for side, module in sides.items()}
+    requests, depth = [], [0]
+    straighten = engine._straighten
+
+    def spy(t, g, mids, top=1):
+        # the recursion calls _straighten too: record the outermost calls only
+        if not depth[0]:
+            requests.append((factor[id(t)], g, sorted(mids)))
+        depth[0] += 1
+        try:
+            yield from straighten(t, g, mids, top)
+        finally:
+            depth[0] -= 1
+
+    J = cfg["truncation"]["J"]
+    checked = 0
+    for root in tensor.condition_roots():
+        for j in range(-J, J + 1):
+            g = ("X", root, j)
+            for vec in vectors:
+                requests.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_straighten", spy)
+                    got = tensor.act_gen(g, vec)
+                # one request per factor, each distinct factor monomial once
+                assert requests == [
+                    (side, module._gid(g), sorted({module._mid(pair[k]) for pair in vec}))
+                    for k, (side, module) in enumerate(sides.items())
+                ]
+                assert got == per_pair_action(tensor, g, vec)
+                checked += 1
+    assert checked == 14 * (2 * J + 1) * len(tensor.condition_roots())

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: rank, RREF, nullspace."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -444,6 +445,100 @@ def test_certificate_rejects_a_perturbed_candidate():
             assert not linalg._certify(int_rows, bad)
         checked += 1
     assert checked > 50
+
+
+def residue_rows(rng, p, nr, nc):
+    """Nonempty integer rows with entries >= p, negative entries and
+    multiples of p, and integer combinations of earlier rows, which
+    reduce to zero."""
+    rows = []
+    while len(rows) < nr:
+        if rows and rng.random() < 0.3:
+            row = {}
+            for base in rng.sample(rows, min(len(rows), 2)):
+                k = rng.randint(-3, 3) + rng.choice((0, p, -2 * p))
+                for c, v in base.items():
+                    row[c] = row.get(c, 0) + k * v
+        else:
+            row = {
+                c: rng.choice((
+                    rng.randint(-3 * p, 3 * p),
+                    p * rng.randint(-3, 3),
+                    rng.randint(1, p - 1),
+                ))
+                for c in rng.sample(range(nc), rng.randint(1, nc))
+            }
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [7, 101, M127], ids=["7", "101", "2^127-1"])
+def test_rref_mod_matches_an_eager_gauss_jordan(p):
+    rng = random.Random(p)
+    seen = dict.fromkeys(("zero row", "left of every pivot", "right of a pivot", "cleared"), 0)
+    for _ in range(150):
+        rows = residue_rows(rng, p, rng.randint(1, 9), rng.randint(1, 8))
+        if rng.random() < 0.5:
+            rows.sort(key=min, reverse=True)  # the order rref_pivots uses
+        copies = [dict(row) for row in rows]
+        assert linalg._rref_mod(rows, p) == oracles.mod_rref(rows, p)
+        assert rows == copies
+        # what each row does to the form of the rows before it
+        before = {}
+        for i in range(len(rows)):
+            after = oracles.mod_rref(rows[: i + 1], p)
+            new = set(after) - set(before)
+            if not new:
+                seen["zero row"] += 1
+            elif before:
+                (lead,) = new
+                if lead < min(before):
+                    seen["left of every pivot"] += 1
+                else:
+                    seen["right of a pivot"] += 1
+                    seen["cleared"] += any(lead in row for row in before.values())
+            before = after
+    assert min(seen.values()) > 40, seen
+
+
+def test_lift_reconstructs_each_distinct_residue_once(monkeypatch):
+    m = M127
+    bound = math.isqrt(m // 2)
+
+    def residue(a, b):
+        return a * pow(b, -1, m) % m
+
+    u, v, w = residue(-3, 7), residue(5, 2**40 + 1), residue(1, 3)
+    acc = {0: {0: 1, 2: u, 3: v}, 1: {1: 1, 2: u, 3: w, 4: v}, 5: {5: 1, 6: u}}
+    calls = []
+    reconstruct = linalg._reconstruct
+
+    def counted(x, mod, bnd):
+        calls.append(x)
+        return reconstruct(x, mod, bnd)
+
+    monkeypatch.setattr(linalg, "_reconstruct", counted)
+    got = linalg._lift(acc, m)
+    assert got == {
+        pc: {c: reconstruct(x, m, bound) for c, x in row.items() if c != pc}
+        for pc, row in acc.items()
+    }
+    assert got[0][2] == (-3, 7) and got[1][3] == (1, 3)
+    assert sorted(calls) == sorted({u, v, w})
+    # a residue with no fraction in the bounds fails, also where it repeats
+    rng = random.Random(127)
+    bad = next(x for x in iter(lambda: rng.randrange(m), None) if reconstruct(x, m, bound) is None)
+    assert linalg._lift({0: {0: 1, 2: u, 3: bad}, 1: {1: 1, 2: u}}, m) is None
+    assert linalg._lift({0: {0: 1, 2: u}, 1: {1: 1, 2: u, 3: bad, 4: bad}}, m) is None
+    # one Fraction per distinct (a, b), equal to Fraction(a, b)
+    rows = linalg._fractions(got)
+    assert rows[0][2] is rows[1][2] is rows[5][6] == F(-3, 7)
+    assert rows == {
+        pc: {pc: F(1), **{c: F(a, b) for c, (a, b) in row.items()}}
+        for pc, row in got.items()
+    }
 
 
 def test_generated_primes_are_prime():
