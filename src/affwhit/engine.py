@@ -57,10 +57,10 @@ appear only at the boundary: ``mono(mid)`` builds one from the splits
 and caches it, for the public ``lmul``.
 
 One kernel straightens: the generator :func:`_straighten`, on a
-module's ``_tables``, which it binds once per call.  A row builder calls
-it once per condition over its basis ids and reads the images one
-column at a time; ``lmul``, ``act_gen`` and the recursion ask it for
-single images.  A prepend takes no memo entry.  ``_prep[h][m]`` is only
+module's ``_tables``, which it binds once per call.  The module's row
+builder calls it once per condition over its basis ids and reads the
+images one column at a time; ``lmul``, ``act_gen`` and the recursion ask
+it for single images.  A prepend takes no memo entry.  ``_prep[h][m]`` is only
 written where h prepends in standard order (the kernel's prepend
 branch, a first-time prepend of the head in its head loop, and the walk
 of a standard tuple), so an entry means that h is a module generator
@@ -118,13 +118,15 @@ builder ``condition_rows`` returns that condition's rows ``{out: {col:
 coeff}}`` over the live columns, keyed by output mid (a pair of mids
 for the tensor builder), and the row count of the full condition.  The module
 builder's rows are the memoized shifted images (X - Lam_j) . m of the
-basis columns, as they are.  The tensor builder is a Kronecker sum:
-X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
-ma (x) (X - Lam'_j).mb, so it reads the two shifted factor images, one
-per factor basis element and condition, as they are, and writes their
-terms to (m, mb) and (ma, m').  No tensor element is built.
+basis columns, as they are.  The tensor builder is the Kronecker sum
+R_a (x) I + I (x) R_b of the factors' own ``condition_rows`` R_a and
+R_b, as X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
+ma (x) (X - Lam'_j).mb: row m of R_a lands on the rows (m, mb), row m'
+of R_b on (ma, m').  It builds no tensor element and reads no table of
+its factors.
 
-Those keys never coincide, because a shifted image (X - Lam_j) . m,
+The two parts of a row never share a column: in column (ma, mb) that
+would need (m, mb) = (ma, m'), and a shifted image (X - Lam_j) . m,
 X = X_alpha (x) t^j with alpha in Phi_n, never has a term on m.  Let m
 = u_1 ... u_k . 1 have PBW degree k and weight wt(m), the sum of the
 root-lattice weights of its factors (X_beta (x) t^i has weight beta,
@@ -211,7 +213,7 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product
 from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from . import linalg
@@ -921,53 +923,48 @@ class TensorModule:
         factors (column ia * len(basis_b) + ib is the pair (basis_a[ia],
         basis_b[ib])), rows keyed by output pair of ids.
 
-        The rows form a Kronecker sum (module docstring): every shifted
-        factor image is read once per condition, as it is, and its terms
-        land on (m, mb) and (ma, m'), which never coincide.  As for the
-        module builder, a pair column in ``dead`` only adds its output
-        keys to the count, which is the number of rows over every column,
+        The rows are the Kronecker sum R_a (x) I + I (x) R_b of the factors'
+        full rows of the condition (module docstring): row (m, mb) takes row
+        m of R_a at the columns ia * nb + ib, ib the index of mb, and row
+        (ma, m') row m' of R_b at the columns ia * nb + ib, ia the index of
+        ma; the two parts of a row never share a column.  As in the module
+        builder, dead columns get no entry, rows left empty are not built,
         and neither factor's memo keeps its top-degree images.
+
+        ``count``, the rows over every column, needs no set.  Let K_a, K_b be
+        the row keys of R_a, R_b and B_a, B_b the basis ids, na and nb of
+        them.  Pair (ma, mb) has its terms on K(ma) x {mb} and {ma} x K(mb),
+        K(m) the support of the shifted image of m, which does not hold m;
+        so the two are disjoint and no term cancels.  Over all pairs they
+        cover K_a x B_b | B_a x K_b, whose parts meet in (K_a & B_a) x (K_b
+        & B_b), so count = |K_a| nb + na |K_b| - |K_a & B_a| |K_b & B_b|.
         """
-        g = ("X", root, j)
-        left, right = self.left, self.right
-        ga, gb = left._gid(g), right._gid(g)
-        top_a, top_b = left._top_start(basis_a), right._top_start(basis_b)
-        images_a = _straighten(left._tables, ga, basis_a, top_a)
-        images_b = list(_straighten(right._tables, gb, basis_b, top_b))
-        seen: Set[Tuple[int, int]] = set()
-        by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        rows_a, count_a = self.left.condition_rows(basis_a, root, j, ())
+        rows_b, count_b = self.right.condition_rows(basis_b, root, j, ())
         nb = len(basis_b)
-        for ia, (ma, img_a) in enumerate(zip(basis_a, images_a)):
-            for col, (mb, img_b) in enumerate(zip(basis_b, images_b), ia * nb):
-                if col in dead:
-                    seen.update(zip(img_a, repeat(mb)))
-                    seen.update(zip(repeat(ma), img_b))
-                    continue
-                for m, c in img_a.items():
-                    key = (m, mb)
-                    row = by_out.get(key)
-                    if row is None:
-                        by_out[key] = {col: c}
-                    else:
-                        row[col] = c
-                for m, c in img_b.items():
-                    key = (ma, m)
-                    row = by_out.get(key)
-                    if row is None:
-                        by_out[key] = {col: c}
-                    else:
-                        row[col] = c
-        seen.update(by_out)
-        return by_out, len(seen)
+        by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        for m, row_a in rows_a.items():
+            cols = [(ia * nb, c) for ia, c in row_a.items()]
+            for ib, mb in enumerate(basis_b):
+                row = {k + ib: c for k, c in cols if k + ib not in dead}
+                if row:
+                    by_out[m, mb] = row
+        for m, row_b in rows_b.items():
+            for k, ma in zip(range(0, len(basis_a) * nb, nb), basis_a):
+                row = {k + ib: c for ib, c in row_b.items() if k + ib not in dead}
+                if row:
+                    part = by_out.setdefault((ma, m), row)
+                    if part is not row:
+                        part.update(row)
+        both = len(rows_a.keys() & basis_a) * len(rows_b.keys() & basis_b)
+        return by_out, count_a * nb + len(basis_a) * count_b - both
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
-        """An empty system on the pairs of the factor bases at (D, E)."""
-        left, right = self.left, self.right
-        basis_a, basis_b = left.basis(trunc), right.basis(trunc)
-        basis: List[PairMonomial] = [(ma, mb) for ma in basis_a for mb in basis_b]
-        ids_a = [left._intern(m) for m in basis_a]
-        ids_b = [right._intern(m) for m in basis_b]
-        return ConditionSystem(trunc, basis, (ids_a, ids_b))
+        """An empty system on the pairs of the factor bases at (D, E), from
+        the factors' own empty systems."""
+        a, b = self.left.condition_system(trunc), self.right.condition_system(trunc)
+        basis: List[PairMonomial] = [(ma, mb) for ma in a.basis for mb in b.basis]
+        return ConditionSystem(trunc, basis, a.ids + b.ids)
 
     solve = WhittakerModule.solve
 

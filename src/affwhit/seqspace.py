@@ -62,8 +62,8 @@ No rank or kernel changes when a row is scaled by a positive number, so
 the decisions, the Hankel rows and the window rows work on these
 integers (each window row passed to :func:`linalg.rank` is its
 primitive integer multiple); an entry becomes a
-:class:`fractions.Fraction` only where one is returned (``entry``,
-``window``, a finite core).
+:class:`fractions.Fraction` only where one is returned (``entry``, a
+finite core).
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ class BiSequence:
         vals = [as_scalar(self.entry(i)) for i in range(lo, hi + 1)]
         d = math.lcm(*(x.denominator for x in vals))
         return d, [x.numerator * (d // x.denominator) for x in vals]
-
-    def window(self, lo: int, hi: int) -> list:
-        """Entries on [lo, hi] inclusive."""
-        d, nums = self.int_window(lo, hi)
-        return [Fraction(n, d) for n in nums]
 
 
 class FiniteSupport(linalg.LinearCombination, BiSequence):

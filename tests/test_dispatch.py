@@ -9,6 +9,11 @@ call on a sequence class.
 ``linalg`` has one elimination entry point: only ``rref_pivots`` calls
 the modular elimination, the lift and the certificate.
 
+``engine`` has one condition-row builder: only its module-level
+functions and the methods of ``WhittakerModule`` name the straightening
+and interning internals, so the tensor builder reads its factors'
+``condition_rows``.
+
 The package has one integer check, ``linalg.require_int``: no other code
 tests ``type(x) is int`` or coerces an argument with ``int``, bar the
 parsers of text.
@@ -136,6 +141,73 @@ def test_lint_catches_a_second_elimination_path():
         "_lift": ["SingletonPruner._extend_held", "rref_pivots"],
         "_certify": ["SingletonPruner._extend_held", "rref_pivots"],
     }
+
+
+# a module's straightening and interning internals
+INTERNALS = ("_straighten", "_tables", "_gid", "_top_start", "_intern")
+
+
+def internal_uses(source: str, names=INTERNALS) -> list:
+    """Sorted (scope, name, line) for every use or definition of one of
+    ``names`` outside the module-level functions and the methods of
+    ``WhittakerModule``; scope is the qualified name of the enclosing
+    definition, '' at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                if isinstance(child, ast.FunctionDef) and scope in ("", "WhittakerModule"):
+                    continue
+                if child.name in names:
+                    found.append((scope, child.name, child.lineno))
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            else:
+                name = None
+            if name in names:
+                found.append((scope, name, child.lineno))
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_only_the_module_straightens_and_interns():
+    assert internal_uses(module_source("engine")) == []
+
+
+def test_lint_catches_a_tensor_method_reading_factor_internals():
+    source = (
+        "def _straighten(t, g, mids):\n"
+        "    return t._tables\n"
+        "class WhittakerModule:\n"
+        "    def condition_rows(self, basis):\n"
+        "        return _straighten(self._tables, self._gid(1), basis[self._top_start(basis):])\n"
+        "class TensorModule:\n"
+        "    def condition_rows(self, a, b):\n"
+        "        return self.left.condition_rows(a), self.right._top_start(b)\n"
+        "    def condition_system(self, trunc):\n"
+        "        return [self.left._intern(m) for m in trunc]\n"
+        "    def act_gen(self, g, elt):\n"
+        "        return _straighten(self.left._tables, g, elt)\n"
+        "    def _gid(self, g):\n"
+        "        return g\n"
+        "STRAIGHTEN = _straighten\n"
+    )
+    assert internal_uses(source) == [
+        ("", "_straighten", 15),
+        ("TensorModule", "_gid", 13),
+        ("TensorModule.act_gen", "_straighten", 12),
+        ("TensorModule.act_gen", "_tables", 12),
+        ("TensorModule.condition_rows", "_top_start", 8),
+        ("TensorModule.condition_system", "_intern", 10),
+    ]
+    assert internal_uses(source.split("class TensorModule")[0]) == []
 
 
 # the functions that read integers out of text (JSON fields, labels, literals)

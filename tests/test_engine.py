@@ -719,8 +719,8 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
 @pytest.mark.parametrize("factory", [f for f, _ in INTERNED.values()] + [const_spec],
                          ids=list(INTERNED) + ["sl2-const"])
 def test_shifted_image_has_no_term_on_its_monomial(factory):
-    # the tensor builder writes both factor images as they are, on the
-    # weight argument of the engine docstring
+    # the two parts of a tensor row, from the factors' condition rows, never
+    # share a column, on the weight argument of the engine docstring
     module = WhittakerModule(quiet(factory))
     ids = [module._mid(m) for m in module.basis(Truncation(2, 2, 3))]
     for root in module.condition_roots():
@@ -783,6 +783,53 @@ def test_condition_rows_leave_out_dead_columns_and_count_them(name):
             assert rows == live_part(full, dead), (root, j)
             dropped += len(full) - len(rows)
     assert dropped
+
+
+def tuple_tensor_rows(t, basis_a, basis_b, root, j, memos):
+    """Rows of one tensor condition from the tuple straightener on each
+    factor: g.ma (x) mb + ma (x) g.mb, (Lam + Lam')(root)_j off the pair
+    itself, zero entries dropped; and the number of rows that take terms
+    of both factors."""
+    g = X(root, j)
+    left, right = t.left, t.right
+    target = left.spec.vacuum_scalar(root, j) + right.spec.vacuum_scalar(root, j)
+    rows, from_a, from_b = {}, set(), set()
+    col = 0
+    for ma in basis_a:
+        img_a = oracles.tuple_lmul(left.alg, left.spec, g, ma, memos[0])
+        for mb in basis_b:
+            img_b = oracles.tuple_lmul(right.alg, right.spec, g, mb, memos[1])
+            img = {(m, mb): c for m, c in img_a.items()}
+            for m, c in img_b.items():
+                img[ma, m] = img.get((ma, m), 0) + c
+            img[ma, mb] = img.get((ma, mb), 0) - target
+            for out, c in img.items():
+                if c:
+                    rows.setdefault(out, {})[col] = c
+                    (from_a if out[1] == mb else from_b).add(out)
+            col += 1
+    return rows, len(from_a & from_b)
+
+
+@pytest.mark.parametrize("name", ["tensor-sl2", "tensor-sl3-borel"])
+def test_tensor_condition_rows_equal_tuple_straightening_rows(name):
+    make, trunc = LIVE_ONLY[name]
+    t = quiet(make)
+    system = t.condition_system(trunc)
+    basis_a, basis_b = t.left.basis(trunc), t.right.basis(trunc)
+    memos, both = ({}, {}), 0
+    for root in t.condition_roots():
+        for j in range(-trunc.J, trunc.J + 1):
+            built, count = t.condition_rows(*system.ids, root, j, set())
+            rows = {
+                (t.left.mono(a), t.right.mono(b)): row for (a, b), row in built.items()
+            }
+            want, merged = tuple_tensor_rows(t, basis_a, basis_b, root, j, memos)
+            assert rows == want, (root, j)
+            assert count == len(want), (root, j)
+            both += merged
+    # rows with terms of both factors occur, so the count's overlap term is used
+    assert both
 
 
 def test_no_row_reaches_the_pruner_with_a_column_dead_before_its_condition(

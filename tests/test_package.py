@@ -52,11 +52,24 @@ def python_uses(source: str) -> set:
     return used
 
 
+def markdown_code(text: str) -> str:
+    """The code of a Markdown text: the text between matching backtick
+    runs, so its code spans and fenced blocks, not its prose, with the
+    ``#`` comments of the fenced blocks left out."""
+    return "\n".join(
+        re.sub(r"#.*", "", code) if len(fence) >= 3 else code
+        for fence, code in re.findall(r"(`+)(.+?)\1", text, re.S)
+    )
+
+
 def readme_code() -> str:
-    """The code of ``README.md``: the text between matching backtick
-    runs, so its code spans and fenced blocks, not its prose."""
-    text = (REPO / "README.md").read_text(encoding="utf-8")
-    return "\n".join(code for _, code in re.findall(r"(`+)(.+?)\1", text, re.S))
+    return markdown_code((REPO / "README.md").read_text(encoding="utf-8"))
+
+
+def code_names(code: str) -> set:
+    """The words of ``code``, a hyphenated word (a CLI name such as
+    ``seq-window``) taken whole, so it names none of its parts."""
+    return set(re.findall(r"\w+(?:-\w+)*", code))
 
 
 def callers_of_exports() -> set:
@@ -69,7 +82,7 @@ def callers_of_exports() -> set:
     used = set()
     for path in files:
         used |= python_uses(path.read_text(encoding="utf-8"))
-    used |= set(re.findall(r"\w+", readme_code()))
+    used |= code_names(readme_code())
     return used
 
 
@@ -117,7 +130,21 @@ def test_use_lint_skips_the_definition_itself():
 def test_readme_callers_are_read_from_code_only():
     code = readme_code()
     assert "window_rank_check" in code and "--preset" in code
-    assert "Module config schema" not in code and "Tests" not in re.findall(r"\w+", code)
+    assert "Module config schema" not in code and "Tests" not in code_names(code)
+    # neither a comment word nor a part of a hyphenated CLI word is a caller
+    names = code_names(code)
+    assert "seq-window" in names and "check-seq" in names
+    assert not {"window", "seq", "ranks", "unique"} & names
+    text = (
+        "Run `seq-window` or `f(x)  # kept in a span`:\n"
+        "```sh\n"
+        "affwhit check-seq --max-basis 9   # exact window ranks\n"
+        "```\n"
+    )
+    assert code_names(markdown_code(text)) == {
+        "seq-window", "f", "x", "kept", "in", "a", "span", "affwhit", "check-seq",
+        "max-basis", "9", "sh",
+    }
 
 
 def assigned_attributes(source: str) -> dict:

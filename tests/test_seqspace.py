@@ -870,7 +870,6 @@ def test_int_window_is_the_fraction_window_over_one_positive_denominator(s):
         assert type(d) is int and d > 0, (s, lo, hi)
         assert all(type(n) is int for n in nums), (s, lo, hi)
         assert [F(n, d) for n in nums] == want, (s, lo, hi)
-        assert s.window(lo, hi) == want
         assert [s.entry(i) for i in range(lo, hi + 1)] == want
 
 
@@ -885,12 +884,11 @@ def test_int_window_of_random_towers():
 
 
 def test_int_window_default_reads_entries():
-    # a class that defines only entry gets int_window and window from it
+    # a class that defines only entry gets int_window from it
     d, nums = NoTails().int_window(-2, 2)
     assert d == 1 and nums == [4, 1, 0, 1, 4]
     d, nums = TwoRatio().int_window(-2, 1)
     assert d == 4 and nums == [1, 2, 4, 12]
-    assert TwoRatio().window(-2, 1) == [F(1, 4), F(1, 2), F(1), F(3)]
     assert NoTails().int_window(1, 0) == (1, [])
 
 
