@@ -39,7 +39,6 @@ from .seqspace import (
     sequence_from_literal,
     sequence_str,
     size,
-    translate,
     weighted,
     window_rank_check,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "sequence_str",
     "size",
     "tensor_whittaker_solve",
-    "translate",
     "weighted",
     "whittaker_solve",
     "window_rank_check",

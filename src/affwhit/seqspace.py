@@ -36,16 +36,16 @@ reads one normal form.  A polynomial P = sum_k P_k S^k in the shift S is
 stored as a FinVector with l(P) = 0; P *holds on* an interval I when
 sum_k P_k s_{i+k} = 0 whenever both i and i + omega(P) lie in I.  Each
 supported sequence is C-finite on each side (Kauers & Paule, *The
-Concrete Tetrahedron*, 2011): ``_tails(s)`` gives (lo, hi, left, right)
-with ``left`` holding on (-inf, lo] and ``right`` on [hi, inf).
+Concrete Tetrahedron*, 2011): ``_tails(s)`` gives (lo, hi, P), one tail
+polynomial P that holds on (-inf, lo] and on [hi, inf).
 
-* FiniteSupport with support [a, b]: (a - 1, b + 1, 1, 1), and
-  (0, 1, 1, 1) when it is zero;
-* Geometric(j): (0, 1, S - j, S - j), one object on both sides;
-* Recurrence(v, ...): (0, 0, v, v);
-* Shifted(base, o): the base's bounds minus o, the base's polynomials;
+* FiniteSupport with support [a, b]: (a - 1, b + 1, 1), and (0, 1, 1)
+  when it is zero;
+* Geometric(j): (0, 1, S - j);
+* Recurrence(v, ...): (0, 0, v);
+* Shifted(base, o): the base's bounds minus o, the base's polynomial;
 * Scaled(base, c): the base's form;
-* Weighted(base): the base's bounds, left^2 and right^2.
+* Weighted(base): the base's bounds and P^2.
 
 Since P_0 and P_omega are nonzero, each tail unrolls from any omega(P)
 consecutive entries, and where P holds, s_i = sum_r p_r(i) r^i over the
@@ -57,11 +57,12 @@ verdicts are 'unknown'.
 
 All arithmetic is exact over Q, and no floating point is used
 anywhere.  Entries are read in bulk as integer windows: ``int_window(lo,
-hi)`` gives (D, N) with D > 0 and entry i = N[i - lo] / D on [lo, hi].
-No rank or kernel changes when a row is scaled by a positive number, so
-the decisions, the Hankel rows and the window rows work on these
-integers (each window row passed to :func:`linalg.rank` is its
-primitive integer multiple); an entry becomes a
+hi)`` gives (D, N) with D > 0 and entry i = N[i - lo] / D on [lo, hi];
+``BiSequence.entry`` is the one-entry window, the only ``entry`` of the
+package's classes.  No rank or kernel changes when a row is scaled by a
+positive number, so the decisions, the Hankel rows and the window rows
+work on these integers (each window row passed to :func:`linalg.rank` is
+its primitive integer multiple); an entry becomes a
 :class:`fractions.Fraction` only where one is returned (``entry``, a
 finite core).
 """
@@ -127,6 +128,8 @@ class FinVector(linalg.LinearCombination):
         return self.coeffs.get(require_int(i), Fraction(0))
 
     def translate(self, n: int) -> "FinVector":
+        """v_i moved to v_{i+n}, adjoint to the sequence translate:
+        <v.translate(n), a> = <v, Shifted(a, n)>."""
         if require_int(n, "translation") == 0:
             return self
         return FinVector({i + n: c for i, c in self.coeffs.items()})
@@ -156,17 +159,25 @@ IntWindow = Tuple[int, List[int]]  # (D, N): entry lo + k is N[k] / D, D > 0
 class BiSequence:
     """Abstract bi-infinite sequence Z -> Q.
 
-    A subclass defines :meth:`entry` or :meth:`int_window`; the package
-    classes define ``int_window`` directly, and this default reads it
-    from ``entry``.
+    A subclass defines :meth:`int_window` or :meth:`entry`.  The package
+    classes define ``int_window`` only, and ``entry`` reads it; the
+    default ``int_window`` reads ``entry``, for a subclass that defines
+    only that.  A subclass that defines neither raises
+    NotImplementedError.
     """
 
     def entry(self, i: int) -> Fraction:
-        raise NotImplementedError
+        """Entry i, the one-entry :meth:`int_window`."""
+        d, (n,) = self.int_window(require_int(i), i)
+        return Fraction(n, d)
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
         """(D, N) with D > 0 and entry i = N[i - lo] / D for lo <= i <= hi;
         (1, []) when hi < lo."""
+        if type(self).entry is BiSequence.entry:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither entry nor int_window"
+            )
         vals = [as_scalar(self.entry(i)) for i in range(lo, hi + 1)]
         d = math.lcm(*(x.denominator for x in vals))
         return d, [x.numerator * (d // x.denominator) for x in vals]
@@ -182,9 +193,6 @@ class FiniteSupport(linalg.LinearCombination, BiSequence):
     __slots__ = ()
 
     _key = staticmethod(require_int)
-
-    def entry(self, i: int) -> Fraction:
-        return self.coeffs.get(require_int(i), Fraction(0))
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
         get = self.coeffs.get
@@ -209,11 +217,6 @@ class Geometric(BiSequence):
             raise ValueError(f"geometric ratio must exceed 1, got {j}")
         object.__setattr__(self, "j", j)
 
-    def entry(self, i: int) -> Fraction:
-        if require_int(i) <= 0:
-            return Fraction(0)
-        return self.j ** i
-
     def int_window(self, lo: int, hi: int) -> IntWindow:
         """With j = p/q: D = q^hi and N_i = p^i * q^(hi - i) for 0 < i <= hi."""
         if hi <= 0:
@@ -236,8 +239,8 @@ class Recurrence(BiSequence):
         sum_k c_k a_{k+i} = 0   for every i in Z.
 
     Nothing is memoized: :meth:`int_window` unrolls each window it is
-    asked for in integers, and :meth:`entry` is its one-entry window, so
-    an object is never mutated after construction.
+    asked for in integers, so an object is never mutated after
+    construction.
     """
 
     __slots__ = ("v", "initial", "_c", "_init", "_den")
@@ -270,10 +273,6 @@ class Recurrence(BiSequence):
     @property
     def omega(self) -> int:
         return len(self._c) - 1
-
-    def entry(self, i: int) -> Fraction:
-        d, (n,) = self.int_window(require_int(i), i)
-        return Fraction(n, d)
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
         """(D, N) on [lo, hi], D = L * |c_omega|^f * |c_0|^b.
@@ -342,9 +341,6 @@ class Shifted(BiSequence):
     def __post_init__(self):
         require_int(self.offset, "shift offset")
 
-    def entry(self, i: int) -> Fraction:
-        return self.base.entry(i + self.offset)
-
     def int_window(self, lo: int, hi: int) -> IntWindow:
         return self.base.int_window(lo + self.offset, hi + self.offset)
 
@@ -357,9 +353,6 @@ class Weighted(BiSequence):
     """Lazy index weighting: entry i is i * base(i)."""
 
     base: BiSequence
-
-    def entry(self, i: int) -> Fraction:
-        return i * self.base.entry(i)
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
         d, nums = self.base.int_window(lo, hi)
@@ -382,9 +375,6 @@ class Scaled(BiSequence):
             raise ValueError("scale factor must be nonzero")
         object.__setattr__(self, "factor", factor)
 
-    def entry(self, i: int) -> Fraction:
-        return self.factor * self.base.entry(i)
-
     def int_window(self, lo: int, hi: int) -> IntWindow:
         d, nums = self.base.int_window(lo, hi)
         p = self.factor.numerator
@@ -404,31 +394,6 @@ def entry(s, i: int) -> Fraction:
     if isinstance(s, FinVector):
         return s[i]
     return s.entry(i)
-
-
-def translate(x, n: int):
-    """Translate by n.  Finite vectors and sequences stay finite; any
-    other sequence becomes a :class:`Shifted`.
-
-    A sequence moves left, result(i) = x(i + n); a vector moves its
-    support right, v_i to v_{i+n}, so ``translate(FinVector({0: 1}), 2)``
-    is v_2.  The two are adjoint: <translate(v, n), a> =
-    <v, translate(a, n)>.
-    """
-    n = require_int(n, "translation")
-    if n == 0:
-        return x
-    if isinstance(x, FinVector):
-        return x.translate(n)
-    if isinstance(x, FiniteSupport):
-        return FiniteSupport({i - n: c for i, c in x.coeffs.items()})
-    if isinstance(x, Shifted):
-        if x.offset + n == 0:
-            return x.base
-        return Shifted(x.base, x.offset + n)
-    if isinstance(x, BiSequence):
-        return Shifted(x, n)
-    raise TypeError(f"cannot translate {x!r}")
 
 
 def weighted(s: BiSequence) -> BiSequence:
@@ -499,101 +464,97 @@ def _polymul(p: FinVector, q: FinVector) -> FinVector:
 
 
 def _tails(s: BiSequence):
-    """The tail normal form (lo, hi, left, right) of s, or None.
+    """The tail normal form (lo, hi, P) of s, or None.
 
-    ``left`` holds on (-inf, lo] and ``right`` on [hi, inf), in the sense
-    of the module docstring; None means s is built on a class with no
-    normal form.  This is the only decision code that asks a sequence
-    its class.
+    P holds on (-inf, lo] and on [hi, inf), in the sense of the module
+    docstring; None means s is built on a class with no normal form.
+    This is the only decision code that asks a sequence its class.
     """
     if isinstance(s, FiniteSupport):
         if s.is_zero():
-            return 0, 1, _ONE, _ONE
+            return 0, 1, _ONE
         support = s.support
-        return support[0] - 1, support[-1] + 1, _ONE, _ONE
+        return support[0] - 1, support[-1] + 1, _ONE
     if isinstance(s, Geometric):
-        p = FinVector({0: -s.j, 1: 1})
-        return 0, 1, p, p
+        return 0, 1, FinVector({0: -s.j, 1: 1})
     if isinstance(s, Recurrence):
-        return 0, 0, s.v, s.v
+        return 0, 0, s.v
     if not isinstance(s, (Shifted, Scaled, Weighted)):
         return None
     tails = _tails(s.base)
     if tails is None or isinstance(s, Scaled):
         return tails
-    lo, hi, left, right = tails
+    lo, hi, p = tails
     if isinstance(s, Shifted):
-        return lo - s.offset, hi - s.offset, left, right
-    left2 = _polymul(left, left)
-    return lo, hi, left2, left2 if right == left else _polymul(right, right)
+        return lo - s.offset, hi - s.offset, p
+    return lo, hi, _polymul(p, p)
 
 
-def _residue(s: BiSequence, tails):
-    """(T, z) for ``tails = _tails(s)``: T as in :func:`is_generic` and z a
-    positive multiple of T(S)s as {i: nonzero int}.  T holds on (-inf, lo]
-    and on [hi, inf), and z_i = sum_k T_k s_{i+k}, so only lo - omega(T) <
-    i < hi are computed, from one integer window of s and T scaled to
-    integers by the lcm of its denominators.
+def _residue(s: BiSequence, tails) -> dict:
+    """z, a positive multiple of P(S)s as {i: nonzero int}, for ``tails =
+    _tails(s) = (lo, hi, P)``.  P holds on (-inf, lo] and on [hi, inf),
+    and z_i = sum_k P_k s_{i+k}, so only lo - omega(P) < i < hi are
+    computed, from one integer window of s and P scaled to integers by
+    the lcm of its denominators.
     """
-    lo, hi, left, right = tails
-    t = left if left == right else _polymul(left, right)
-    w = t.width()
-    m = math.lcm(*(c.denominator for c in t.coeffs.values()))
-    terms = [(k, c.numerator * (m // c.denominator)) for k, c in t.items()]
+    lo, hi, p = tails
+    w = p.width()
+    m = math.lcm(*(c.denominator for c in p.coeffs.values()))
+    terms = [(k, c.numerator * (m // c.denominator)) for k, c in p.items()]
     _, vals = s.int_window(lo - w + 1, hi - 1 + w)
     z = (sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1))
-    return t, {i: x for i, x in enumerate(z, lo - w + 1) if x}
+    return {i: x for i, x in enumerate(z, lo - w + 1) if x}
 
 
 def _finite_core(s: BiSequence, tails) -> Optional[FiniteSupport]:
     """s as a plain FiniteSupport when its support is finite, else None.
 
     ``tails`` is ``_tails(s)``, which must not be None.  With tails (lo,
-    hi, left, right), s has finite support iff it is 0 on the
-    omega(left) entries that end at lo and on the omega(right) entries
-    that start at hi; the core is then its entries on (lo, hi).  Proof:
-    a tail on which P holds and which has omega(P) consecutive zeros is
-    zero, since P_0 != 0 and P_omega != 0 unroll it both ways from them.
-    A finite support gives such zeros far out on each tail, hence on the
-    whole tail, those next to lo and hi included; conversely zeros there
-    clear both tails, which leaves only the entries on (lo, hi).  All of
-    them are read as one integer window.
+    hi, P) and w = omega(P), s has finite support iff it is 0 on the w
+    entries that end at lo and on the w entries that start at hi; the
+    core is then its entries on (lo, hi).  Proof: a tail on which P
+    holds and which has w consecutive zeros is zero, since P_0 != 0 and
+    P_w != 0 unroll it both ways from them.  A finite support gives such
+    zeros far out on each tail, hence on the whole tail, those next to
+    lo and hi included; conversely zeros there clear both tails, which
+    leaves only the entries on (lo, hi).  All of them are read as one
+    integer window.
     """
-    lo, hi, left, right = tails
-    wl, wr = left.width(), right.width()
-    d, vals = s.int_window(lo - wl + 1, hi + wr - 1)
-    end = len(vals) - wr  # vals[end:] starts at hi
-    if any(vals[:wl]) or any(vals[end:]):
+    lo, hi, p = tails
+    w = p.width()
+    d, vals = s.int_window(lo - w + 1, hi + w - 1)
+    end = len(vals) - w  # vals[end:] starts at hi
+    if any(vals[:w]) or any(vals[end:]):
         return None
-    return FiniteSupport({i: Fraction(n, d) for i, n in enumerate(vals[wl:end], lo + 1) if n})
+    return FiniteSupport({i: Fraction(n, d) for i, n in enumerate(vals[w:end], lo + 1) if n})
 
 
 def _genericity(s: BiSequence, tails):
-    """(T, z, verdict) of :func:`is_generic` for s, given ``_tails(s)``;
-    T is None and z empty when s has no tail form."""
+    """(z, verdict) of :func:`is_generic` for s, given ``_tails(s)``; z
+    is empty when s has no tail form."""
     if tails is None:
         reason = f"no decision procedure for {type(s).__name__}"
-        return None, {}, SeqVerdict("unknown", None, reason)
-    t, z = _residue(s, tails)
+        return {}, SeqVerdict("unknown", None, reason)
+    z = _residue(s, tails)
     if z:
-        return t, z, GENERIC
+        return z, GENERIC
+    t = tails[2]
     reason = "zero sequence" if t == _ONE else "defining annihilator"
-    return t, z, SeqVerdict("not_generic", t, reason)
+    return z, SeqVerdict("not_generic", t, reason)
 
 
 @dataclass(frozen=True, eq=False)
 class MemberRecord:
     """Everything the verdicts and the window rows read of one sequence.
 
-    ``tails`` is ``_tails(seq)`` (None without a tail form); ``t`` and
-    ``z`` are T and a positive multiple of T(S)seq from :func:`is_generic`
-    (None and {} without a tail form); ``core`` is seq as a FiniteSupport
-    when its support is finite, else None.
+    ``tails`` is ``_tails(seq)`` = (lo, hi, P) (None without a tail
+    form), whose P is the witness T of :func:`is_generic`; ``z`` is a
+    positive multiple of P(S)seq ({} without a tail form); ``core`` is
+    seq as a FiniteSupport when its support is finite, else None.
     """
 
     seq: BiSequence
     tails: Optional[tuple]
-    t: Optional[FinVector]
     z: dict
     verdict: SeqVerdict
     core: Optional[FiniteSupport]
@@ -604,19 +565,19 @@ class MemberRecord:
         else None; one Hankel solve, on the first read."""
         if self.verdict.kind != "not_generic":
             return None
-        return _annihilator(self.seq, self.t)
+        return _annihilator(self.seq, self.tails[2])
 
 
 def member_record(s: BiSequence) -> MemberRecord:
-    """Decide s once: its tail form, T, z, verdict and finite core, and,
+    """Decide s once: its tail form, z, verdict and finite core, and,
     when it is not generic and first asked, its minimal annihilator.
     Every verdict below reads these records, and the functions taking a
     family accept records in place of sequences, so a caller that builds
     them decides each member once."""
     tails = _tails(s)
-    t, z, verdict = _genericity(s, tails)
+    z, verdict = _genericity(s, tails)
     core = None if tails is None else _finite_core(s, tails)
-    return MemberRecord(s, tails, t, z, verdict, core)
+    return MemberRecord(s, tails, z, verdict, core)
 
 
 def _record(x: Union[BiSequence, MemberRecord]) -> MemberRecord:
@@ -627,20 +588,20 @@ def _record(x: Union[BiSequence, MemberRecord]) -> MemberRecord:
 def is_generic(s: BiSequence) -> SeqVerdict:
     """Decide genericity of every sequence with a tail normal form.
 
-    With tails (lo, hi, left, right), let T = left when left == right,
-    else left * right.  T holds on both tails, so T(S)s vanishes outside
-    (lo - omega(T), hi).  If it vanishes there too, s is not generic with
-    witness T; otherwise s is generic.
+    With tails (lo, hi, P), let T = P.  T holds on both tails, so T(S)s
+    vanishes outside (lo - omega(T), hi).  If it vanishes there too, s
+    is not generic with witness T; otherwise s is generic.
 
     Proof: s is not generic iff some nonzero Q annihilates it, Q(S)s = 0
     (a witness annihilates every translate, so its offset is free and
     Q can be taken with l(Q) = 0).  Then Q annihilates both tails, so Q
     = h * M for the lcm M of the two minimal tail annihilators, and M
-    divides T as well, T = g * M.  M(S)s has finite support, and a
-    nonzero h applied to a nonzero finite sequence is nonzero, so h(S)
-    M(S)s = 0 forces M(S)s = 0 and hence T(S)s = g(S) M(S)s = 0.  No lcm
-    is ever computed.  A recurrence's witness is its own defining vector
-    v (left and right are v), and a zero finite sequence's is v_0.
+    divides T as well (T holds on both tails), T = g * M.  M(S)s has
+    finite support, and a nonzero h applied to a nonzero finite sequence
+    is nonzero, so h(S) M(S)s = 0 forces M(S)s = 0 and hence T(S)s =
+    g(S) M(S)s = 0.  No lcm is ever computed.  A recurrence's witness is
+    its own defining vector v (its P is v), and a zero finite sequence's
+    is v_0.
     """
     return member_record(s).verdict
 
@@ -701,9 +662,9 @@ def _member_verdict(rec: MemberRecord) -> SetVerdict:
 
 
 def _geometric_ratio(tails) -> Optional[Fraction]:
-    """j when both tail polynomials are S - j, else None."""
-    left, right = tails[2:]
-    return -left[0] / left[1] if left == right and left.width() == 1 else None
+    """j when the tail polynomial is S - j, else None."""
+    p = tails[2]
+    return -p[0] / p[1] if p.width() == 1 else None
 
 
 def _dependence_of_pair(ra: MemberRecord, rb: MemberRecord) -> str:
@@ -717,7 +678,7 @@ def _dependence_of_pair(ra: MemberRecord, rb: MemberRecord) -> str:
     combination of nonzero translate combinations of a and b.
 
     The reason names the familiar cases.  A member is geometric with
-    ratio j when both its tail polynomials are S - j (a width-1
+    ratio j when its tail polynomial is S - j (a width-1
     recurrence is never generic, so it never gets here), and finite when
     it has a finite core:
 
@@ -833,21 +794,20 @@ def window_rank_check(
 
     Only the coordinates [-W0, W0], W0 = min(W, B), are eliminated.  Let
     k = 2 with the weighted rows and 1 without, and over the members'
-    tail forms (lo, hi, L, R) let H = max hi, Lo = min lo, N_R = sum k *
-    omega(R) and N_L = sum k * omega(L); then B = max(S, H + S + N_R -
-    1, S - Lo + N_L - 1).  Proof: take a row combination y.  R^k holds
-    on every row of its member over [hi + S, inf) (R on a translate
-    x^(s) over [hi - s, inf), R^2 on the weighted row by the tail form
-    of Weighted), so the product P of the members' R^k holds on y over
-    [H + S, inf); likewise the product of the L^k over (-inf, Lo - S].
-    Each tail form has lo <= hi and omega(L) = omega(R), so the sum of
-    the last two terms of B gives 2B + 1 >= 2 N_R - 1, and [-B, B] holds
-    N_R consecutive coordinates of [H + S, inf) (none are needed when
-    N_R = 0).  If y vanishes on [-B, B], then P_0, P_omega != 0 unroll
-    those zeros over all of [H + S, inf), the left side likewise over
-    (-inf, Lo - S], and B makes the three ranges cover Z: y = 0.  So
-    every window W >= B has the left kernel of the bi-infinite rows,
-    hence their rank.  Any member without a tail form keeps the full W.
+    tail forms (lo, hi, P) let H = max hi, Lo = min lo and N = sum k *
+    omega(P); then B = max(S, H + S + N - 1, S - Lo + N - 1).  Proof:
+    take a row combination y.  P^k holds on every row of its member over
+    (-inf, lo - S] and over [hi + S, inf) (P on a translate x^(s) over
+    (-inf, lo - s] and [hi - s, inf), P^2 on the weighted row by the
+    tail form of Weighted), so the product Q of the members' P^k, of
+    width N, holds on y over (-inf, Lo - S] and over [H + S, inf).  Each
+    tail form has lo <= hi, so Lo <= H, the last two terms of B give 2B
+    + 1 >= 2N - 1, and [-B, B] holds N consecutive coordinates of each
+    of the two ranges (none are needed when N = 0).  If y vanishes on
+    [-B, B], then Q_0, Q_N != 0 unroll those zeros over both ranges, and
+    B makes the three ranges cover Z: y = 0.  So every window W >= B has
+    the left kernel of the bi-infinite rows, hence their rank.  Any
+    member without a tail form keeps the full W.
 
     Each member x with a tail form passes rows spanning what its 2S + 1
     translates span.  With T and z = T(S)x from :func:`is_generic` (z is
@@ -865,13 +825,14 @@ def window_rank_check(
     ``count`` and ``full_rank`` still refer to all len(seqs) * (2S + 1 +
     weighted) rows.
 
-    T and z come from the member's :func:`member_record` (members may be
-    given as records), and its entries from one integer window over the
-    span its kept rows need.  Rows are sparse {coordinate: value} maps,
-    each the primitive integer multiple (:func:`_primitive`) of the row
-    it stands for; a positive multiple changes no rank, so
-    :func:`linalg.rank` gets integers, and it kills the coordinates of
-    one-entry z-rows before it eliminates.  ``ncols`` reports the requested 2W + 1.
+    T (the P of its tails) and z come from the member's
+    :func:`member_record` (members may be given as records), and its
+    entries from one integer window over the span its kept rows need.
+    Rows are sparse {coordinate: value} maps, each the primitive integer
+    multiple (:func:`_primitive`) of the row it stands for; a positive
+    multiple changes no rank, so :func:`linalg.rank` gets integers, and
+    it kills the coordinates of one-entry z-rows before it eliminates.
+    ``ncols`` reports the requested 2W + 1.
     """
     S = require_int(S, "shift bound S")
     W = require_int(W, "window W")
@@ -881,17 +842,15 @@ def window_rank_check(
     forms = [rec.tails for rec in records]
     W0 = W
     if forms and None not in forms:
-        power = 2 if include_weighted else 1
-        lo, hi, left, right = zip(*forms)
-        n_left = power * sum(p.width() for p in left)
-        n_right = power * sum(p.width() for p in right)
-        W0 = min(W, max(S, max(hi) + S + n_right - 1, S - min(lo) + n_left - 1))
+        lo, hi, polys = zip(*forms)
+        n = (2 if include_weighted else 1) * sum(p.width() for p in polys)
+        W0 = min(W, max(S, max(hi) + S + n - 1, S - min(lo) + n - 1))
     width = 2 * W0 + 1
     shifts = [0] + [o for n in range(1, S + 1) for o in (n, -n)]
     rows = []
     for rec in records:
         z = rec.z
-        kept = shifts[: rec.t.width()] if rec.tails else shifts
+        kept = shifts[: rec.tails[2].width()] if rec.tails else shifts
         # the row of translate s starts at entry s - W0, index s - first of vals
         first, last = min(kept, default=0), max(kept, default=0)
         _, vals = rec.seq.int_window(first - W0, last + W0)

@@ -46,7 +46,6 @@ from affwhit import (
     pairing,
     reconstruct,
     size,
-    translate,
     window_rank_check,
 )
 

@@ -4,7 +4,9 @@ The decision functions of ``seqspace`` read a sequence only through its
 tail normal form ``_tails(s)`` and its entries (as integer windows);
 ``_tails`` is the one place that asks a sequence its class.  The module is parsed with
 ``ast``, and each decision function is searched for an ``isinstance``
-call on a sequence class.
+call on a sequence class.  A sequence has one accessor: every sequence
+class defines ``int_window``, and only ``BiSequence`` defines ``entry``,
+as the one-entry window.
 
 ``linalg`` has one elimination entry point: only ``rref_pivots`` calls
 the modular elimination, the lift and the certificate.
@@ -93,6 +95,52 @@ def test_lint_catches_a_class_dispatch():
     )
     assert dispatches(source, DECISIONS) == [("is_generic", 2), ("is_generic", 4)]
     assert dispatches("def is_generic(s):\n    return isinstance(s, int)\n", DECISIONS) == []
+
+
+def accessors(source: str) -> dict:
+    """Sequence class -> the accessors ``entry`` and ``int_window`` it
+    defines, for each class of ``SEQUENCE_CLASSES`` in the source."""
+    return {
+        cls.name: sorted(
+            fn.name for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in ("entry", "int_window")
+        )
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef) and cls.name in SEQUENCE_CLASSES
+    }
+
+
+def test_only_bisequence_defines_entry():
+    assert accessors(seqspace_source()) == {
+        name: ["entry", "int_window"] if name == "BiSequence" else ["int_window"]
+        for name in SEQUENCE_CLASSES
+    }
+
+
+def test_accessor_lint_catches_a_second_entry():
+    source = (
+        "class BiSequence:\n"
+        "    def entry(self, i):\n"
+        "        return self.int_window(i, i)\n"
+        "    def int_window(self, lo, hi):\n"
+        "        return [self.entry(i) for i in range(lo, hi + 1)]\n"
+        "class Shifted(BiSequence):\n"
+        "    def entry(self, i):\n"
+        "        return self.base.entry(i + self.offset)\n"
+        "    def int_window(self, lo, hi):\n"
+        "        return self.base.int_window(lo + self.offset, hi + self.offset)\n"
+        "class Weighted(BiSequence):\n"
+        "    def entry(self, i):\n"
+        "        return i * self.base.entry(i)\n"
+        "class TwoRatio(BiSequence):\n"
+        "    def entry(self, i):\n"
+        "        return i\n"
+    )
+    assert accessors(source) == {
+        "BiSequence": ["entry", "int_window"],
+        "Shifted": ["entry", "int_window"],
+        "Weighted": ["entry"],
+    }
 
 
 ELIMINATION = ("_rref_mod", "_lift", "_certify")

@@ -1,5 +1,12 @@
 """The package's export list, a caller for every public name and a
-reader for every attribute."""
+reader for every attribute.
+
+A public function or method counts as called only through its owner: a
+module-level function through its bare name, in its own module or where
+an import binds it, or as ``module.name``; a method through attribute
+access or an ``(owner, "name")`` pair.  So a method of one name is no
+caller of a function of that name.  Words in the code of ``README.md``
+count bare."""
 
 import ast
 import re
@@ -22,36 +29,6 @@ def test_all_names_are_exported_once():
     assert set(ns) == set(names)
 
 
-def python_uses(source: str) -> set:
-    """Names a Python source uses: loaded names, attributes and string
-    constants that are one identifier (``perfbench`` binds its wrappers
-    by name).  A use inside the definition of the name itself does not
-    count, so neither a recursive call nor a definition line does, and
-    neither does an alias ``name = owner.name``."""
-    used = set()
-
-    def visit(node, inside):
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            inside = inside | {node.name}
-        elif isinstance(node, ast.Assign):
-            inside = inside | {t.id for t in node.targets if isinstance(t, ast.Name)}
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value if node.value.isidentifier() else None
-        else:
-            name = None
-        if name is not None and name not in inside:
-            used.add(name)
-        for child in ast.iter_child_nodes(node):
-            visit(child, inside)
-
-    visit(ast.parse(source), frozenset())
-    return used
-
-
 def markdown_code(text: str) -> str:
     """The code of a Markdown text: the text between matching backtick
     runs, so its code spans and fenced blocks, not its prose, with the
@@ -72,18 +49,95 @@ def code_names(code: str) -> set:
     return set(re.findall(r"\w+(?:-\w+)*", code))
 
 
-def callers_of_exports() -> set:
-    """Every name used in ``src/affwhit`` (bar the export list in
-    ``__init__``), ``demos/``, ``perfbench/`` or named in a code span of
-    ``README.md``; a test is no caller."""
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+def caller_files() -> list:
+    """The Python files that may call: ``src/affwhit`` (bar the export
+    list in ``__init__``), ``demos/`` and ``perfbench/``; a test is no
+    caller."""
+    files = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     files += sorted((REPO / "demos").glob("*.py"))
-    files += sorted((REPO / "perfbench").glob("*.py"))
-    used = set()
-    for path in files:
-        used |= python_uses(path.read_text(encoding="utf-8"))
-    used |= code_names(readme_code())
-    return used
+    return files + sorted((REPO / "perfbench").glob("*.py"))
+
+
+def owned_uses(source: str, module: str = "") -> set:
+    """(owner, name) for every name a Python source uses, with ``module``
+    the package module it is ('' outside the package).
+
+    A loaded bare name is owned by the module an import binds it from
+    (the package itself as ``affwhit``), else by ``module``.  ``x.name``
+    and a pair ``(x, "name")`` are owned by '.' plus the last word of x,
+    read through an import's ``as`` ('.' alone when x has none, as for
+    a call).  A string constant that is one identifier (``perfbench``
+    binds its wrappers by name) is owned by ''.  A use inside the
+    definition of the name itself does not count, so neither a recursive
+    call nor a definition line does, and neither does an alias ``name =
+    owner.name``."""
+    tree = ast.parse(source)
+    imported, original = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    original[alias.asname] = alias.name.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.ImportFrom):
+            path = ("affwhit." if node.level else "") + (node.module or "")
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                original[bound] = alias.name
+                imported[bound] = path.rstrip(".").removeprefix("affwhit.")
+
+    def word(node):
+        if isinstance(node, ast.Name):
+            return original.get(node.id, node.id)
+        return node.attr if isinstance(node, ast.Attribute) else ""
+
+    def identifier(node):
+        return (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        )
+
+    uses = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Assign):
+            inside = inside | {t.id for t in node.targets if isinstance(t, ast.Name)}
+        use = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            use = imported.get(node.id, module), node.id
+        elif isinstance(node, ast.Attribute):
+            use = "." + word(node.value), node.attr
+        elif identifier(node):
+            use = "", node.value
+        elif isinstance(node, ast.Tuple) and len(node.elts) == 2 and identifier(node.elts[1]):
+            use = "." + word(node.elts[0]), node.elts[1].value
+        if use is not None and use[1] not in inside:
+            uses.add(use)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return uses
+
+
+def python_uses(source: str) -> set:
+    """The names a Python source uses, whatever their owner."""
+    return {name for _, name in owned_uses(source)}
+
+
+def called(qualified: str, uses: set, words: set) -> bool:
+    """Whether the public function ``module.name`` or method
+    ``module.Class.name`` has a caller among ``uses`` (:func:`owned_uses`
+    pairs) or the README ``words``."""
+    module, *cls, name = qualified.split(".")
+    if name in words:
+        return True
+    if cls:
+        return any(owner.startswith(".") and n == name for owner, n in uses)
+    owners = {module, "affwhit", "." + module, ".affwhit"}
+    return any((owner, name) in uses for owner in owners)
 
 
 def public_definitions() -> dict:
@@ -102,10 +156,16 @@ def public_definitions() -> dict:
 
 
 def test_every_export_has_a_caller():
-    # every name in __all__ and every public function and method
-    used = callers_of_exports()
-    names = dict(public_definitions(), **{n: n for n in affwhit.__all__})
-    unused = sorted(q for q, n in names.items() if n not in used)
+    # every name in __all__ is used, and every public function and method
+    # has a caller through its owner
+    uses = set()
+    for path in caller_files():
+        module = path.stem if path.parent == PACKAGE else ""
+        uses |= owned_uses(path.read_text(encoding="utf-8"), module)
+    words = code_names(readme_code())
+    used = {name for _, name in uses} | words
+    unused = sorted(n for n in affwhit.__all__ if n not in used)
+    unused += sorted(q for q in public_definitions() if not called(q, uses, words))
     assert not unused, unused
 
 
@@ -125,6 +185,39 @@ def test_use_lint_skips_the_definition_itself():
     used = python_uses(source)
     assert {"size", "run", "mod", "cli", "traced", "Owner", "shift"} <= used
     assert not {"helper", "Box", "main", "BIND", "wrapped name", "apply"} & used
+
+
+def test_a_method_use_is_no_caller_of_a_function_of_that_name():
+    source = (
+        "from math import gcd\n"
+        "from . import presets as presets_mod\n"
+        "from .linalg import rank\n"
+        "def translate(x, n):\n"
+        "    return translate(x, n - 1)\n"
+        "class FinVector:\n"
+        "    def translate(self, n):\n"
+        "        return self\n"
+        "    def shift(self):\n"
+        "        return self\n"
+        "def polymul(p, q):\n"
+        "    return q.translate(1), rank([]), gcd(2, 4), entry(p), (q, 'shift')\n"
+        "def main():\n"
+        "    return presets_mod.get_preset('sl2'), cli.size(1), (engine, 'solve')\n"
+    )
+    uses = owned_uses(source, "seqspace")
+    assert called("seqspace.FinVector.translate", uses, set())
+    assert not called("seqspace.translate", uses, set())
+    # a README word counts bare
+    assert called("seqspace.translate", uses, {"translate"})
+    # a bare name: in its own module, or bound by an import from its module
+    assert called("seqspace.entry", uses, set()) and called("linalg.rank", uses, set())
+    assert not called("engine.entry", uses, set()) and not called("seqspace.rank", uses, set())
+    assert not called("seqspace.gcd", uses, set())
+    # module.name, read through an import's alias, and an (owner, "name") pair
+    assert called("presets.get_preset", uses, set()) and called("cli.size", uses, set())
+    assert called("engine.solve", uses, set()) and called("seqspace.FinVector.shift", uses, set())
+    assert not called("seqspace.size", uses, set()) and not called("seqspace.main", uses, set())
+    assert not called("seqspace.FinVector.polymul", uses, set())
 
 
 def test_readme_callers_are_read_from_code_only():

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,6 @@ from affwhit import (
     reconstruct,
     sequence_from_literal,
     size,
-    translate,
     weighted,
     window_rank_check,
 )
@@ -85,28 +85,29 @@ def test_geometric_one_sided_cutoff():
 
 def test_wrappers_and_translate():
     a = Geometric(3)
-    s = translate(a, 2)
+    s = Shifted(a, 2)
     assert s.entry(1) == a.entry(3) == 27
-    assert translate(s, -2) is a
+    assert all(Shifted(s, -2).entry(i) == a.entry(i) for i in range(-3, 6))
     w = weighted(a)
     assert w.entry(4) == 4 * 81
     assert w.entry(-1) == 0
     sc = Scaled(a, F(-1, 2))
     assert sc.entry(2) == F(-9, 2)
     fin = FiniteSupport({0: 1, 3: -2})
-    t = translate(fin, 1)
+    t = Shifted(fin, 1)
     assert t.entry(-1) == 1 and t.entry(2) == -2
     assert weighted(fin).entry(3) == -6
 
 
 def test_translate_moves_vectors_and_sequences_oppositely():
     # a vector's support moves by +n, a sequence's by -n
-    assert translate(FinVector({0: 1}), 2) == FinVector({2: 1})
-    assert translate(FiniteSupport({0: 1}), 2) == FiniteSupport({-2: 1})
+    assert FinVector({0: 1}).translate(2) == FinVector({2: 1})
+    moved = Shifted(FiniteSupport({0: 1}), 2)
+    assert all(moved.entry(i) == FiniteSupport({-2: 1}).entry(i) for i in range(-5, 5))
     v, a = FinVector({0: 1, 1: -3}), FIB
     for n in range(-3, 4):
-        assert pairing(translate(v, n), a) == pairing(v, translate(a, n))
-        assert translate(a, n).entry(0) == a.entry(n)
+        assert pairing(v.translate(n), a) == pairing(v, Shifted(a, n))
+        assert Shifted(a, n).entry(0) == a.entry(n)
 
 
 def test_finite_support_arithmetic():
@@ -139,13 +140,13 @@ def test_finite_core_folds_every_wrapper(s):
 
 def test_geometric_and_recurrence_cores_see_through_shifts_and_scales():
     geo = Scaled(Shifted(Scaled(Geometric(3), 2), -4), F(1, 5))
-    lo, hi, left, right = seqspace._tails(geo)
-    assert (lo, hi) == (4, 5) and left is right and left == FinVector({0: -3, 1: 1})
+    lo, hi, p = seqspace._tails(geo)
+    assert (lo, hi) == (4, 5) and p == FinVector({0: -3, 1: 1})
     assert seqspace._geometric_ratio(seqspace._tails(geo)) == 3
     assert seqspace._geometric_ratio(seqspace._tails(Weighted(Geometric(3)))) is None
     rec = Shifted(Scaled(Shifted(FIB, 2), -1), 3)
-    lo, hi, left, right = seqspace._tails(rec)
-    assert (lo, hi) == (-5, -5) and left is FIB.v and right is FIB.v
+    lo, hi, p = seqspace._tails(rec)
+    assert (lo, hi) == (-5, -5) and p is FIB.v
     assert all(rec.entry(i) == -FIB.entry(i + 5) for i in range(-8, 9))
     assert all(geo.entry(i) == F(2, 5) * Geometric(3).entry(i - 4) for i in range(-2, 9))
     assert minimal_annihilator(rec) == FinVector({0: 1, 1: 1, 2: -1})
@@ -174,7 +175,7 @@ def test_pairing_conventions():
     assert pairing(fin, v) == -1
     assert pairing(v, Geometric(2)) == -2
     # <v, s^(n)> runs over the vector's support against shifted entries
-    assert pairing(v, translate(Geometric(2), 3)) == 8 - 16
+    assert pairing(v, Shifted(Geometric(2), 3)) == 8 - 16
     # two infinite supports have no finite sum; the CLI reads the error as
     # a ValueError
     assert issubclass(BothInfiniteSupport, ValueError)
@@ -188,9 +189,9 @@ NON_INT = [
     (Shifted, (Geometric(2), 1.5)),
     (Shifted, (Geometric(2), True)),
     (Shifted, (FIB, F(2))),
-    (translate, (Geometric(2), True)),
-    (translate, (FinVector({0: 1}), 2.0)),
-    (translate, (FiniteSupport({0: 1}), "1")),
+    (Shifted, (FiniteSupport({0: 1}), "1")),
+    (FinVector({0: 1}).translate, (2.0,)),
+    (FinVector({0: 1}).translate, (True,)),
     (window_rank_check, ([Geometric(2)], 2.7, 4)),
     (window_rank_check, ([Geometric(2)], 2, 4.9)),
     (window_rank_check, ([Geometric(2)], False, 4)),
@@ -270,7 +271,7 @@ def test_minimal_annihilator_constant():
 
 
 def test_minimal_annihilator_respects_wrappers():
-    assert minimal_annihilator(translate(FIB, 7)) == FinVector({0: 1, 1: 1, 2: -1})
+    assert minimal_annihilator(Shifted(FIB, 7)) == FinVector({0: 1, 1: 1, 2: -1})
     assert minimal_annihilator(Scaled(FIB, F(3, 5))) == FinVector({0: 1, 1: 1, 2: -1})
 
 
@@ -321,7 +322,7 @@ def test_minimal_annihilator_translates_in_a_window():
     for v in basis:
         assert v.l() >= -3 and v.r() <= 3
         for n in range(-8, 9):
-            assert pairing(v, translate(FIB, n)) == 0
+            assert pairing(v, Shifted(FIB, n)) == 0
 
 
 def test_reconstruct_round_trip():
@@ -375,14 +376,14 @@ def test_genericity_verdicts():
     assert v.witness == FinVector({0: -1, 1: -1, 2: 1})
     # the witness annihilates every translate
     for n in range(-8, 9):
-        assert pairing(v.witness, translate(FIB, n)) == 0
+        assert pairing(v.witness, Shifted(FIB, n)) == 0
 
     # (S^2 - S - 1)^2 kills i * F_i
     v = is_generic(Weighted(FIB))
     assert v.kind == "not_generic"
     assert v.witness == FinVector({0: 1, 1: 2, 2: -1, 3: -2, 4: 1})
     for n in range(-8, 9):
-        assert pairing(v.witness, translate(Weighted(FIB), n)) == 0
+        assert pairing(v.witness, Shifted(Weighted(FIB), n)) == 0
 
 
 def test_finite_support_generic_property():
@@ -694,7 +695,7 @@ def apply_poly(p, s, i):
 
 
 def kills_translates(v, s, lo=-30, hi=30):
-    return all(pairing(v, translate(s, n)) == 0 for n in range(lo, hi + 1))
+    return all(pairing(v, Shifted(s, n)) == 0 for n in range(lo, hi + 1))
 
 
 def test_shifted_and_scaled_weighted_geometric_are_generic():
@@ -732,8 +733,7 @@ def test_weighted_members_that_are_not_strongly_generic():
 def residue_poly(s):
     """(T, F) with T from is_generic and T(S)s = F(S)delta_0, i.e. F_k is
     entry -k of T(S)s, read off a window wider than the tails."""
-    lo, hi, left, right = seqspace._tails(s)
-    t = left if left == right else seqspace._polymul(left, right)
+    lo, hi, t = seqspace._tails(s)
     f = {-i: apply_poly(t, s, i) for i in range(lo - 40, hi + 40)}
     return t, FinVector({k: c for k, c in f.items() if c})
 
@@ -781,8 +781,8 @@ def test_width_zero_unit_recurrence_is_the_zero_sequence():
 
 
 def test_translate_of_a_recurrence_is_shifted():
-    t = translate(FIB, 3)
-    assert type(t) is Shifted and (t.base, t.offset) == (FIB, 3)
+    t = Shifted(FIB, 3)
+    assert seqspace._tails(t) == (-3, -3, FIB.v)
     assert is_generic(t).witness is FIB.v
 
 
@@ -814,11 +814,11 @@ def test_random_towers_against_the_oracles():
     rng = random.Random(20261019)
     for _ in range(60):
         s = random_tower(rng, 3)
-        lo, hi, left, right = seqspace._tails(s)
-        # each tail polynomial holds on its side of [-40, 40]
-        assert all(apply_poly(left, s, i) == 0 for i in range(-40, lo - left.width() + 1))
-        assert all(apply_poly(right, s, i) == 0 for i in range(hi, 41 - right.width()))
-        fin = seqspace._finite_core(s, (lo, hi, left, right))
+        lo, hi, p = seqspace._tails(s)
+        # the tail polynomial holds on both sides of [-40, 40]
+        assert all(apply_poly(p, s, i) == 0 for i in range(-40, lo - p.width() + 1))
+        assert all(apply_poly(p, s, i) == 0 for i in range(hi, 41 - p.width()))
+        fin = seqspace._finite_core(s, (lo, hi, p))
         if fin is not None:
             assert all(fin.entry(i) == s.entry(i) for i in range(-40, 41))
         v = is_generic(s)
@@ -892,6 +892,60 @@ def test_int_window_default_reads_entries():
     assert NoTails().int_window(1, 0) == (1, [])
 
 
+def test_entry_is_the_one_entry_int_window_of_random_towers():
+    rng = random.Random(32)
+    for _ in range(40):
+        s = random_tower(rng, 3)
+        d, nums = s.int_window(-40, 40)
+        for i in range(-40, 41):
+            got = s.entry(i)
+            assert type(got) is F and got == F(nums[i + 40], d), (s, i)
+
+
+def test_a_class_with_entry_only_reads_alike_through_both_accessors():
+    for s in (NoTails(), TwoRatio(), Shifted(TwoRatio(), 2), Weighted(NoTails())):
+        d, nums = s.int_window(-9, 9)
+        assert [s.entry(i) for i in range(-9, 10)] == [F(n, d) for n in nums], s
+
+
+class Neither(seqspace.BiSequence):
+    """A sequence class that defines neither accessor."""
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda s: s.entry(0), lambda s: s.int_window(-2, 2), lambda s: Shifted(s, 1).entry(3)],
+    ids=["entry", "int_window", "shifted"],
+)
+def test_a_class_with_neither_accessor_raises_not_implemented(read):
+    with pytest.raises(NotImplementedError, match="Neither defines neither entry nor int_window"):
+        read(Neither())
+
+
+# every package class, bare and under nested wrappers
+ENTRY_CASES = [
+    FiniteSupport({1: 1}),
+    Geometric(2),
+    FIB,
+    Shifted(FiniteSupport({1: 1}), 1),
+    Shifted(Geometric(2), -1),
+    Weighted(Geometric(F(5, 2))),
+    Scaled(FIB, 3),
+    Shifted(Weighted(Shifted(FIB, 2)), -3),
+    Scaled(Shifted(Geometric(3), 1), F(-1, 2)),
+    Weighted(Scaled(Shifted(FiniteSupport({0: 2}), 1), 2)),
+    Shifted(Shifted(Recurrence(FinVector({0: 1, 1: 1}), [2]), 4), -4),
+]
+
+
+@pytest.mark.parametrize("s", ENTRY_CASES, ids=range(len(ENTRY_CASES)))
+@pytest.mark.parametrize("i", [True, 2.0, "1"], ids=["bool", "float", "str"])
+def test_entry_refuses_a_non_int_index_and_names_it(s, i):
+    # a wrapper does no index arithmetic before the one integer check
+    with pytest.raises(ValueError, match=f"index must be an int, got {re.escape(repr(i))}$"):
+        s.entry(i)
+
+
 # ---------------------------------------------------------------------------
 # window rank evidence
 # ---------------------------------------------------------------------------
@@ -948,15 +1002,8 @@ def sparse(dense_rows):
 
 
 def tail_witness(s):
-    """T of :func:`is_generic` from the tail form: left, or left * right."""
-    lo, hi, left, right = seqspace._tails(s)
-    if left == right:
-        return left
-    prod = {}
-    for i, a in left.items():
-        for j, b in right.items():
-            prod[i + j] = prod.get(i + j, 0) + a * b
-    return FinVector(prod)
+    """T of :func:`is_generic`: the polynomial P of the tail form."""
+    return seqspace._tails(s)[2]
 
 
 def primitive(row):
@@ -1097,13 +1144,14 @@ class TwoRatio(seqspace.BiSequence):
 
 
 def test_window_rows_use_both_tail_polynomials(monkeypatch):
-    # no class of the package has a tail form with left != right; give
-    # TwoRatio one, S - 2 on (-inf, 0] and S - 3 on [1, inf): only T =
-    # left * right makes z = T(S)x finite, on (-2, 1)
+    # no class of the package has tails with two different ratios; give
+    # TwoRatio the one polynomial T = (S - 2)(S - 3), which holds on both:
+    # S - 2 kills (-inf, 0] and S - 3 kills [1, inf), so z = T(S)x is
+    # finite, on (-2, 1)
     x = TwoRatio()
     assert all(x.entry(i + 1) == 2 * x.entry(i) for i in range(-20, 0))
     assert all(x.entry(i + 1) == 3 * x.entry(i) for i in range(1, 20))
-    form = (0, 1, FinVector({0: -2, 1: 1}), FinVector({0: -3, 1: 1}))
+    form = (0, 1, FinVector({0: 6, 1: -5, 2: 1}))
     tails = seqspace._tails
     monkeypatch.setattr(
         seqspace, "_tails", lambda s: form if isinstance(s, TwoRatio) else tails(s)
@@ -1176,8 +1224,8 @@ def test_window_bound_gives_the_full_window_rank(monkeypatch):
     shrunk = 0
     for _ in range(40):
         seqs = [random_tower(rng, 2) for _ in range(rng.randint(1, 3))]
-        for lo, hi, left, right in map(seqspace._tails, seqs):
-            assert lo <= hi and left.width() == right.width()  # the bound's proof uses both
+        for lo, hi, p in map(seqspace._tails, seqs):
+            assert lo <= hi  # the bound's proof uses it
         S = rng.randint(0, 5)
         W = rng.randint(S, 45)
         flag = rng.random() < 0.5
