@@ -33,7 +33,14 @@ from .rootdata import RootDatum
 
 Gen = Union[Tuple, str]  # ("X", root, m) | ("H", i, m) | "c" | "d"
 
+Scalar = Union[int, Fraction]  # int when integral, else Fraction
+
 COCYCLE_MODES = ("standard", "literal")
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def X(root, m: int) -> Gen:
@@ -140,6 +147,8 @@ class AffineAlgebra:
         self.datum = datum
         self.cocycle = cocycle
         self.loop_only = bool(loop_only)
+        # (basis key, basis key) -> ([(key, int constant)], int Killing value)
+        self._structure: Dict[tuple, tuple] = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -166,30 +175,40 @@ class AffineAlgebra:
 
     # -- bracket --------------------------------------------------------------
 
-    def bracket_gens(self, a: Gen, b: Gen) -> Dict[Gen, Fraction]:
-        """[a, b] on generators, as a sparse dict."""
+    def bracket_gens(self, a: Gen, b: Gen) -> Dict[Gen, Scalar]:
+        """[a, b] on generators, as a fresh sparse dict.
+
+        Coefficients are ``int``: every structure constant of the
+        Chevalley basis and every Killing value is an integer.  The
+        ``rootdata`` constants of a pair of basis keys are read once and
+        kept on the algebra; each call builds its own dict from them."""
         if a == "c" or b == "c":
             return {}
         if a == "d" and b == "d":
             return {}
         if a == "d":
             m = b[2]
-            return {b: Fraction(m)} if m else {}
+            return {b: m} if m else {}
         if b == "d":
             m = a[2]
-            return {a: Fraction(-m)} if m else {}
+            return {a: -m} if m else {}
         ka = (a[0], a[1])
         kb = (b[0], b[1])
+        terms, kap = self._structure.get((ka, kb)) or self._constants(ka, kb)
         m, l = a[2], b[2]
-        out: Dict[Gen, Fraction] = {}
-        for key, coeff in self.datum.bracket_basis(ka, kb).items():
-            out[key + (m + l,)] = coeff
-        if not self.loop_only and m + l == 0:
-            kap = self.datum.killing_basis(ka, kb)
-            if kap:
-                factor = Fraction(m) if self.cocycle == "standard" else Fraction(1)
-                if factor:
-                    out["c"] = factor * kap
+        n = m + l
+        out: Dict[Gen, Scalar] = {key + (n,): coeff for key, coeff in terms}
+        if kap and not n and not self.loop_only:
+            factor = m if self.cocycle == "standard" else 1
+            if factor:
+                out["c"] = factor * kap
+        return out
+
+    def _constants(self, ka: tuple, kb: tuple) -> tuple:
+        """``_structure[ka, kb]``, read from the datum and stored."""
+        datum = self.datum
+        terms = [(key, _exact(c)) for key, c in datum.bracket_basis(ka, kb).items()]
+        out = self._structure[ka, kb] = (terms, _exact(datum.killing_basis(ka, kb)))
         return out
 
     def bracket(self, x: AffineElement, y: AffineElement) -> AffineElement:

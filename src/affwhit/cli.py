@@ -17,6 +17,10 @@ the ``timing`` field of the JSON report.
 
 Exit codes: 0 = success (for the solvers: unique Whittaker vector),
 2 = solver found multiplicity (dimension > 1), 1 = any error.
+
+A warning the library raises (a genericity check that fails or cannot
+decide) is printed on stderr as one ``warning: <message>`` line, with
+no source path, so stderr does not depend on where the package lives.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import json
 import re
 import sys
 import time
+import warnings
 from fractions import Fraction
 from typing import Optional
 
@@ -542,16 +547,23 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _plain_warning(message, category, filename, lineno, file=None, line=None):
+    """``warnings.showwarning`` for the CLI: one line, no source path."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        # str() of a KeyError is the repr of its argument; print the message
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # the caller's showwarning comes back on exit
+        warnings.showwarning = _plain_warning
+        try:
+            return args.func(args)
+        except (ConfigError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            # str() of a KeyError is the repr of its argument; print the message
+            message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+            print(f"error: {message}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

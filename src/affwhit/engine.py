@@ -122,8 +122,10 @@ basis columns, as they are.  The tensor builder is the Kronecker sum
 R_a (x) I + I (x) R_b of the factors' own ``condition_rows`` R_a and
 R_b, as X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
 ma (x) (X - Lam'_j).mb: row m of R_a lands on the rows (m, mb), row m'
-of R_b on (ma, m').  It builds no tensor element and reads no table of
-its factors.
+of R_b on (ma, m').  It reads R_a and R_b as columns and visits only
+the live pair columns, writing column ma of R_a and column mb of R_b
+into pair column (ma, mb).  It builds no tensor element and reads no
+table of its factors.
 
 The two parts of a row never share a column: in column (ma, mb) that
 would need (m, mb) = (ma, m'), and a shifted image (X - Lam_j) . m,
@@ -214,10 +216,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
 
 from . import linalg
-from .affine import AffineAlgebra, Gen, gen_str
+from .affine import AffineAlgebra, Gen, Scalar, _exact, gen_str
 from .rootdata import RootDatum, root_str
 from .seqspace import (
     BiSequence,
@@ -228,18 +230,12 @@ from .seqspace import (
 )
 
 Monomial = Tuple[Tuple[Gen, int], ...]  # ((gen, multiplicity), ...) ascending
-Scalar = Union[int, Fraction]  # int when integral, else Fraction
 ModuleElement = Dict[Monomial, Scalar]
 IdElement = Dict[int, Scalar]  # a ModuleElement keyed by monomial id
 
 VACUUM: Monomial = ()
 
 MODES = ("affine", "loop_only")
-
-
-def _exact(x: Scalar) -> Scalar:
-    """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
-    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -455,7 +451,7 @@ def _bracket(t: tuple, g: int, head: int) -> tuple:
     """``_brackets[g][head]``, computed and stored: [g, head] = sum ch.h as
     (sum of ch.lambda(h), [(h, ch) for h != c]), c - theta being zero."""
     shift, gens = t[4], t[6]
-    terms = [(_gen_id(t, h), _exact(c))
+    terms = [(_gen_id(t, h), c)
              for h, c in t[8].bracket_gens(gens[g], gens[head]).items()]
     lam = _exact(sum(c * shift[h] for h, c in terms))
     out = t[5][g][head] = (lam, [(h, c) for h, c in terms if h])
@@ -862,6 +858,16 @@ PairMonomial = Tuple[Monomial, Monomial]
 TensorElement = Dict[PairMonomial, Scalar]
 
 
+def _columns(rows: Mapping[int, Mapping[int, Scalar]], n: int) -> List[list]:
+    """Rows {out: {col: coeff}} over columns range(n) as their columns: the
+    (out, coeff) pairs of column col, for each col."""
+    cols: List[list] = [[] for _ in range(n)]
+    for m, row in rows.items():
+        for col, c in row.items():
+            cols[col].append((m, c))
+    return cols
+
+
 class TensorModule:
     """Diagonal action on M(Lam, theta) (x) M(Lam', theta')."""
 
@@ -924,12 +930,14 @@ class TensorModule:
         basis_b[ib])), rows keyed by output pair of ids.
 
         The rows are the Kronecker sum R_a (x) I + I (x) R_b of the factors'
-        full rows of the condition (module docstring): row (m, mb) takes row
-        m of R_a at the columns ia * nb + ib, ib the index of mb, and row
-        (ma, m') row m' of R_b at the columns ia * nb + ib, ia the index of
-        ma; the two parts of a row never share a column.  As in the module
-        builder, dead columns get no entry, rows left empty are not built,
-        and neither factor's memo keeps its top-degree images.
+        full rows of the condition (module docstring), built over the live
+        pair columns only: R_a and R_b are read once as columns, and live
+        column ia * nb + ib gets column ia of R_a in the rows (m, mb), mb
+        the pair's right monomial, and column ib of R_b in the rows (ma,
+        m'); the two parts of a row never share a column.  As in the
+        module builder, dead columns get no entry, a row with no live entry
+        is never made, and neither factor's memo keeps its top-degree
+        images.
 
         ``count``, the rows over every column, needs no set.  Let K_a, K_b be
         the row keys of R_a, R_b and B_a, B_b the basis ids, na and nb of
@@ -941,21 +949,27 @@ class TensorModule:
         """
         rows_a, count_a = self.left.condition_rows(basis_a, root, j, ())
         rows_b, count_b = self.right.condition_rows(basis_b, root, j, ())
+        cols_a, cols_b = _columns(rows_a, len(basis_a)), _columns(rows_b, len(basis_b))
         nb = len(basis_b)
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for m, row_a in rows_a.items():
-            cols = [(ia * nb, c) for ia, c in row_a.items()]
+        for ia, ma in enumerate(basis_a):
+            col_a, k = cols_a[ia], ia * nb
             for ib, mb in enumerate(basis_b):
-                row = {k + ib: c for k, c in cols if k + ib not in dead}
-                if row:
-                    by_out[m, mb] = row
-        for m, row_b in rows_b.items():
-            for k, ma in zip(range(0, len(basis_a) * nb, nb), basis_a):
-                row = {k + ib: c for ib, c in row_b.items() if k + ib not in dead}
-                if row:
-                    part = by_out.setdefault((ma, m), row)
-                    if part is not row:
-                        part.update(row)
+                p = k + ib
+                if p in dead:
+                    continue
+                for m, c in col_a:
+                    row = by_out.get((m, mb))
+                    if row is None:
+                        by_out[m, mb] = {p: c}
+                    else:
+                        row[p] = c
+                for m, c in cols_b[ib]:
+                    row = by_out.get((ma, m))
+                    if row is None:
+                        by_out[ma, m] = {p: c}
+                    else:
+                        row[p] = c
         both = len(rows_a.keys() & basis_a) * len(rows_b.keys() & basis_b)
         return by_out, count_a * nb + len(basis_a) * count_b - both
 

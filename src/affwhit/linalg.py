@@ -61,7 +61,9 @@ entry is lifted from its residue modulo the product m of the combined
 primes by Wang's rational reconstruction (numerator and denominator at
 most isqrt(m // 2)).  The lift is accepted only if every row of A
 reduces to zero against it, checked in integers; otherwise the next
-prime is taken.
+prime is taken.  The check (:func:`_certify`) numbers the free columns
+once and takes each row's products with the free columns' kernel
+vectors, scaled to integers, in one dense list of ``int`` accumulators.
 
 Why an accepted lift is exact.  Let C be the columns in A's support,
 P = P_p the candidate's pivots and k = |C - P|.
@@ -332,9 +334,14 @@ def _primes() -> Iterator[int]:
 
 
 def _integer_row(row: SparseRow) -> IntRow:
-    """The nonzero entries of row times the lcm of their denominators."""
-    lcm = math.lcm(*(v.denominator for v in row.values()))
-    return {c: v.numerator * (lcm // v.denominator) for c, v in row.items() if v}
+    """The nonzero entries of row times the lcm of their denominators.
+
+    Each denominator is read once; a row of integers (lcm 1) is copied."""
+    dens = [v.denominator for v in row.values()]
+    lcm = math.lcm(*dens)
+    if lcm == 1:
+        return {c: v.numerator for c, v in row.items() if v}
+    return {c: v.numerator * (lcm // d) for (c, v), d in zip(row.items(), dens) if v}
 
 
 def _rref_mod(rows: Iterable[IntRow], p: int) -> IntPivots:
@@ -460,27 +467,35 @@ def _certify(rows: List[IntRow], cand: Dict[int, Dict[int, Tuple[int, int]]]) ->
     cand[pc][f] = (a, b) means R[pc][f] = a/b off the pivot.  Row x
     reduces to zero iff x . v_f = 0 for every free column f, where
     v_f = e_f - sum_pc R[pc][f] e_pc; each v_f is scaled by the lcm d_f
-    of its denominators, so all arithmetic is in integers.
+    of its denominators, so all arithmetic is in integers.  The free
+    columns -- every column of the rows or the candidate that is no
+    pivot -- are numbered once, each candidate row becomes a list of
+    (free index, scaled entry) pairs, and each row x is checked in one
+    dense accumulator of the k values x . d_f v_f.
     """
     den: Dict[int, int] = {}
     for row in cand.values():
         for f, (_, b) in row.items():
-            if b != 1:
-                den[f] = math.lcm(den.get(f, 1), b)
+            den[f] = math.lcm(den.get(f, 1), b)
+    free = {f: (i, d) for i, (f, d) in enumerate(den.items())}
+    for c in set().union(*rows).difference(cand, free):
+        free[c] = (len(free), 1)
     scaled = {
-        pc: {f: a * (den.get(f, 1) // b) for f, (a, b) in row.items()}
+        pc: [(free[f][0], a * (den[f] // b)) for f, (a, b) in row.items()]
         for pc, row in cand.items()
     }
+    k = len(free)
     for x in rows:
-        acc: IntRow = {}
+        acc = [0] * k
         for c, xc in x.items():
             w = scaled.get(c)
             if w is None:
-                acc[c] = acc.get(c, 0) - xc * den.get(c, 1)
+                i, d = free[c]
+                acc[i] -= xc * d
             else:
-                for f, y in w.items():
-                    acc[f] = acc.get(f, 0) + xc * y
-        if any(acc.values()):
+                for i, y in w:
+                    acc[i] += xc * y
+        if any(acc):
             return False
     return True
 

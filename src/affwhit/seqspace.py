@@ -156,6 +156,13 @@ class FinVector(linalg.LinearCombination):
 IntWindow = Tuple[int, List[int]]  # (D, N): entry lo + k is N[k] / D, D > 0
 
 
+def _bounds(lo: int, hi: int) -> None:
+    """ValueError unless both window bounds are ``int``: every
+    ``int_window`` checks them before any index arithmetic."""
+    require_int(lo, "window bound lo")
+    require_int(hi, "window bound hi")
+
+
 class BiSequence:
     """Abstract bi-infinite sequence Z -> Q.
 
@@ -174,6 +181,7 @@ class BiSequence:
     def int_window(self, lo: int, hi: int) -> IntWindow:
         """(D, N) with D > 0 and entry i = N[i - lo] / D for lo <= i <= hi;
         (1, []) when hi < lo."""
+        _bounds(lo, hi)
         if type(self).entry is BiSequence.entry:
             raise NotImplementedError(
                 f"{type(self).__name__} defines neither entry nor int_window"
@@ -195,6 +203,7 @@ class FiniteSupport(linalg.LinearCombination, BiSequence):
     _key = staticmethod(require_int)
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
+        _bounds(lo, hi)
         get = self.coeffs.get
         vals = [get(i) for i in range(lo, hi + 1)]
         d = math.lcm(*(x.denominator for x in vals if x is not None))
@@ -219,6 +228,7 @@ class Geometric(BiSequence):
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
         """With j = p/q: D = q^hi and N_i = p^i * q^(hi - i) for 0 < i <= hi."""
+        _bounds(lo, hi)
         if hi <= 0:
             return 1, [0] * max(0, hi - lo + 1)
         p, q = self.j.numerator, self.j.denominator
@@ -291,6 +301,7 @@ class Recurrence(BiSequence):
         quotient computed.  A remainder would be an arithmetic fault,
         and raises.
         """
+        _bounds(lo, hi)
         if hi < lo:
             return 1, []
         c = self._c
@@ -342,6 +353,7 @@ class Shifted(BiSequence):
         require_int(self.offset, "shift offset")
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
+        _bounds(lo, hi)
         return self.base.int_window(lo + self.offset, hi + self.offset)
 
     def __repr__(self):
@@ -355,6 +367,7 @@ class Weighted(BiSequence):
     base: BiSequence
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
+        _bounds(lo, hi)
         d, nums = self.base.int_window(lo, hi)
         return d, [i * n for i, n in enumerate(nums, lo)]
 
@@ -376,6 +389,7 @@ class Scaled(BiSequence):
         object.__setattr__(self, "factor", factor)
 
     def int_window(self, lo: int, hi: int) -> IntWindow:
+        _bounds(lo, hi)
         d, nums = self.base.int_window(lo, hi)
         p = self.factor.numerator
         return d * self.factor.denominator, [p * n for n in nums]

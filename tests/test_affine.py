@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from affwhit import (
     C,
     D,
@@ -149,6 +150,74 @@ def test_loop_only_mode():
         a.validate_gen(C)
     with pytest.raises(ValueError):
         a.validate_gen(D)
+
+
+def matrix_in_basis(n, M):
+    """A trace-zero n x n matrix over the Chevalley basis keys: entry (p, q)
+    off the diagonal on the root e_p - e_q, written on the simple roots
+    from p and q alone, and the diagonal on H_i = E_ii - E_(i+1)(i+1)."""
+    out = {}
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            if p != q and M[p - 1, q - 1]:
+                lo, hi, sign = (p, q, 1) if p < q else (q, p, -1)
+                root = tuple(sign if lo <= k < hi else 0 for k in range(1, n))
+                out["X", root] = M[p - 1, q - 1]
+    for i in range(1, n):
+        c = sum(M[k, k] for k in range(i))
+        if c:
+            out["H", i] = c
+    return {k: F(int(v.p), int(v.q)) for k, v in out.items()}
+
+
+def oracle_bracket_gens(finite, cocycle, loop_only, a, b):
+    """[a, b] on generators; ``finite`` maps a pair of basis keys to their
+    bracket and Killing value, read from matrix commutators and traces."""
+    if C in (a, b) or a == b == D:
+        return {}
+    if D in (a, b):
+        g, sign = (b, 1) if a == D else (a, -1)
+        return {g: F(sign * g[2])} if g[2] else {}
+    bracket, kappa = finite[a[:2], b[:2]]
+    n = a[2] + b[2]
+    out = {k + (n,): v for k, v in bracket.items()}
+    factor = a[2] if cocycle == "standard" else 1
+    if not loop_only and n == 0 and kappa and factor:
+        out[C] = factor * kappa
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "cocycle, loop_only",
+    [("standard", False), ("literal", False), ("standard", True)],
+    ids=["standard", "literal", "loop-only"],
+)
+def test_bracket_gens_matches_matrix_brackets(n, cocycle, loop_only):
+    datum = build_datum(n)
+    a = alg(datum, cocycle=cocycle, loop_only=loop_only)
+    keys = [("X", r) for r in sorted(datum.phi)] + [("H", i) for i in range(1, n)]
+    matrix = {k: oracles.basis_matrix(datum, k) for k in keys}
+    finite = {
+        (ka, kb): (
+            matrix_in_basis(n, oracles.matrix_bracket(matrix[ka], matrix[kb])),
+            oracles.matrix_killing(datum, matrix[ka], matrix[kb]),
+        )
+        for ka in keys
+        for kb in keys
+    }
+    gens = [k + (m,) for k in keys for m in range(-2, 3)]
+    if not loop_only:
+        gens += [C, D]
+    for x in gens:
+        for y in gens:
+            want = oracle_bracket_gens(finite, cocycle, loop_only, x, y)
+            got = a.bracket_gens(x, y)
+            assert got == want, (x, y)
+            assert all(type(v) is int for v in got.values()), (x, y)
+            got[C] = 99  # a caller's edits reach no later result
+            got.pop(next(iter(got)))
+            assert a.bracket_gens(x, y) == want, (x, y)
 
 
 def test_module_level_bracket_helper():

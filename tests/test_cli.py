@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,28 @@ def test_tensor_decides_each_member_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "tensor", "--preset", "tensor-sl2")
     assert code == 2 and "not_strongly_generic" in out
     assert len(decided) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, subject",
+    [
+        (("whittaker", "--preset", "sl3-abelian"), "Lam multiset"),
+        (("tensor", "--preset", "tensor-sl2"), "the union of the two eigenvalue families"),
+    ],
+)
+def test_a_genericity_warning_is_one_plain_stderr_line(capsys, argv, subject):
+    # the library warns; the CLI prints the message alone, with no path or code line
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        shown = warnings.showwarning
+        code, _, err = run(capsys, *argv)
+        assert warnings.showwarning is shown  # main restores the caller's hook
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line.startswith(f"warning: {subject} is not certified strongly generic (")
+    assert line.endswith("is not guaranteed")
+    for part in ("cli.py", "UserWarning", "/", "return "):
+        assert part not in line
 
 
 def test_tensor_neg_preset(capsys):

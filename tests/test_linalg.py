@@ -419,32 +419,59 @@ def test_denominator_divisible_by_a_prime():
     assert linalg.rref_pivots(rows) == {0: {0: F(1), 1: F(M127)}}
 
 
+def mixed_rows(rng, nr, nc):
+    """Random rows with integral entries as ``int`` and explicit zeros, ``0``
+    or ``F(0)``, at some empty columns."""
+    rows = []
+    for row in random_sparse_rows(rng, nr, nc):
+        out = {}
+        for c in range(nc):
+            v = row.get(c)
+            if v is not None:
+                out[c] = v.numerator if v.denominator == 1 else v
+            elif rng.random() < 0.3:
+                out[c] = rng.choice((0, F(0)))
+        rows.append(out)
+    return rows
+
+
 def test_certificate_rejects_a_perturbed_candidate():
     rng = random.Random(8128)
     checked = 0
-    for _ in range(150):
-        nc = rng.randint(2, 8)
-        rows = random_sparse_rows(rng, rng.randint(1, 8), nc)
-        int_rows = [r for r in map(linalg._integer_row, rows) if r]
-        cand = {
-            pc: {f: (v.numerator, v.denominator) for f, v in row.items() if f != pc}
-            for pc, row in oracles.fraction_rref(rows).items()
-        }
-        assert linalg._certify(int_rows, cand)
-        entries = [(pc, f) for pc, row in cand.items() for f in row]
-        if not entries:
-            continue
-        pc, f = rng.choice(entries)
-        a, b = cand[pc][f]
-        for wrong in ((a + 1, b), (a, b + 1), None):
-            bad = {k: dict(row) for k, row in cand.items()}
-            if wrong is None:
-                del bad[pc][f]
-            else:
-                bad[pc][f] = wrong
+    for make in (random_sparse_rows, mixed_rows):
+        for _ in range(150):
+            nc = rng.randint(2, 8)
+            rows = make(rng, rng.randint(1, 8), nc)
+            int_rows = [r for r in map(linalg._integer_row, rows) if r]
+            # each integer row is its row, zeros dropped, times one positive scale
+            for r, x in zip(int_rows, (x for x in rows if any(x.values()))):
+                nonzero = {c: v for c, v in x.items() if v}
+                assert all(type(v) is int for v in r.values()) and r.keys() == nonzero.keys()
+                scale = F(r[min(r)]) / nonzero[min(r)]
+                assert scale > 0 and all(r[c] == scale * v for c, v in nonzero.items())
+            cand = {
+                pc: {f: (v.numerator, v.denominator) for f, v in row.items() if f != pc}
+                for pc, row in oracles.fraction_rref(rows).items()
+            }
+            assert linalg._certify(int_rows, cand)
+            entries = [(pc, f) for pc, row in cand.items() for f in row]
+            if not entries:
+                continue
+            pc, f = rng.choice(entries)
+            a, b = cand[pc][f]
+            for wrong in ((a + 1, b), (a, b + 1), None):
+                bad = {k: dict(row) for k, row in cand.items()}
+                if wrong is None:
+                    del bad[pc][f]
+                else:
+                    bad[pc][f] = wrong
+                assert not linalg._certify(int_rows, bad)
+            # free column f in no candidate row: v_f = e_f, but column f is
+            # not zero in the rows
+            bad = {k: {g: ab for g, ab in row.items() if g != f} for k, row in cand.items()}
             assert not linalg._certify(int_rows, bad)
-        checked += 1
-    assert checked > 50
+            checked += 1
+    assert checked > 100
 
 
 def residue_rows(rng, p, nr, nc):

@@ -946,6 +946,28 @@ def test_entry_refuses_a_non_int_index_and_names_it(s, i):
         s.entry(i)
 
 
+# every class's int_window, the default that reads entry included
+WINDOW_CASES = [
+    FiniteSupport({1: 1}),
+    Geometric(2),
+    FIB,
+    Shifted(Geometric(2), -1),
+    Weighted(FIB),
+    Scaled(FIB, 3),
+    NoTails(),
+]
+
+
+@pytest.mark.parametrize("s", WINDOW_CASES, ids=[type(s).__name__ for s in WINDOW_CASES])
+@pytest.mark.parametrize("bound", [True, 2.0, 0.0], ids=["bool", "float", "zero-float"])
+def test_int_window_refuses_a_non_int_bound_and_names_it(s, bound):
+    # a bool is not taken for 1, nor a float passed on to range
+    for lo, hi, which in ((bound, 2, "lo"), (0, bound, "hi")):
+        want = f"window bound {which} must be an int, got {re.escape(repr(bound))}$"
+        with pytest.raises(ValueError, match=want):
+            s.int_window(lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # window rank evidence
 # ---------------------------------------------------------------------------

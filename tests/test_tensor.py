@@ -1,5 +1,6 @@
 """Tensor products of induced modules under the diagonal action."""
 
+import random
 import warnings
 from fractions import Fraction
 
@@ -222,6 +223,17 @@ def act_gen_rows(t, basis, root, j):
     return rows
 
 
+def dead_sets(rng, n):
+    """Nonempty dead sets over n columns: about half, all but a few, one."""
+    cols = range(n)
+    few = set(rng.sample(cols, min(3, n - 1)))
+    return [
+        {c for c in cols if rng.random() < 0.5} or {0},
+        set(cols) - few,
+        {rng.randrange(n)},
+    ]
+
+
 @pytest.mark.parametrize(
     "make, trunc",
     [
@@ -238,13 +250,26 @@ def test_kronecker_rows_equal_act_gen_rows(make, trunc):
     ids_a = [t.left._mid(m) for m in basis_a]
     ids_b = [t.right._mid(m) for m in basis_b]
     mono_a, mono_b = t.left.mono, t.right.mono
+    rng = random.Random(33)
     cancelled = 0
     for root in t.left.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
             built, count = t.condition_rows(ids_a, ids_b, root, j, set())
             assert count == len(built)
             rows = {(mono_a(a), mono_b(b)): row for (a, b), row in built.items()}
-            assert rows == act_gen_rows(t, basis, root, j), (root, j)
+            want = act_gen_rows(t, basis, root, j)
+            assert rows == want, (root, j)
+            # dead columns: the oracle rows on the live columns, empty rows dropped
+            for dead in dead_sets(rng, len(basis)):
+                built, dead_count = t.condition_rows(ids_a, ids_b, root, j, dead)
+                assert dead_count == count
+                got = {(mono_a(a), mono_b(b)): row for (a, b), row in built.items()}
+                live = {}
+                for out, row in want.items():
+                    kept = {col: c for col, c in row.items() if col not in dead}
+                    if kept:
+                        live[out] = kept
+                assert got == live, (root, j, sorted(dead))
             # pairs whose diagonal s_a + s_b meets the target get no entry
             g, target = X(root, j), t.lam_sum(root, j)
             for col, (ma, mb) in enumerate(basis):
