@@ -113,9 +113,12 @@ def require_list(value, what: str) -> list:
 
 
 def config_int(value, what: str) -> int:
-    """An integer field: a JSON integer or a string of one, never a bool or
-    a float (``int`` would truncate 2.5 to 2 and read true as 1)."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    """An integer field: a JSON integer or a string of one, never a bool, a
+    float or a string with a digit separator (``int`` would truncate 2.5
+    to 2, read true as 1 and "1_0" as 10)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, str) and "_" not in value:
         try:
             return int(value)
         except ValueError:
@@ -126,7 +129,11 @@ def config_int(value, what: str) -> int:
 def load_config(args) -> dict:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            return require_object(json.load(fh), "config")
+            try:
+                cfg = json.load(fh)
+            except RecursionError:
+                raise ConfigError(f"config {args.config} nests too deeply") from None
+        return require_object(cfg, "config")
     if getattr(args, "preset", None):
         return presets_mod.get_preset(args.preset)
     raise ConfigError("one of --preset or --config is required")
@@ -377,13 +384,34 @@ def cmd_check_seq(args) -> int:
     return 0
 
 
-def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
+def cmd_solve(args) -> int:
+    """``whittaker`` and ``tensor``, keyed on ``args.command``: one module
+    or the tensor product of the ``left`` and ``right`` modules, solved at
+    the truncation; a tensor run also checks that each X_root (x) t^j acts
+    on the cyclic vector by the sum of the factors' eigenvalues."""
+    cfg = load_config(args)
+    tensor = args.command == "tensor"
+    if tensor and ("left" not in cfg or "right" not in cfg):
+        raise ConfigError("tensor config needs 'left' and 'right' module configs")
+    parts = (cfg["left"], cfg["right"]) if tensor else (cfg,)
+    specs = [build_spec(part, args.mode, args.cocycle) for part in parts]
+    trunc = resolve_truncation(cfg, args)
+    check_basis_size(specs, trunc)
+    if tensor:
+        module = TensorModule(*specs)
+        genericity, render = module.union_genericity, pair_str
+    else:
+        module = WhittakerModule(specs[0])
+        genericity, render = specs[0].genericity, mono_str
+    t0 = time.monotonic()
+    result = module.solve(trunc)
+    dt = time.monotonic() - t0
     # each monomial of the vectors rendered, and its sort key built, once
     monos = {m for v in result.vectors for m in v}
     text = {m: render(m) for m in monos}.__getitem__
     key = {m: (len(m), repr(m)) for m in monos}.__getitem__
     report = {
-        "command": command,
+        "command": args.command,
         "config": cfg,
         "truncation": {"D": trunc.D, "E": trunc.E, "J": trunc.J},
         "genericity": verdict_json(genericity),
@@ -393,8 +421,6 @@ def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
         "dimension": result.dimension,
         "vectors": [vector_json(v, text) for v in result.vectors],
     }
-    if extra:
-        report.update(extra)
     lines = [
         f"truncation: D={trunc.D} E={trunc.E} J={trunc.J}",
         f"basis size {result.basis_size}, {result.condition_count} conditions, "
@@ -403,68 +429,30 @@ def _solve_report(command, cfg, trunc, result, genericity, render, extra=None):
         + (f" ({genericity.reason})" if genericity.reason else ""),
         f"dimension: {result.dimension}",
     ]
-    for v in result.vectors:
-        lines.append(f"  {element_str(v, render=text, key=key)}")
-    return report, lines
-
-
-def cmd_whittaker(args) -> int:
-    cfg = load_config(args)
-    spec = build_spec(cfg, args.mode, args.cocycle)
-    trunc = resolve_truncation(cfg, args)
-    check_basis_size([spec], trunc)
-    module = WhittakerModule(spec)
-    t0 = time.monotonic()
-    result = module.solve(trunc)
-    dt = time.monotonic() - t0
-    report, lines = _solve_report(
-        "whittaker", cfg, trunc, result, spec.genericity, mono_str
-    )
+    if tensor:
+        additivity, vac = [], {((), ()): Fraction(1)}
+        for root in module.condition_roots():
+            for j in range(-5, 6):
+                target = module.lam_sum(root, j)
+                img = module.act_gen(("X", root, j), vac)
+                good = img == ({((), ()): target} if target else {})
+                additivity.append(
+                    {"root": root_str(root), "j": j, "target": str(target), "ok": good}
+                )
+        ok = all(a["ok"] for a in additivity)
+        report.update(
+            union_genericity=verdict_json(genericity),
+            eigenvalue_additivity_ok=ok,
+            theta_sum=str(module.theta),
+            eigenvalue_additivity=additivity,
+        )
+        lines.insert(
+            3,
+            f"eigenvalue additivity on j in [-5,5]: {'ok' if ok else 'FAILED'}; "
+            f"c acts as {module.theta}",
+        )
+    lines += [f"  {element_str(v, render=text, key=key)}" for v in result.vectors]
     report["timing"] = dt
-    emit(report, lines, args.out)
-    return 0 if result.dimension == 1 else 2
-
-
-def cmd_tensor(args) -> int:
-    cfg = load_config(args)
-    if "left" not in cfg or "right" not in cfg:
-        raise ConfigError("tensor config needs 'left' and 'right' module configs")
-    spec_a = build_spec(cfg["left"], args.mode, args.cocycle)
-    spec_b = build_spec(cfg["right"], args.mode, args.cocycle)
-    trunc = resolve_truncation(cfg, args)
-    check_basis_size([spec_a, spec_b], trunc)
-    module = TensorModule(spec_a, spec_b)
-    t0 = time.monotonic()
-    result = module.solve(trunc)
-    dt = time.monotonic() - t0
-    additivity = []
-    vac = {((), ()): Fraction(1)}
-    ok = True
-    for root in module.left.condition_roots():
-        in_phi0 = root in spec_a.datum.phi_n0
-        for j in range(-5, 6):
-            target = module.lam_sum(root, j) if in_phi0 else Fraction(0)
-            img = module.act_gen(("X", root, j), vac)
-            good = img == ({((), ()): target} if target else {})
-            ok = ok and good
-            additivity.append(
-                {"root": root_str(root), "j": j, "target": str(target), "ok": good}
-            )
-    extra = {
-        "union_genericity": verdict_json(module.union_genericity),
-        "eigenvalue_additivity_ok": ok,
-        "theta_sum": str(module.theta),
-    }
-    report, lines = _solve_report(
-        "tensor", cfg, trunc, result, module.union_genericity, pair_str, extra
-    )
-    report["eigenvalue_additivity"] = additivity
-    report["timing"] = dt
-    lines.insert(
-        3,
-        f"eigenvalue additivity on j in [-5,5]: {'ok' if ok else 'FAILED'}; "
-        f"c acts as {module.theta}",
-    )
     emit(report, lines, args.out)
     return 0 if result.dimension == 1 else 2
 
@@ -532,11 +520,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("whittaker", help="solve the truncated Whittaker system")
     _add_common(p)
-    p.set_defaults(func=cmd_whittaker)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("tensor", help="solve the system on a tensor product")
     _add_common(p)
-    p.set_defaults(func=cmd_tensor)
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bracket", help="bracket of two affine generators")
     p.add_argument("gen1", help="generator literal, e.g. 'X[1]@t^2' or 'H[1]@t^0'")

@@ -149,8 +149,8 @@ def as_scalar(x: ScalarLike) -> Fraction:
     """Coerce ints, Fractions and decimal-free strings like '-2/3' to Fraction.
 
     ValueError for a string that is not such a literal, a zero
-    denominator included; TypeError for anything else, a float or a bool
-    included."""
+    denominator or a digit separator '_' included; TypeError for anything
+    else, a float or a bool included."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -159,6 +159,8 @@ def as_scalar(x: ScalarLike) -> Fraction:
         s = x.strip()
         if "." in s or "e" in s.lower():
             raise ValueError(f"rational literal must be decimal-free: {x!r}")
+        if "_" in s:
+            raise ValueError(f"rational literal must have no digit separator '_': {x!r}")
         try:
             return Fraction(s)
         except ZeroDivisionError:

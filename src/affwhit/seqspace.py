@@ -64,7 +64,9 @@ positive number, so the decisions, the Hankel rows and the window rows
 work on these integers (each window row passed to :func:`linalg.rank` is
 its primitive integer multiple); an entry becomes a
 :class:`fractions.Fraction` only where one is returned (``entry``, a
-finite core).
+finite core).  :func:`member_record` decides a member with a tail form
+from one window, [lo - omega(P) + 1, hi + omega(P) - 1]: P(S)s, the
+verdict and the finite core all come from that one read.
 """
 
 from __future__ import annotations
@@ -504,59 +506,6 @@ def _tails(s: BiSequence):
     return lo, hi, _polymul(p, p)
 
 
-def _residue(s: BiSequence, tails) -> dict:
-    """z, a positive multiple of P(S)s as {i: nonzero int}, for ``tails =
-    _tails(s) = (lo, hi, P)``.  P holds on (-inf, lo] and on [hi, inf),
-    and z_i = sum_k P_k s_{i+k}, so only lo - omega(P) < i < hi are
-    computed, from one integer window of s and P scaled to integers by
-    the lcm of its denominators.
-    """
-    lo, hi, p = tails
-    w = p.width()
-    m = math.lcm(*(c.denominator for c in p.coeffs.values()))
-    terms = [(k, c.numerator * (m // c.denominator)) for k, c in p.items()]
-    _, vals = s.int_window(lo - w + 1, hi - 1 + w)
-    z = (sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1))
-    return {i: x for i, x in enumerate(z, lo - w + 1) if x}
-
-
-def _finite_core(s: BiSequence, tails) -> Optional[FiniteSupport]:
-    """s as a plain FiniteSupport when its support is finite, else None.
-
-    ``tails`` is ``_tails(s)``, which must not be None.  With tails (lo,
-    hi, P) and w = omega(P), s has finite support iff it is 0 on the w
-    entries that end at lo and on the w entries that start at hi; the
-    core is then its entries on (lo, hi).  Proof: a tail on which P
-    holds and which has w consecutive zeros is zero, since P_0 != 0 and
-    P_w != 0 unroll it both ways from them.  A finite support gives such
-    zeros far out on each tail, hence on the whole tail, those next to
-    lo and hi included; conversely zeros there clear both tails, which
-    leaves only the entries on (lo, hi).  All of them are read as one
-    integer window.
-    """
-    lo, hi, p = tails
-    w = p.width()
-    d, vals = s.int_window(lo - w + 1, hi + w - 1)
-    end = len(vals) - w  # vals[end:] starts at hi
-    if any(vals[:w]) or any(vals[end:]):
-        return None
-    return FiniteSupport({i: Fraction(n, d) for i, n in enumerate(vals[w:end], lo + 1) if n})
-
-
-def _genericity(s: BiSequence, tails):
-    """(z, verdict) of :func:`is_generic` for s, given ``_tails(s)``; z
-    is empty when s has no tail form."""
-    if tails is None:
-        reason = f"no decision procedure for {type(s).__name__}"
-        return {}, SeqVerdict("unknown", None, reason)
-    z = _residue(s, tails)
-    if z:
-        return z, GENERIC
-    t = tails[2]
-    reason = "zero sequence" if t == _ONE else "defining annihilator"
-    return z, SeqVerdict("not_generic", t, reason)
-
-
 @dataclass(frozen=True, eq=False)
 class MemberRecord:
     """Everything the verdicts and the window rows read of one sequence.
@@ -565,6 +514,8 @@ class MemberRecord:
     form), whose P is the witness T of :func:`is_generic`; ``z`` is a
     positive multiple of P(S)seq ({} without a tail form); ``core`` is
     seq as a FiniteSupport when its support is finite, else None.
+    :func:`member_record` takes z, the verdict and the core from one
+    integer window of seq.
     """
 
     seq: BiSequence
@@ -587,10 +538,46 @@ def member_record(s: BiSequence) -> MemberRecord:
     when it is not generic and first asked, its minimal annihilator.
     Every verdict below reads these records, and the functions taking a
     family accept records in place of sequences, so a caller that builds
-    them decides each member once."""
+    them decides each member once.
+
+    A member with no tail form is 'unknown', and no entry is read.  With
+    tails (lo, hi, P) and w = omega(P), one integer window of s, on [lo -
+    w + 1, hi + w - 1], gives the other three fields:
+
+    * z = P(S)s, with P scaled to integers by the lcm of its
+      denominators.  z_i = sum_k P_k s_{i+k} is 0 when i <= lo - w or i
+      >= hi, as P holds on (-inf, lo] and on [hi, inf), so only lo - w <
+      i < hi are computed, and they read exactly that window.
+    * the verdict: generic when z != 0, else not generic with witness P
+      (:func:`is_generic` has the proof).
+    * the finite core: s has finite support iff its w entries that end at
+      lo and its w entries that start at hi are 0; the core is then its
+      entries on (lo, hi).  Proof: a tail on which P holds and which has
+      w consecutive zeros is zero, since P_0 != 0 and P_w != 0 unroll it
+      both ways from them.  A finite support gives such zeros far out on
+      each tail, hence on the whole tail, those next to lo and hi
+      included; conversely zeros there clear both tails, which leaves only
+      the entries on (lo, hi).
+    """
     tails = _tails(s)
-    z, verdict = _genericity(s, tails)
-    core = None if tails is None else _finite_core(s, tails)
+    if tails is None:
+        reason = f"no decision procedure for {type(s).__name__}"
+        return MemberRecord(s, None, {}, SeqVerdict("unknown", None, reason), None)
+    lo, hi, p = tails
+    w = p.width()
+    m = math.lcm(*(c.denominator for c in p.coeffs.values()))
+    terms = [(k, c.numerator * (m // c.denominator)) for k, c in p.items()]
+    d, vals = s.int_window(lo - w + 1, hi + w - 1)
+    residue = (sum(c * vals[n + k] for k, c in terms) for n in range(hi - lo + w - 1))
+    z = {i: x for i, x in enumerate(residue, lo - w + 1) if x}
+    verdict = GENERIC
+    if not z:
+        reason = "zero sequence" if p == _ONE else "defining annihilator"
+        verdict = SeqVerdict("not_generic", p, reason)
+    end = len(vals) - w  # vals[end:] starts at hi
+    core = None
+    if not any(vals[:w]) and not any(vals[end:]):
+        core = FiniteSupport({i: Fraction(n, d) for i, n in enumerate(vals[w:end], lo + 1) if n})
     return MemberRecord(s, tails, z, verdict, core)
 
 
@@ -1005,6 +992,8 @@ def sequence_from_literal(obj) -> BiSequence:
     def indexed(entries: dict) -> dict:
         out, keys = {}, {}
         for key, c in entries.items():
+            if "_" in str(key):
+                raise ValueError(f"sequence literal key {key!r} has a digit separator '_'")
             i = int(key)
             if i in keys:
                 raise ValueError(

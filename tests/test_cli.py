@@ -235,13 +235,13 @@ def test_check_seq_decides_each_member_once(monkeypatch, capsys):
     # the per-member lines, the set verdict and the window rank all read
     # one record per member
     decided = []
-    genericity = seqspace._genericity
 
-    def counted(s, tails):
-        decided.append(s)
-        return genericity(s, tails)
+    class Counted(seqspace.MemberRecord):
+        def __init__(self, seq, *fields):
+            decided.append(seq)
+            super().__init__(seq, *fields)
 
-    monkeypatch.setattr(seqspace, "_genericity", counted)
+    monkeypatch.setattr(seqspace, "MemberRecord", Counted)
     code, out, _ = run(capsys, "check-seq", "--config", MIXED)
     assert code == 0
     members = [
@@ -267,13 +267,13 @@ def test_tensor_preset(capsys):
 def test_tensor_decides_each_member_once(monkeypatch, capsys):
     # the union verdict reads the records each factor's spec decided
     decided = []
-    genericity = seqspace._genericity
 
-    def counted(s, tails):
-        decided.append(s)
-        return genericity(s, tails)
+    class Counted(seqspace.MemberRecord):
+        def __init__(self, seq, *fields):
+            decided.append(seq)
+            super().__init__(seq, *fields)
 
-    monkeypatch.setattr(seqspace, "_genericity", counted)
+    monkeypatch.setattr(seqspace, "MemberRecord", Counted)
     code, out, _ = run(capsys, "tensor", "--preset", "tensor-sl2")
     assert code == 2 and "not_strongly_generic" in out
     assert len(decided) == 2
@@ -528,11 +528,14 @@ def assert_one_line_error(code, err):
 
 def test_non_object_config_is_an_error(tmp_path, capsys):
     path = tmp_path / "list.json"
-    path.write_text("[1, 2]")
-    for command in ("whittaker", "tensor", "describe", "check-seq"):
-        code, _, err = run(capsys, command, "--config", str(path))
-        assert_one_line_error(code, err)
-        assert "JSON object" in err
+    # an array nested past the JSON reader's recursion limit is refused too
+    deep = "[" * 100000 + "]" * 100000
+    for text, message in (("[1, 2]", "JSON object"), (deep, "nests too deeply")):
+        path.write_text(text)
+        for command in ("whittaker", "tensor", "describe", "check-seq"):
+            code, _, err = run(capsys, command, "--config", str(path))
+            assert_one_line_error(code, err)
+            assert message in err
 
 
 def test_non_object_module_config_is_an_error(tmp_path, capsys):
@@ -665,6 +668,11 @@ def test_non_list_sequences_is_an_error(tmp_path, capsys):
         (("lam", "a1"), {"kind": ["geometric"], "j": "2"}),
         (("lam", "a1"), {"kind": "geometric", "j": "2", "scale": [1]}),
         (("lam", "a1"), {"kind": "finite", "entries": {"0": True}}),
+        # digit separators, which int() and Fraction() would read as digits
+        (("truncation", "J"), "0_1"),
+        (("lam", "a1"), {"kind": "finite", "entries": {"0_1": "1"}}),
+        (("lam", "a1"), {"kind": "geometric", "j": "5_0"}),
+        (("lam", "a1"), {"kind": "geometric", "j": "30/1_0"}),
     ],
 )
 def test_wrong_nested_types_are_errors(tmp_path, capsys, path, value):
@@ -704,6 +712,8 @@ def test_wrong_window_types_are_errors(tmp_path, capsys):
         ("S", [5], "S must be an integer"),
         ("W", None, "W must be an integer"),
         ("W", 20.5, "W must be an integer"),
+        ("S", "0_1", "S must be an integer"),
+        ("W", "1_0", "W must be an integer"),
         ("weighted", "no", "weighted must be true or false"),
     ):
         cfg = presets.get_preset("geo-family")

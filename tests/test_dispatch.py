@@ -31,12 +31,12 @@ SEQUENCE_CLASSES = {
     "Scaled", "Weighted",
 }
 DECISIONS = (
-    "_finite_core", "is_generic", "member_strong_genericity",
-    "_dependence_of_pair", "is_strongly_generic_set", "minimal_annihilator",
-    "window_rank_check", "member_record",
+    "is_generic", "member_strong_genericity", "_dependence_of_pair",
+    "is_strongly_generic_set", "minimal_annihilator", "window_rank_check",
+    "member_record",
     # the private helpers those read, the integer-window ones included
-    "_genericity", "_member_verdict", "_geometric_ratio", "_residue",
-    "_record", "_annihilator", "_primitive",
+    "_member_verdict", "_geometric_ratio", "_record", "_annihilator",
+    "_primitive",
 )
 
 

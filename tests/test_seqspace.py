@@ -132,7 +132,7 @@ WRAPPED = [
 
 @pytest.mark.parametrize("s", WRAPPED, ids=range(len(WRAPPED)))
 def test_finite_core_folds_every_wrapper(s):
-    fin = seqspace._finite_core(s, seqspace._tails(s))
+    fin = seqspace.member_record(s).core
     assert type(fin) is FiniteSupport
     assert all(fin.entry(i) == s.entry(i) for i in range(-12, 13))
     assert all(-12 <= i <= 12 for i in fin.support)
@@ -818,7 +818,7 @@ def test_random_towers_against_the_oracles():
         # the tail polynomial holds on both sides of [-40, 40]
         assert all(apply_poly(p, s, i) == 0 for i in range(-40, lo - p.width() + 1))
         assert all(apply_poly(p, s, i) == 0 for i in range(hi, 41 - p.width()))
-        fin = seqspace._finite_core(s, (lo, hi, p))
+        fin = seqspace.member_record(s).core
         if fin is not None:
             assert all(fin.entry(i) == s.entry(i) for i in range(-40, 41))
         v = is_generic(s)
@@ -832,6 +832,30 @@ def test_random_towers_against_the_oracles():
                 assert oracles.sympy_dense_rank(rows) == width, s
         if member_strong_genericity(s).kind == "strongly_generic":
             assert window_rank_check([s], 3, 12).full_rank, s
+
+
+def test_member_record_reads_one_window_per_member(monkeypatch):
+    # z, the verdict and the finite core come from one integer window of
+    # the member; a member with no tail form reads none
+    rng = random.Random(34)
+    towers = [random_tower(rng, 3) for _ in range(40)]
+    for s in WRAPPED + towers + [NoTails(), TwoRatio(), Weighted(NoTails())]:
+        cls, reads = type(s), []
+        window = cls.int_window
+
+        def counted(self, lo, hi, window=window, s=s, reads=reads):
+            if self is s:
+                reads.append((lo, hi))
+            return window(self, lo, hi)
+
+        with monkeypatch.context() as m:
+            m.setattr(cls, "int_window", counted)
+            rec = seqspace.member_record(s)
+        if rec.tails is None:
+            assert reads == [] and rec.verdict.kind == "unknown", s
+        else:
+            lo, hi, p = rec.tails
+            assert reads == [(lo - p.width() + 1, hi + p.width() - 1)], s
 
 
 # recurrences with |c_0| > 1 and |c_omega| > 1, one with fractional data
@@ -1325,3 +1349,5 @@ def test_literal_errors():
         sequence_from_literal({"kind": "finite", "entries": {}, "bogus": 1})
     with pytest.raises(ValueError):
         sequence_from_literal({"kind": "recurrence", "v": {"0": "1"}})
+    with pytest.raises(ValueError, match="digit separator"):
+        sequence_from_literal({"kind": "finite", "entries": {"1_0": "1"}})
