@@ -485,6 +485,15 @@ def cmd_bracket(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def flag_int(text: str) -> int:
+    """A -D, -E or -J flag value, read by the rule of :func:`config_int` (so
+    "1_0" is refused); argparse turns the error into a usage error."""
+    try:
+        return config_int(text, "flag")
+    except ConfigError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser, truncation=True):
     p.add_argument("--config", help="path to a JSON config file")
     p.add_argument(
@@ -495,9 +504,9 @@ def _add_common(p: argparse.ArgumentParser, truncation=True):
     p.add_argument("--mode", choices=["affine", "loop-only"], default=None)
     p.add_argument("--cocycle", choices=["standard", "literal"], default=None)
     if truncation:
-        p.add_argument("-D", type=int, default=None, help="max monomial degree")
-        p.add_argument("-E", type=int, default=None, help="max |t-exponent|")
-        p.add_argument("-J", type=int, default=None, help="condition window [-J, J]")
+        p.add_argument("-D", type=flag_int, default=None, help="max monomial degree")
+        p.add_argument("-E", type=flag_int, default=None, help="max |t-exponent|")
+        p.add_argument("-J", type=flag_int, default=None, help="condition window [-J, J]")
 
 
 @functools.cache

@@ -46,9 +46,10 @@ above reads.  A monomial is interned by its split: ``_prep[g]`` maps the
 mid of rest to the mid of g prepended to it ((g, rest) fixes the
 multiplicity), so no monomial tuple is built or hashed there.  A tuple
 from outside is checked to be standard on every call, before any part
-of it is interned, then walked in by prepends; the generated basis is
-walked in unchecked.  Straightening, its memo, the bracket memo and
-both row builders work on these small ``int`` ids.  All three tables
+of it is interned, then walked in by prepends.  The basis is interned
+as it is enumerated, each monomial by one prepend onto the id of its
+rest, and is not walked in again.  Straightening, its memo, the
+bracket memo and both row builders work on these small ``int`` ids.  All three tables
 are lists indexed by gid that grow with the generator table:
 ``_memo[gid]`` maps a mid to the image {mid: coeff} of (g - lambda(g))
 on it, ``_brackets[gid]`` a head gid to [g, head] as the sum of its
@@ -155,9 +156,11 @@ the core plus one unit row per dead column has the same row space, the
 same kernel and the same normalized kernel basis.
 
 A column dead when its condition starts is still straightened, since
-the row count needs the support of every image, but the builder only
-adds that support to the set of output keys it counts and writes none
-of its entries; a row left with none is not built.  Nothing changes:
+the row count needs the support of every image, but the builder writes
+none of its entries; a row left with none is not built.  It keeps the
+dead columns' images of the condition and counts the union of their
+supports and the keys of the rows it built, in one call at the end.
+Nothing changes:
 ``extend`` reads each row's live columns as it arrives and drops the
 rest, and the dead set only grows, so it takes the same live entries
 from these rows as from the full ones and reaches the same dead set.
@@ -215,8 +218,8 @@ import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from typing import AbstractSet, Dict, List, Mapping, Optional, Set, Tuple
+from itertools import product
+from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
 
 from . import linalg
 from .affine import AffineAlgebra, Gen, Scalar, _exact, gen_str
@@ -449,12 +452,24 @@ def _prepend(t: tuple, g: int, rest: int) -> int:
 
 def _bracket(t: tuple, g: int, head: int) -> tuple:
     """``_brackets[g][head]``, computed and stored: [g, head] = sum ch.h as
-    (sum of ch.lambda(h), [(h, ch) for h != c]), c - theta being zero."""
-    shift, gens = t[4], t[6]
-    terms = [(_gen_id(t, h), c)
-             for h, c in t[8].bracket_gens(gens[g], gens[head]).items()]
-    lam = _exact(sum(c * shift[h] for h, c in terms))
-    out = t[5][g][head] = (lam, [(h, c) for h, c in terms if h])
+    (sum of ch.lambda(h), [(h, ch) for h != c]), c - theta being zero.
+
+    One pass over the terms of ``bracket_gens``: a term whose shift
+    lambda(h) is 0 adds nothing to the sum, and the sum, an ``int`` unless
+    a ``Fraction`` entered it, is normalized only when it is a ``Fraction``."""
+    shift, gen_ids = t[4], t[7]
+    lam, terms = 0, []
+    for h, c in t[8].bracket_gens(t[6][g], t[6][head]).items():
+        k = gen_ids.get(h)
+        if k is None:
+            k = _gen_id(t, h)
+        if shift[k]:
+            lam += c * shift[k]
+        if k:
+            terms.append((k, c))
+    if type(lam) is Fraction:
+        lam = _exact(lam)
+    out = t[5][g][head] = (lam, terms)
     return out
 
 
@@ -614,6 +629,7 @@ class WhittakerModule:
         self._brackets: List[Dict[int, Tuple[Scalar, List[Tuple[int, Scalar]]]]] = [{}]
         self._prep: List[Dict[int, int]] = [{}]
         self._held: Optional[ConditionSystem] = None  # system of the last solve
+        self._basis_ids: List[int] = []  # ids of the last basis(), in its order
         # what _gen_id, _prepend, _bracket and _straighten read, by position;
         # no reference back to the module
         self._tables = (
@@ -732,19 +748,44 @@ class WhittakerModule:
 
     def basis(self, trunc: Truncation) -> List[Monomial]:
         """Standard monomials of degree <= D with factor exponents <= E,
-        enumerated deterministically (degree, then generator order)."""
+        enumerated deterministically (degree, then generator order), and
+        interned on the way: their ids, in the same order, are left in
+        ``_basis_ids`` for :meth:`condition_system`.
+
+        A monomial of degree d >= 1 is g_i . rest, g_i its least factor and
+        rest of degree d - 1 with no factor below g_i.  Degree d lists the
+        monomials with head g_0, then g_1, ...: the run of g_i prepends it
+        to the monomials of degree d - 1 from the first with head at least
+        g_i on, in their order, which keeps the lexicographic order of
+        ``combinations_with_replacement`` over the generators.  Those with
+        head g_i come first; their head's multiplicity goes up by one.
+        Each monomial costs one :func:`_prepend` onto the id of its rest
+        and one tuple concatenation."""
+        t = self._tables
         gens = self.generators(trunc.E)
-        out: List[Monomial] = []
-        for deg in range(trunc.D + 1):
-            for combo in combinations_with_replacement(gens, deg):
-                mono: List[Tuple[Gen, int]] = []
-                for g in combo:
-                    if mono and mono[-1][0] == g:
-                        mono[-1] = (g, mono[-1][1] + 1)
-                    else:
-                        mono.append((g, 1))
-                out.append(tuple(mono))
-        return out
+        gids = [_gen_id(t, g) for g in gens]
+        monos, ids = [VACUUM], [0]
+        # the last degree's monomials and ids, and where each head's run
+        # starts in them (the cyclic vector: no run, every head prepends)
+        prev, prev_ids, starts = [VACUUM], [0], [0] * (len(gens) + 1)
+        for _ in range(trunc.D):
+            level, level_ids, heads = [], [], []
+            for i, (g, gid) in enumerate(zip(gens, gids)):
+                heads.append(len(level))
+                s, e = starts[i], starts[i + 1]
+                for rest, mid in zip(prev[s:e], prev_ids[s:e]):
+                    level.append(((g, rest[0][1] + 1),) + rest[1:])
+                    level_ids.append(_prepend(t, gid, mid))
+                factor = ((g, 1),)
+                for rest, mid in zip(prev[e:], prev_ids[e:]):
+                    level.append(factor + rest)
+                    level_ids.append(_prepend(t, gid, mid))
+            heads.append(len(level))
+            monos += level
+            ids += level_ids
+            prev, prev_ids, starts = level, level_ids, heads
+        self._basis_ids = ids
+        return monos
 
     # -- conditions and solver ------------------------------------------------------
 
@@ -764,9 +805,12 @@ class WhittakerModule:
         included, are absent.  A column in ``dead`` is still straightened,
         but its entries are left out and a row left with none is not
         built; ``count`` is the number of rows over every column, the rows
-        of the full condition.  The singleton pass drops every entry of a
-        dead column and every row with no live one, so it gets the same
-        live entries from these rows as from the full ones.
+        of the full condition: the size of the union of the built rows'
+        keys and the supports of the dead columns' images, which are kept
+        until the condition's last column and joined in one call.  The
+        singleton pass drops every entry of a dead column and every row
+        with no live one, so it gets the same live entries from these rows
+        as from the full ones.
 
         One :func:`_straighten` call yields the images, column by column;
         those of the top degree of ``basis`` (from :meth:`_top_start` on)
@@ -775,11 +819,11 @@ class WhittakerModule:
         """
         g = self._gid(("X", root, j))
         images = _straighten(self._tables, g, basis, self._top_start(basis))
-        seen: Set[int] = set()
+        dead_images: List[IdElement] = []
         by_out: Dict[int, Dict[int, Scalar]] = {}
         for col, img in enumerate(images):
             if col in dead:
-                seen.update(img)
+                dead_images.append(img)
                 continue
             for m, c in img.items():
                 row = by_out.get(m)
@@ -787,13 +831,12 @@ class WhittakerModule:
                     by_out[m] = {col: c}
                 else:
                     row[col] = c
-        seen.update(by_out)
-        return by_out, len(seen)
+        return by_out, len(set(by_out).union(*dead_images))
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the basis of (trunc.D, trunc.E)."""
         basis = self.basis(trunc)
-        return ConditionSystem(trunc, basis, ([self._intern(m) for m in basis],))
+        return ConditionSystem(trunc, basis, (self._basis_ids,))
 
     def solve(self, trunc: Truncation) -> SolveResult:
         """Exact nullspace of the Whittaker conditions at ``trunc``; the

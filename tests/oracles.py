@@ -10,10 +10,11 @@ test is never used to produce its own expected values.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
 
 import sympy
 
-from affwhit.engine import generator_key
+from affwhit.engine import generator_key, ordered_generators
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,24 @@ def in_rowspace_kernel(rows, vec, ncols) -> bool:
         if s:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# PBW basis
+# ---------------------------------------------------------------------------
+
+
+def basis_monomials(datum, D, E, loop_only=False) -> list:
+    """The standard monomials of degree <= D over the module generators
+    with |t-exponent| <= E: each multiset of ``ordered_generators``, as
+    ``combinations_with_replacement`` lists them degree by degree, folded
+    into its (generator, multiplicity) runs."""
+    gens = ordered_generators(datum, E, loop_only)
+    return [
+        tuple((g, len(list(run))) for g, run in groupby(combo))
+        for deg in range(D + 1)
+        for combo in combinations_with_replacement(gens, deg)
+    ]
 
 
 # ---------------------------------------------------------------------------

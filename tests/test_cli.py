@@ -724,6 +724,22 @@ def test_wrong_window_types_are_errors(tmp_path, capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("flag", ["-D", "-E", "-J"])
+@pytest.mark.parametrize(
+    "command, preset",
+    [("whittaker", "sl2"), ("tensor", "tensor-sl2"), ("describe", "sl2")],
+)
+def test_truncation_flags_refuse_digit_separators(capsys, command, preset, flag):
+    # "0_1" would read as 1; refused like "abc", as an argparse usage error
+    for value in ("abc", "0_1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--preset", preset, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: invalid int value: {value!r}" in captured.err
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [("describe",), ("bracket", "X[1]@t^1", "X[-1]@t^-1"), ("whittaker",)],

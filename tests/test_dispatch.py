@@ -192,7 +192,7 @@ def test_lint_catches_a_second_elimination_path():
 
 
 # a module's straightening and interning internals
-INTERNALS = ("_straighten", "_tables", "_gid", "_top_start", "_intern")
+INTERNALS = ("_straighten", "_tables", "_gid", "_top_start", "_intern", "_basis_ids")
 
 
 def internal_uses(source: str, names=INTERNALS) -> list:
@@ -240,7 +240,7 @@ def test_lint_catches_a_tensor_method_reading_factor_internals():
         "    def condition_rows(self, a, b):\n"
         "        return self.left.condition_rows(a), self.right._top_start(b)\n"
         "    def condition_system(self, trunc):\n"
-        "        return [self.left._intern(m) for m in trunc]\n"
+        "        return [self.left._intern(m) for m in trunc], self.right._basis_ids\n"
         "    def act_gen(self, g, elt):\n"
         "        return _straighten(self.left._tables, g, elt)\n"
         "    def _gid(self, g):\n"
@@ -253,6 +253,7 @@ def test_lint_catches_a_tensor_method_reading_factor_internals():
         ("TensorModule.act_gen", "_straighten", 12),
         ("TensorModule.act_gen", "_tables", 12),
         ("TensorModule.condition_rows", "_top_start", 8),
+        ("TensorModule.condition_system", "_basis_ids", 10),
         ("TensorModule.condition_system", "_intern", 10),
     ]
     assert internal_uses(source.split("class TensorModule")[0]) == []

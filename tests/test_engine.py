@@ -29,7 +29,8 @@ from affwhit import (
     linalg,
     whittaker_solve,
 )
-from affwhit import engine
+from affwhit import cli, engine, presets
+from affwhit.affine import AffineAlgebra
 from affwhit.engine import TensorModule, generator_key
 
 F = Fraction
@@ -288,6 +289,29 @@ def test_basis_counts():
 
     const = WhittakerModule(quiet(const_spec))
     assert len(const.basis(Truncation(1, 0, 0))) == 4  # 1, f, h, d at E=0
+
+
+def preset_module(name):
+    cfg = presets.get_preset(name)
+    return quiet(lambda: WhittakerModule(cli.build_spec(cfg))), Truncation(**cfg["truncation"])
+
+
+@pytest.mark.parametrize("name", presets.MODULE_PRESETS)
+def test_basis_equals_the_oracle_and_its_ids_name_it(name):
+    module, _ = preset_module(name)
+    spec = module.spec
+    for D in range(4):
+        for E in range(3):
+            trunc = Truncation(D, E, 0)
+            want = oracles.basis_monomials(spec.datum, D, E, spec.loop_only)
+            assert module.basis(trunc) == want
+            system = module.condition_system(trunc)
+            (ids,) = system.ids
+            assert system.basis == want and len(ids) == len(want)
+            for i, mid in enumerate(ids):
+                assert module._mid(want[i]) == mid
+                assert module.mono(mid) == want[i]
+    assert_tables_consistent(module)
 
 
 # ---------------------------------------------------------------------------
@@ -1225,3 +1249,75 @@ def test_a_memo_warmed_by_lmul_changes_nothing_in_a_solve(name):
                 if t is a._tables and img is images.get((gid, mid))}
         assert read == images.keys()
         assert not any(mid in a._memo[gid] for gid, mid in images)
+
+
+# ---------------------------------------------------------------------------
+# cold-solve set-up: one basis enumeration, one bracket call per table entry
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def call_spy(monkeypatch, owner, name):
+    """Count the calls of the method ``owner.name`` by their arguments, the
+    instance first, while the block runs."""
+    calls, fn = Counter(), getattr(owner, name)
+
+    def spy(*args):
+        calls[args] += 1
+        return fn(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(owner, name, spy)
+        yield calls
+
+
+def expected_bracket(module, a, b):
+    """[a, b] as the bracket table should hold it: (the sum of c.lambda(h)
+    over its terms, normalized, and its (gid, c) pairs bar c), recomputed
+    from ``alg.bracket_gens`` and the spec."""
+    spec, lam, terms = module.spec, Fraction(0), []
+    for h, c in module.alg.bracket_gens(a, b).items():
+        if h == "c":
+            lam += c * spec.theta
+        else:
+            if module.alg.in_Ln(h):
+                lam += c * spec.vacuum_scalar(h[1], h[2])
+            terms.append((module._gen_ids[h], c))
+    return (lam.numerator if lam.denominator == 1 else lam), terms
+
+
+@pytest.mark.parametrize("name", presets.MODULE_PRESETS)
+def test_bracket_table_equals_bracket_gens_called_once_per_entry(monkeypatch, name):
+    module, trunc = preset_module(name)
+    with call_spy(monkeypatch, AffineAlgebra, "bracket_gens") as calls:
+        module.solve(trunc)
+    gens = module._gens
+    entries = [(g, head) for g, table in enumerate(module._brackets) for head in table]
+    assert entries
+    assert calls == Counter((module.alg, gens[g], gens[head]) for g, head in entries)
+    assert max(calls.values()) == 1
+    for g, head in entries:
+        lam, terms = module._brackets[g][head]
+        want_lam, want_terms = expected_bracket(module, gens[g], gens[head])
+        assert (type(lam), lam) == (type(want_lam), want_lam)
+        assert [(h, type(c), c) for h, c in terms] == [
+            (h, type(c), c) for h, c in want_terms
+        ]
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_ONLY))
+def test_a_solve_enumerates_each_basis_once_and_a_held_extension_none(
+    monkeypatch, name
+):
+    make, trunc = LIVE_ONLY[name]
+    module = quiet(make)
+    with call_spy(monkeypatch, WhittakerModule, "basis") as calls:
+        module.solve(trunc)
+        assert calls == {(factor, trunc): 1 for factor in factors(module)}
+        calls.clear()
+        module.solve(Truncation(trunc.D, trunc.E, trunc.J))
+        module.solve(Truncation(trunc.D, trunc.E, trunc.J + 1))
+        assert not calls
+        rebuilt = Truncation(trunc.D, trunc.E + 1, 0)
+        module.solve(rebuilt)
+        assert calls == {(factor, rebuilt): 1 for factor in factors(module)}
