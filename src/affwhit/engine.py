@@ -202,6 +202,72 @@ normalized, its type.  ``int`` and integral ``Fraction`` values compare,
 hash and print alike, and the kernel vectors are ``Fraction``
 throughout, so no answer or report changes.
 
+Each module straightens on a loop rotation of itself, chosen so that
+those values are mostly ``int``.  For a nonzero rational s let phi_s map
+x (x) t^j to s^j x (x) t^j and fix c and d.  It is an automorphism of
+the algebra (Kac, *Infinite-Dimensional Lie Algebras*, ch. 7): in
+[x (x) t^i, y (x) t^j] = [x, y] (x) t^(i+j) + i delta_{i+j,0} kappa(x, y) c
+both sides gain s^(i+j), the cocycle term having i + j = 0, and [d, x
+(x) t^j] = j x (x) t^j gains s^j on both sides; the literal cocycle also
+brackets to c only at i + j = 0.  So every structure constant [g, h]_k
+that ``bracket_gens`` gives is homogeneous: tdeg k = tdeg g + tdeg h,
+where tdeg is the t-exponent of a loop generator and 0 for c and d, and
+tdeg m of a monomial is the sum over its factors.  Let Lam^s(alpha)_j =
+s^j Lam(alpha)_j.  Then T(u . 1) = phi_(1/s)(u) . 1 is a well-defined
+isomorphism M(Lam, theta) -> M(Lam^s, theta): phi_(1/s) maps g -
+lambda(g), g in L(n), to s^-tdeg(g) (g - lambda^s(g)), which kills the
+cyclic vector of M(Lam^s), and fixes c - theta.  On a standard monomial
+it is diagonal, T(m) = s^(-tdeg m) m, and T(g . v) = s^(-tdeg g) g .
+T(v) on every generator g.  For g in L(n), lambda^s(g) = s^(tdeg g)
+lambda(g), so
+
+    [(g - lambda^s(g)) . m]_k = s^(tdeg g + tdeg m - tdeg k) [(g - lambda(g)) . m]_k
+
+on every output monomial k: the images of M(Lam^s) are those of M(Lam)
+with each coefficient scaled by a nonzero power of s.  The recursion
+above reads nothing but the structure constants and the shifts, so the
+engine straightens in M(Lam^s) by changing one thing: the shift that
+:func:`_gen_id` writes for X_alpha (x) t^j in L(n) is Lam(alpha)_j s^j.
+The ids, the memo layout, the split and prepend tables and the bracket
+terms are untouched, and every image has the same support as in
+M(Lam).
+
+So the rows of condition (alpha, j) are R' = s^j S R S^-1, S the
+diagonal s^(-tdeg m): a nonzero multiple of each row and each column of
+R.  Supports are equal, so the pruner's dead set, ``row_count``,
+``condition_count``, the core and the pivot columns are those of M(Lam)
+(a column is a pivot when it is not in the span of the columns before
+it, which scaling columns and rows does not change).  The kernel is S
+times M(Lam)'s, and the free columns are the same.  The kernel vector v'
+that elimination returns for free column f is 1 at f and 0 at the other
+free columns.  S^-1 v', v(m) = s^(tdeg m) v'(m), is in M(Lam)'s kernel
+with s^(tdeg f) at f and 0 at the other free columns, so v(m) s^(-tdeg
+f) is the unique normalized kernel vector of M(Lam) for f: ``solve``
+multiplies each coefficient by s^(tdeg m - tdeg f), and the answer is
+the unrotated one exactly, ``Fraction`` for ``Fraction``.
+
+s is the lcm, over the members, of the denominator of each member's
+entry at index 1, read from ``int_window(1, 1)``.  For Geometric(p/q)
+that is q, and Lam^s_j = (sp/q)^j is an integer for every j > 0 (0
+below), so with theta integral every shift, bracket sum and product is
+an ``int``, and the kernel forms no ``Fraction`` at all.  Any positive
+integer s is exact; its choice only decides how many ``Fraction`` values
+are left, and a fractional theta keeps its own, as no automorphism
+changes the level.  s = 1 runs the same code: every power of s is 1 and
+:func:`_rotate` returns its argument.
+
+The boundary maps back.  ``lmul`` and ``act_gen`` (through
+``_images``) read the rotated image of m under g, scale its coefficient
+on k by s^(tdeg k - tdeg g - tdeg m) and add the unrotated lambda(g) =
+s^(-tdeg g) times the stored shift on m; their t-degrees come from the
+tuples, never from the kernel.  So they act on M(Lam), before and after a
+solve, while ``condition_rows`` gives the rows of M(Lam^s).  A tensor
+product uses one s for both factors, the lcm over the members of both:
+then T (x) T' intertwines the diagonal actions, as both factors gain
+the same s^j, and the Kronecker-sum rows are (S (x) S') (R_a (x) I + I
+(x) R_b) (S (x) S')^-1 times s^j.  With s_a != s_b the two parts would
+carry s_a^j and s_b^j, which is no similarity.
+
 ``solve`` pauses the cyclic garbage collector while it runs and
 restores the caller's setting afterwards.  Straightening and
 elimination allocate millions of dicts, tuples and ``Fraction`` objects;
@@ -214,6 +280,7 @@ by theta + theta' and the Whittaker eigenvalues add entrywise.
 from __future__ import annotations
 
 import gc
+import math
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -416,8 +483,41 @@ class ConditionSystem:
         return self.D == trunc.D and self.E == trunc.E and self.J <= trunc.J
 
 
+def _rotation(*specs: WhittakerSpec) -> int:
+    """The loop rotation factor s of modules over ``specs``: the lcm, over
+    their members, of the denominator of each member's entry at index 1,
+    read from ``int_window(1, 1)`` (q for a ratio p/q; module docstring)."""
+    s = 1
+    for spec in specs:
+        for seq in spec.lam.values():
+            d, (n,) = seq.int_window(1, 1)
+            s = math.lcm(s, d // math.gcd(n, d))
+    return s
+
+
+def _rotate(c: Scalar, s: int, e: int) -> Scalar:
+    """c s^e exactly: c itself when s^e is 1, else a ``Fraction`` built
+    from c's numerator and denominator, one normalization and no product
+    of ``Fraction`` objects."""
+    if s == 1 or not e:
+        return c
+    if e > 0:
+        return Fraction(c.numerator * s**e, c.denominator)
+    return Fraction(c.numerator, c.denominator * s**-e)
+
+
+def _t_degree(mono: Monomial) -> int:
+    """t-degree of a monomial: the sum of its factors' t-exponents (d has 0)."""
+    deg = 0
+    for g, mult in mono:
+        if g != "d":
+            deg += g[2] * mult
+    return deg
+
+
 def _gen_id(t: tuple, g: Gen) -> int:
-    """Id of a generator of the algebra, interning it on first sight.
+    """Id of a generator of the algebra, interning it on first sight; for g
+    in L(n) its shift is the rotated Lam(alpha)_j s^j of M(Lam^s).
 
     Nothing is validated here, though an equality lookup alone would take
     ``True`` for ``1``: :meth:`WhittakerModule.act_gen` and
@@ -425,11 +525,11 @@ def _gen_id(t: tuple, g: Gen) -> int:
     gid = t[7].get(g)
     if gid is not None:
         return gid
-    memos, preps, _, gen_info, shift, brackets, gens, gen_ids, alg, spec = t
+    memos, preps, _, gen_info, shift, brackets, gens, gen_ids, alg, spec, s = t
     in_ln = alg.in_Ln(g)
     key = None if in_ln else generator_key(spec.datum, g, spec.loop_only)
     gen_info.append((in_ln, key))
-    shift.append(_exact(spec.vacuum_scalar(g[1], g[2])) if in_ln else 0)
+    shift.append(_exact(_rotate(spec.vacuum_scalar(g[1], g[2]), s, g[2])) if in_ln else 0)
     gid = gen_ids[g] = len(gens)
     gens.append(g)
     memos.append({})
@@ -605,8 +705,11 @@ class WhittakerModule:
     the straightener, its memo and the row builders work on small ``int``
     ids, and the public methods translate at the boundary."""
 
-    def __init__(self, spec: WhittakerSpec):
+    def __init__(self, spec: WhittakerSpec, rotation: Optional[int] = None):
         self.spec = spec
+        # the loop rotation factor s: the module straightens in M(Lam^s)
+        # (module docstring); a tensor product passes both factors one s
+        self.rotation = _rotation(spec) if rotation is None else rotation
         self.alg = AffineAlgebra(
             spec.datum, cocycle=spec.cocycle, loop_only=spec.loop_only
         )
@@ -635,6 +738,7 @@ class WhittakerModule:
         self._tables = (
             self._memo, self._prep, self._split, self._gen_info, self._shift,
             self._brackets, self._gens, self._gen_ids, self.alg, spec,
+            self.rotation,
         )
 
     # -- generator order ------------------------------------------------------
@@ -729,16 +833,29 @@ class WhittakerModule:
         return out
 
     def _images(self, g: Gen, monos: Mapping) -> Dict[Monomial, ModuleElement]:
-        """{m: g . (m . 1)} for each key m of ``monos``, checked as by
-        :meth:`lmul` and straightened in one :func:`_straighten` call."""
+        """{m: g . (m . 1)} in M(Lam) for each key m of ``monos``, checked
+        as by :meth:`lmul` and straightened in one :func:`_straighten` call.
+
+        The kernel's image of m is in M(Lam^s); its coefficient on k is
+        mapped back by s^(tdeg k - e - tdeg m), e the t-degree of g, and
+        the unrotated lambda(g) = shift s^-e is added on m (module
+        docstring)."""
         self.alg.validate_gen(g)
         gid, mids = self._gid(g), [self._mid(m) for m in monos]
-        mono, shift, out = self.mono, self._shift[gid], {}
+        mono, s, out = self.mono, self.rotation, {}
+        e = g[2] if isinstance(g, tuple) else 0  # c and d have t-degree 0
+        shift = _exact(_rotate(self._shift[gid], s, -e))
         images = _straighten(self._tables, gid, mids, len(mids))
         for m0, img in zip(monos, images):
-            out[m0] = image = {mono(m): c for m, c in img.items()}
+            base, image = e + _t_degree(m0), {}
+            for m, c in img.items():
+                k = mono(m)
+                image[k] = _exact(_rotate(c, s, _t_degree(k) - base))
             linalg.add_term(image, m0, shift)
+            out[m0] = image
         return out
+
+    _tdeg = staticmethod(_t_degree)  # t-degree of a basis element, for solve
 
     # -- monomial order, basis ---------------------------------------------------
 
@@ -797,7 +914,8 @@ class WhittakerModule:
         self, basis: List[int], root: tuple, j: int, dead: AbstractSet[int]
     ) -> Tuple[Dict[int, Dict[int, Scalar]], int]:
         """(rows, count) of X_root (x) t^j . v = Lam(root)_j v over the span
-        of the monomials with ids ``basis``.
+        of the monomials with ids ``basis``, in the loop rotation M(Lam^s)
+        the module straightens in (module docstring).
 
         The rows are keyed by output monomial id, columns in order of first
         appearance: column ``col`` holds the shifted image (X_root (x) t^j
@@ -852,6 +970,11 @@ class WhittakerModule:
         They stream through the singleton pass before the next condition
         is built, so the dead set does not change while a builder runs.
 
+        The kernel is that of the rotation M(Lam^s); each vector is mapped
+        back to M(Lam), coefficient on m times s^(tdeg m - tdeg f) for its
+        free column f, which gives M(Lam)'s normalized vector exactly
+        (module docstring).
+
         The system is held for the next solve only once this one returns;
         if a row builder raises, it is dropped.  The cyclic garbage
         collector is paused for the whole solve and restored to the
@@ -882,7 +1005,16 @@ class WhittakerModule:
         system.condition_count += n_conditions
         system.row_count += n_rows
         self._held = system
-        vectors = [{basis[col]: c for col, c in sorted(vec.items())} for vec in kernel]
+        s, vectors = self.rotation, []
+        degree: Dict[int, int] = {}  # column -> tdeg of its basis element
+        for vec in kernel:  # back from M(Lam^s), 1 at its free column, its first key
+            for col in vec.keys() - degree.keys():
+                degree[col] = self._tdeg(basis[col])
+            base = degree[next(iter(vec))]
+            vectors.append({
+                basis[col]: _rotate(c, s, degree[col] - base)
+                for col, c in sorted(vec.items())
+            })
         return SolveResult(
             dimension=len(vectors),
             vectors=vectors,
@@ -923,8 +1055,11 @@ class TensorModule:
             )
         if spec_a.mode != spec_b.mode or spec_a.cocycle != spec_b.cocycle:
             raise ValueError("tensor factors must share mode and cocycle")
-        self.left = WhittakerModule(spec_a)
-        self.right = WhittakerModule(spec_b)
+        # one rotation for both factors, so the Kronecker-sum rows are a
+        # diagonal similarity of M(Lam) (x) M(Lam')'s (module docstring)
+        self.rotation = _rotation(spec_a, spec_b)
+        self.left = WhittakerModule(spec_a, self.rotation)
+        self.right = WhittakerModule(spec_b, self.rotation)
         self._held: Optional[ConditionSystem] = None  # system of the last solve
         union = spec_a.member_records + spec_b.member_records
         self.union_genericity = is_strongly_generic_set(union)
@@ -1022,6 +1157,11 @@ class TensorModule:
         a, b = self.left.condition_system(trunc), self.right.condition_system(trunc)
         basis: List[PairMonomial] = [(ma, mb) for ma in a.basis for mb in b.basis]
         return ConditionSystem(trunc, basis, a.ids + b.ids)
+
+    @staticmethod
+    def _tdeg(pair: PairMonomial) -> int:
+        """t-degree of a basis element, a pair: the sum of the factors'."""
+        return _t_degree(pair[0]) + _t_degree(pair[1])
 
     solve = WhittakerModule.solve
 

@@ -507,15 +507,26 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
 
     Every entry is a ``Fraction`` and each row's value at its pivot is
     1.  Entries may be ``int`` or ``Fraction``; zeros are ignored.  The
-    rows are cleared of denominators, eliminated modulo the primes of
-    :func:`_primes` (images with the best pivot set combined by CRT),
-    lifted by rational reconstruction and returned only once every
-    input row reduces to zero against the lift, which proves the lift
-    is the reduced echelon form over Q (see the module docstring).
-    The rows are eliminated in descending order of their leading
-    column, so a new pivot mostly lies left of every pivot before it
-    and :func:`_rref_mod` skips back-reduction for it; the reduced
-    echelon form does not depend on row order.
+    rows are eliminated by :func:`_certified_rref`, and its certified
+    candidate is turned into ``Fraction`` rows by :func:`_fractions`.
+    """
+    return _fractions(_certified_rref(rows))
+
+
+def _certified_rref(rows: Iterable[SparseRow]) -> Dict[int, Dict[int, Tuple[int, int]]]:
+    """The reduced echelon form over Q of the rows, as a certified
+    candidate: pivot column -> {column: (a, b)}, entry a/b off the pivot.
+
+    The package's one elimination.  The rows are cleared of
+    denominators, eliminated modulo the primes of :func:`_primes`
+    (images with the best pivot set combined by CRT), lifted by rational
+    reconstruction and returned only once every input row reduces to
+    zero against the lift, which proves the lift is the reduced echelon
+    form over Q (see the module docstring).  The rows are eliminated in
+    descending order of their leading column, so a new pivot mostly lies
+    left of every pivot before it and :func:`_rref_mod` skips
+    back-reduction for it; the reduced echelon form does not depend on
+    row order.
     """
     int_rows = [r for r in map(_integer_row, rows) if r]
     if not int_rows:
@@ -535,7 +546,7 @@ def rref_pivots(rows: Iterable[SparseRow]) -> Dict[int, SparseRow]:
             continue
         cand = _lift(acc, m)
         if cand is not None and _certify(int_rows, cand):
-            return _fractions(cand)
+            return cand
 
 
 def _fractions(cand: Dict[int, Dict[int, Tuple[int, int]]]) -> Dict[int, SparseRow]:
@@ -557,11 +568,12 @@ def rank(rows: Iterable[SparseRow]) -> int:
     number of dead columns plus the pivot count of the core's certified
     reduced echelon form, since the row space is the span of the dead
     columns' unit vectors plus the core's, which touches no dead column
-    (module docstring).
+    (module docstring).  Only the pivots are counted, so the certified
+    candidate of :func:`_certified_rref` is never made ``Fraction`` rows.
     """
     pruner = SingletonPruner()
     pruner.extend(rows)
-    return len(pruner.dead) + len(rref_pivots(pruner.core()))
+    return len(pruner.dead) + len(_certified_rref(pruner.core()))
 
 
 class SingletonPruner:
@@ -662,7 +674,8 @@ class SingletonPruner:
         return pivots
 
     def nullspace(self, ncols: int) -> List[SparseRow]:
-        """:func:`nullspace` of the rows fed so far, without a second pass."""
+        """:func:`nullspace` of the rows fed so far, without a second pass;
+        each vector's first key is its free column."""
         pivots = self._pivots(ncols)
         one = Fraction(1)
         by_free: Dict[int, SparseRow] = {}
@@ -684,10 +697,10 @@ class SingletonPruner:
 def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
     """Basis of {x : Ax = 0} for sparse rows over columns 0..ncols-1.
 
-    One basis vector per free column f, normalized with x_f = 1; the
-    list is ordered by free column.  Vectors are sparse dicts of
-    ``Fraction``.  Rows go through the singleton pass first; only the
-    live core reaches :func:`rref_pivots`.
+    One basis vector per free column f, normalized with x_f = 1, f its
+    first key; the list is ordered by free column.  Vectors are sparse
+    dicts of ``Fraction``.  Rows go through the singleton pass first;
+    only the live core reaches :func:`rref_pivots`.
     """
     pruner = SingletonPruner()
     pruner.extend(rows)

@@ -9,6 +9,7 @@ oracle outputs or compare against them directly; the package code under
 test is never used to produce its own expected values.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
 
@@ -266,6 +267,39 @@ def tuple_lmul(alg, spec, g, mono, memo) -> dict:
                 _axpy(out, ch, tuple_lmul(alg, spec, h, rest, memo))
     memo[key] = out
     return out
+
+
+# ---------------------------------------------------------------------------
+# the loop rotation x (x) t^j -> s^j x (x) t^j
+# ---------------------------------------------------------------------------
+
+
+def t_degree(mono) -> int:
+    """Sum of the t-exponents of a monomial tuple's factors (d counts 0)."""
+    return sum(g[2] * k for g, k in mono if g != "d")
+
+
+def pair_degree(pair) -> int:
+    """t-degree of a pair of monomials: the sum of both."""
+    return t_degree(pair[0]) + t_degree(pair[1])
+
+
+def rotation_factor(*specs) -> int:
+    """lcm of the denominators of every member's entry at index 1."""
+    return math.lcm(*(seq.entry(1).denominator for spec in specs for seq in spec.lam.values()))
+
+
+def rotated_rows(rows, basis, j, s, degree=None):
+    """Rows {out: {col: c}} of the condition at exponent j in M(Lam) as the
+    rows of M(Lam^s), Lam^s_i = s^i Lam_i: the entry of column col on out
+    times s^(j + deg basis[col] - deg out), ``degree`` the t-degree of a
+    basis element (``t_degree`` unless given)."""
+    degree = degree or t_degree
+    return {
+        out: {col: c * Fraction(s) ** (j + degree(basis[col]) - degree(out))
+              for col, c in row.items()}
+        for out, row in rows.items()
+    }
 
 
 # ---------------------------------------------------------------------------

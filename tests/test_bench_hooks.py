@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+import oracles
 from affwhit import cli, engine, linalg, sequence_from_literal
 from affwhit.engine import Truncation, WhittakerModule
 from affwhit.presets import PRESETS
@@ -121,6 +122,32 @@ def test_seq_window_ops_pass_only_the_translates_that_can_be_independent(
         units += sum(len(row) == 1 for row in seen[0])
         seen.clear()
     assert units > 0
+
+
+def test_rank_of_the_seq_window_rows_equals_sympy_and_makes_no_fraction(
+    bench, tmp_path, monkeypatch
+):
+    # linalg.rank counts the certified candidate's pivots, never turning it
+    # into Fraction rows; on every seed-0 seq-window op it equals sympy's rank
+    ops = bench["workloads"].generate("seq-window", 0)
+    bench["ops"].prepare(ops, str(tmp_path))
+    seen = record_rank_rows(monkeypatch)
+
+    def refuse(cand):
+        raise AssertionError("rank built Fraction rows")
+
+    for op in ops:
+        raw = bench["ops"].execute(op, {})
+        assert raw.rc == 0 and raw.error is None, (op["id"], raw.error)
+        (rows,) = seen
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_fractions", refuse)
+            got = linalg.rank(rows)
+        W0 = window_of(rows)
+        shifted = [{c + W0: v for c, v in row.items()} for row in rows]
+        assert got == oracles.sympy_rank(shifted, 2 * W0 + 1), op["id"]
+        assert f"window rank: {got} of" in raw.stdout, op["id"]
+        seen.clear()
 
 
 # memo entries a seed-0 solve leaves: after a solve the memo holds only the

@@ -8,8 +8,9 @@ call on a sequence class.  A sequence has one accessor: every sequence
 class defines ``int_window``, and only ``BiSequence`` defines ``entry``,
 as the one-entry window.
 
-``linalg`` has one elimination entry point: only ``rref_pivots`` calls
-the modular elimination, the lift and the certificate.
+``linalg`` has one elimination: only ``_certified_rref`` calls the
+modular elimination, the lift and the certificate (``rref_pivots`` and
+``rank`` both read its certified candidate).
 
 ``engine`` has one condition-row builder: only its module-level
 functions and the methods of ``WhittakerModule`` name the straightening
@@ -171,7 +172,7 @@ def callers(source: str, names) -> dict:
 
 def test_only_rref_pivots_eliminates():
     assert callers(module_source("linalg"), ELIMINATION) == {
-        name: ["rref_pivots"] for name in ELIMINATION
+        name: ["_certified_rref"] for name in ELIMINATION
     }
 
 

@@ -515,11 +515,14 @@ def assert_exact_coefficients(coeffs):
 
 
 def test_memo_coefficients_are_int_when_integral():
+    # the loop rotation clears the ratios' denominators, not the level's:
+    # theta * kappa is not integral here (kappa(X_a, X_-a) = 4 on sl(2), 6 on
+    # sl(3)), so Fractions enter through the cocycle
     fractional = WhittakerSpec(
-        build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(1, 2)
+        build_datum(2), {A1: Geometric(F(5, 2))}, theta=F(1, 3)
     )
     lam = {(1, 0): Geometric(F(5, 2)), (0, 1): Geometric(F(7, 3))}
-    sl3 = quiet(lambda: WhittakerSpec(build_datum(3), lam, theta=F(3, 2)))
+    sl3 = quiet(lambda: WhittakerSpec(build_datum(3), lam, theta=F(3, 4)))
     # at (3, 1, 3) sums and products of Fractions come out integral, on the
     # lambda part of a bracket and on its terms too
     for trunc, specs in ((Truncation(2, 2, 3), (sl2_spec(), fractional)),
@@ -724,12 +727,14 @@ def test_condition_rows_equal_tuple_straightening_rows(name):
     ids = [module._mid(m) for m in basis]
     memo = {}
     cancelled = 0
+    s = oracles.rotation_factor(module.spec)  # the rows are those of M(Lam^s)
     for root in module.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
             built, count = module.condition_rows(ids, root, j, set())
             assert count == len(built)
             rows = {module.mono(out): row for out, row in built.items()}
-            assert rows == tuple_rows(module, basis, root, j, memo), (root, j)
+            want = tuple_rows(module, basis, root, j, memo)
+            assert rows == oracles.rotated_rows(want, basis, j, s), (root, j)
             # a column whose diagonal meets Lam(root)_j gets no entry there
             target = module.spec.vacuum_scalar(root, j)
             for col, m in enumerate(basis):
@@ -842,6 +847,8 @@ def test_tensor_condition_rows_equal_tuple_straightening_rows(name):
     system = t.condition_system(trunc)
     basis_a, basis_b = t.left.basis(trunc), t.right.basis(trunc)
     memos, both = ({}, {}), 0
+    # the rows are those of M(Lam^s) (x) M(Lam'^s), one s for both factors
+    s = oracles.rotation_factor(t.left.spec, t.right.spec)
     for root in t.condition_roots():
         for j in range(-trunc.J, trunc.J + 1):
             built, count = t.condition_rows(*system.ids, root, j, set())
@@ -849,7 +856,9 @@ def test_tensor_condition_rows_equal_tuple_straightening_rows(name):
                 (t.left.mono(a), t.right.mono(b)): row for (a, b), row in built.items()
             }
             want, merged = tuple_tensor_rows(t, basis_a, basis_b, root, j, memos)
-            assert rows == want, (root, j)
+            assert rows == oracles.rotated_rows(
+                want, system.basis, j, s, oracles.pair_degree
+            ), (root, j)
             assert count == len(want), (root, j)
             both += merged
     # rows with terms of both factors occur, so the count's overlap term is used

@@ -12,7 +12,12 @@ dimension 1, else 2.  The other goldens are named after their command (``describ
 ``bracket-sl3-borel``).  ``check-seq-mixed-family`` runs the config
 ``tests/golden/check-seq-mixed.json``, whose members cover finite,
 scaled finite, scaled geometric, recurrence, scaled recurrence and
-empty finite sequences.  ``tests/golden/demo-<script>.stdout`` holds
+empty finite sequences.  ``<name>-solve`` runs the config
+``tests/golden/<name>.json`` for each of ``FRACTIONAL``: sl(2) with ratio
+5/2 at level 5/3, sl(3) Borel with ratios 7/3 and 9/4, and the tensor
+product of ratios 5/2 and 7/3.  Every preset has integer ratios, so these
+are the goldens whose eigenvalues have denominators.
+``tests/golden/demo-<script>.stdout`` holds
 what ``demos/<script>.py`` prints.  A change to any of these files is a
 change to the program's output and has to be deliberate.
 """
@@ -70,6 +75,13 @@ UNIQUE = {
     ("sl2-const", "J5"),
 }
 
+# configs with fractional geometric ratios: (name, command); each exits 2
+FRACTIONAL = [
+    ("frac-sl2", "whittaker"),
+    ("frac-sl3-borel", "whittaker"),
+    ("frac-tensor-sl2", "tensor"),
+]
+
 DEMO_SCRIPTS = [
     "affine_brackets",
     "sequence_genericity",
@@ -114,6 +126,12 @@ def test_ladder_reports_match_golden(tmp_path, capsys, command, preset, setting)
 )
 def test_command_reports_match_golden(tmp_path, capsys, name, argv):
     check_against_golden(tmp_path, capsys, argv, name)
+
+
+@pytest.mark.parametrize("name, command", FRACTIONAL, ids=[n for n, _ in FRACTIONAL])
+def test_fractional_ratio_reports_match_golden(tmp_path, capsys, name, command):
+    argv = [command, "--config", str(GOLDEN / f"{name}.json")]
+    assert check_against_golden(tmp_path, capsys, argv, f"{name}-solve") == 2
 
 
 @pytest.mark.parametrize("script", DEMO_SCRIPTS)

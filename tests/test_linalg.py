@@ -160,6 +160,8 @@ def test_nullspace_vectors_lie_in_kernel():
         # one vector per free column, normalized to 1 there
         frees = sorted(set(range(nc)) - set(linalg.rref_pivots(rows)))
         assert [min(k for k, v in b.items() if v == 1 and k in frees) for b in basis] == frees
+        # the free column is each vector's first key (engine.solve reads it)
+        assert [next(iter(b)) for b in basis] == frees
 
 
 def test_nullspace_regression_partial_reduction():
