@@ -38,11 +38,6 @@ Scalar = Union[int, Fraction]  # int when integral, else Fraction
 COCYCLE_MODES = ("standard", "literal")
 
 
-def _exact(x: Scalar) -> Scalar:
-    """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def X(root, m: int) -> Gen:
     if type(root) is not tuple:
         raise ValueError(f"root must be a tuple, got {root!r}")
@@ -207,8 +202,8 @@ class AffineAlgebra:
     def _constants(self, ka: tuple, kb: tuple) -> tuple:
         """``_structure[ka, kb]``, read from the datum and stored."""
         datum = self.datum
-        terms = [(key, _exact(c)) for key, c in datum.bracket_basis(ka, kb).items()]
-        out = self._structure[ka, kb] = (terms, _exact(datum.killing_basis(ka, kb)))
+        terms = list(datum.bracket_basis(ka, kb).items())
+        out = self._structure[ka, kb] = (terms, datum.killing_basis(ka, kb))
         return out
 
     def bracket(self, x: AffineElement, y: AffineElement) -> AffineElement:

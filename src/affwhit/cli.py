@@ -69,6 +69,12 @@ _LABEL_RE = re.compile(r"^a(\d+)$")
 MAX_RANK = 16
 MAX_BASIS = 10000
 MAX_J = 100
+# conditions x basis size, the columns a solve straightens (largest preset,
+# golden or benchmark op: the tensor goldens' 79,092).  Peak RSS runs at
+# 200-300 bytes a column: sl3-borel at D = 1, E = J = 100 has 603 x 1,007 =
+# 607,221 and takes 2.2 s and 180 MB on a 2-vCPU host, so the bound keeps a
+# solve near 300 MB; the rank-16 Borel at E = 10, J = 100 has 87,311,184
+MAX_WORK = 1000000
 MAX_EXPONENT = 100
 MAX_SEQUENCES = 32
 MAX_SHIFT = 32
@@ -227,12 +233,16 @@ def resolve_truncation(cfg: dict, args) -> Truncation:
 
 def check_basis_size(specs, trunc: Truncation) -> None:
     """ConfigError, before any basis is built, when the basis at ``trunc``
-    has more than ``MAX_BASIS`` monomials.
+    has more than ``MAX_BASIS`` monomials, or the conditions times the
+    basis size exceed ``MAX_WORK``.
 
     A module with G generators of |exponent| <= E has C(G + D, D)
     standard monomials of degree <= D; a tensor basis is the product of
     its factors' sizes.  The binomial is built up one degree at a time
-    and stops once past the bound, so a huge D or E costs nothing."""
+    and stops once past the bound, so a huge D or E costs nothing.  There
+    is one condition per root of Phi_n and j in [-J, J], shared by the
+    factors of a tensor product, and each straightens every basis
+    column."""
     size = 1
     for spec in specs:
         datum = spec.datum
@@ -248,6 +258,12 @@ def check_basis_size(specs, trunc: Truncation) -> None:
             raise ConfigError(
                 f"basis at D={trunc.D}, E={trunc.E} has more than {MAX_BASIS} monomials"
             )
+    conditions = len(specs[0].datum.phi_n) * (2 * trunc.J + 1)
+    if conditions * size > MAX_WORK:
+        raise ConfigError(
+            f"{conditions} conditions x {size} basis monomials = {conditions * size} "
+            f"exceed the work bound {MAX_WORK}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,15 @@ appear only at the boundary: ``mono(mid)`` builds one from the splits
 and caches it, for the public ``lmul``.
 
 One kernel straightens: the generator :func:`_straighten`, on a
-module's ``_tables``, which it binds once per call.  The module's row
-builder calls it once per condition over its basis ids and reads the
-images one column at a time; ``lmul``, ``act_gen`` and the recursion ask
-it for single images.  A prepend takes no memo entry.  ``_prep[h][m]`` is only
-written where h prepends in standard order (the kernel's prepend
-branch, a first-time prepend of the head in its head loop, and the walk
-of a standard tuple), so an entry means that h is a module generator
-with h <= head(m).  Then lambda(h) = 0, and (h - lambda(h)) . m = h . m
+module's ``_tables``, which it binds once per call.  A condition's
+images come from one call, made by ``condition_images`` over the basis
+ids, which yields them one column at a time to both row builders;
+``lmul``, ``act_gen`` and the recursion ask it for single images.  A
+prepend takes no memo entry.  ``_prep[h][m]`` is only written where h
+prepends in standard order (the kernel's prepend branch, a first-time
+prepend of the head in its head loop, and the walk of a standard
+tuple), so an entry means that h is a module generator with h <=
+head(m).  Then lambda(h) = 0, and (h - lambda(h)) . m = h . m
 is that monomial with coefficient 1, which the kernel reads from
 ``_prep``, with no memo probe and no call, for g on rest, the head on
 each term of g . rest and each bracket term h on rest.
@@ -117,16 +118,18 @@ roots, the empty system and the row builder that ``solve`` reads from
 them: for one condition (root, j) and the pruner's dead set, the
 builder ``condition_rows`` returns that condition's rows ``{out: {col:
 coeff}}`` over the live columns, keyed by output mid (a pair of mids
-for the tensor builder), and the row count of the full condition.  The module
-builder's rows are the memoized shifted images (X - Lam_j) . m of the
-basis columns, as they are.  The tensor builder is the Kronecker sum
-R_a (x) I + I (x) R_b of the factors' own ``condition_rows`` R_a and
-R_b, as X - (Lam + Lam')_j acts on a pair as (X - Lam_j).ma (x) mb +
-ma (x) (X - Lam'_j).mb: row m of R_a lands on the rows (m, mb), row m'
-of R_b on (ma, m').  It reads R_a and R_b as columns and visits only
-the live pair columns, writing column ma of R_a and column mb of R_b
-into pair column (ma, mb).  It builds no tensor element and reads no
-table of its factors.
+for the tensor builder), and the row count of the full condition.  Both
+read the condition's images from ``condition_images``, a column each.
+The module builder's rows are the memoized shifted images (X - Lam_j)
+. m of the basis columns, as they are.  The tensor builder is the
+Kronecker sum R_a (x) I + I (x) R_b of the factors' matrices R_a and
+R_b of the condition, as X - (Lam + Lam')_j acts on a pair as (X -
+Lam_j).ma (x) mb + ma (x) (X - Lam'_j).mb: row m of R_a lands on the
+rows (m, mb), row m' of R_b on (ma, m').  Column ma of R_a is the
+factor's image of ma, so the builder reads the factors' images as
+their columns, visits only the live pair columns and writes the image
+of ma and that of mb into pair column (ma, mb).  It builds no tensor
+element and no factor row, and reads no table of its factors.
 
 The two parts of a row never share a column: in column (ma, mb) that
 would need (m, mb) = (ma, m'), and a shifted image (X - Lam_j) . m,
@@ -261,7 +264,7 @@ The boundary maps back.  ``lmul`` and ``act_gen`` (through
 on k by s^(tdeg k - tdeg g - tdeg m) and add the unrotated lambda(g) =
 s^(-tdeg g) times the stored shift on m; their t-degrees come from the
 tuples, never from the kernel.  So they act on M(Lam), before and after a
-solve, while ``condition_rows`` gives the rows of M(Lam^s).  A tensor
+solve, while ``condition_images`` gives the images of M(Lam^s).  A tensor
 product uses one s for both factors, the lcm over the members of both:
 then T (x) T' intertwines the diagonal actions, as both factors gain
 the same s^j, and the Kronecker-sum rows are (S (x) S') (R_a (x) I + I
@@ -286,10 +289,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import AbstractSet, Dict, List, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from . import linalg
-from .affine import AffineAlgebra, Gen, Scalar, _exact, gen_str
+from .affine import AffineAlgebra, Gen, Scalar, gen_str
 from .rootdata import RootDatum, root_str
 from .seqspace import (
     BiSequence,
@@ -493,6 +496,11 @@ def _rotation(*specs: WhittakerSpec) -> int:
             d, (n,) = seq.int_window(1, 1)
             s = math.lcm(s, d // math.gcd(n, d))
     return s
+
+
+def _exact(x: Scalar) -> Scalar:
+    """x as an ``int`` when it is integral, else x itself (a ``Fraction``)."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _rotate(c: Scalar, s: int, e: int) -> Scalar:
@@ -910,36 +918,38 @@ class WhittakerModule:
         datum = self.spec.datum
         return sorted(datum.phi_n0) + sorted(datum.phi_n1)
 
+    def condition_images(self, basis: List[int], root: tuple, j: int) -> Iterator[IdElement]:
+        """The shifted images (X_root (x) t^j - Lam(root)_j) . m in M(Lam^s),
+        {out mid: coeff} with no zero entry, for the ids m of ``basis`` in
+        order: the condition's columns, yielded by one :func:`_straighten`
+        call as it makes them.  Those of the top degree of ``basis`` (from
+        :meth:`_top_start` on) are not kept in ``_memo`` (module docstring);
+        the others are the memo's own entries, shared with every later
+        straightening, which a caller reads and never mutates."""
+        g = self._gid(("X", root, j))
+        return _straighten(self._tables, g, basis, self._top_start(basis))
+
     def condition_rows(
         self, basis: List[int], root: tuple, j: int, dead: AbstractSet[int]
     ) -> Tuple[Dict[int, Dict[int, Scalar]], int]:
         """(rows, count) of X_root (x) t^j . v = Lam(root)_j v over the span
-        of the monomials with ids ``basis``, in the loop rotation M(Lam^s)
-        the module straightens in (module docstring).
+        of the monomials with ids ``basis``, in M(Lam^s).
 
         The rows are keyed by output monomial id, columns in order of first
-        appearance: column ``col`` holds the shifted image (X_root (x) t^j
-        - Lam(root)_j) . basis[col], whose zero entries, the diagonal
-        included, are absent.  A column in ``dead`` is still straightened,
-        but its entries are left out and a row left with none is not
-        built; ``count`` is the number of rows over every column, the rows
-        of the full condition: the size of the union of the built rows'
-        keys and the supports of the dead columns' images, which are kept
-        until the condition's last column and joined in one call.  The
-        singleton pass drops every entry of a dead column and every row
-        with no live one, so it gets the same live entries from these rows
-        as from the full ones.
-
-        One :func:`_straighten` call yields the images, column by column;
-        those of the top degree of ``basis`` (from :meth:`_top_start` on)
-        are not kept in ``_memo``: no later step reads them (module
-        docstring).
+        appearance: column ``col`` holds the image of basis[col] from
+        :meth:`condition_images`, read as it is yielded.  A column in
+        ``dead`` is still straightened, but its entries are left out and a
+        row left with none is not built; ``count`` is the number of rows
+        over every column, the rows of the full condition: the size of the
+        union of the built rows' keys and the supports of the dead columns'
+        images, which are kept until the condition's last column and
+        joined in one call.  The singleton pass drops every entry of a dead
+        column and every row with no live one, so it gets the same live
+        entries from these rows as from the full ones.
         """
-        g = self._gid(("X", root, j))
-        images = _straighten(self._tables, g, basis, self._top_start(basis))
         dead_images: List[IdElement] = []
         by_out: Dict[int, Dict[int, Scalar]] = {}
-        for col, img in enumerate(images):
+        for col, img in enumerate(self.condition_images(basis, root, j)):
             if col in dead:
                 dead_images.append(img)
                 continue
@@ -1033,16 +1043,6 @@ PairMonomial = Tuple[Monomial, Monomial]
 TensorElement = Dict[PairMonomial, Scalar]
 
 
-def _columns(rows: Mapping[int, Mapping[int, Scalar]], n: int) -> List[list]:
-    """Rows {out: {col: coeff}} over columns range(n) as their columns: the
-    (out, coeff) pairs of column col, for each col."""
-    cols: List[list] = [[] for _ in range(n)]
-    for m, row in rows.items():
-        for col, c in row.items():
-            cols[col].append((m, c))
-    return cols
-
-
 class TensorModule:
     """Diagonal action on M(Lam, theta) (x) M(Lam', theta')."""
 
@@ -1108,48 +1108,53 @@ class TensorModule:
         basis_b[ib])), rows keyed by output pair of ids.
 
         The rows are the Kronecker sum R_a (x) I + I (x) R_b of the factors'
-        full rows of the condition (module docstring), built over the live
-        pair columns only: R_a and R_b are read once as columns, and live
-        column ia * nb + ib gets column ia of R_a in the rows (m, mb), mb
-        the pair's right monomial, and column ib of R_b in the rows (ma,
-        m'); the two parts of a row never share a column.  As in the
-        module builder, dead columns get no entry, a row with no live entry
-        is never made, and neither factor's memo keeps its top-degree
-        images.
+        matrices of the condition (module docstring), built over the live
+        pair columns only.  Column ia of R_a is the image of basis_a[ia]
+        from the left factor's :meth:`~WhittakerModule.condition_images`,
+        column ib of R_b that of basis_b[ib] from the right's; live column
+        ia * nb + ib gets the first in the rows (m, mb), mb the pair's right
+        monomial, and the second in the rows (ma, m'); the two parts of a
+        row never share a column.  The right factor's images are held in one
+        list, the left's read as they are yielded; both are the factors'
+        shared memo entries and are only read here.  As in the module builder, dead
+        columns get no entry, a row with no live entry is never made, and
+        neither factor's memo keeps its top-degree images.
 
-        ``count``, the rows over every column, needs no set.  Let K_a, K_b be
-        the row keys of R_a, R_b and B_a, B_b the basis ids, na and nb of
-        them.  Pair (ma, mb) has its terms on K(ma) x {mb} and {ma} x K(mb),
-        K(m) the support of the shifted image of m, which does not hold m;
-        so the two are disjoint and no term cancels.  Over all pairs they
-        cover K_a x B_b | B_a x K_b, whose parts meet in (K_a & B_a) x (K_b
-        & B_b), so count = |K_a| nb + na |K_b| - |K_a & B_a| |K_b & B_b|.
+        ``count``, the rows over every column, needs no pair set.  Let K_a,
+        K_b be the unions of the supports of the factors' images, B_a, B_b
+        the basis ids, na and nb of them.  Pair (ma, mb) has its terms on
+        K(ma) x {mb} and {ma} x K(mb), K(m) the support of the image of m,
+        which does not hold m; so the two are disjoint and no term cancels.
+        Over all pairs they cover K_a x B_b | B_a x K_b, whose parts meet in
+        (K_a & B_a) x (K_b & B_b), so count = |K_a| nb + na |K_b| - |K_a &
+        B_a| |K_b & B_b|.
         """
-        rows_a, count_a = self.left.condition_rows(basis_a, root, j, ())
-        rows_b, count_b = self.right.condition_rows(basis_b, root, j, ())
-        cols_a, cols_b = _columns(rows_a, len(basis_a)), _columns(rows_b, len(basis_b))
-        nb = len(basis_b)
+        images_b = list(self.right.condition_images(basis_b, root, j))
+        images_a = self.left.condition_images(basis_a, root, j)
+        nb, keys_a = len(basis_b), set()
         by_out: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for ia, ma in enumerate(basis_a):
-            col_a, k = cols_a[ia], ia * nb
+        for ia, (ma, img_a) in enumerate(zip(basis_a, images_a)):
+            keys_a.update(img_a)
+            k = ia * nb
             for ib, mb in enumerate(basis_b):
                 p = k + ib
                 if p in dead:
                     continue
-                for m, c in col_a:
+                for m, c in img_a.items():
                     row = by_out.get((m, mb))
                     if row is None:
                         by_out[m, mb] = {p: c}
                     else:
                         row[p] = c
-                for m, c in cols_b[ib]:
+                for m, c in images_b[ib].items():
                     row = by_out.get((ma, m))
                     if row is None:
                         by_out[ma, m] = {p: c}
                     else:
                         row[p] = c
-        both = len(rows_a.keys() & basis_a) * len(rows_b.keys() & basis_b)
-        return by_out, count_a * nb + len(basis_a) * count_b - both
+        keys_b = set().union(*images_b)
+        both = len(keys_a.intersection(basis_a)) * len(keys_b.intersection(basis_b))
+        return by_out, len(keys_a) * nb + len(basis_a) * len(keys_b) - both
 
     def condition_system(self, trunc: Truncation) -> ConditionSystem:
         """An empty system on the pairs of the factor bases at (D, E), from

@@ -192,46 +192,46 @@ class RootDatum:
 
     # -- structure constants -----------------------------------------------
 
-    def bracket_basis(self, a: BasisKey, b: BasisKey) -> Dict[BasisKey, Fraction]:
-        """[a, b] for basis keys, as a sparse coefficient dict."""
+    def bracket_basis(self, a: BasisKey, b: BasisKey) -> Dict[BasisKey, int]:
+        """[a, b] for basis keys, as a sparse dict of ``int`` coefficients."""
         ka, kb = a[0], b[0]
         if ka == "H" and kb == "H":
             return {}
         if ka == "H" and kb == "X":
             c = self.pairing(b[1], a[1])
-            return {b: Fraction(c)} if c else {}
+            return {b: c} if c else {}
         if ka == "X" and kb == "H":
             c = -self.pairing(a[1], b[1])
-            return {a: Fraction(c)} if c else {}
+            return {a: c} if c else {}
         p, q = self._pos_of_root[a[1]]
         r, s = self._pos_of_root[b[1]]
-        out: Dict[BasisKey, Fraction] = {}
+        out: Dict[BasisKey, int] = {}
         if q == r and s == p:
             # [E_pq, E_qp] = E_pp - E_qq = sum of H_m over the span
             lo, hi, sgn = (p, q, 1) if p < q else (q, p, -1)
             for m in range(lo, hi):
-                out[("H", m)] = Fraction(sgn)
+                out[("H", m)] = sgn
             return out
         if q == r:
-            return {("X", self._root_of_pos[(p, s)]): Fraction(1)}
+            return {("X", self._root_of_pos[(p, s)]): 1}
         if s == p:
-            return {("X", self._root_of_pos[(r, q)]): Fraction(-1)}
+            return {("X", self._root_of_pos[(r, q)]): -1}
         return {}
 
-    def killing_basis(self, a: BasisKey, b: BasisKey) -> Fraction:
+    def killing_basis(self, a: BasisKey, b: BasisKey) -> int:
         """kappa on basis keys: 2n * trace of the matrix-unit product."""
         two_n = 2 * self.n
         ka, kb = a[0], b[0]
         if ka == "X" and kb == "X":
-            return Fraction(two_n) if a[1] == root_neg(b[1]) else Fraction(0)
+            return two_n if a[1] == root_neg(b[1]) else 0
         if ka == "H" and kb == "H":
             i, j = a[1], b[1]
             if i == j:
-                return Fraction(2 * two_n)
+                return 2 * two_n
             if abs(i - j) == 1:
-                return Fraction(-two_n)
-            return Fraction(0)
-        return Fraction(0)
+                return -two_n
+            return 0
+        return 0
 
     # -- root order ----------------------------------------------------------
 

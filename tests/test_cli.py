@@ -863,6 +863,53 @@ def test_basis_bound_is_the_basis_size(monkeypatch, preset, D, E):
         cli.check_basis_size(specs, trunc)
 
 
+@pytest.mark.parametrize("preset, D, E, J", [
+    ("sl2", 2, 2, 3), ("sl3-abelian", 2, 1, 2), ("sl3-borel", 2, 1, 2), ("tensor-sl2", 2, 1, 3),
+])
+def test_work_bound_is_conditions_times_basis_size(monkeypatch, preset, D, E, J):
+    # MAX_WORK admits exactly the conditions times the basis size
+    cfg = presets.get_preset(preset)
+    parts = (cfg["left"], cfg["right"]) if "left" in cfg else (cfg,)
+    specs = [cli.build_spec(part) for part in parts]
+    trunc, size = cli.Truncation(D, E, J), 1
+    for spec in specs:
+        size *= len(cli.WhittakerModule(spec).basis(trunc))
+    work = len(cli.WhittakerModule(specs[0]).condition_roots()) * (2 * J + 1) * size
+    monkeypatch.setattr(cli, "MAX_WORK", work)
+    cli.check_basis_size(specs, trunc)
+    monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+    with pytest.raises(cli.ConfigError, match=f"= {work} exceed the work bound {work - 1}$"):
+        cli.check_basis_size(specs, trunc)
+
+
+def rank16_borel(J):
+    """sl(17) Borel, a_i geometric with ratio i + 1, theta 1, D = 1, E = 10:
+    3,194 basis monomials and 136 roots, within every other bound."""
+    lam = {f"a{i}": {"kind": "geometric", "j": str(i + 1)} for i in range(1, 17)}
+    return {"algebra": {"type": "A", "rank": 16, "levi": []}, "lam": lam,
+            "theta": "1", "truncation": {"D": 1, "E": 10, "J": J}}
+
+
+def test_work_bound_refuses_before_any_basis(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a basis was enumerated")
+
+    monkeypatch.setattr(cli.WhittakerModule, "basis", refuse)
+    code, out, err = run_config(tmp_path, capsys, "whittaker", rank16_borel(100))
+    assert code == 1 and out == ""
+    # the one line besides the genericity warning
+    assert [line for line in err.splitlines() if not line.startswith("warning:")] == [
+        "error: 27336 conditions x 3194 basis monomials = 87311184 exceed the work "
+        "bound 1000000"
+    ]
+    # 1,303,152 at J = 1 is refused too; sl3-borel at D = 1, E = J = 100,
+    # 603 x 1,007 = 607,221, is admitted
+    with pytest.raises(cli.ConfigError, match="= 1303152 exceed"):
+        cli.check_basis_size([cli.build_spec(rank16_borel(1))], cli.Truncation(1, 10, 1))
+    borel = cli.build_spec(presets.get_preset("sl3-borel"))
+    cli.check_basis_size([borel], cli.Truncation(1, 100, 100))
+
+
 def test_max_basis_option(monkeypatch, capsys):
     # the sl2 preset's basis has 78 monomials
     monkeypatch.setattr(cli, "MAX_BASIS", 78)

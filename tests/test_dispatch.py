@@ -15,7 +15,7 @@ modular elimination, the lift and the certificate (``rref_pivots`` and
 ``engine`` has one condition-row builder: only its module-level
 functions and the methods of ``WhittakerModule`` name the straightening
 and interning internals, so the tensor builder reads its factors'
-``condition_rows``.
+``condition_images``.
 
 The package has one integer check, ``linalg.require_int``: no other code
 tests ``type(x) is int`` or coerces an argument with ``int``, bar the
@@ -235,11 +235,11 @@ def test_lint_catches_a_tensor_method_reading_factor_internals():
         "def _straighten(t, g, mids):\n"
         "    return t._tables\n"
         "class WhittakerModule:\n"
-        "    def condition_rows(self, basis):\n"
+        "    def condition_images(self, basis):\n"
         "        return _straighten(self._tables, self._gid(1), basis[self._top_start(basis):])\n"
         "class TensorModule:\n"
         "    def condition_rows(self, a, b):\n"
-        "        return self.left.condition_rows(a), self.right._top_start(b)\n"
+        "        return self.left.condition_images(a), self.right._top_start(b)\n"
         "    def condition_system(self, trunc):\n"
         "        return [self.left._intern(m) for m in trunc], self.right._basis_ids\n"
         "    def act_gen(self, g, elt):\n"

@@ -177,6 +177,26 @@ def test_killing_pinned_values():
     assert killing(e, e) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_structure_constants_are_int_and_fin_results_fraction(n):
+    # the basis constants are born int; bracket_fin and killing still give
+    # Fraction values, equal to the matrix oracle's
+    datum = build_datum(n)
+    keys = all_basis_keys(datum)
+    units = {k: ChevalleyElement(datum, {k: 1}) for k in keys}
+    mats = {k: oracles.element_matrix(x) for k, x in units.items()}
+    for a in keys:
+        for b in keys:
+            consts, kap = datum.bracket_basis(a, b), datum.killing_basis(a, b)
+            assert type(kap) is int and all(type(c) is int for c in consts.values())
+            br, k = bracket_fin(units[a], units[b]), killing(units[a], units[b])
+            assert all(type(c) is Fraction for c in br.coeffs.values())
+            assert type(k) is Fraction
+            assert br.coeffs == consts and k == kap
+            assert oracles.element_matrix(br) == oracles.matrix_bracket(mats[a], mats[b])
+            assert k == oracles.matrix_killing(datum, mats[a], mats[b])
+
+
 def test_killing_invariance():
     """kappa([x, y], z) == kappa(x, [y, z])."""
     rng = random.Random(7)

@@ -309,3 +309,40 @@ def test_tensor_solve_does_not_call_act_gen():
 
     t.act_gen = refuse
     assert t.solve(Truncation(1, 1, 3)).row_count == 376
+
+
+@pytest.mark.parametrize(
+    "make, D, E, Js",
+    [(specs, 1, 1, (2, 3, 5)), (specs, 2, 1, (1, 3)), (sl3_borel_pair, 1, 1, (1, 2))],
+)
+def test_tensor_solve_reads_factor_images_not_factor_rows(make, D, E, Js):
+    # a fresh solve at each J is the answer; one module scanning J upwards
+    # (a fresh solve, then held-system steps) must give it with the factors'
+    # row builders refused, straightening each condition once per factor
+    fresh = [quiet_tensor(make).solve(Truncation(D, E, J)) for J in Js]
+    t, calls = quiet_tensor(make), []
+
+    def refuse(*args):
+        raise AssertionError("a factor's condition_rows called by the tensor")
+
+    def counted(module):
+        images = module.condition_images
+
+        def count(basis, root, j):
+            calls.append((module, root, j))
+            return images(basis, root, j)
+
+        return count
+
+    for module in (t.left, t.right):
+        module.condition_rows = refuse  # shadows the method
+        module.condition_images = counted(module)
+    for J, want in zip(Js, fresh):
+        res = t.solve(Truncation(D, E, J))
+        assert res.vectors == want.vectors
+        assert (res.condition_count, res.row_count) == (want.condition_count, want.row_count)
+        assert len(calls) == 2 * res.condition_count
+        assert {(root, j) for _, root, j in calls} == {
+            (root, j) for root in t.condition_roots() for j in range(-J, J + 1)
+        }
+    assert sum(m is t.left for m, _, _ in calls) == len(calls) // 2
