@@ -180,12 +180,13 @@ module, so a dropped module is freed by reference counting.  A solve
 with the same (D, E) and a J' >= J only builds and feeds the conditions
 with J < |j| <= J'; any other request rebuilds the system.  The pruner
 gets the same live entries of the same rows as a fresh solve's, and
-its dead set does not depend on row order.  It also holds the reduced
-echelon form it certified last, and the next solve eliminates that
-form, restricted to the columns still live, with the new core rows:
-the two span the core's row space (argument in the ``linalg``
-docstring), and the certified reduced echelon form and normalized
-kernel basis are unique, so the answer is a fresh solve's.
+its dead set does not depend on row order.  It also holds the kernel
+basis it returned last, and the next solve cuts that basis by the
+columns killed and the core rows kept since, in one small certified
+elimination over the basis's coordinates: the kernel of the larger
+system is the held span cut by those constraints, and its normalized
+basis is unique (argument in the ``linalg`` docstring), so the answer
+is a fresh solve's.
 ``row_count`` and ``condition_count`` are sums over the conditions fed.
 
 Elimination of the core is multimodular and certified

@@ -41,10 +41,10 @@ on the kernel, hence not on the pruning nor on the row order.
 :class:`SingletonPruner` also runs as a stream: a caller that builds a
 large system can feed rows as they are made, keep only the live core,
 and ask the pruner itself for the kernel (:meth:`SingletonPruner.nullspace`),
-which skips a second singleton pass.  The pruner holds the reduced form
-it certified last, so a caller that feeds more rows and asks again
-eliminates that form and the new rows, not the whole core (see
-"Extending a certified form" below).
+which skips a second singleton pass.  The pruner holds the kernel basis
+it returned last, so a caller that feeds more rows and asks again
+eliminates only a small system over that basis, not the whole core (see
+"Shrinking a held kernel" below).
 
 Certified multimodular elimination
 ----------------------------------
@@ -102,30 +102,45 @@ runs on a 2-vCPU host; 45.1 against 43.9 ms with every entry reduced
 after each update).
 Nothing is computed at import time.
 
-Extending a certified form
---------------------------
-A :class:`SingletonPruner` holds the pivot rows R it returned last and
-the number of rows it had kept then.  Every call eliminates with
-:func:`rref_pivots`: the first one the whole core, a later one R
-restricted to the columns live now, then the rows kept since.  Let pi
-drop the columns that died since the last call.
+Shrinking a held kernel
+-----------------------
+A :class:`SingletonPruner` holds the kernel basis V it returned last
+(vectors v_1, ..., v_k, in ascending order of their free columns
+f_1 < ... < f_k) and the number of rows it had kept then.  The first
+call eliminates the whole core with :func:`rref_pivots`.  A later call
+with the same ``ncols`` forms a system M over the k coordinates of
+span V, with one row per constraint that arrived since:
 
-* Every old core row y reduced to zero against R, so
-  y = sum_pc y[pc] R_pc, and pi(y) = sum_pc y[pc] pi(R_pc).
-* Each current core row is pi of an old core row, or a row kept since.
-  An old core row consumed since has all its columns dead, so its pi
-  is zero.
-* Each R_pc is a combination of old core rows, so pi(R_pc) is a
-  combination of current core rows.
-* So pi(R) and the rows kept since span exactly the current core's row
-  space, and have the same reduced echelon form.
+* (v_1[c], ..., v_k[c]) for each column c killed since, and
+* (r . v_1, ..., r . v_k) for each core row r kept since,
 
-:func:`rref_pivots` certifies its lift against every row it gets, so by
-induction on the calls each result is the exact reduced echelon form of
-the core over Q, as a fresh elimination of the whole core would give.
-The rows of R need no special care: :func:`_integer_row` clears their
-denominators like any other row's, and any further primes come from
-the usual loop.
+each v_i scaled by the lcm of its denominators, and returns
+V . n / (V . n)[f_i] for each vector n of :func:`nullspace` (M, k),
+n being 1 at its free coordinate i.  Let K be the kernel of the rows
+fed so far and K_0 = span V that of the rows fed by the last call.
+
+* K = K_0 cut by the rows fed since.  A row fed since is kept (its
+  live-restricted core row, or all its live columns died since), or it
+  killed a column, or all its columns are dead.  Every column dead at
+  the last call is zero on K_0, so on K_0 each row fed since is a
+  combination of the rows of M above.  Conversely each row of M holds on
+  K: every dead column is zero on K, so a core row, a fed row less its
+  dead entries, holds there too.  Kept rows of the last call hold on
+  K_0 already, so the deaths they cascade to only repeat constraints
+  that K_0 satisfies.
+* The vectors are K's normalized basis.  v_j is 1 at f_j, 0 at the
+  other f's and 0 right of f_j, so sum_j n_j v_j is n_j at each f_j and
+  its last nonzero column is f_i for the largest i with n_i != 0;
+  scaling the v_j by positive integers changes neither.  The free
+  columns of a normalized basis are the last nonzero columns of K's
+  vectors, so K's free columns are the f_i of M's free coordinates i,
+  in the same order, and V . n, which is 0 at every other such f,
+  divided by its value at f_i is K's vector of free column f_i.
+
+M is eliminated by the usual certified :func:`rref_pivots`, so by
+induction on the calls each result is the exact normalized kernel basis
+a fresh elimination of the whole core would give.  V is held as
+returned; its integer form is made only when a next call needs it.
 
 No floating point is used anywhere.
 """
@@ -596,8 +611,8 @@ class SingletonPruner:
         # [live count, row, its nonzero columns live on arrival]; count 0 = consumed
         self._kept: List[list] = []
         self._by_col: Dict[int, List[list]] = {}
-        # the certified pivot rows of the last _pivots call, and len(_kept) then
-        self._held: Dict[int, SparseRow] = {}
+        # (ncols, the kernel basis) of the last nullspace call, and len(_kept) then
+        self._held: Optional[Tuple[int, List[SparseRow]]] = None
         self._held_kept = 0
 
     def extend(self, rows: Iterable[SparseRow]) -> None:
@@ -654,44 +669,110 @@ class SingletonPruner:
             if count:
                 yield {c: row[c] for c in live if c not in dead}
 
-    def _pivots(self, ncols: int) -> Dict[int, SparseRow]:
-        """The core's pivot rows, after range-checking every column seen.
+    def nullspace(self, ncols: int) -> List[SparseRow]:
+        """:func:`nullspace` of the rows fed so far, without a second pass;
+        each vector's first key is its free column.
 
         Every nonzero column fed is dead or live in a kept row, and the
-        live ones are exactly the keys of ``_by_col``.  One
-        :func:`rref_pivots` call gets the pivot rows held from the last
-        call restricted to the live columns, then the rows kept since,
-        streamed so no list of the core is kept; the first call gets the
-        whole core.  The result is held for the next call (see "Extending
-        a certified form" in the module docstring).
+        live ones are exactly the keys of ``_by_col``; all are
+        range-checked first.  The first call eliminates the whole core;
+        a later one with the same ``ncols`` shrinks the kernel basis it
+        returned last (:meth:`_shrink`).  The result is held, as
+        returned, for the next call, so the caller must not change it.
         """
         dead = self.dead
         if any(c < 0 or c >= ncols for c in chain(dead, self._by_col)):
             raise ValueError("row has a column outside range(ncols)")
-        held = ({c: v for c, v in row.items() if c not in dead} for row in self._held.values())
-        pivots = rref_pivots(chain(held, self.core(self._held_kept)))
-        self._held, self._held_kept = pivots, len(self._kept)
-        return pivots
+        held = self._held
+        if held is not None and held[0] == ncols:
+            kernel = self._shrink(held[1])
+        else:
+            kernel = _kernel(rref_pivots(self.core()), dead, ncols)
+        self._held, self._held_kept = (ncols, kernel), len(self._kept)
+        return kernel
 
-    def nullspace(self, ncols: int) -> List[SparseRow]:
-        """:func:`nullspace` of the rows fed so far, without a second pass;
-        each vector's first key is its free column."""
-        pivots = self._pivots(ncols)
-        one = Fraction(1)
-        by_free: Dict[int, SparseRow] = {}
-        for pc, pr in pivots.items():
-            for f, x in pr.items():
-                if f != pc:
-                    vec = by_free.get(f)
-                    if vec is None:
-                        by_free[f] = vec = {f: one}
-                    vec[pc] = -x
+    def _shrink(self, held: List[SparseRow]) -> List[SparseRow]:
+        """The kernel basis of the rows fed so far from ``held``, the one
+        of the last call: the held vectors cut by the columns killed
+        and the core rows kept since, in one :func:`nullspace` over
+        their k coordinates (see "Shrinking a held kernel" in the
+        module docstring).
+
+        Each held vector is scaled to integers and split into its live
+        entries and its entries on columns killed since (it is zero on
+        the columns dead at the last call); its live columns are also
+        indexed, for the products with the new core rows.  A unit vector
+        e_i of M's kernel gives v_i itself.  Any other n is scaled to
+        integers too, so V . n is summed in ``int``s and divided by its
+        value at its free column, one ``Fraction`` per distinct entry.
+        """
         dead = self.dead
-        return [
-            by_free.get(f) or {f: one}
-            for f in range(ncols)
-            if f not in pivots and f not in dead
-        ]
+        vecs: List[IntRow] = []  # v_i scaled to integers, its live entries
+        by_col: Dict[int, List[int]] = {}  # live column c -> the i with v_i[c] != 0
+        kills: Dict[int, IntRow] = {}  # column killed since -> {i: v_i[c]}
+        for i, vec in enumerate(held):
+            row = _integer_row(vec)
+            for c in row.keys() & dead:
+                kills.setdefault(c, {})[i] = row.pop(c)
+            for c in row:
+                by_col.setdefault(c, []).append(i)
+            vecs.append(row)
+        rows = list(kills.values())
+        for r in self.core(self._held_kept):
+            prod: Dict[int, Union[int, Fraction]] = {}
+            for c, rc in r.items():
+                for i in by_col.get(c, ()):
+                    prod[i] = prod.get(i, 0) + rc * vecs[i][c]
+            prod = {i: y for i, y in prod.items() if y}
+            if prod:
+                rows.append(prod)
+        one = Fraction(1)
+        kernel = []
+        for n in nullspace(rows, len(held)):
+            v = held[next(iter(n))]
+            if len(n) == 1:  # V . e_i is v_i, which is zero on the new dead columns
+                kernel.append(v)
+                continue
+            acc = {}
+            for j, y in _integer_row(n).items():
+                for c, x in vecs[j].items():
+                    acc[c] = acc.get(c, 0) + y * x
+            f = next(iter(v))
+            d = acc.pop(f)
+            vec = {f: one}
+            made: Dict[int, Fraction] = {}  # numerator -> y / d, one per value
+            for c, y in acc.items():
+                if y:
+                    x = made.get(y)
+                    if x is None:
+                        x = made[y] = Fraction(y, d)
+                    vec[c] = x
+            kernel.append(vec)
+        return kernel
+
+
+def _kernel(pivots: Dict[int, SparseRow], dead: Set[int], ncols: int) -> List[SparseRow]:
+    """The normalized kernel basis of reduced echelon rows whose dead
+    columns are zero: one vector per column that is neither a pivot nor
+    dead, ascending, its first key its free column."""
+    one = Fraction(1)
+    by_free: Dict[int, SparseRow] = {}
+    neg: Dict[int, Fraction] = {}  # id(x) -> -x: equal entries of the rows are one object
+    for pc, pr in pivots.items():
+        for f, x in pr.items():
+            if f != pc:
+                vec = by_free.get(f)
+                if vec is None:
+                    by_free[f] = vec = {f: one}
+                y = neg.get(id(x))
+                if y is None:
+                    y = neg[id(x)] = -x
+                vec[pc] = y
+    return [
+        by_free.get(f) or {f: one}
+        for f in range(ncols)
+        if f not in pivots and f not in dead
+    ]
 
 
 def nullspace(rows: Iterable[SparseRow], ncols: int) -> List[SparseRow]:
